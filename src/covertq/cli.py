@@ -126,6 +126,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _route(state0, state1) -> str:
+    """Which path covert_sim takes for a pair of single-copy outputs."""
+    return "dense" if cs.shared_eigenbasis(state0, state1) is None else "commuting"
+
+
 def cmd_simulate(args) -> int:
     spec = _load_channel_spec(args.channel)
     quad = chn.channel_spec_to_quadruple(spec)
@@ -173,6 +178,10 @@ def cmd_simulate(args) -> int:
         }
     else:
         payload["decoder"] = None
+    payload["diagnostics"] = {"route": {
+        "warden": _route(quad.omega0, quad.omega1),
+        "decoder": _route(quad.sigma0, quad.sigma1),
+    }}
     _emit_json(payload, args.out, "simulate", spec, params, args.seed)
     return EXIT_OK
 

@@ -2,7 +2,10 @@
 
 Random Bernoulli codebooks, the warden's exact n-fold average state,
 covertness / secrecy / resolvability metrics, and the square-root-measurement
-decoder, all on dense matrices of dimension at most a configurable cap.
+decoder.  When a pair of single-copy outputs commutes, the n-fold quantities
+built from it are diagonal in the product of their shared eigenbasis and are
+computed on probability vectors; otherwise on dense matrices.  Either way the
+n-fold dimension must fit a configurable cap.
 
 Randomness uses the counter-based Philox generator keyed by
 ``(seed, sample_index)``; within one codebook the bits are drawn in a fixed
@@ -135,75 +138,86 @@ def product_state(word, state0, state1) -> np.ndarray:
     return out
 
 
-def _commuting_basis(ch: BinaryCovertChannel, tol: Tolerances):
-    """Shared eigenbasis of (omega0, omega1) if they commute, else None.
+def shared_eigenbasis(a, b, tol: Tolerances = DEFAULT_TOL):
+    """Common eigenbasis of two Hermitian operators, or None if they do not commute.
 
-    Returns (U, p0, p1) with omega_x = U diag(p_x) U^dag.
+    Each eigenspace of ``a`` is spanned by its own orthonormal columns, inside
+    which ``b`` is diagonalised, so degenerate spectra of either operator are
+    handled exactly.
+
+    Returns
+    -------
+    (U, pa, pb) : (ndarray, ndarray, ndarray) or None
+        ``a = U diag(pa) U^dag`` and ``b = U diag(pb) U^dag``.
     """
-    w0 = np.asarray(ch.omega0, dtype=complex)
-    w1 = np.asarray(ch.omega1, dtype=complex)
-    if np.max(np.abs(w0 @ w1 - w1 @ w0)) > tol.herm:
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if np.max(np.abs(a @ b - b @ a)) > tol.herm:
         return None
-    # diagonalize omega0, then omega1 inside its degenerate blocks
-    sd = op.spectral_decompose(w0, tol)
-    cols = []
-    p0 = []
-    p1 = []
+    sd = op.spectral_decompose(a, tol)
+    cols, pa, pb = [], [], []
     for lam, proj in zip(sd.eigenvalues, sd.projectors):
-        vals, vecs = np.linalg.eigh(proj @ w1 @ proj + (np.eye(w0.shape[0]) - proj))
-        for mu, vec in zip(vals, vecs.T):
-            if np.linalg.norm(proj @ vec - vec) < 1e-8:
-                cols.append(vec)
-                p0.append(lam)
-                p1.append(mu.real)
-    U = np.column_stack(cols)
-    return U, np.array(p0), np.array(p1)
+        weights, vecs = np.linalg.eigh(proj)
+        block = vecs[:, weights > 0.5]
+        mu, inner = np.linalg.eigh(block.conj().T @ b @ block)
+        cols.append(block @ inner)
+        pa.extend([lam] * mu.size)
+        pb.extend(mu)
+    return np.hstack(cols), np.array(pa), np.array(pb)
 
 
-def _diag_word(word, p0, p1) -> np.ndarray:
-    out = (p0, p1)[int(word[0])]
-    for bit in word[1:]:
-        out = np.kron(out, (p0, p1)[int(bit)])
+def _word_distributions(words, p0, p1) -> np.ndarray:
+    """Row-wise kron products: the joint eigenvalue distribution of each word.
+
+    ``words`` is a (K, n) bit array; row k of the (K, d**n) result is
+    p_{w_1} (x) ... (x) p_{w_n} for the k-th word.
+    """
+    words = np.asarray(words)
+    table = np.stack([p0, p1])
+    out = np.ones((words.shape[0], 1))
+    for column in words.T:
+        out = (out[:, :, None] * table[column][:, None, :]).reshape(words.shape[0], -1)
     return out
+
+
+def _power(p, n: int) -> np.ndarray:
+    """n-fold kron power of a probability vector."""
+    return _word_distributions(np.zeros((1, n), dtype=np.uint8), p, p)[0]
+
+
+def _l1(diff) -> np.ndarray:
+    return np.sum(np.abs(diff), axis=-1)
+
+
+def _average_state(words, ch: BinaryCovertChannel, tol: Tolerances) -> np.ndarray:
+    """Dense warden state averaged uniformly over the (K, n) ``words``."""
+    n = words.shape[1]
+    check_budget(ch.omega0.shape[0] ** n)
+    basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
+    if basis is not None:
+        U, p0, p1 = basis
+        diag = _word_distributions(words, p0, p1).mean(axis=0)
+        Un = op.tensor_power(U, n)
+        return (Un * diag) @ Un.conj().T
+    return sum(product_state(w, ch.omega0, ch.omega1) for w in words) / words.shape[0]
 
 
 def willie_average_state(cb: Codebook, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Warden's exact average state over all (m, l) codewords.
 
     When the two warden outputs commute, the state is assembled from the
-    classical distribution over joint eigenvalue strings and returned diagonal
-    in the shared eigenbasis; otherwise a dense tensor-product average is
-    formed.  Either way the dense dimension must fit the budget.
+    classical distribution over joint eigenvalue strings in the shared
+    eigenbasis; otherwise a dense tensor-product average is formed.  Either
+    way the dense dimension must fit the budget.
     """
-    dim = ch.omega0.shape[0] ** cb.n
-    check_budget(dim)
-    basis = _commuting_basis(ch, tol)
-    if basis is not None:
-        U, p0, p1 = basis
-        diag = np.zeros(dim)
-        for m in range(cb.m_size):
-            for l in range(cb.l_size):
-                diag += _diag_word(cb.words[m, l], p0, p1)
-        diag /= cb.m_size * cb.l_size
-        Un = op.tensor_power(U, cb.n) if cb.n > 1 else U
-        return (Un * diag) @ Un.conj().T
-    out = np.zeros((dim, dim), dtype=complex)
-    for m in range(cb.m_size):
-        for l in range(cb.l_size):
-            out += product_state(cb.words[m, l], ch.omega0, ch.omega1)
-    return out / (cb.m_size * cb.l_size)
+    return _average_state(cb.words.reshape(-1, cb.n), ch, tol)
 
 
 def willie_bin_state(cb: Codebook, ch: BinaryCovertChannel, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Warden's state conditioned on message m, averaged over the bin index."""
     if not 0 <= m < cb.m_size:
         raise IndexOutOfRangeError(f"message index {m} outside [0, {cb.m_size})")
-    dim = ch.omega0.shape[0] ** cb.n
-    check_budget(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for l in range(cb.l_size):
-        out += product_state(cb.words[m, l], ch.omega0, ch.omega1)
-    return out / cb.l_size
+    return _average_state(cb.words[m], ch, tol)
 
 
 def _default_beta_grid(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances) -> np.ndarray:
@@ -239,25 +253,16 @@ def resolvability_rhs(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances =
 def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Trace distance of the codebook-average state to the mixed reference,
     for ``cfg.samples`` independently seeded codebooks."""
-    target_single = mixed_output(ch, cfg.alpha)
-    basis = _commuting_basis(ch, tol)
+    basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
     distances = np.empty(cfg.samples)
     if basis is not None:
         _, p0, p1 = basis
-        p_alpha = (1.0 - cfg.alpha) * p0 + cfg.alpha * p1
-        target_diag = p_alpha.copy()
-        for _ in range(cfg.n - 1):
-            target_diag = np.kron(target_diag, p_alpha)
+        target = _power((1.0 - cfg.alpha) * p0 + cfg.alpha * p1, cfg.n)
         for i in range(cfg.samples):
-            cb = sample_codebook(cfg, sample_index=i)
-            diag = np.zeros(target_diag.size)
-            for m in range(cb.m_size):
-                for l in range(cb.l_size):
-                    diag += _diag_word(cb.words[m, l], p0, p1)
-            diag /= cb.m_size * cb.l_size
-            distances[i] = float(np.sum(np.abs(diag - target_diag)))
+            words = sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
+            distances[i] = _l1(_word_distributions(words, p0, p1).mean(axis=0) - target)
         return distances
-    target = op.tensor_power(target_single, cfg.n)
+    target = op.tensor_power(mixed_output(ch, cfg.alpha), cfg.n)
     for i in range(cfg.samples):
         cb = sample_codebook(cfg, sample_index=i)
         distances[i] = op.trace_norm(willie_average_state(cb, ch, tol) - target)
@@ -280,19 +285,46 @@ def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Toler
     return mean, rhs, mean <= rhs + 3.0 * se
 
 
+def _warden_vectors(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances):
+    """Per-word distributions, n-fold innocent and mixed references, all in the
+    shared eigenbasis of the warden outputs; None when they do not commute."""
+    check_budget(ch.omega0.shape[0] ** cb.n)
+    basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
+    if basis is None:
+        return None
+    _, p0, p1 = basis
+    per_word = _word_distributions(cb.words.reshape(-1, cb.n), p0, p1)
+    mixed = _power((1.0 - cfg.alpha) * p0 + cfg.alpha * p1, cb.n)
+    return per_word, _power(p0, cb.n), mixed
+
+
 def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> CovertnessReport:
-    """Covertness metrics of one codebook against the innocent reference."""
-    avg = willie_average_state(cb, ch, tol)
-    ref0 = op.tensor_power(ch.omega0, cb.n)
-    mixed = op.tensor_power(mixed_output(ch, cfg.alpha), cb.n)
-    d_covert = dv.qre(avg, ref0, tol)
+    """Covertness metrics of one codebook against the innocent reference.
+
+    When the warden outputs commute every metric is classical on the joint
+    eigenvalue distributions; otherwise dense n-fold states are formed.
+    """
+    vectors = _warden_vectors(cb, ch, cfg, tol)
+    if vectors is not None:
+        per_word, ref0, mixed = vectors
+        avg = per_word.mean(axis=0)
+        d_covert = dv.qre_commuting(avg, ref0, tol)
+        trace_dist = float(_l1(avg - mixed))
+        helstrom = 0.5 * (1.0 - 0.5 * float(_l1(avg - ref0)))
+    else:
+        avg = willie_average_state(cb, ch, tol)
+        ref0 = op.tensor_power(ch.omega0, cb.n)
+        mixed = op.tensor_power(mixed_output(ch, cfg.alpha), cb.n)
+        d_covert = dv.qre(avg, ref0, tol)
+        trace_dist = op.trace_norm(avg - mixed)
+        helstrom = dv.helstrom_error(avg, ref0, tol)
     d_reference = cb.n * dv.qre(mixed_output(ch, cfg.alpha), ch.omega0, tol)
     pinsker_lb = 0.5 * (1.0 - math.sqrt(0.5 * d_covert)) if math.isfinite(d_covert) else 0.0
     return CovertnessReport(
         dCovert=d_covert,
         dReference=d_reference,
-        traceDistToMixed=op.trace_norm(avg - mixed),
-        helstromError=dv.helstrom_error(avg, ref0, tol),
+        traceDistToMixed=trace_dist,
+        helstromError=helstrom,
         pinskerLowerBound=pinsker_lb,
         resolvabilityRhs=resolvability_rhs(cfg, ch, tol),
     )
@@ -300,11 +332,17 @@ def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol
 
 def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> SecrecyReport:
     """Per-bin trace distances to the mixed reference and their mean."""
-    mixed = op.tensor_power(mixed_output(ch, cfg.alpha), cb.n)
-    dists = tuple(
-        op.trace_norm(willie_bin_state(cb, ch, m, tol) - mixed)
-        for m in range(cb.m_size)
-    )
+    vectors = _warden_vectors(cb, ch, cfg, tol)
+    if vectors is not None:
+        per_word, _, mixed = vectors
+        bins = per_word.reshape(cb.m_size, cb.l_size, -1).mean(axis=1)
+        dists = tuple(float(d) for d in _l1(bins - mixed))
+    else:
+        mixed = op.tensor_power(mixed_output(ch, cfg.alpha), cb.n)
+        dists = tuple(
+            op.trace_norm(willie_bin_state(cb, ch, m, tol) - mixed)
+            for m in range(cb.m_size)
+        )
     return SecrecyReport(perBinDistances=dists, averageLeakage=float(np.mean(dists)))
 
 
@@ -323,6 +361,7 @@ def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances 
     """
     words = [np.asarray(w) for w in words]
     n = len(words[0])
+    check_budget(np.asarray(sigma0).shape[0] ** n)
     ref = product_state([0] * n, sigma0, sigma1)
     scale = math.exp(a_threshold)
     projectors = []
@@ -340,22 +379,32 @@ def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances 
 
 
 def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> DecoderReport:
-    """Error probabilities of the square-root measurement on Bob's outputs."""
+    """Error probabilities of the square-root measurement on Bob's outputs.
+
+    When sigma0 and sigma1 commute, every operator of the measurement is
+    diagonal in their shared eigenbasis: the pinching is the identity, Pi_c
+    is the indicator of sigma_c - e^a sigma0^{(x)n} >= -tol.cluster, and
+    S^{-1/2} vanishes where S <= tol.support, as in :func:`square_root_povm`.
+    """
     dim = ch.sigma0.shape[0] ** cb.n
     check_budget(dim)
     a = cfg.a_threshold
     if a is None:
         a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0, tol)
-    words = [cb.words[m, l] for m in range(cb.m_size) for l in range(cb.l_size)]
-    elements, _ = square_root_povm(words, ch.sigma0, ch.sigma1, a, tol)
-    errors = {}
-    idx = 0
-    for m in range(cb.m_size):
-        for l in range(cb.l_size):
-            sig = product_state(cb.words[m, l], ch.sigma0, ch.sigma1)
-            p_ok = np.trace(elements[idx] @ sig).real
-            errors[(m, l)] = float(min(max(1.0 - p_ok, 0.0), 1.0))
-            idx += 1
+    words = cb.words.reshape(-1, cb.n)
+    basis = shared_eigenbasis(ch.sigma0, ch.sigma1, tol)
+    if basis is not None:
+        _, s0, s1 = basis
+        sigs = _word_distributions(words, s0, s1)
+        projectors = sigs - math.exp(a) * _power(s0, cb.n) >= -tol.cluster
+        counts = projectors.sum(axis=0)
+        inv = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > tol.support)
+        p_ok = np.sum(sigs * projectors * inv, axis=1)
+    else:
+        elements, _ = square_root_povm(list(words), ch.sigma0, ch.sigma1, a, tol)
+        p_ok = [np.trace(e @ product_state(w, ch.sigma0, ch.sigma1)).real for e, w in zip(elements, words)]
+    indices = [(m, l) for m in range(cb.m_size) for l in range(cb.l_size)]
+    errors = {ml: float(min(max(1.0 - p, 0.0), 1.0)) for ml, p in zip(indices, p_ok)}
     vals = list(errors.values())
     return DecoderReport(
         perMessageError=errors,

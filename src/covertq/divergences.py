@@ -113,6 +113,25 @@ def chi_square_commuting(p, q) -> float:
     return float(np.sum((pa - qa) ** 2 / qa))
 
 
+def qre_commuting(p, q, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Classical relative entropy sum p log(p / q) of eigenvalue vectors
+    paired in a shared eigenbasis.
+
+    Applies the rules of :func:`qre`: entries of ``p`` at or below the support
+    tolerance are dropped, and ``inf`` is returned when a remaining entry
+    meets an entry of ``q`` at or below it.
+    """
+    pa = np.clip(np.asarray(p, dtype=float).ravel(), 0.0, None)
+    qa = np.asarray(q, dtype=float).ravel()
+    if pa.shape != qa.shape:
+        raise DimMismatchError(f"lengths {pa.size} vs {qa.size}")
+    keep = pa > tol.support
+    if np.any(qa[keep] <= tol.support):
+        return math.inf
+    total = float(np.sum(pa[keep] * (np.log(pa[keep]) - np.log(qa[keep]))))
+    return max(total, 0.0)
+
+
 def hockey_stick(rho, sigma, gamma: float, tol: Tolerances = DEFAULT_TOL) -> float:
     """Hockey-stick divergence: sum of positive eigenvalues of rho - gamma*sigma."""
     if gamma < 1.0:

@@ -54,7 +54,6 @@ class EGToyCode:
     words: np.ndarray  # uint8, shape (T, l_size, n)
     encode_phases: np.ndarray  # float, shape (T, l_size)
     decode_phases: np.ndarray  # float, shape (T, l_size)
-    chosen_j: int = 0
 
     @staticmethod
     def from_words(words, encode_phases=None, decode_phases=None) -> "EGToyCode":

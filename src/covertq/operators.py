@@ -173,13 +173,6 @@ def permute_operator(op, dims, order) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def permute_vector(vec, dims, order) -> np.ndarray:
-    """Reorder the tensor factors of a state vector according to ``order``."""
-    v = np.asarray(vec, dtype=complex).ravel()
-    dims = list(dims)
-    return v.reshape(dims).transpose(order).ravel()
-
-
 def partial_trace_vector(vec, dims, keep) -> np.ndarray:
     """Reduced density operator of a pure state, keeping factors in ``keep``."""
     v = np.asarray(vec, dtype=complex).ravel()

@@ -138,3 +138,37 @@ def test_validate(exc_spec, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["valid"] is True
     assert payload["bobDim"] == 2
+
+
+def _pair_json(rows):
+    return [[[v, 0.0] for v in row] for row in rows]
+
+
+def test_simulate_reports_route(exc_spec, tmp_path, capsys):
+    args = ["--n", "3", "--gamma", "0.6", "--m", "2", "--l", "2", "--samples", "2"]
+    assert main(["simulate", exc_spec] + args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["diagnostics"] == {"route": {"warden": "commuting", "decoder": "commuting"}}
+    # K0 = sqrt(p) I, K1 = sqrt(1-p) H: the warden's outputs do not commute for
+    # p != 1/2, while Bob's satisfy sigma0 + sigma1 = I and do
+    p, h = 0.3, 1.0 / math.sqrt(2.0)
+    k0 = [[[math.sqrt(p), 0.0], [0.0, 0.0]], [[0.0, 0.0], [math.sqrt(p), 0.0]]]
+    k1 = [[[math.sqrt(1 - p) * h * s, 0.0] for s in row] for row in ((1, 1), (1, -1))]
+    spec = tmp_path / "hadamard.json"
+    spec.write_text(json.dumps({"kind": "kraus", "kraus": [k0, k1]}))
+    assert main(["simulate", str(spec)] + args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["diagnostics"] == {"route": {"warden": "dense", "decoder": "commuting"}}
+    # neither pair commutes
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps({
+        "kind": "cq-pair",
+        "sigma0": _pair_json([[0.7, 0.2], [0.2, 0.3]]),
+        "sigma1": _pair_json([[0.4, 0.1], [0.1, 0.6]]),
+        "omega0": _pair_json([[0.6, 0.25], [0.25, 0.4]]),
+        "omega1": _pair_json([[0.5, -0.2], [-0.2, 0.5]]),
+    }))
+    assert main(["simulate", str(spec)] + args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["diagnostics"] == {"route": {"warden": "dense", "decoder": "dense"}}
+    assert 0.0 <= payload["decoder"]["averageError"] <= 1.0

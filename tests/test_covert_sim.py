@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from covertq import channels as chn
 from covertq import covert_sim as cs
@@ -230,3 +232,155 @@ def test_covertness_scaling():
     devs = [abs(v - target) / target for _, v in values]
     assert devs[0] > devs[1] > devs[2]
     assert devs[-1] < 0.05
+
+
+# ---------------------------------------------------------------------------
+# Commuting route versus dense recomputations on degenerate spectra
+
+
+def commuting_pair(unitary, d0, d1):
+    """U diag(d0) U^dag and U diag(d1) U^dag."""
+    return tuple((unitary * np.asarray(d, dtype=float)) @ unitary.conj().T for d in (d0, d1))
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def dense_word_state(word, state0, state1):
+    out = np.eye(1)
+    for b in word:
+        out = np.kron(out, (state0, state1)[int(b)])
+    return out
+
+
+def dense_trace_norm(a):
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+
+def dense_resolvability(cfg, quad):
+    mixed = dense_word_state([0] * cfg.n, chn.mixed_output(quad, cfg.alpha), None)
+    out = []
+    for i in range(cfg.samples):
+        words = cs.sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
+        avg = sum(dense_word_state(w, quad.omega0, quad.omega1) for w in words) / len(words)
+        out.append(dense_trace_norm(avg - mixed))
+    return np.array(out)
+
+
+def degenerate_block_quadruple():
+    """omega0 = Q diag(.5, .25, .25) Q^dag, omega1 = Q diag(0, 1, 0) Q^dag."""
+    w0, w1 = commuting_pair(random_unitary(np.random.default_rng(5), 3), [0.5, 0.25, 0.25], [0.0, 1.0, 0.0])
+    return chn.BinaryCovertChannel(w0, w1, w0, w1)
+
+
+def test_shared_eigenbasis_degenerate_block():
+    quad = degenerate_block_quadruple()
+    U, p0, p1 = cs.shared_eigenbasis(quad.omega0, quad.omega1)
+    assert U.shape == (3, 3)
+    np.testing.assert_allclose(U.conj().T @ U, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose((U * p0) @ U.conj().T, quad.omega0, atol=1e-12)
+    np.testing.assert_allclose((U * p1) @ U.conj().T, quad.omega1, atol=1e-12)
+    assert cs.shared_eigenbasis(np.diag([1.0, 0.0]), np.ones((2, 2)) / 2) is None
+
+
+def test_degenerate_pair_regression():
+    quad = degenerate_block_quadruple()
+    for k in (1, 4, 16):
+        cfg = cs.SimConfig(n=4, gamma=0.0, alpha=0.3, m_size=k, l_size=1, seed=0, samples=3)
+        np.testing.assert_allclose(
+            cs.resolvability_samples(cfg, quad), dense_resolvability(cfg, quad), atol=1e-9
+        )
+        cb = cs.sample_codebook(cfg)
+        dense = sum(dense_word_state(w, quad.omega0, quad.omega1) for w in cb.words.reshape(-1, 4)) / k
+        np.testing.assert_allclose(cs.willie_average_state(cb, quad), dense, atol=1e-9)
+
+
+@st.composite
+def degenerate_commuting_pairs(draw, d):
+    """A commuting pair of density matrices whose first spectrum repeats a value."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    head = draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1))
+    w0 = np.array(head + [head[-1]], dtype=float)
+    w1 = np.array(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)), dtype=float)
+    assume(w1.sum() > 0)
+    unitary = random_unitary(np.random.default_rng(seed), d)
+    return commuting_pair(unitary, w0 / w0.sum(), w1 / w1.sum())
+
+
+@st.composite
+def degenerate_campaigns(draw):
+    d = draw(st.sampled_from([2, 3]))
+    omega0, omega1 = draw(degenerate_commuting_pairs(d))
+    sigma0, sigma1 = draw(degenerate_commuting_pairs(d))
+    cfg = cs.SimConfig(
+        n=draw(st.integers(1, 3)), gamma=0.0,
+        alpha=draw(st.floats(0.05, 0.95)),
+        m_size=draw(st.integers(1, 3)), l_size=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)), samples=2,
+        # irrational e^a keeps every threshold entry far from a tie
+        a_threshold=draw(st.sampled_from([-0.5, 0.3, 1.0])),
+    )
+    return chn.BinaryCovertChannel(sigma0, sigma1, omega0, omega1), cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_campaigns())
+def test_commuting_route_matches_dense(campaign):
+    quad, cfg = campaign
+    n = cfg.n
+    cb = cs.sample_codebook(cfg)
+    words = cb.words.reshape(-1, n)
+    states = [dense_word_state(w, quad.omega0, quad.omega1) for w in words]
+    avg = sum(states) / len(words)
+    ref0 = dense_word_state([0] * n, quad.omega0, None)
+    mixed = dense_word_state([0] * n, chn.mixed_output(quad, cfg.alpha), None)
+
+    np.testing.assert_allclose(cs.willie_average_state(cb, quad), avg, atol=1e-9)
+    np.testing.assert_allclose(cs.resolvability_samples(cfg, quad), dense_resolvability(cfg, quad), atol=1e-9)
+
+    cov = cs.covertness_report(cb, quad, cfg)
+    assert cov.dCovert == pytest.approx(dv.qre(avg, ref0), abs=1e-9)
+    assert cov.traceDistToMixed == pytest.approx(dense_trace_norm(avg - mixed), abs=1e-9)
+    assert cov.helstromError == pytest.approx(0.5 * (1.0 - 0.5 * dense_trace_norm(avg - ref0)), abs=1e-9)
+
+    sec = cs.secrecy_report(cb, quad, cfg)
+    bins = [sum(states[m * cfg.l_size:(m + 1) * cfg.l_size]) / cfg.l_size for m in range(cfg.m_size)]
+    np.testing.assert_allclose(sec.perBinDistances, [dense_trace_norm(b - mixed) for b in bins], atol=1e-9)
+
+    dec = cs.sqrt_measurement_decoder(cb, quad, cfg)
+    elements, _ = cs.square_root_povm(list(words), quad.sigma0, quad.sigma1, cfg.a_threshold)
+    expected = [
+        min(max(1.0 - np.trace(e @ dense_word_state(w, quad.sigma0, quad.sigma1)).real, 0.0), 1.0)
+        for e, w in zip(elements, words)
+    ]
+    np.testing.assert_allclose(list(dec.perMessageError.values()), expected, atol=1e-9)
+
+
+def test_square_root_povm_budget(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("n-fold operator built before the budget check")
+
+    monkeypatch.setattr(cs, "product_state", no_allocation)
+    quad = excitation_quadruple()
+    with pytest.raises(BudgetExceededError):
+        cs.square_root_povm([np.zeros(13, dtype=np.uint8)], quad.sigma0, quad.sigma1, 0.1)
+
+
+def test_sqrt_decoder_dense_route():
+    sigma0 = np.array([[0.7, 0.2], [0.2, 0.3]])
+    sigma1 = np.array([[0.4, 0.1], [0.1, 0.6]])
+    assert cs.shared_eigenbasis(sigma0, sigma1) is None
+    exc = excitation_quadruple()
+    quad = chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1)
+    cfg = cs.SimConfig(n=3, gamma=0.5, m_size=2, l_size=2, seed=4, a_threshold=0.2)
+    cb = cs.sample_codebook(cfg)
+    words = cb.words.reshape(-1, 3)
+    elements, _ = cs.square_root_povm(list(words), sigma0, sigma1, 0.2)
+    expected = [
+        min(max(1.0 - np.trace(e @ dense_word_state(w, sigma0, sigma1)).real, 0.0), 1.0)
+        for e, w in zip(elements, words)
+    ]
+    rep = cs.sqrt_measurement_decoder(cb, quad, cfg)
+    np.testing.assert_allclose(list(rep.perMessageError.values()), expected, atol=1e-12)

@@ -38,6 +38,16 @@ def test_qre_support_violation():
     assert dv.qre(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == math.inf
 
 
+@pytest.mark.parametrize("p, q", [
+    ([0.2, 0.3, 0.5], [0.5, 0.25, 0.25]),
+    ([0.0, 1.0, 0.0], [0.5, 0.25, 0.25]),  # entries of p off its support drop out
+    ([0.6, 0.4, 0.0], [0.6, 0.4, 0.0]),    # shared zero: finite
+    ([0.6, 0.0, 0.4], [0.6, 0.4, 0.0]),    # support violation: inf
+])
+def test_qre_commuting_matches_qre(p, q):
+    assert dv.qre_commuting(p, q) == pytest.approx(dv.qre(np.diag(p), np.diag(q)), abs=1e-12)
+
+
 def test_qre_additivity():
     rng = np.random.default_rng(1)
     for _ in range(10):
