@@ -253,6 +253,7 @@ def resolvability_rhs(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances =
 def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Trace distance of the codebook-average state to the mixed reference,
     for ``cfg.samples`` independently seeded codebooks."""
+    check_budget(ch.omega0.shape[0] ** cfg.n)
     basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
     distances = np.empty(cfg.samples)
     if basis is not None:

@@ -18,6 +18,15 @@ The protocol runs entirely on dense state vectors:
    need for the measurement.
 
 System ordering of the full protocol state: R, M, B^n, W^n, Mhat, Lhat.
+
+Alice's preparation ties R to M, so every block with R != M is zero.
+``eg_report`` therefore runs the steps above in a single pass over the R = M
+block: one square root per POVM element and one channel-output matrix per
+word give every decoded branch in one batched product; the decoupler is
+built once and applied once; each Fourier branch of step 6 is the single
+reduced state on (R, Mhat) times diagonal phase factors; and the warden's
+state is one matrix product over the same block.  The public per-step
+functions are thin wrappers over the same construction.
 """
 
 from __future__ import annotations
@@ -148,6 +157,56 @@ def _completed_povm(povm, abstain, tol: Tolerances):
     return elements, defect
 
 
+def _check_eg_budget(total_dim: int) -> None:
+    if total_dim > eg_budget_cap():
+        raise BudgetExceededError(f"protocol state dimension {total_dim} exceeds budget")
+
+
+def _wbreve_dim(dBn: int, dWn: int, L: int) -> int:
+    """Dimension of Wbreve: it must hold both B^n Lhat and the dW^n-column target."""
+    return max(dBn * L, dWn)
+
+
+@dataclass(frozen=True)
+class _Decoded:
+    """The protocol after encoding, channel and coherent decoding, built once.
+
+    The full state has a zero block wherever R != M, so only the R = M
+    diagonal is kept: ``decoded[m, k]`` is sqrt(Lam^k) applied to the channel
+    output of the codeword |phi_m> (weighted by 1/sqrt(T)), a (dB^n x dW^n)
+    matrix, with k = (m', l') in row-major order.
+    """
+
+    branches: np.ndarray  # (T, L, dB^n, dW^n): chi_{m,l}, channel output of each word
+    overlaps: np.ndarray  # (T, L): <chi_{m,l}| sqrt(Lam^{(m,l)}) |chi_{m,l}>
+    decoded: np.ndarray  # (T, T*L, dB^n, dW^n)
+
+    @property
+    def diag(self) -> np.ndarray:
+        """The R = M diagonal of the protocol state, axes (R, B^n, W^n, Mhat, Lhat)."""
+        T, L, dBn, dWn = self.branches.shape
+        return np.moveaxis(self.decoded.reshape(T, T, L, dBn, dWn), (1, 2), (3, 4))
+
+
+def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, tol: Tolerances) -> _Decoded:
+    """Budget and POVM checks, then every decoded branch from one square root
+    per POVM element and one channel-output matrix per word."""
+    T, L, n = code.T, code.l_size, code.n
+    dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
+    # the protocol state, or the decoupled R = M block if that is larger
+    _check_eg_budget(max(T * T * dBn * dWn * T * L, T * dWn * T * _wbreve_dim(dBn, dWn, L)))
+    elements, defect = _completed_povm(povm, abstain, tol)
+    if defect > 1e-9:
+        raise DimMismatchError(f"POVM completion defect {defect:.3e}; supply the abstain remainder")
+    sqrts = np.stack([op.sqrtm_psd(e, tol) for e in elements])
+    chis = np.stack([_channel_word_matrix(w, V) for w in code.words.reshape(T * L, n)])
+    overlaps = np.array([np.vdot(chi, root @ chi) for root, chi in zip(sqrts, chis)]).reshape(T, L)
+    branches = chis.reshape(T, L, dBn, dWn)
+    amp = np.exp(1j * code.encode_phases) / math.sqrt(T * L)
+    outputs = np.einsum("ml,mlbw->mbw", amp, branches)
+    return _Decoded(branches, overlaps, np.matmul(sqrts[None], outputs[:, None]))
+
+
 def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Global pure state after encoding, channel, and coherent decoding.
 
@@ -160,32 +219,21 @@ def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, 
     ndarray of shape (T, T, dB^n, dW^n, T, L)
         The normalized state tensor over (R, M, B^n, W^n, Mhat, Lhat).
     """
-    T, L, n = code.T, code.l_size, code.n
-    dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
-    total_dim = T * T * dBn * dWn * T * L
-    if total_dim > eg_budget_cap():
-        raise BudgetExceededError(f"protocol state dimension {total_dim} exceeds budget")
-    elements, defect = _completed_povm(povm, abstain, tol)
-    if defect > 1e-9:
-        raise DimMismatchError(f"POVM completion defect {defect:.3e}; supply the abstain remainder")
-    sqrts = [op.sqrtm_psd(e, tol) for e in elements]
-    out = np.zeros((T, T, dBn, dWn, T, L), dtype=complex)
-    for m in range(T):
-        for l in range(L):
-            chi = _channel_word_matrix(code.words[m, l], V)
-            amp = np.exp(1j * code.encode_phases[m, l]) / math.sqrt(T * L)
-            for mp in range(T):
-                for lp in range(L):
-                    out[m, m, :, :, mp, lp] += amp * (sqrts[mp * L + lp] @ chi)
+    diag = _decode(code, V, povm, abstain, tol).diag
+    T = code.T
+    out = np.zeros((T,) + diag.shape, dtype=complex)
+    out[np.arange(T), np.arange(T)] = diag
     return out
 
 
-def _ideal_branches(code: EGToyCode, V: StinespringIsometry):
-    """Ideal decoded branch chi_{m,l} matrices, indexed [m][l]."""
-    return [
-        [_channel_word_matrix(code.words[m, l], V) for l in range(code.l_size)]
-        for m in range(code.T)
-    ]
+def _phase_alignment(overlaps: np.ndarray):
+    t = np.zeros(overlaps.shape)
+    h = np.angle(overlaps)
+    diagnostics = {
+        "alignedOverlapSum": float(np.sum(np.abs(overlaps))),
+        "zeroPhaseOverlapSum": float(np.sum(overlaps).real),
+    }
+    return t, h, diagnostics
 
 
 def align_phases(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, tol: Tolerances = DEFAULT_TOL):
@@ -201,23 +249,7 @@ def align_phases(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, to
         ``diagnostics`` reports the summed branch overlap with aligned and
         with zero phases.
     """
-    elements, _ = _completed_povm(povm, abstain, tol)
-    sqrts = [op.sqrtm_psd(e, tol) for e in elements]
-    T, L = code.T, code.l_size
-    t = np.zeros((T, L))
-    h = np.zeros((T, L))
-    raw = np.zeros((T, L), dtype=complex)
-    for m in range(T):
-        for l in range(L):
-            chi = _channel_word_matrix(code.words[m, l], V)
-            # overlap of the ideal branch with the correctly-decoded branch
-            raw[m, l] = np.vdot(chi, sqrts[m * L + l] @ chi)
-            h[m, l] = float(np.angle(raw[m, l]))
-    diagnostics = {
-        "alignedOverlapSum": float(np.sum(np.abs(raw))),
-        "zeroPhaseOverlapSum": float(np.sum(raw).real),
-    }
-    return t, h, diagnostics
+    return _phase_alignment(_decode(code, V, povm, abstain, tol).overlaps)
 
 
 def uhlmann_isometry(psi, dims_psi, theta, dims_theta, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -242,21 +274,21 @@ def uhlmann_isometry(psi, dims_psi, theta, dims_theta, tol: Tolerances = DEFAULT
     return np.conj(u @ vh)
 
 
-def _decoupler_targets(code: EGToyCode, V: StinespringIsometry, alpha, mode: str, tol: Tolerances):
+def _decoupler_targets(code: EGToyCode, V: StinespringIsometry, branches, alpha, mode: str, tol: Tolerances):
     """Per-message Uhlmann isometries Gamma^m : B^n Lhat -> Wbreve.
 
+    ``branches`` holds the channel outputs chi_{m,l} as (dB^n x dW^n) matrices.
     Returns (gammas, theta_ref) with theta_ref the (dW^n x dC) matrix of the
     purification used as the comparison target in the GHZ distance.
     """
     T, L, n = code.T, code.l_size, code.n
     dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
-    dC = dBn * L
-    branches = _ideal_branches(code, V)
+    dC = _wbreve_dim(dBn, dWn, L)
     if mode == "paper-target":
         _, omega0 = marginal_outputs(V, 0)
         _, omega1 = marginal_outputs(V, 1)
         omega_alpha = (1.0 - alpha) * omega0 + alpha * omega1
-        pur = op.canonical_purification(op.tensor_power(omega_alpha, n) if n > 1 else omega_alpha, tol)
+        pur = op.canonical_purification(op.tensor_power(omega_alpha, n), tol)
         theta = np.zeros((dWn, dC), dtype=complex)
         theta[:, :dWn] = pur.reshape(dWn, dWn)
     elif mode != "self-target":
@@ -268,7 +300,7 @@ def _decoupler_targets(code: EGToyCode, V: StinespringIsometry, alpha, mode: str
         psi = np.zeros((dWn, dBn, L), dtype=complex)
         for l in range(L):
             phase = np.exp(1j * (code.encode_phases[m, l] + code.decode_phases[m, l]))
-            psi[:, :, l] = phase * branches[m][l].T / math.sqrt(L)
+            psi[:, :, l] = phase * branches[m, l].T / math.sqrt(L)
         psi = psi.reshape(dWn, dBn * L)
         psi /= np.linalg.norm(psi)
         if mode == "self-target":
@@ -296,32 +328,13 @@ def _apply_decoupler(state: np.ndarray, gammas) -> np.ndarray:
     return out
 
 
-def _ghz_tensor(T: int) -> np.ndarray:
-    g = np.zeros((T, T, T), dtype=complex)
-    for m in range(T):
-        g[m, m, m] = 1.0
-    return g / math.sqrt(T)
-
-
-def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL):
-    """Run the protocol through the controlled Uhlmann decoupler.
-
-    Returns
-    -------
-    (state, diagnostics) : (ndarray, dict)
-        ``state`` has axes (R, M, W^n, Mhat, Wbreve); diagnostics include the
-        trace distance to GHZ (x) reference purification and isometry defects.
-    """
-    if alpha is None:
-        alpha = float(np.mean(code.words))
-    tau = protocol_state(code, V, povm, abstain, tol)
-    gammas, theta_ref = _decoupler_targets(code, V, alpha, mode, tol)
-    out = _apply_decoupler(tau, gammas)
-    T = code.T
-    dWn = V.out_dim_w**code.n
-    dC = gammas[0].shape[0]
-    target = np.einsum("rmk,wc->rmwkc", _ghz_tensor(T), theta_ref.reshape(dWn, dC))
-    overlap = abs(np.vdot(target, out))
+def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, tol: Tolerances):
+    """The R = M block after the controlled decoupler, axes (R, W^n, Mhat,
+    Wbreve), and the decoupling diagnostics."""
+    gammas, theta_ref = _decoupler_targets(code, V, decoded.branches, alpha, mode, tol)
+    out = _apply_decoupler(decoded.diag, gammas)
+    # overlap with GHZ (x) theta_ref: only the r = m = k slices meet the GHZ state
+    overlap = abs(np.einsum("wc,mwmc->", theta_ref.conj(), out)) / math.sqrt(code.T)
     overlap = min(overlap, 1.0)
     trace_dist = 2.0 * math.sqrt(max(1.0 - overlap**2, 0.0))
     gamma_defect = max(
@@ -335,6 +348,26 @@ def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=No
         "alpha": float(alpha),
     }
     return out, diagnostics
+
+
+def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL):
+    """Run the protocol through the controlled Uhlmann decoupler.
+
+    Returns
+    -------
+    (state, diagnostics) : (ndarray, dict)
+        ``state`` has axes (R, M, W^n, Mhat, Wbreve); diagnostics include the
+        trace distance to GHZ (x) reference purification and isometry defects.
+    """
+    if alpha is None:
+        alpha = float(np.mean(code.words))
+    T, L, n = code.T, code.l_size, code.n
+    dWn = V.out_dim_w**n
+    _check_eg_budget(T * T * dWn * T * _wbreve_dim(V.out_dim_b**n, dWn, L))
+    out, diagnostics = _decouple(code, V, _decode(code, V, povm, abstain, tol), alpha, mode, tol)
+    state = np.zeros((T,) + out.shape, dtype=complex)
+    state[np.arange(T), np.arange(T)] = out
+    return state, diagnostics
 
 
 def ghz_to_epr(state_rmmhat, T: int, j: int):
@@ -367,6 +400,25 @@ def _epr_fidelity(rho_rmhat: np.ndarray, T: int) -> float:
     return float(np.real(np.vdot(phi, rho_rmhat @ phi)))
 
 
+def _assistance_branches(decoupled: np.ndarray):
+    """Best Fourier branch and every branch fidelity of the decoupled R = M block.
+
+    Branch j phases R by e^{-2 pi i j r / T} (the standalone encoder) and
+    Mhat by e^{2 pi i j k / T} (the Z^j correction); both are diagonal, so
+    each branch is the one reduced state on (R, Mhat) with phase factors.
+    """
+    T, dWn, _, dC = decoupled.shape
+    rho = op.partial_trace_vector(decoupled.ravel(), [T, dWn, T, dC], [0, 2])
+    index = np.arange(T)
+    fidelities = []
+    for j in range(T):
+        f = np.outer(np.exp(-2j * np.pi * j * index / T), np.exp(2j * np.pi * j * index / T)).ravel()
+        fidelities.append(_epr_fidelity(f[:, None] * rho * f.conj()[None, :], T))
+    best = max(fidelities)
+    best_j = next(i for i, f in enumerate(fidelities) if f >= best - 1e-12)
+    return best_j, fidelities
+
+
 def eliminate_assistance(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL):
     """Evaluate every Fourier-branch encoder/decoder pair and keep the best.
 
@@ -377,60 +429,40 @@ def eliminate_assistance(code: EGToyCode, V: StinespringIsometry, povm, abstain=
     """
     if alpha is None:
         alpha = float(np.mean(code.words))
-    tau = protocol_state(code, V, povm, abstain, tol)
-    gammas, _ = _decoupler_targets(code, V, alpha, mode, tol)
-    T = code.T
-    dWn = V.out_dim_w**code.n
-    dC = gammas[0].shape[0]
-    # the standalone branch-j state is the (R = M) diagonal of tau, phased;
-    # each diagonal block carries weight 1/T, so the slice is already normalized
-    diag = np.einsum("rrbwkl->rbwkl", tau)
-    fidelities = []
-    for j in range(T):
-        phases = np.exp(-2j * np.pi * j * np.arange(T) / T)
-        branch = diag * phases[:, None, None, None, None]
-        decoupled = _apply_decoupler(branch, gammas)  # (R, W, Mhat, Wbreve)
-        corr = np.exp(2j * np.pi * j * np.arange(T) / T)
-        decoupled = decoupled * corr[None, None, :, None]
-        rho = op.partial_trace_vector(decoupled.ravel(), [T, dWn, T, dC], [0, 2])
-        fidelities.append(_epr_fidelity(rho, T))
-    best = max(fidelities)
-    best_j = next(i for i, f in enumerate(fidelities) if f >= best - 1e-12)
-    return best_j, fidelities
+    decoupled, _ = _decouple(code, V, _decode(code, V, povm, abstain, tol), alpha, mode, tol)
+    return _assistance_branches(decoupled)
+
+
+def _warden_state(decoded: _Decoded) -> np.ndarray:
+    """Trace out everything but W^n: one product over the R = M blocks."""
+    rows = decoded.decoded.reshape(-1, decoded.decoded.shape[-1])
+    return rows.T @ rows.conj()
 
 
 def willie_marginal(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Warden's exact reduced state of the full protocol state."""
-    tau = protocol_state(code, V, povm, abstain, tol)
-    T, L = code.T, code.l_size
-    dBn, dWn = V.out_dim_b**code.n, V.out_dim_w**code.n
-    return op.partial_trace_vector(tau.ravel(), [T, T, dBn, dWn, T, L], [3])
+    return _warden_state(_decode(code, V, povm, abstain, tol))
 
 
 def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL) -> EGReport:
     """Full pipeline: phase alignment, decoupling, assistance elimination,
-    and exact covertness accounting."""
+    and exact covertness accounting, all from one decoded state."""
     if alpha is None:
         alpha = float(np.mean(code.words))
-    t, h, phase_diag = align_phases(code, V, povm, abstain, tol)
-    aligned = replace(code, encode_phases=t, decode_phases=h)
-    _, dec_diag = decoupling_decoder(aligned, V, povm, abstain, alpha, mode, tol)
-    best_j, fidelities = eliminate_assistance(aligned, V, povm, abstain, alpha, mode, tol)
-    tau_w = willie_marginal(aligned, V, povm, abstain, tol)
+    unphased = replace(code, encode_phases=np.zeros((code.T, code.l_size)))
+    decoded = _decode(unphased, V, povm, abstain, tol)
+    _, h, phase_diag = _phase_alignment(decoded.overlaps)
+    aligned = replace(unphased, decode_phases=h)
+    decoupled, dec_diag = _decouple(aligned, V, decoded, alpha, mode, tol)
+    best_j, fidelities = _assistance_branches(decoupled)
+    tau_w = _warden_state(decoded)
     _, omega0 = marginal_outputs(V, 0)
     _, omega1 = marginal_outputs(V, 1)
-    ref = op.tensor_power(omega0, code.n) if code.n > 1 else omega0
-    covert_div = dv.qre(tau_w, ref, tol)
+    covert_div = dv.qre(tau_w, op.tensor_power(omega0, code.n), tol)
     # distance to the incoherent classical-codebook average, as a diagnostic
-    classical = np.zeros_like(tau_w)
-    for m in range(code.T):
-        for l in range(code.l_size):
-            states = [omega0, omega1]
-            prod = states[int(code.words[m, l, 0])]
-            for b in code.words[m, l, 1:]:
-                prod = np.kron(prod, states[int(b)])
-            classical += prod
-    classical /= code.T * code.l_size
+    states = (omega0, omega1)
+    words = code.words.reshape(-1, code.n)
+    classical = sum(op.tensor(*(states[b] for b in w)) for w in words) / len(words)
     diagnostics = dict(phase_diag)
     diagnostics.update(dec_diag)
     diagnostics["willieClassicalGap"] = op.trace_norm(tau_w - classical)

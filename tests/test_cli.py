@@ -129,6 +129,20 @@ def test_egdemo_noiseless(tmp_path, capsys):
     assert payload["fidelity"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_egdemo_environment_wider_than_decoder(tmp_path, capsys):
+    # excitation (gamma = 0.2) mixed with a Z flip: dW = 3, so dW^n = 81 > dB^n * L = 32
+    exc0 = [[math.sqrt(0.8 * 0.7), 0.0], [0.0, math.sqrt(0.7)]]
+    exc1 = [[0.0, 0.0], [math.sqrt(0.2 * 0.7), 0.0]]
+    flip = [[math.sqrt(0.3), 0.0], [0.0, -math.sqrt(0.3)]]
+    spec = tmp_path / "three.json"
+    spec.write_text(json.dumps({"kind": "kraus", "kraus": [_pair_json(k) for k in (exc0, exc1, flip)]}))
+    for mode in ("paper-target", "self-target"):
+        assert main(["egdemo", str(spec), "--mode", mode]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 0.0 <= payload["fidelity"] <= 1.0
+        assert payload["perStepDiagnostics"]["decouplerIsometryDefect"] <= 1e-9
+
+
 def test_egdemo_missing_file(tmp_path):
     assert main(["egdemo", str(tmp_path / "absent.json")]) == 2
 

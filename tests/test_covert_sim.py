@@ -137,6 +137,22 @@ def test_budget():
         cs.willie_average_state(cb, quad)
 
 
+def test_resolvability_budget(monkeypatch):
+    monkeypatch.setenv("COVERTQ_MAX_DENSE_DIM", "16")
+    exc = excitation_quadruple()
+    omega0 = np.array([[0.7, 0.2], [0.2, 0.3]])
+    omega1 = np.array([[0.4, 0.1], [0.1, 0.6]])
+    dense = chn.BinaryCovertChannel(exc.sigma0, exc.sigma1, omega0, omega1)
+    assert cs.shared_eigenbasis(exc.omega0, exc.omega1) is not None
+    assert cs.shared_eigenbasis(omega0, omega1) is None
+    cfg = cs.SimConfig(n=6, gamma=0.5, m_size=2, l_size=2, samples=2)
+    for quad in (exc, dense):
+        with pytest.raises(BudgetExceededError):
+            cs.resolvability_samples(cfg, quad)
+        with pytest.raises(BudgetExceededError):
+            cs.resolvability_experiment(cfg, quad)
+
+
 def test_covertness_report_all_zero():
     quad = excitation_quadruple()
     cfg = cs.SimConfig(n=4, gamma=0.5, m_size=2, l_size=2, seed=0, alpha=0.25)
