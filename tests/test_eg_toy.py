@@ -406,7 +406,7 @@ def assert_pinned(got, want, path=""):
         assert len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
             assert_pinned(g, w, f"{path}[{i}]")
-    elif isinstance(want, (str, int)) and not isinstance(want, float):
+    elif isinstance(want, (str, int)):
         assert got == want, path
     else:
         assert abs(got - want) <= 1e-10, f"{path}: {got!r} vs {want!r}"
