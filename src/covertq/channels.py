@@ -82,7 +82,8 @@ class StinespringIsometry:
 class BinaryCovertChannel:
     """The quadruple (sigma0, sigma1, omega0, omega1) of receiver and warden
     outputs for the two input symbols, with the support assumptions of the
-    covert setting already validated."""
+    covert setting already validated.  Inside the package the four fields may
+    also be equal-shape stacks (..., d, d) of many channels' quadruples."""
 
     sigma0: np.ndarray
     sigma1: np.ndarray
@@ -123,6 +124,22 @@ def apply_isometry(V: StinespringIsometry, rho) -> np.ndarray:
     return V.V @ r @ V.V.conj().T
 
 
+def _marginals(v: np.ndarray, db: int, dw: int, inputs):
+    """Receiver and warden outputs of basis inputs through isometry matrices.
+
+    ``v`` is one isometry matrix or a stack of them, shape (..., db*dw, da).
+    Returns ``(sigma, omega)`` of shapes (..., len(inputs), db, db) and
+    (..., len(inputs), dw, dw): the partial traces of V|x><x|V^dag over W and
+    over B for every x in ``inputs``.
+    """
+    cols = np.swapaxes(v[..., list(inputs)], -1, -2).reshape(v.shape[:-2] + (len(inputs), db, dw))
+    # products then sums rather than einsum: the roundings of the dense
+    # partial traces of |V x><V x|, which the EG decoupler is sensitive to
+    sigma = np.sum(cols[..., :, None, :] * cols.conj()[..., None, :, :], axis=-1)
+    omega = np.sum(cols[..., :, :, None] * cols.conj()[..., :, None, :], axis=-3)
+    return sigma, omega
+
+
 def marginal_outputs(V: StinespringIsometry, x: int):
     """Receiver and warden output states for the basis input |x>.
 
@@ -133,12 +150,43 @@ def marginal_outputs(V: StinespringIsometry, x: int):
     """
     if not 0 <= x < V.in_dim:
         raise IndexOutOfRangeError(f"basis index {x} outside [0, {V.in_dim})")
-    col = V.V[:, x]
-    joint = np.outer(col, col.conj())
-    dims = [V.out_dim_b, V.out_dim_w]
-    sigma = op.partial_trace(joint, dims, [0])
-    omega = op.partial_trace(joint, dims, [1])
-    return sigma, omega
+    sigma, omega = _marginals(V.V, V.out_dim_b, V.out_dim_w, [x])
+    return sigma[0], omega[0]
+
+
+def _validate_quadruple(quad: BinaryCovertChannel, tol: Tolerances) -> BinaryCovertChannel:
+    """Check the covert setting on a quadruple or on a stack of quadruples.
+
+    The warden's outputs must differ (trace norm above the support tolerance),
+    and supp(sigma1) in supp(sigma0), supp(omega1) in supp(omega0) must hold.
+    On a stack the lowest failing element raises with its first failing check.
+    """
+    checks = (
+        (TrivialTestError, "warden outputs coincide; detection test is vacuous"),
+        (AssumptionViolationError, "supp(sigma1) not contained in supp(sigma0)"),
+        (AssumptionViolationError, "supp(omega1) not contained in supp(omega0)"),
+    )
+    failing = np.stack([
+        op.trace_norm(quad.omega1 - quad.omega0) <= tol.support,
+        np.logical_not(op.support_contained(quad.sigma1, quad.sigma0, tol)),
+        np.logical_not(op.support_contained(quad.omega1, quad.omega0, tol)),
+    ])
+    failed = op.first_failure(failing.any(axis=0))
+    if failed:
+        index, where = failed
+        error, message = checks[int(np.argmax(failing[(slice(None),) + index]))]
+        raise error(where + message)
+    return quad
+
+
+def _covert_quadruple(v: np.ndarray, db: int, dw: int, tol: Tolerances) -> BinaryCovertChannel:
+    """Validated quadruple of inputs 0 and 1 for one isometry matrix or a
+    stack of them, shape (..., db*dw, da); the fields are stacked alike."""
+    if v.shape[-1] < 2:
+        raise DimMismatchError("covert setting needs at least two input symbols")
+    sigma, omega = _marginals(v, db, dw, (0, 1))
+    quad = BinaryCovertChannel(sigma[..., 0, :, :], sigma[..., 1, :, :], omega[..., 0, :, :], omega[..., 1, :, :])
+    return _validate_quadruple(quad, tol)
 
 
 def build_covert_channel(V: StinespringIsometry, tol: Tolerances = DEFAULT_TOL) -> BinaryCovertChannel:
@@ -147,17 +195,7 @@ def build_covert_channel(V: StinespringIsometry, tol: Tolerances = DEFAULT_TOL) 
     Validates the two support inclusions supp(sigma1) in supp(sigma0) and
     supp(omega1) in supp(omega0), and that the warden's two outputs differ.
     """
-    if V.in_dim < 2:
-        raise DimMismatchError("covert setting needs at least two input symbols")
-    sigma0, omega0 = marginal_outputs(V, 0)
-    sigma1, omega1 = marginal_outputs(V, 1)
-    if op.trace_norm(omega1 - omega0) <= tol.support:
-        raise TrivialTestError("warden outputs coincide; detection test is vacuous")
-    if not op.support_contained(sigma1, sigma0, tol):
-        raise AssumptionViolationError("supp(sigma1) not contained in supp(sigma0)")
-    if not op.support_contained(omega1, omega0, tol):
-        raise AssumptionViolationError("supp(omega1) not contained in supp(omega0)")
-    return BinaryCovertChannel(sigma0, sigma1, omega0, omega1)
+    return _covert_quadruple(V.V, V.out_dim_b, V.out_dim_w, tol)
 
 
 def mixed_output(ch: BinaryCovertChannel, alpha: float) -> np.ndarray:
@@ -187,17 +225,8 @@ def channel_spec_to_quadruple(spec: dict, tol: Tolerances = DEFAULT_TOL) -> Bina
     """Build a BinaryCovertChannel from a channel-spec dictionary."""
     kind = spec.get("kind")
     if kind == "cq-pair":
-        quad = BinaryCovertChannel(
-            op.check_density(op.matrix_from_json(spec["sigma0"]), tol),
-            op.check_density(op.matrix_from_json(spec["sigma1"]), tol),
-            op.check_density(op.matrix_from_json(spec["omega0"]), tol),
-            op.check_density(op.matrix_from_json(spec["omega1"]), tol),
-        )
-        if op.trace_norm(quad.omega1 - quad.omega0) <= tol.support:
-            raise TrivialTestError("warden outputs coincide; detection test is vacuous")
-        if not op.support_contained(quad.sigma1, quad.sigma0, tol):
-            raise AssumptionViolationError("supp(sigma1) not contained in supp(sigma0)")
-        if not op.support_contained(quad.omega1, quad.omega0, tol):
-            raise AssumptionViolationError("supp(omega1) not contained in supp(omega0)")
-        return quad
+        return _validate_quadruple(BinaryCovertChannel(*(
+            op.check_density(op.matrix_from_json(spec[name]), tol)
+            for name in ("sigma0", "sigma1", "omega0", "omega1")
+        )), tol)
     return build_covert_channel(channel_spec_to_stinespring(spec), tol)

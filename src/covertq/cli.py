@@ -102,21 +102,18 @@ def cmd_sweep(args) -> int:
     if not 0.0 < args.gamma_from < args.gamma_to < 1.0:
         raise SystemExit2("need 0 < gamma-from < gamma-to < 1")
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.steps)
-    rows = []
-    for g in gammas:
-        V = chn.stinespring_from_kraus(chn.excitation_channel(float(g)))
-        r = cap.capacity_report(V)
-        rows.append(
-            [float(g), r.dBob, r.dWillie, r.chi2Willie, r.cSKey, r.cS, r.cEG,
-             r.lKeyMin, cap.excitation_capacity_closed_form(float(g))]
-        )
+    reports = cap.capacity_reports(
+        chn.stinespring_from_kraus(chn.excitation_channel(float(g))) for g in gammas
+    )
     with open(args.out, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["gamma", "d_bob", "d_willie", "chi2", "c_s_key", "c_s", "c_eg",
              "l_key_min", "c_eg_closed_form"]
         )
-        for row in rows:
+        for g, r in zip(gammas, reports):
+            row = [g, r.dBob, r.dWillie, r.chi2Willie, r.cSKey, r.cS, r.cEG,
+                   r.lKeyMin, cap.excitation_capacity_closed_form(float(g))]
             writer.writerow([repr(float(v)) for v in row])
     _write_manifest(
         "sweep", {"kind": "excitation"},

@@ -6,6 +6,12 @@ divergence, Petz-Renyi relative entropies, the cumulant-like functional phi
 over classical-quantum ensembles, and binary-discrimination quantities
 (Helstrom error, Pinsker bound).  All logarithms are natural; values are in
 nats.  Support violations yield ``math.inf`` rather than a sentinel number.
+
+Stack contract: ``qre``, ``chi_square``, ``hockey_stick``, ``petz_renyi``
+and ``helstrom_error`` take a pair of density operators or two equal-shape
+stacks of them, shape ``(..., d, d)``, and evaluate every pair at once with
+batched eigendecompositions.  A 2-D pair gives a ``float``, stacks give an
+array of shape ``(...)``.  The remaining functions take single states.
 """
 
 from __future__ import annotations
@@ -22,11 +28,18 @@ from .operators import DEFAULT_TOL, Tolerances
 
 
 def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[-1] != b.shape[-1]:
+        raise DimMismatchError(f"dims {a.shape[-1]} vs {b.shape[-1]}")
     if a.shape != b.shape:
-        raise DimMismatchError(f"dims {a.shape[0]} vs {b.shape[0]}")
+        raise DimMismatchError(f"stack shapes {a.shape[:-2]} vs {b.shape[:-2]}")
 
 
-def qre(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
+def _log_where(mask, x):
+    """log(x) where ``mask`` holds, 0 elsewhere, without evaluating log there."""
+    return np.log(np.where(mask, x, 1.0))
+
+
+def qre(rho, sigma, tol: Tolerances = DEFAULT_TOL):
     """Umegaki relative entropy tr[rho(log rho - log sigma)] in nats.
 
     Returns ``inf`` when the support of ``rho`` is not contained in the
@@ -35,39 +48,36 @@ def qre(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
     Parameters
     ----------
     rho, sigma : array_like
-        Density operators of equal dimension.
+        Density operators of equal dimension, or equal-shape stacks of them.
 
     Returns
     -------
-    float
-        Nonnegative divergence value, possibly ``inf``.
+    float or ndarray
+        Nonnegative divergence value, possibly ``inf``; one per stack element.
     """
     r = op.check_hermitian(rho, tol)
     s = op.check_hermitian(sigma, tol)
     _require_same_dim(r, s)
     rvals, rvecs = np.linalg.eigh(r)
     svals, svecs = np.linalg.eigh(s)
-    rvals = np.clip(rvals, 0.0, None)
-    # overlap[i, j] = |<u_i|v_j>|^2 between eigenvectors of rho and sigma
-    overlap = np.abs(rvecs.conj().T @ svecs) ** 2
-    total = 0.0
-    for i, lam in enumerate(rvals):
-        if lam <= tol.support:
-            continue
-        total += lam * math.log(lam)
-        for j, mu in enumerate(svals):
-            w = overlap[i, j]
-            if w <= 0.0:
-                continue
-            if mu <= tol.support:
-                if lam * w > tol.support:
-                    return math.inf
-                continue
-            total -= lam * w * math.log(mu)
-    return max(total, 0.0)
+    # eigenvalues of rho at or below the support tolerance drop out
+    on_r = rvals > tol.support
+    on_s = svals > tol.support
+    lam = np.where(on_r, rvals, 0.0)
+    # weight[i, j] = lam_i |<u_i|v_j>|^2 between eigenvectors of rho and sigma
+    weight = lam[..., :, None] * np.abs(op.dagger(rvecs) @ svecs) ** 2
+    escapes = np.any((weight > tol.support) & ~on_s[..., None, :], axis=(-2, -1))
+    # summed left to right, each rho eigenvalue's entropy term then its cross
+    # terms, so a 2-D input gives the bits of the plain per-eigenvalue sum
+    terms = np.concatenate([
+        (lam * _log_where(on_r, rvals))[..., :, None],
+        -weight * _log_where(on_s, svals)[..., None, :],
+    ], axis=-1)
+    total = np.cumsum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)[..., -1]
+    return op.scalar_or_stack(np.where(escapes, math.inf, np.maximum(total, 0.0)))
 
 
-def chi_square(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
+def chi_square(rho, sigma, tol: Tolerances = DEFAULT_TOL):
     """Chi-square divergence from the spectral decomposition of ``sigma``.
 
     With sigma = sum_i lambda_i Pi_i the value is
@@ -77,29 +87,34 @@ def chi_square(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
 
     where eigenvalue clusters closer than the clustering tolerance use the
     limiting quotient 1/l_i.  Equals the second derivative at alpha = 0 of
-    alpha -> qre(alpha rho + (1 - alpha) sigma, sigma).
+    alpha -> qre(alpha rho + (1 - alpha) sigma, sigma).  Takes single states
+    or equal-shape stacks; returns one value per stack element.
 
     Raises
     ------
     SingularReferenceError
-        If ``sigma`` is not full rank within the support tolerance.
+        If ``sigma`` (the lowest such stack element) is not full rank within
+        the support tolerance.
     """
     r = op.check_hermitian(rho, tol)
     s = op.check_hermitian(sigma, tol)
     _require_same_dim(r, s)
-    sd = op.spectral_decompose(s, tol)
-    if min(sd.eigenvalues) <= tol.support:
-        raise SingularReferenceError("chi-square reference must be full rank")
-    delta = r - s
-    total = 0.0
-    for i, (li, pi) in enumerate(zip(sd.eigenvalues, sd.projectors)):
-        for j, (lj, pj) in enumerate(zip(sd.eigenvalues, sd.projectors)):
-            weight = np.trace(delta @ pi @ delta @ pj).real
-            if i == j or abs(li - lj) < tol.cluster:
-                total += weight / li
-            else:
-                total += weight * (math.log(li) - math.log(lj)) / (li - lj)
-    return max(total, 0.0)
+    vals, vecs = np.linalg.eigh(s)
+    # clusters as in operators.spectral_decompose: a chain of ascending
+    # eigenvalues with gaps below the tolerance, each at its cluster's mean
+    label = np.cumsum(np.diff(vals, axis=-1, prepend=-np.inf) >= tol.cluster, axis=-1)
+    same = label[..., :, None] == label[..., None, :]
+    means = np.sum(np.where(same, vals[..., None, :], 0.0), axis=-1) / np.sum(same, axis=-1)
+    failed = op.first_failure(np.min(means, axis=-1, initial=np.inf) <= tol.support)
+    if failed:
+        raise SingularReferenceError(f"{failed[1]}chi-square reference must be full rank")
+    # tr[D Pi_i D Pi_j] is the sum of |<v_a|D|v_b>|^2 over the eigenvectors of both clusters
+    weight = np.abs(op.dagger(vecs) @ (r - s) @ vecs) ** 2
+    li, lj = means[..., :, None], means[..., None, :]
+    close = np.abs(li - lj) < tol.cluster
+    quotient = np.where(close, 1.0 / li, (np.log(li) - np.log(lj)) / np.where(close, 1.0, li - lj))
+    total = np.sum(weight * quotient, axis=(-2, -1))
+    return op.scalar_or_stack(np.maximum(total, 0.0))
 
 
 def chi_square_commuting(p, q) -> float:
@@ -132,7 +147,7 @@ def qre_commuting(p, q, tol: Tolerances = DEFAULT_TOL) -> float:
     return max(total, 0.0)
 
 
-def hockey_stick(rho, sigma, gamma: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def hockey_stick(rho, sigma, gamma: float, tol: Tolerances = DEFAULT_TOL):
     """Hockey-stick divergence: sum of positive eigenvalues of rho - gamma*sigma."""
     if gamma < 1.0:
         raise InvalidGammaError(f"gamma must be >= 1, got {gamma}")
@@ -140,10 +155,10 @@ def hockey_stick(rho, sigma, gamma: float, tol: Tolerances = DEFAULT_TOL) -> flo
     s = op.check_hermitian(sigma, tol)
     _require_same_dim(r, s)
     vals = np.linalg.eigvalsh(r - gamma * s)
-    return float(np.sum(vals[vals > 0.0]))
+    return op.scalar_or_stack(np.sum(np.where(vals > 0.0, vals, 0.0), axis=-1))
 
 
-def petz_renyi(rho, sigma, s: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def petz_renyi(rho, sigma, s: float, tol: Tolerances = DEFAULT_TOL):
     """Petz-Renyi relative entropy (1/(s-1)) log tr[rho^s sigma^{1-s}].
 
     Powers are taken spectrally on the respective supports.  For s > 1 a
@@ -158,17 +173,17 @@ def petz_renyi(rho, sigma, s: float, tol: Tolerances = DEFAULT_TOL) -> float:
     svals, svecs = np.linalg.eigh(sig)
     rvals = np.clip(rvals, 0.0, None)
     svals = np.clip(svals, 0.0, None)
-    if s > 1.0 and not op.support_contained(r, sig, tol):
-        return math.inf
-    overlap = np.abs(rvecs.conj().T @ svecs) ** 2
+    overlap = np.abs(op.dagger(rvecs) @ svecs) ** 2
     rp = np.where(rvals > tol.support, rvals, 0.0) ** s if s != 0 else np.ones_like(rvals)
     with np.errstate(divide="ignore"):
         sp = np.where(svals > tol.support, svals, np.nan) ** (1.0 - s)
     sp = np.nan_to_num(sp, nan=0.0, posinf=0.0)
-    trace = float(rp @ overlap @ sp)
-    if trace <= 0.0:
-        return math.inf
-    return math.log(trace) / (s - 1.0)
+    trace = np.einsum("...i,...ij,...j->...", rp, overlap, sp)
+    infinite = trace <= 0.0
+    if s > 1.0:
+        infinite = infinite | np.logical_not(op.support_contained(r, sig, tol))
+    value = _log_where(~infinite, trace) / (s - 1.0)
+    return op.scalar_or_stack(np.where(infinite, math.inf, value))
 
 
 @dataclass(frozen=True)
@@ -219,7 +234,7 @@ def phi(s: float, ensemble: CqEnsemble, tol: Tolerances = DEFAULT_TOL) -> float:
     return math.log(total)
 
 
-def helstrom_error(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
+def helstrom_error(rho, sigma, tol: Tolerances = DEFAULT_TOL):
     """Minimal binary-discrimination error (1/2)(1 - ||rho - sigma||_1 / 2)."""
     r = op.check_hermitian(rho, tol)
     s = op.check_hermitian(sigma, tol)

@@ -406,6 +406,9 @@ def _assistance_branches(decoupled: np.ndarray):
     Branch j phases R by e^{-2 pi i j r / T} (the standalone encoder) and
     Mhat by e^{2 pi i j k / T} (the Z^j correction); both are diagonal, so
     each branch is the one reduced state on (R, Mhat) with phase factors.
+    The factor on entry (r, k) is e^{2 pi i j (k - r) / T}, which is 1 on
+    the (m, m) entries that ``_epr_fidelity`` reads, so every branch has the
+    same fidelity up to rounding and ``best_j`` is 0.
     """
     T, dWn, _, dC = decoupled.shape
     rho = op.partial_trace_vector(decoupled.ravel(), [T, dWn, T, dC], [0, 2])

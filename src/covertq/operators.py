@@ -3,6 +3,14 @@
 All operators are plain ``numpy`` arrays of dtype complex128.  Density
 operators are Hermitian, positive semidefinite (up to a small clamp) and have
 unit trace.  Everything here is a pure function; no shared mutable state.
+
+Stack contract: :func:`as_operator`, :func:`check_hermitian`,
+:func:`trace_norm`, :func:`support_projector` and :func:`support_contained`
+take a stack of square matrices of shape ``(..., d, d)`` and work on every
+element at once.  A 2-D input gives a ``float`` (``bool`` for
+``support_contained``), a stacked input an array of shape ``(...)``.  A check
+that fails on a stack names the lowest failing element.  Every other function
+here takes single matrices only.
 """
 
 from __future__ import annotations
@@ -48,21 +56,56 @@ class SpectralDecomposition:
 
 
 def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix."""
+    """Coerce to a complex square matrix or a stack of them, shape (..., d, d)."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimMismatchError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise DimMismatchError("matrix has non-finite entries")
     return m
 
 
+def _single(m: np.ndarray) -> np.ndarray:
+    """``m`` itself, for the functions that take one matrix, not a stack."""
+    if m.ndim != 2:
+        raise DimMismatchError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return a.swapaxes(-1, -2).conj()
+
+
+def scalar_or_stack(values, kind=float):
+    """``kind(values)`` for the result of a 2-D input, else the array as is."""
+    return kind(values) if np.ndim(values) == 0 else values
+
+
+def first_failure(bad):
+    """Lowest flagged index of a stack of checks, or None if none is flagged.
+
+    Returns ``(index, where)``: the index tuple into ``bad`` (empty for a
+    single check) and a message prefix naming it when ``bad`` holds more than
+    one element.
+    """
+    bad = np.asarray(bad)
+    if not bad.any():
+        return None
+    index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    if bad.size == 1:
+        return index, ""
+    return index, f"stack element {index[0] if len(index) == 1 else index}: "
+
+
 def check_hermitian(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Return ``h`` as an array, raising ``NotHermitianError`` if asymmetric."""
     m = as_operator(h)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > tol.herm:
-        raise NotHermitianError(f"deviation from Hermitian symmetry: {dev:.3e}")
+    dev = np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0)
+    failed = first_failure(dev > tol.herm)
+    if failed:
+        index, where = failed
+        raise NotHermitianError(f"{where}deviation from Hermitian symmetry: {dev[index]:.3e}")
     return m
 
 
@@ -72,7 +115,7 @@ def check_density(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues in ``[-psd, 0)`` are treated as roundoff and clamped; anything
     more negative raises.  The clamped operator is renormalized to unit trace.
     """
-    m = check_hermitian(rho, tol)
+    m = _single(check_hermitian(rho, tol))
     tr = np.trace(m).real
     if abs(tr - 1.0) > tol.trace:
         raise DimMismatchError(f"trace {tr} differs from 1 beyond tolerance")
@@ -102,7 +145,7 @@ def projector(vec) -> np.ndarray:
 
 def spectral_decompose(h, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecompose a Hermitian operator into clustered eigenprojectors."""
-    m = check_hermitian(h, tol)
+    m = _single(check_hermitian(h, tol))
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
@@ -122,14 +165,14 @@ def spectral_decompose(h, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
 
 def tensor(*ops) -> np.ndarray:
     """Kronecker product of one or more operators, left to right."""
-    out = as_operator(ops[0])
+    out = _single(as_operator(ops[0]))
     for op in ops[1:]:
-        out = np.kron(out, as_operator(op))
+        out = np.kron(out, _single(as_operator(op)))
     return out
 
 
 def tensor_power(op, n: int) -> np.ndarray:
-    out = as_operator(op)
+    out = _single(as_operator(op))
     for _ in range(n - 1):
         out = np.kron(out, op)
     return out
@@ -141,7 +184,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     ``dims`` lists the factor dimensions in tensor order; ``keep`` is an
     iterable of factor indices to retain (order preserved as given).
     """
-    m = as_operator(rho)
+    m = _single(as_operator(rho))
     dims = list(dims)
     if int(np.prod(dims)) != m.shape[0]:
         raise DimMismatchError(f"product of dims {dims} != operator dim {m.shape[0]}")
@@ -164,7 +207,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
 
 def permute_operator(op, dims, order) -> np.ndarray:
     """Reorder the tensor factors of an operator according to ``order``."""
-    m = as_operator(op)
+    m = _single(as_operator(op))
     dims = list(dims)
     n = len(dims)
     t = m.reshape(dims + dims)
@@ -186,15 +229,15 @@ def partial_trace_vector(vec, dims, keep) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def trace_norm(a) -> float:
-    """Schatten 1-norm: the sum of singular values."""
+def trace_norm(a):
+    """Schatten 1-norm: the sum of singular values, per stack element."""
     m = as_operator(a)
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    return scalar_or_stack(np.sum(np.linalg.svd(m, compute_uv=False), axis=-1))
 
 
 def sqrtm_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, spectrally."""
-    m = check_hermitian(a, tol)
+    m = _single(check_hermitian(a, tol))
     vals, vecs = np.linalg.eigh(m)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
@@ -202,8 +245,8 @@ def sqrtm_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def fidelity(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
     """Uhlmann fidelity ||sqrt(rho) sqrt(sigma)||_1^2, clipped to [0, 1]."""
-    r = as_operator(rho)
-    s = as_operator(sigma)
+    r = _single(as_operator(rho))
+    s = _single(as_operator(sigma))
     if r.shape != s.shape:
         raise DimMismatchError(f"dims {r.shape[0]} vs {s.shape[0]}")
     val = trace_norm(sqrtm_psd(r, tol) @ sqrtm_psd(s, tol)) ** 2
@@ -215,7 +258,7 @@ def nonneg_eigenspace_projector(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     Eigenvalues within the clustering tolerance of zero count as nonnegative.
     """
-    m = check_hermitian(p, tol)
+    m = _single(check_hermitian(p, tol))
     vals, vecs = np.linalg.eigh(m)
     cols = vecs[:, vals >= -tol.cluster]
     return cols @ cols.conj().T
@@ -223,7 +266,7 @@ def nonneg_eigenspace_projector(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def pinching(q, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Block-diagonal part of ``q`` with respect to the eigenspaces of ``p``."""
-    m = as_operator(q)
+    m = _single(as_operator(q))
     sd = spectral_decompose(p, tol)
     if sd.projectors[0].shape != m.shape:
         raise DimMismatchError("pinching reference dim mismatch")
@@ -235,13 +278,12 @@ def pinching(q, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def support_projector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Projector onto the span of eigenvectors with eigenvalue > support tol."""
-    m = check_hermitian(a, tol)
-    vals, vecs = np.linalg.eigh(m)
-    cols = vecs[:, vals > tol.support]
-    return cols @ cols.conj().T
+    vals, vecs = np.linalg.eigh(check_hermitian(a, tol))
+    cols = vecs * (vals > tol.support)[..., None, :]
+    return cols @ dagger(cols)
 
 
-def support_contained(inner, outer, tol: Tolerances = DEFAULT_TOL) -> bool:
+def support_contained(inner, outer, tol: Tolerances = DEFAULT_TOL):
     """Test supp(inner) subseteq supp(outer) numerically.
 
     Every eigenvector of ``inner`` with eigenvalue above the support tolerance
@@ -250,12 +292,9 @@ def support_contained(inner, outer, tol: Tolerances = DEFAULT_TOL) -> bool:
     """
     proj = support_projector(outer, tol)
     vals, vecs = np.linalg.eigh(check_hermitian(inner, tol))
-    for lam, vec in zip(vals, vecs.T):
-        if lam > tol.support:
-            residual = vec - proj @ vec
-            if np.linalg.norm(residual) >= np.sqrt(tol.support):
-                return False
-    return True
+    residual = np.linalg.norm(vecs - proj @ vecs, axis=-2)
+    escapes = (vals > tol.support) & (residual >= np.sqrt(tol.support))
+    return scalar_or_stack(~np.any(escapes, axis=-1), bool)
 
 
 def standard_unitaries(dim: int) -> dict[str, np.ndarray]:
@@ -280,7 +319,7 @@ def standard_unitaries(dim: int) -> dict[str, np.ndarray]:
 
 def matrix_to_json(a) -> list:
     """Serialize a complex matrix as nested lists of [re, im] pairs."""
-    m = as_operator(a)
+    m = _single(as_operator(a))
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
@@ -294,7 +333,7 @@ def matrix_from_json(data) -> np.ndarray:
 
 def canonical_purification(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Eigen-purification sum_i sqrt(lambda_i) |e_i>|e_i> on a doubled space."""
-    m = check_hermitian(rho, tol)
+    m = _single(check_hermitian(rho, tol))
     vals, vecs = np.linalg.eigh(m)
     vals = np.clip(vals, 0.0, None)
     dim = m.shape[0]

@@ -5,7 +5,12 @@ import pytest
 
 from covertq import capacities as cap
 from covertq import channels as chn
-from covertq.errors import InvalidParameterError
+from covertq.errors import (
+    AssumptionViolationError,
+    DimMismatchError,
+    InvalidParameterError,
+    TrivialTestError,
+)
 
 
 def excitation_quadruple(gamma):
@@ -135,3 +140,44 @@ def test_report_dilation_invariance():
     r2 = cap.capacity_report(V2)
     for field in ("dBob", "dWillie", "chi2Willie", "cSKey", "cS", "cEG", "lKeyMin"):
         assert getattr(r1, field) == pytest.approx(getattr(r2, field), abs=1e-9)
+
+
+def excitation_isometry(gamma):
+    return chn.stinespring_from_kraus(chn.excitation_channel(gamma))
+
+
+def coinciding_warden_isometry():
+    """Kraus operators I/sqrt(2) twice: the warden sees I/2 for both inputs."""
+    half = np.eye(2) / math.sqrt(2.0)
+    return chn.stinespring_from_kraus(chn.KrausChannel((half, half)))
+
+
+def test_capacity_reports_match_single_reports():
+    isometries = [excitation_isometry(g) for g in (0.05, 0.25, 0.5, 0.75)]
+    assert cap.capacity_reports(isometries) == [cap.capacity_report(V) for V in isometries]
+    assert cap.capacity_reports([]) == []
+    with pytest.raises(DimMismatchError):
+        cap.capacity_reports([excitation_isometry(0.25), chn.stinespring_from_kraus(chn.KrausChannel((np.eye(2),)))])
+
+
+def test_capacity_reports_raise_at_lowest_failing_element():
+    with pytest.raises(TrivialTestError, match=r"^stack element 1: warden outputs coincide"):
+        cap.capacity_reports([excitation_isometry(0.2), coinciding_warden_isometry(), excitation_isometry(1.0)])
+    with pytest.raises(AssumptionViolationError, match=r"^stack element 1: supp\(omega1\)"):
+        cap.capacity_reports([excitation_isometry(0.2), excitation_isometry(1.0), coinciding_warden_isometry()])
+    # one channel: the message is the one build_covert_channel gives
+    with pytest.raises(AssumptionViolationError, match=r"^supp\(omega1\) not contained in supp\(omega0\)$"):
+        cap.capacity_report(excitation_isometry(1.0))
+    with pytest.raises(TrivialTestError, match=r"^warden outputs coincide"):
+        chn.build_covert_channel(coinciding_warden_isometry())
+
+
+def test_rate_functions_are_report_fields():
+    for gamma in (0.1, 0.25, 0.6):
+        quad = excitation_quadruple(gamma)
+        r = cap.capacity_report_from_quadruple(quad)
+        assert cap.covert_secrecy_capacity_keyed(quad) == r.cSKey
+        assert cap.covert_secrecy_capacity_unassisted(quad) == r.cS
+        assert cap.minimal_key_rate(quad) == r.lKeyMin
+        assert cap.key_rate_without_secrecy(quad) == r.lKeyNoSecrecy
+        assert cap.covert_eg_capacity(excitation_isometry(gamma)) == r.cEG

@@ -186,3 +186,18 @@ def test_channel_spec_cq_pair():
     np.testing.assert_allclose(quad.omega1, np.diag([1.0, 0.0]), atol=1e-12)
     with pytest.raises(InvalidParameterError):
         chn.channel_spec_to_stinespring({"kind": "bogus"})
+
+
+def test_channel_spec_cq_pair_violation():
+    spec = {
+        "kind": "cq-pair",
+        "sigma0": op.matrix_to_json(np.diag([0.75, 0.25])),
+        "sigma1": op.matrix_to_json(np.diag([0.0, 1.0])),
+        "omega0": op.matrix_to_json(np.diag([1.0, 0.0])),
+        "omega1": op.matrix_to_json(np.diag([0.5, 0.5])),
+    }
+    with pytest.raises(AssumptionViolationError, match=r"^supp\(omega1\)"):
+        chn.channel_spec_to_quadruple(spec)
+    spec["omega1"] = spec["omega0"]
+    with pytest.raises(TrivialTestError):
+        chn.channel_spec_to_quadruple(spec)

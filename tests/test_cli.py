@@ -1,8 +1,12 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from covertq import capacities as cap
+from covertq import channels as chn
 from covertq.cli import main
 
 
@@ -75,6 +79,61 @@ def test_sweep(tmp_path):
     assert row01[6] == pytest.approx(math.log(9.0) * math.sqrt(18.0), abs=1e-9)
     row05 = min(rows, key=lambda r: abs(r[0] - 0.5))
     assert row05[6] == 0.0
+
+
+def read_sweep(path):
+    with open(path, newline="") as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
+SWEEP_FIELDS = {"d_bob": "dBob", "d_willie": "dWillie", "chi2": "chi2Willie", "c_s_key": "cSKey",
+                "c_s": "cS", "c_eg": "cEG", "l_key_min": "lKeyMin"}
+
+
+def test_sweep_matches_capacity_report(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--gamma-from", "0.01", "--gamma-to", "0.99",
+                 "--steps", "200", "--out", str(out)]) == 0
+    rows = read_sweep(out)
+    assert [r["gamma"] for r in rows] == np.linspace(0.01, 0.99, 200).tolist()
+    for row in rows:
+        report = cap.capacity_report(chn.stinespring_from_kraus(chn.excitation_channel(row["gamma"])))
+        for column, field in SWEEP_FIELDS.items():
+            want = getattr(report, field)
+            assert (row[column] == 0.0) == (want == 0.0), (row["gamma"], column)
+            assert abs(row[column] - want) <= 1e-12 * max(1.0, abs(want)), (row["gamma"], column)
+
+
+# Rows of the 2000-step sweep over [0.01, 0.99] as the per-gamma scalar
+# pipeline printed them: the ends, gamma near 1/4, and both sides of 1/2,
+# where the positive-gap snap makes c_s and c_eg exactly zero.
+PINNED_SWEEP_ROWS = {
+    0: [0.01, 4.605170185988091, 0.01005033585350145, 0.010101010101010104, 64.8004884510826,
+        64.65906769004626, 64.65906769004626, 0.14142076103634496, 64.65906769004627],
+    490: [0.2502201100550275, 1.3854143082599228, 0.28797559559885527, 0.33372475497227794,
+          3.3915674225043304, 2.686587949803433, 2.686587949803433, 0.7049794727008973,
+          2.686587949803433],
+    999: [0.4997548774387193, 0.6936375458919365, 0.6926570555682634, 0.999019990199902,
+          0.9814326494599855, 0.0013873026652485665, 0.0013873026652485665, 0.980045346794737,
+          0.0013873026652488636],
+    1000: [0.5002451225612806, 0.6926570555682634, 0.6936375458919362, 1.0009809711614495,
+           0.9790848927503378, 0.0, 0.0, 0.9804708358453783, 0.0],
+    1999: [0.99, 0.01005033585350145, 4.605170185988091, 98.9999999999999, 0.0014284925357206572,
+           0.0, 0.0, 0.6545503883947742, 0.0],
+}
+
+
+def test_sweep_pinned_rows(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--gamma-from", "0.01", "--gamma-to", "0.99",
+                 "--steps", "2000", "--out", str(out)]) == 0
+    rows = read_sweep(out)
+    assert len(rows) == 2000
+    for index, want in PINNED_SWEEP_ROWS.items():
+        got = list(rows[index].values())
+        for g, w in zip(got, want):
+            assert (g == 0.0) == (w == 0.0), index
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), index
 
 
 def test_sweep_bad_range(tmp_path, capsys):

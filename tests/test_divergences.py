@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from covertq import divergences as dv
 from covertq import operators as op
-from covertq.errors import InvalidGammaError, SingularReferenceError
+from covertq.errors import InvalidGammaError, NotHermitianError, SingularReferenceError
+from covertq.operators import DEFAULT_TOL
 
 
 def random_density(rng, d, full_rank=True):
@@ -216,3 +219,153 @@ def test_distinct_eigenvalue_count():
     count = dv.distinct_eigenvalue_count(np.diag([0.8, 0.2]), 3)
     assert count == 4
     assert count <= (3 + 1) ** 2
+
+
+# ---- stacked kernels against the per-element loop formulas they replaced
+
+
+def loop_qre(rho, sigma, tol=DEFAULT_TOL):
+    rvals, rvecs = np.linalg.eigh(rho)
+    svals, svecs = np.linalg.eigh(sigma)
+    rvals = np.clip(rvals, 0.0, None)
+    overlap = np.abs(rvecs.conj().T @ svecs) ** 2
+    total = 0.0
+    for i, lam in enumerate(rvals):
+        if lam <= tol.support:
+            continue
+        total += lam * math.log(lam)
+        for j, mu in enumerate(svals):
+            w = overlap[i, j]
+            if w <= 0.0:
+                continue
+            if mu <= tol.support:
+                if lam * w > tol.support:
+                    return math.inf
+                continue
+            total -= lam * w * math.log(mu)
+    return max(total, 0.0)
+
+
+def loop_chi_square(rho, sigma, tol=DEFAULT_TOL):
+    sd = op.spectral_decompose(sigma, tol)
+    delta = rho - sigma
+    total = 0.0
+    for i, (li, pi) in enumerate(zip(sd.eigenvalues, sd.projectors)):
+        for j, (lj, pj) in enumerate(zip(sd.eigenvalues, sd.projectors)):
+            weight = np.trace(delta @ pi @ delta @ pj).real
+            if i == j or abs(li - lj) < tol.cluster:
+                total += weight / li
+            else:
+                total += weight * (math.log(li) - math.log(lj)) / (li - lj)
+    return max(total, 0.0)
+
+
+def loop_trace_norm(a):
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+
+def loop_support_contained(inner, outer, tol=DEFAULT_TOL):
+    vals, vecs = np.linalg.eigh(outer)
+    cols = vecs[:, vals > tol.support]
+    proj = cols @ cols.conj().T
+    vals, vecs = np.linalg.eigh(inner)
+    for lam, vec in zip(vals, vecs.T):
+        if lam > tol.support and np.linalg.norm(vec - proj @ vec) >= np.sqrt(tol.support):
+            return False
+    return True
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(unitary, spectrum):
+    return (unitary * spectrum) @ unitary.conj().T
+
+
+@st.composite
+def spectra(draw, d, full_rank):
+    """Integer weights, so repeated eigenvalues and zeros are common."""
+    w = np.array(draw(st.lists(st.integers(1 if full_rank else 0, 3), min_size=d, max_size=d)), dtype=float)
+    assume(w.sum() > 0)
+    return w / w.sum()
+
+
+@st.composite
+def stacked_states(draw):
+    """(rho, sigma, sigma_full): stacks of N density matrices of side d.
+
+    rho may be rank-deficient; sigma may be too, and shares rho's eigenbasis
+    in some elements so that finite values with a singular sigma occur;
+    sigma_full is full rank with repeated eigenvalues allowed.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    size = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rhos, sigmas, fulls = [], [], []
+    for _ in range(size):
+        u = random_unitary(rng, d)
+        v = u if draw(st.booleans()) else random_unitary(rng, d)
+        rhos.append(rotated(u, draw(spectra(d, False))))
+        sigmas.append(rotated(v, draw(spectra(d, False))))
+        fulls.append(rotated(random_unitary(rng, d), draw(spectra(d, True))))
+    return np.array(rhos), np.array(sigmas), np.array(fulls)
+
+
+def assert_matches(got, want):
+    assert got.shape == (len(want),)
+    for g, w in zip(got, want):
+        if math.isinf(w):
+            assert g == w
+        else:
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_states())
+def test_stacked_kernels_match_loop_formulas(states):
+    rho, sigma, full = states
+    assert_matches(dv.qre(rho, sigma), [loop_qre(r, s) for r, s in zip(rho, sigma)])
+    assert_matches(dv.qre(rho, full), [loop_qre(r, s) for r, s in zip(rho, full)])
+    assert_matches(dv.chi_square(rho, full), [loop_chi_square(r, s) for r, s in zip(rho, full)])
+    assert_matches(op.trace_norm(rho - sigma), [loop_trace_norm(r - s) for r, s in zip(rho, sigma)])
+    contained = op.support_contained(rho, sigma)
+    assert contained.tolist() == [loop_support_contained(r, s) for r, s in zip(rho, sigma)]
+    # the other two-state divergences: every stack element equals its own 2-D call
+    for fn in (lambda r, s: dv.hockey_stick(r, s, 1.5), lambda r, s: dv.petz_renyi(r, s, 0.5),
+               lambda r, s: dv.petz_renyi(r, s, 2.0), dv.helstrom_error):
+        assert_matches(fn(rho, sigma), [fn(r, s) for r, s in zip(rho, sigma)])
+    # a 2-D input is the one-element case and returns a plain scalar
+    assert_matches(np.array([dv.qre(rho[0], sigma[0])]), [loop_qre(rho[0], sigma[0])])
+    assert type(dv.qre(rho[0], full[0])) is float
+    assert type(dv.chi_square(rho[0], full[0])) is float
+    assert type(op.trace_norm(rho[0] - sigma[0])) is float
+    assert type(op.support_contained(rho[0], sigma[0])) is bool
+
+
+@settings(max_examples=30, deadline=None)
+@given(stacked_states(), st.data())
+def test_stacked_qre_isolates_support_violation(states, data):
+    rho, _, full = states
+    d, size = rho.shape[-1], len(rho)
+    k = data.draw(st.integers(0, size - 1))
+    # element k: rho is pure on a vector that sigma's support misses
+    u = random_unitary(np.random.default_rng(k), d)
+    full[k] = rotated(u, np.r_[np.zeros(1), np.full(d - 1, 1.0 / (d - 1))])
+    rho[k] = rotated(u, np.r_[np.ones(1), np.zeros(d - 1)])
+    values = dv.qre(rho, full)
+    assert values[k] == math.inf
+    assert all(math.isfinite(v) for i, v in enumerate(values) if i != k)
+    assert_matches(values, [loop_qre(r, s) for r, s in zip(rho, full)])
+    assert op.support_contained(rho, full).tolist() == [i != k for i in range(size)]
+
+
+def test_stacked_errors_name_the_element():
+    good = np.diag([0.75, 0.25]).astype(complex)
+    with pytest.raises(SingularReferenceError, match="stack element 1"):
+        dv.chi_square(np.array([good, good]), np.array([good, np.diag([1.0, 0.0])]))
+    with pytest.raises(SingularReferenceError, match="^chi-square"):
+        dv.chi_square(good, np.diag([1.0, 0.0]))
+    with pytest.raises(NotHermitianError, match="stack element 2"):
+        op.check_hermitian(np.array([good, good, [[0.5, 1.0], [0.0, 0.5]]]))

@@ -426,6 +426,17 @@ def test_eg_report_pinned(case, mode):
     assert_pinned(got, PINNED_REPORTS[case, mode])
 
 
+@pytest.mark.parametrize("case, mode", sorted(PINNED_REPORTS))
+def test_branch_fidelities_agree(case, mode):
+    # the branch phases are 1 on the (m, m) entries the EPR fidelity reads
+    code, V, povm, abstain, alpha = demo_setup() if case == "demo" else pinned_rotated_setup()
+    rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+    fidelities = rep.perStepDiagnostics["branchFidelities"]
+    assert len(fidelities) == code.T
+    assert max(fidelities) - min(fidelities) <= 1e-12
+    assert rep.bestJ == 0
+
+
 # ---- multi-pass reference: every stage rebuilt from the full protocol state
 
 

@@ -213,3 +213,15 @@ def test_json_roundtrip():
     rng = np.random.default_rng(13)
     m = random_density(rng, 3)
     np.testing.assert_allclose(op.matrix_from_json(op.matrix_to_json(m)), m, atol=0)
+
+
+def test_single_matrix_functions_reject_stacks():
+    stack = np.array([np.eye(2), np.eye(2)]) / 2
+    for fn in (op.tensor, op.sqrtm_psd, op.check_density, op.spectral_decompose, op.matrix_to_json):
+        with pytest.raises(DimMismatchError):
+            fn(stack)
+    with pytest.raises(DimMismatchError):
+        op.partial_trace(stack, [2], [0])
+    # the stack-aware primitives take it
+    assert op.trace_norm(stack).tolist() == [1.0, 1.0]
+    assert op.support_contained(stack, stack).tolist() == [True, True]
