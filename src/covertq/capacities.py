@@ -73,19 +73,22 @@ def _reports(ch: BinaryCovertChannel, tol: Tolerances) -> list[CapacityReport]:
 def capacity_reports(isometries, tol: Tolerances = DEFAULT_TOL) -> list[CapacityReport]:
     """Capacity reports for many channels of one shape, evaluated as one stack.
 
-    Each isometry's quadruple is validated as :func:`capacity_report` does; the
-    lowest failing channel raises, with its index in the message.
+    Each isometry is one channel or a stack of channels; their leading axes
+    are concatenated in order, giving one report per channel.  Each channel's
+    quadruple is validated as :func:`capacity_report` does; the lowest
+    failing channel raises, with its index in the message.
     """
     matrices, shapes = [], set()
     for V in isometries:
-        matrices.append(V.V)
-        shapes.add((V.V.shape, V.out_dim_b, V.out_dim_w))
+        rows, da = V.V.shape[-2:]
+        matrices.append(V.V.reshape(math.prod(V.V.shape[:-2]), rows, da))
+        shapes.add((rows, da, V.out_dim_b, V.out_dim_w))
     if not matrices:
         return []
     if len(shapes) > 1:
         raise DimMismatchError("stacked isometries must share one shape")
-    ((_, db, dw),) = shapes
-    return _reports(_covert_quadruple(np.stack(matrices), db, dw, tol), tol)
+    ((*_, db, dw),) = shapes
+    return _reports(_covert_quadruple(np.concatenate(matrices), db, dw, tol), tol)
 
 
 def covert_secrecy_capacity_keyed(ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -139,4 +142,6 @@ def capacity_report_from_quadruple(ch: BinaryCovertChannel, tol: Tolerances = DE
 
 def capacity_report(V: StinespringIsometry, tol: Tolerances = DEFAULT_TOL) -> CapacityReport:
     """Capacity report for the binary covert channel induced by V."""
+    if V.V.ndim != 2:
+        raise DimMismatchError("capacity_report takes one channel; use capacity_reports for a stack")
     return capacity_reports([V], tol)[0]

@@ -4,11 +4,16 @@ and the four-state quadruple describing a binary covert-communication setting.
 The Stinespring convention is fixed across the package: the output factor
 order is receiver (B) before environment (W), i.e. V = sum_k K_k (x) |k>_W
 with B as the left tensor factor.
+
+Stack contract: a channel may also be a stack of channels of one shape.
+Kraus operators are then ``(..., dB, dA)`` arrays and the isometry matrix is
+``(..., dB*dW, dA)``; the trace-preservation and isometry checks run on every
+element at once and a failure names the lowest failing element.
+:func:`excitation_channel` builds such a stack from a 1-D array of gammas.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,22 +43,36 @@ class KrausChannel:
         shape = ks[0].shape
         if any(k.shape != shape for k in ks):
             raise DimMismatchError("Kraus operators must share one shape")
-        total = sum(k.conj().T @ k for k in ks)
-        if np.max(np.abs(total - np.eye(shape[1]))) > DEFAULT_TOL.herm:
-            raise NotTracePreservingError("sum K^dag K differs from identity")
+        # sum_k K_k^dag K_k is V^dag V of the stacked Kraus operators
+        _check_isometry(_stack_kraus(ks), "sum K^dag K differs from identity")
         object.__setattr__(self, "kraus", ks)
 
     @property
     def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus[0].shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus[0].shape[-2]
 
     def apply(self, rho) -> np.ndarray:
         r = np.asarray(rho, dtype=complex)
-        return sum(k @ r @ k.conj().T for k in self.kraus)
+        return sum(k @ r @ op.dagger(k) for k in self.kraus)
+
+
+def _stack_kraus(ks) -> np.ndarray:
+    """V = sum_k K_k (x) |k>_W from Kraus operators of shape (..., dB, dA)."""
+    db, da = ks[0].shape[-2:]
+    return np.stack(ks, axis=-2).reshape(ks[0].shape[:-2] + (db * len(ks), da))
+
+
+def _check_isometry(v: np.ndarray, message: str) -> None:
+    """Raise ``NotTracePreservingError`` unless V^dag V = I for every matrix
+    of the stack ``v``, naming the lowest failing element."""
+    dev = np.abs(op.dagger(v) @ v - np.eye(v.shape[-1])).max(axis=(-2, -1))
+    failed = op.first_failure(dev > DEFAULT_TOL.herm)
+    if failed:
+        raise NotTracePreservingError(failed[1] + message)
 
 
 @dataclass(frozen=True)
@@ -66,16 +85,14 @@ class StinespringIsometry:
 
     def __post_init__(self):
         v = np.asarray(self.V, dtype=complex)
-        if v.shape[0] != self.out_dim_b * self.out_dim_w:
+        if v.shape[-2] != self.out_dim_b * self.out_dim_w:
             raise DimMismatchError("isometry rows != out_dim_b * out_dim_w")
-        gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(v.shape[1]))) > DEFAULT_TOL.herm:
-            raise NotTracePreservingError("V^dag V differs from identity")
+        _check_isometry(v, "V^dag V differs from identity")
         object.__setattr__(self, "V", v)
 
     @property
     def in_dim(self) -> int:
-        return self.V.shape[1]
+        return self.V.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -91,29 +108,29 @@ class BinaryCovertChannel:
     omega1: np.ndarray
 
 
-def excitation_channel(gamma: float) -> KrausChannel:
+def excitation_channel(gamma) -> KrausChannel:
     """Qubit excitation channel: the time-reverse of amplitude damping.
 
     Kraus operators K0 = sqrt(1-gamma)|0><0| + |1><1| and
-    K1 = sqrt(gamma)|1><0|, for gamma in (0, 1].
+    K1 = sqrt(gamma)|1><0|, for gamma in (0, 1].  A 1-D array of gammas
+    gives the stack of those channels, Kraus operators of shape (N, 2, 2).
     """
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidParameterError(f"gamma must lie in (0, 1], got {gamma}")
-    k0 = np.diag([math.sqrt(1.0 - gamma), 1.0]).astype(complex)
-    k1 = np.zeros((2, 2), dtype=complex)
-    k1[1, 0] = math.sqrt(gamma)
+    g = np.asarray(gamma, dtype=float)
+    failed = op.first_failure(~((0.0 < g) & (g <= 1.0)))
+    if failed:
+        index, where = failed
+        raise InvalidParameterError(f"{where}gamma must lie in (0, 1], got {g[index]}")
+    k0 = np.zeros(g.shape + (2, 2), dtype=complex)
+    k0[..., 0, 0] = np.sqrt(1.0 - g)
+    k0[..., 1, 1] = 1.0
+    k1 = np.zeros(g.shape + (2, 2), dtype=complex)
+    k1[..., 1, 0] = np.sqrt(g)
     return KrausChannel((k0, k1))
 
 
 def stinespring_from_kraus(ch: KrausChannel) -> StinespringIsometry:
     """Stack Kraus operators into V = sum_k K_k (x) |k>_W (B before W)."""
-    dw = len(ch.kraus)
-    db, da = ch.kraus[0].shape
-    v = np.zeros((db * dw, da), dtype=complex)
-    for k, kr in enumerate(ch.kraus):
-        for b in range(db):
-            v[b * dw + k, :] = kr[b, :]
-    return StinespringIsometry(v, db, dw)
+    return StinespringIsometry(_stack_kraus(ch.kraus), ch.out_dim, len(ch.kraus))
 
 
 def apply_isometry(V: StinespringIsometry, rho) -> np.ndarray:
@@ -121,7 +138,7 @@ def apply_isometry(V: StinespringIsometry, rho) -> np.ndarray:
     r = np.asarray(rho, dtype=complex)
     if r.shape[0] != V.in_dim:
         raise DimMismatchError(f"input dim {r.shape[0]} != isometry dim {V.in_dim}")
-    return V.V @ r @ V.V.conj().T
+    return V.V @ r @ op.dagger(V.V)
 
 
 def _marginals(v: np.ndarray, db: int, dw: int, inputs):

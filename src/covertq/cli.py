@@ -102,9 +102,7 @@ def cmd_sweep(args) -> int:
     if not 0.0 < args.gamma_from < args.gamma_to < 1.0:
         raise SystemExit2("need 0 < gamma-from < gamma-to < 1")
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.steps)
-    reports = cap.capacity_reports(
-        chn.stinespring_from_kraus(chn.excitation_channel(float(g))) for g in gammas
-    )
+    reports = cap.capacity_reports([chn.stinespring_from_kraus(chn.excitation_channel(gammas))])
     with open(args.out, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -193,9 +191,11 @@ def cmd_egdemo(args) -> int:
         quad = chn.build_covert_channel(V)
         a = 0.5 * alpha * code.n * dv.qre(quad.sigma1, quad.sigma0)
         povm, abstain = cs.square_root_povm(words_flat, quad.sigma0, quad.sigma1, a)
+        decoder_route = _route(quad.sigma0, quad.sigma1)
     except (TrivialTestError, AssumptionViolationError):
         # degenerate warden (e.g. noiseless channel): decode by exact strings
         povm, abstain = eg.exact_string_povm(words_flat, V.out_dim_b)
+        decoder_route = "exact-string"
     report = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=args.mode)
     params = {"n": code.n, "T": code.T, "l": code.l_size, "mode": args.mode}
     payload = {
@@ -205,6 +205,7 @@ def cmd_egdemo(args) -> int:
         "traceDistanceGHZ": report.traceDistanceGHZ,
         "bestJ": report.bestJ,
         "perStepDiagnostics": report.perStepDiagnostics,
+        "diagnostics": {"route": {"decoder": decoder_route}},
     }
     _emit_json(payload, args.out, "egdemo", spec, params, None)
     return EXIT_OK

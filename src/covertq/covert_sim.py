@@ -347,6 +347,20 @@ def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: T
     return SecrecyReport(perBinDistances=dists, averageLeakage=float(np.mean(dists)))
 
 
+def _srm_weights(sigs, ref, a: float, tol: Tolerances) -> np.ndarray:
+    """Square-root-measurement elements as diagonals in a shared eigenbasis.
+
+    ``sigs`` holds the (K, D) eigenvalue distributions of the codeword states
+    and ``ref`` the n-fold reference's.  Pi_c is the indicator of
+    sigma_c - e^a ref >= -tol.cluster, S = sum Pi_c counts the words at each
+    entry, and Upsilon_c = Pi_c / S with 1/S set to 0 where S <= tol.support.
+    """
+    projectors = sigs - math.exp(a) * ref >= -tol.cluster
+    counts = projectors.sum(axis=0)
+    inv = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > tol.support)
+    return projectors * inv
+
+
 def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances = DEFAULT_TOL):
     """Square-root measurement from pinched-threshold codeword projectors.
 
@@ -354,7 +368,9 @@ def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances 
     of pinch(sigma_c; sigma0^{(x)n}) - e^a sigma0^{(x)n}.  With S = sum Pi_c,
     the POVM elements are Upsilon_c = S^{-1/2} Pi_c S^{-1/2} using the
     pseudo-inverse square root on the support of S; the remainder I - sum
-    Upsilon is the abstain outcome.
+    Upsilon is the abstain outcome.  When sigma0 and sigma1 commute, every
+    one of these operators is diagonal in the n-fold shared eigenbasis and
+    is built from its diagonal, as in :func:`sqrt_measurement_decoder`.
 
     Returns
     -------
@@ -363,6 +379,14 @@ def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances 
     words = [np.asarray(w) for w in words]
     n = len(words[0])
     check_budget(np.asarray(sigma0).shape[0] ** n)
+    op.check_hermitian(sigma1, tol)  # shared_eigenbasis checks only sigma0
+    basis = shared_eigenbasis(sigma0, sigma1, tol)
+    if basis is not None:
+        U, s0, s1 = basis
+        weights = _srm_weights(_word_distributions(words, s0, s1), _power(s0, n), a_threshold, tol)
+        Un = op.tensor_power(U, n)
+        elements = [(Un * w) @ Un.conj().T for w in weights]
+        return elements, np.eye(Un.shape[0]) - sum(elements)
     ref = product_state([0] * n, sigma0, sigma1)
     scale = math.exp(a_threshold)
     projectors = []
@@ -393,14 +417,12 @@ def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConf
     if a is None:
         a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0, tol)
     words = cb.words.reshape(-1, cb.n)
+    op.check_hermitian(ch.sigma1, tol)  # shared_eigenbasis checks only sigma0
     basis = shared_eigenbasis(ch.sigma0, ch.sigma1, tol)
     if basis is not None:
         _, s0, s1 = basis
         sigs = _word_distributions(words, s0, s1)
-        projectors = sigs - math.exp(a) * _power(s0, cb.n) >= -tol.cluster
-        counts = projectors.sum(axis=0)
-        inv = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > tol.support)
-        p_ok = np.sum(sigs * projectors * inv, axis=1)
+        p_ok = np.sum(sigs * _srm_weights(sigs, _power(s0, cb.n), a, tol), axis=1)
     else:
         elements, _ = square_root_povm(list(words), ch.sigma0, ch.sigma1, a, tol)
         p_ok = [np.trace(e @ product_state(w, ch.sigma0, ch.sigma1)).real for e, w in zip(elements, words)]

@@ -73,7 +73,7 @@ def qre(rho, sigma, tol: Tolerances = DEFAULT_TOL):
         (lam * _log_where(on_r, rvals))[..., :, None],
         -weight * _log_where(on_s, svals)[..., None, :],
     ], axis=-1)
-    total = np.cumsum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)[..., -1]
+    total = np.cumsum(terms.reshape(terms.shape[:-2] + (math.prod(terms.shape[-2:]),)), axis=-1)[..., -1]
     return op.scalar_or_stack(np.where(escapes, math.inf, np.maximum(total, 0.0)))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, NotHermitianError
+from .errors import DimMismatchError, InvalidParameterError, NotHermitianError
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,13 @@ def tensor(*ops) -> np.ndarray:
 
 
 def tensor_power(op, n: int) -> np.ndarray:
-    out = _single(as_operator(op))
+    """n-fold Kronecker power of one operator; the 1x1 identity for n = 0."""
+    if n < 0:
+        raise InvalidParameterError(f"tensor power needs n >= 0, got {n}")
+    m = _single(as_operator(op))
+    out = m if n else np.eye(1, dtype=complex)
     for _ in range(n - 1):
-        out = np.kron(out, op)
+        out = np.kron(out, m)
     return out
 
 

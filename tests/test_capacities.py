@@ -156,6 +156,12 @@ def test_capacity_reports_match_single_reports():
     isometries = [excitation_isometry(g) for g in (0.05, 0.25, 0.5, 0.75)]
     assert cap.capacity_reports(isometries) == [cap.capacity_report(V) for V in isometries]
     assert cap.capacity_reports([]) == []
+    # stacked isometries are concatenated along their leading axes
+    stacked = [excitation_isometry(np.array([0.05, 0.25])), isometries[2], excitation_isometry(np.array([0.75]))]
+    assert cap.capacity_reports(stacked) == cap.capacity_reports(isometries)
+    assert cap.capacity_reports([excitation_isometry(np.array([]))]) == []
+    with pytest.raises(DimMismatchError):
+        cap.capacity_report(stacked[0])
     with pytest.raises(DimMismatchError):
         cap.capacity_reports([excitation_isometry(0.25), chn.stinespring_from_kraus(chn.KrausChannel((np.eye(2),)))])
 
@@ -165,6 +171,8 @@ def test_capacity_reports_raise_at_lowest_failing_element():
         cap.capacity_reports([excitation_isometry(0.2), coinciding_warden_isometry(), excitation_isometry(1.0)])
     with pytest.raises(AssumptionViolationError, match=r"^stack element 1: supp\(omega1\)"):
         cap.capacity_reports([excitation_isometry(0.2), excitation_isometry(1.0), coinciding_warden_isometry()])
+    with pytest.raises(AssumptionViolationError, match=r"^stack element 2: supp\(omega1\)"):
+        cap.capacity_reports([excitation_isometry(np.array([0.2, 0.3])), excitation_isometry(1.0)])
     # one channel: the message is the one build_covert_channel gives
     with pytest.raises(AssumptionViolationError, match=r"^supp\(omega1\) not contained in supp\(omega0\)$"):
         cap.capacity_report(excitation_isometry(1.0))

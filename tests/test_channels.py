@@ -8,6 +8,7 @@ from covertq import divergences as dv
 from covertq import operators as op
 from covertq.errors import (
     AssumptionViolationError,
+    DimMismatchError,
     IndexOutOfRangeError,
     InvalidParameterError,
     NotTracePreservingError,
@@ -54,6 +55,57 @@ def test_excitation_invalid():
 def test_not_trace_preserving():
     with pytest.raises(NotTracePreservingError):
         chn.KrausChannel((np.eye(2) * 0.5,))
+
+
+def loop_stinespring(kraus):
+    """V = sum_k K_k (x) |k>_W, row by row (B before W)."""
+    dw = len(kraus)
+    db, da = kraus[0].shape
+    v = np.zeros((db * dw, da), dtype=complex)
+    for k, kr in enumerate(kraus):
+        for b in range(db):
+            v[b * dw + k, :] = kr[b, :]
+    return v
+
+
+def test_channel_stacks_match_single_channels():
+    gammas = np.linspace(0.01, 1.0, 7)
+    ch = chn.excitation_channel(gammas)
+    assert [k.shape for k in ch.kraus] == [(7, 2, 2)] * 2
+    assert (ch.in_dim, ch.out_dim) == (2, 2)
+    V = chn.stinespring_from_kraus(ch)
+    assert V.V.shape == (7, 4, 2) and V.in_dim == 2
+    for i, g in enumerate(gammas):
+        single = chn.excitation_channel(float(g))
+        for stacked, k in zip(ch.kraus, single.kraus):
+            assert np.array_equal(stacked[i], k)
+        assert np.array_equal(V.V[i], loop_stinespring(single.kraus))
+        assert np.array_equal(V.V[i], chn.stinespring_from_kraus(single).V)
+    rho = random_density(np.random.default_rng(4), 2)
+    np.testing.assert_allclose(ch.apply(rho)[3], chn.excitation_channel(float(gammas[3])).apply(rho), atol=1e-15)
+    # a non-square channel with three Kraus operators
+    kraus = random_kraus_channel(np.random.default_rng(8), 2, 3, 3).kraus
+    assert np.array_equal(chn.stinespring_from_kraus(chn.KrausChannel(kraus)).V, loop_stinespring(kraus))
+
+
+def test_channel_stacks_name_the_failing_element():
+    with pytest.raises(InvalidParameterError, match=r"^gamma must lie in \(0, 1\], got 1.5$"):
+        chn.excitation_channel(1.5)
+    with pytest.raises(InvalidParameterError, match=r"^stack element 1: gamma must lie in \(0, 1\], got 1.5$"):
+        chn.excitation_channel(np.array([0.2, 1.5, 0.0]))
+    half = np.stack([np.eye(2), np.eye(2) * 0.5, np.eye(2) * 0.5])
+    with pytest.raises(NotTracePreservingError, match=r"^sum K\^dag K differs from identity$"):
+        chn.KrausChannel((half[1],))
+    with pytest.raises(NotTracePreservingError, match=r"^stack element 1: sum K\^dag K"):
+        chn.KrausChannel((half,))
+    v = chn.stinespring_from_kraus(chn.excitation_channel(np.array([0.2, 0.3, 0.4]))).V.copy()
+    v[2, 0, 0] = 2.0
+    with pytest.raises(NotTracePreservingError, match=r"^stack element 2: V\^dag V differs from identity$"):
+        chn.StinespringIsometry(v, 2, 2)
+    with pytest.raises(NotTracePreservingError, match=r"^V\^dag V differs from identity$"):
+        chn.StinespringIsometry(v[2], 2, 2)
+    with pytest.raises(DimMismatchError):
+        chn.StinespringIsometry(v, 2, 3)
 
 
 def test_stinespring_identity():

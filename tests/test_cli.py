@@ -7,6 +7,7 @@ import pytest
 
 from covertq import capacities as cap
 from covertq import channels as chn
+from covertq import operators as op
 from covertq.cli import main
 
 
@@ -177,6 +178,17 @@ def test_egdemo(exc_spec, tmp_path):
     assert 0.0 <= payload["fidelity"] <= 1.0
     assert payload["covertDivergence"] >= 0.0
     assert payload["bestJ"] in (0, 1)
+    assert payload["diagnostics"] == {"route": {"decoder": "commuting"}}
+    # amplitude damping after an input rotation: Bob's outputs do not commute
+    gamma, c, s = 0.3, math.cos(0.35), math.sin(0.35)
+    u = np.array([[c, -s * np.exp(-0.4j)], [s * np.exp(0.4j), c]])
+    kraus = (np.array([[1.0, 0.0], [0.0, math.sqrt(1 - gamma)]]) @ u, np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]) @ u)
+    spec = tmp_path / "rotated.json"
+    spec.write_text(json.dumps({"kind": "kraus", "kraus": [op.matrix_to_json(k) for k in kraus]}))
+    assert main(["egdemo", str(spec), "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert 0.0 <= payload["fidelity"] <= 1.0
+    assert payload["diagnostics"] == {"route": {"decoder": "dense"}}
 
 
 def test_egdemo_noiseless(tmp_path, capsys):
@@ -186,6 +198,7 @@ def test_egdemo_noiseless(tmp_path, capsys):
     assert main(["egdemo", str(spec), "--mode", "self-target"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["fidelity"] == pytest.approx(1.0, abs=1e-9)
+    assert payload["diagnostics"] == {"route": {"decoder": "exact-string"}}
 
 
 def test_egdemo_environment_wider_than_decoder(tmp_path, capsys):

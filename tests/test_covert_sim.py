@@ -7,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covertq import channels as chn
+from covertq import cli
 from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
-from covertq.errors import BudgetExceededError, IndexOutOfRangeError
+from covertq.errors import BudgetExceededError, IndexOutOfRangeError, NotHermitianError
 
 
 def excitation_quadruple(gamma=0.25):
@@ -275,6 +276,21 @@ def dense_trace_norm(a):
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
+def dense_square_root_povm(words, sigma0, sigma1, a):
+    """The square-root measurement on dense n-fold operators: pinched-threshold
+    projectors Pi_c, S = sum Pi_c, Upsilon_c = S^{-1/2} Pi_c S^{-1/2}."""
+    ref = dense_word_state([0] * len(words[0]), sigma0, None)
+    projectors = [
+        op.nonneg_eigenspace_projector(op.pinching(dense_word_state(w, sigma0, sigma1), ref) - math.exp(a) * ref)
+        for w in words
+    ]
+    vals, vecs = np.linalg.eigh(sum(projectors))
+    inv_sqrt = np.where(vals > 1e-10, 1.0 / np.sqrt(np.where(vals > 1e-10, vals, 1.0)), 0.0)
+    s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
+    elements = [s_inv_half @ p @ s_inv_half for p in projectors]
+    return elements, np.eye(ref.shape[0]) - sum(elements)
+
+
 def dense_resolvability(cfg, quad):
     mixed = dense_word_state([0] * cfg.n, chn.mixed_output(quad, cfg.alpha), None)
     out = []
@@ -366,7 +382,7 @@ def test_commuting_route_matches_dense(campaign):
     np.testing.assert_allclose(sec.perBinDistances, [dense_trace_norm(b - mixed) for b in bins], atol=1e-9)
 
     dec = cs.sqrt_measurement_decoder(cb, quad, cfg)
-    elements, _ = cs.square_root_povm(list(words), quad.sigma0, quad.sigma1, cfg.a_threshold)
+    elements, _ = dense_square_root_povm(words, quad.sigma0, quad.sigma1, cfg.a_threshold)
     expected = [
         min(max(1.0 - np.trace(e @ dense_word_state(w, quad.sigma0, quad.sigma1)).real, 0.0), 1.0)
         for e, w in zip(elements, words)
@@ -374,20 +390,61 @@ def test_commuting_route_matches_dense(campaign):
     np.testing.assert_allclose(list(dec.perMessageError.values()), expected, atol=1e-9)
 
 
+@st.composite
+def degenerate_povm_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    sigma0, sigma1 = draw(degenerate_commuting_pairs(d))
+    n = draw(st.integers(1, 3))
+    words = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
+    # irrational e^a keeps every threshold entry far from a tie
+    a = draw(st.sampled_from([-0.5, 0.3, 1.0]))
+    return np.array(words, dtype=np.uint8), sigma0, sigma1, a
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_povm_cases())
+def test_square_root_povm_commuting_matches_dense(case):
+    words, sigma0, sigma1, a = case
+    elements, abstain = cs.square_root_povm(list(words), sigma0, sigma1, a)
+    want, want_abstain = dense_square_root_povm(words, sigma0, sigma1, a)
+    assert len(elements) == len(want)
+    for got, ref in zip(elements, want):
+        np.testing.assert_allclose(got, ref, atol=1e-9)
+    np.testing.assert_allclose(abstain, want_abstain, atol=1e-9)
+
+
+def test_commuting_route_rejects_non_hermitian_sigma1():
+    # both sigma1 commute with their sigma0, so the pair takes the commuting route
+    skew = np.array([[0.5, 0.1], [-0.1, 0.5]])
+    complex_diag = np.diag([0.5 + 0.1j, 0.5 - 0.1j])
+    exc = excitation_quadruple()
+    cfg = cs.SimConfig(n=2, gamma=0.5, m_size=2, l_size=1, seed=4, a_threshold=0.1)
+    cb = cs.sample_codebook(cfg)
+    for sigma0, sigma1 in ((np.eye(2) / 2, skew), (np.diag([0.7, 0.3]), complex_diag)):
+        assert np.allclose(sigma0 @ sigma1, sigma1 @ sigma0)
+        with pytest.raises(NotHermitianError):
+            cs.square_root_povm([np.array([0, 1], dtype=np.uint8)], sigma0, sigma1, 0.1)
+        with pytest.raises(NotHermitianError):
+            cs.sqrt_measurement_decoder(cb, chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1), cfg)
+
+
 def test_square_root_povm_budget(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("n-fold operator built before the budget check")
 
-    monkeypatch.setattr(cs, "product_state", no_allocation)
+    for module, name in ((cs, "product_state"), (cs, "_word_distributions"), (op, "tensor_power")):
+        monkeypatch.setattr(module, name, no_allocation)
     quad = excitation_quadruple()
-    with pytest.raises(BudgetExceededError):
-        cs.square_root_povm([np.zeros(13, dtype=np.uint8)], quad.sigma0, quad.sigma1, 0.1)
+    for sigma0, sigma1 in ((quad.sigma0, quad.sigma1), (np.array([[0.7, 0.2], [0.2, 0.3]]), np.array([[0.4, 0.1], [0.1, 0.6]]))):
+        with pytest.raises(BudgetExceededError):
+            cs.square_root_povm([np.zeros(13, dtype=np.uint8)], sigma0, sigma1, 0.1)
 
 
 def test_sqrt_decoder_dense_route():
     sigma0 = np.array([[0.7, 0.2], [0.2, 0.3]])
     sigma1 = np.array([[0.4, 0.1], [0.1, 0.6]])
     assert cs.shared_eigenbasis(sigma0, sigma1) is None
+    assert cli._route(sigma0, sigma1) == "dense"
     exc = excitation_quadruple()
     quad = chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1)
     cfg = cs.SimConfig(n=3, gamma=0.5, m_size=2, l_size=2, seed=4, a_threshold=0.2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from covertq import operators as op
-from covertq.errors import DimMismatchError, NotHermitianError
+from covertq.errors import DimMismatchError, InvalidParameterError, NotHermitianError
 
 
 def random_density(rng, d, full_rank=True):
@@ -70,6 +70,16 @@ def test_tensor():
     expected = np.zeros((4, 4))
     expected[1, 1] = 1.0
     np.testing.assert_allclose(op.tensor(p0, p1), expected)
+
+
+def test_tensor_power():
+    m = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+    empty = op.tensor_power(m, 0)
+    assert empty.shape == (1, 1) and empty.dtype == complex and empty[0, 0] == 1.0
+    assert np.array_equal(op.tensor_power(m, 1), m)
+    assert np.array_equal(op.tensor_power(m, 3), np.kron(np.kron(m, m), m))
+    with pytest.raises(InvalidParameterError):
+        op.tensor_power(m, -1)
 
 
 def test_partial_trace_product():
