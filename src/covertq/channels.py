@@ -14,7 +14,7 @@ element at once and a failure names the lowest failing element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,7 @@ class KrausChannel:
     """A completely positive trace-preserving map given by Kraus operators."""
 
     kraus: tuple[np.ndarray, ...]
+    _isometry: StinespringIsometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -43,9 +44,14 @@ class KrausChannel:
         shape = ks[0].shape
         if any(k.shape != shape for k in ks):
             raise DimMismatchError("Kraus operators must share one shape")
-        # sum_k K_k^dag K_k is V^dag V of the stacked Kraus operators
-        _check_isometry(_stack_kraus(ks), "sum K^dag K differs from identity")
+        # sum_k K_k^dag K_k is V^dag V of the stacked Kraus operators, so the
+        # Stinespring isometry's own check is the trace-preservation check
+        try:
+            isometry = StinespringIsometry(_stack_kraus(ks), shape[-2], len(ks))
+        except NotTracePreservingError as exc:
+            raise NotTracePreservingError(str(exc).replace("V^dag V", "sum K^dag K")) from None
         object.__setattr__(self, "kraus", ks)
+        object.__setattr__(self, "_isometry", isometry)
 
     @property
     def in_dim(self) -> int:
@@ -129,8 +135,8 @@ def excitation_channel(gamma) -> KrausChannel:
 
 
 def stinespring_from_kraus(ch: KrausChannel) -> StinespringIsometry:
-    """Stack Kraus operators into V = sum_k K_k (x) |k>_W (B before W)."""
-    return StinespringIsometry(_stack_kraus(ch.kraus), ch.out_dim, len(ch.kraus))
+    """V = sum_k K_k (x) |k>_W (B before W), stacked and checked with the channel."""
+    return ch._isometry
 
 
 def apply_isometry(V: StinespringIsometry, rho) -> np.ndarray:

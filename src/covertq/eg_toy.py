@@ -20,13 +20,14 @@ The protocol runs entirely on dense state vectors:
 System ordering of the full protocol state: R, M, B^n, W^n, Mhat, Lhat.
 
 Alice's preparation ties R to M, so every block with R != M is zero.
-``eg_report`` therefore runs the steps above in a single pass over the R = M
-block: one square root per POVM element and one channel-output matrix per
-word give every decoded branch in one batched product; the decoupler is
-built once and applied once; each Fourier branch of step 6 is the single
-reduced state on (R, Mhat) times diagonal phase factors; and the warden's
-state is one matrix product over the same block.  The public per-step
-functions are thin wrappers over the same construction.
+``eg_report`` runs the steps above in one pass over the R = M block and
+forms only what it reads.  The decoupler acts on the Mhat = R slices alone,
+which give both the EPR fidelity and the GHZ overlap; every Fourier branch
+of step 6 has that fidelity, as its phases are 1 on the entries read.  The
+warden's state comes from the codeword outputs and the Gram sum of the POVM
+square roots.  The public per-step functions are thin wrappers over the same
+construction; ``protocol_state`` and ``decoupling_decoder`` form the full
+block because they return it.
 """
 
 from __future__ import annotations
@@ -169,23 +170,33 @@ def _wbreve_dim(dBn: int, dWn: int, L: int) -> int:
 
 @dataclass(frozen=True)
 class _Decoded:
-    """The protocol after encoding, channel and coherent decoding, built once.
+    """The protocol after encoding, channel and coherent decoding, in factored form.
 
-    The full state has a zero block wherever R != M, so only the R = M
-    diagonal is kept: ``decoded[m, k]`` is sqrt(Lam^k) applied to the channel
-    output of the codeword |phi_m> (weighted by 1/sqrt(T)), a (dB^n x dW^n)
-    matrix, with k = (m', l') in row-major order.
+    The full state has a zero block wherever R != M, and its R = M diagonal
+    is sqrt(Lam^k) applied to ``outputs[m]`` for every outcome k = (m', l')
+    in row-major order.  ``diag`` forms that product for every k; ``eg_report``
+    reads only the k = (m, l) slices and the warden state.
     """
 
+    roots: np.ndarray  # (T*L, dB^n, dB^n): sqrt(Lam^k), k = (m', l') row-major
     branches: np.ndarray  # (T, L, dB^n, dW^n): chi_{m,l}, channel output of each word
     overlaps: np.ndarray  # (T, L): <chi_{m,l}| sqrt(Lam^{(m,l)}) |chi_{m,l}>
-    decoded: np.ndarray  # (T, T*L, dB^n, dW^n)
+    outputs: np.ndarray  # (T, dB^n, dW^n): channel output of |phi_m>, weighted by 1/sqrt(T)
 
     @property
     def diag(self) -> np.ndarray:
         """The R = M diagonal of the protocol state, axes (R, B^n, W^n, Mhat, Lhat)."""
         T, L, dBn, dWn = self.branches.shape
-        return np.moveaxis(self.decoded.reshape(T, T, L, dBn, dWn), (1, 2), (3, 4))
+        decoded = np.matmul(self.roots[None], self.outputs[:, None])
+        return np.moveaxis(decoded.reshape(T, T, L, dBn, dWn), (1, 2), (3, 4))
+
+    def warden_state(self) -> np.ndarray:
+        """Trace out everything but W^n: sum_m outputs[m]^T conj(G) conj(outputs[m])
+        with G = sum_k sqrt(Lam^k)^dag sqrt(Lam^k), which is not assumed to be I."""
+        T, dBn, dWn = self.outputs.shape
+        roots = self.roots.reshape(-1, dBn)
+        mixed = np.matmul(roots.T @ roots.conj(), self.outputs.conj())  # conj(G) conj(outputs[m])
+        return self.outputs.reshape(T * dBn, dWn).T @ mixed.reshape(T * dBn, dWn)
 
 
 def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, tol: Tolerances) -> _Decoded:
@@ -203,8 +214,7 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, tol: Toleran
     overlaps = np.array([np.vdot(chi, root @ chi) for root, chi in zip(sqrts, chis)]).reshape(T, L)
     branches = chis.reshape(T, L, dBn, dWn)
     amp = np.exp(1j * code.encode_phases) / math.sqrt(T * L)
-    outputs = np.einsum("ml,mlbw->mbw", amp, branches)
-    return _Decoded(branches, overlaps, np.matmul(sqrts[None], outputs[:, None]))
+    return _Decoded(sqrts, branches, overlaps, np.einsum("ml,mlbw->mbw", amp, branches))
 
 
 def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -329,13 +339,20 @@ def _apply_decoupler(state: np.ndarray, gammas) -> np.ndarray:
 
 
 def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, tol: Tolerances):
-    """The R = M block after the controlled decoupler, axes (R, W^n, Mhat,
-    Wbreve), and the decoupling diagnostics."""
+    """The decoupler Gamma^m, the EPR fidelity and the decoupling diagnostics.
+
+    Only the r = m = Mhat slices of the decoupled block meet the GHZ state:
+    with s = sum_m Gamma^m applied to slice m, a (dW^n x dC) matrix, the EPR
+    fidelity is ||s||^2 / T and the overlap with GHZ (x) theta_ref is
+    |<theta_ref, s>| / sqrt(T).
+    """
     gammas, theta_ref = _decoupler_targets(code, V, decoded.branches, alpha, mode, tol)
-    out = _apply_decoupler(decoded.diag, gammas)
-    # overlap with GHZ (x) theta_ref: only the r = m = k slices meet the GHZ state
-    overlap = abs(np.einsum("wc,mwmc->", theta_ref.conj(), out)) / math.sqrt(code.T)
-    overlap = min(overlap, 1.0)
+    T, L, dBn, dWn = decoded.branches.shape
+    # slice m is sqrt(Lam^{(m,l)}) outputs[m], row b*L + l as Gamma^m's input B^n Lhat
+    slices = np.matmul(decoded.roots.reshape(T, L, dBn, dBn), decoded.outputs[:, None])
+    s = (np.concatenate(gammas, axis=1) @ np.swapaxes(slices, 1, 2).reshape(T * dBn * L, dWn)).T
+    fidelity = float(np.vdot(s, s).real) / T
+    overlap = min(abs(np.vdot(theta_ref, s)) / math.sqrt(T), 1.0)
     trace_dist = 2.0 * math.sqrt(max(1.0 - overlap**2, 0.0))
     gamma_defect = max(
         float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[1])))) for g in gammas
@@ -347,7 +364,7 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
         "mode": mode,
         "alpha": float(alpha),
     }
-    return out, diagnostics
+    return gammas, fidelity, diagnostics
 
 
 def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL):
@@ -364,7 +381,9 @@ def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=No
     T, L, n = code.T, code.l_size, code.n
     dWn = V.out_dim_w**n
     _check_eg_budget(T * T * dWn * T * _wbreve_dim(V.out_dim_b**n, dWn, L))
-    out, diagnostics = _decouple(code, V, _decode(code, V, povm, abstain, tol), alpha, mode, tol)
+    decoded = _decode(code, V, povm, abstain, tol)
+    gammas, _, diagnostics = _decouple(code, V, decoded, alpha, mode, tol)
+    out = _apply_decoupler(decoded.diag, gammas)
     state = np.zeros((T,) + out.shape, dtype=complex)
     state[np.arange(T), np.arange(T)] = out
     return state, diagnostics
@@ -392,59 +411,24 @@ def ghz_to_epr(state_rmmhat, T: int, j: int):
     return corr @ reduced @ corr.conj().T
 
 
-def _epr_fidelity(rho_rmhat: np.ndarray, T: int) -> float:
-    phi = np.zeros(T * T, dtype=complex)
-    for m in range(T):
-        phi[m * T + m] = 1.0
-    phi /= math.sqrt(T)
-    return float(np.real(np.vdot(phi, rho_rmhat @ phi)))
-
-
-def _assistance_branches(decoupled: np.ndarray):
-    """Best Fourier branch and every branch fidelity of the decoupled R = M block.
-
-    Branch j phases R by e^{-2 pi i j r / T} (the standalone encoder) and
-    Mhat by e^{2 pi i j k / T} (the Z^j correction); both are diagonal, so
-    each branch is the one reduced state on (R, Mhat) with phase factors.
-    The factor on entry (r, k) is e^{2 pi i j (k - r) / T}, which is 1 on
-    the (m, m) entries that ``_epr_fidelity`` reads, so every branch has the
-    same fidelity up to rounding and ``best_j`` is 0.
-    """
-    T, dWn, _, dC = decoupled.shape
-    rho = op.partial_trace_vector(decoupled.ravel(), [T, dWn, T, dC], [0, 2])
-    index = np.arange(T)
-    fidelities = []
-    for j in range(T):
-        f = np.outer(np.exp(-2j * np.pi * j * index / T), np.exp(2j * np.pi * j * index / T)).ravel()
-        fidelities.append(_epr_fidelity(f[:, None] * rho * f.conj()[None, :], T))
-    best = max(fidelities)
-    best_j = next(i for i, f in enumerate(fidelities) if f >= best - 1e-12)
-    return best_j, fidelities
-
-
 def eliminate_assistance(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL):
     """Evaluate every Fourier-branch encoder/decoder pair and keep the best.
 
     Branch j uses the standalone encoder sum_m e^{-2 pi i j m / T}|phi_m><m|
     followed by the same coherent decoder, decoupler, and the Z^j phase
-    correction on Mhat.  Returns (best_j, fidelities) with ties broken toward
-    the lowest index.
+    correction on Mhat.  Their factor e^{2 pi i j (k - r) / T} on entry (r, k)
+    of the (R, Mhat) state is 1 on the k = r entries the EPR fidelity reads,
+    so all T fidelities are one number, computed once.  Returns (0, fidelities).
     """
     if alpha is None:
         alpha = float(np.mean(code.words))
-    decoupled, _ = _decouple(code, V, _decode(code, V, povm, abstain, tol), alpha, mode, tol)
-    return _assistance_branches(decoupled)
-
-
-def _warden_state(decoded: _Decoded) -> np.ndarray:
-    """Trace out everything but W^n: one product over the R = M blocks."""
-    rows = decoded.decoded.reshape(-1, decoded.decoded.shape[-1])
-    return rows.T @ rows.conj()
+    _, fidelity, _ = _decouple(code, V, _decode(code, V, povm, abstain, tol), alpha, mode, tol)
+    return 0, [fidelity] * code.T
 
 
 def willie_marginal(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Warden's exact reduced state of the full protocol state."""
-    return _warden_state(_decode(code, V, povm, abstain, tol))
+    return _decode(code, V, povm, abstain, tol).warden_state()
 
 
 def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL) -> EGReport:
@@ -456,9 +440,8 @@ def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha
     decoded = _decode(unphased, V, povm, abstain, tol)
     _, h, phase_diag = _phase_alignment(decoded.overlaps)
     aligned = replace(unphased, decode_phases=h)
-    decoupled, dec_diag = _decouple(aligned, V, decoded, alpha, mode, tol)
-    best_j, fidelities = _assistance_branches(decoupled)
-    tau_w = _warden_state(decoded)
+    _, fidelity, dec_diag = _decouple(aligned, V, decoded, alpha, mode, tol)
+    tau_w = decoded.warden_state()
     _, omega0 = marginal_outputs(V, 0)
     _, omega1 = marginal_outputs(V, 1)
     covert_div = dv.qre(tau_w, op.tensor_power(omega0, code.n), tol)
@@ -469,12 +452,13 @@ def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha
     diagnostics = dict(phase_diag)
     diagnostics.update(dec_diag)
     diagnostics["willieClassicalGap"] = op.trace_norm(tau_w - classical)
-    diagnostics["branchFidelities"] = [float(f) for f in fidelities]
-    diagnostics["meanBranchFidelity"] = float(np.mean(fidelities))
+    # every Fourier branch has the same fidelity (see eliminate_assistance)
+    diagnostics["branchFidelities"] = [fidelity] * code.T
+    diagnostics["meanBranchFidelity"] = fidelity
     return EGReport(
-        fidelity=float(fidelities[best_j]),
+        fidelity=fidelity,
         covertDivergence=float(covert_div),
         traceDistanceGHZ=float(dec_diag["traceDistanceGHZ"]),
-        bestJ=int(best_j),
+        bestJ=0,
         perStepDiagnostics=diagnostics,
     )

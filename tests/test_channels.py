@@ -108,6 +108,16 @@ def test_channel_stacks_name_the_failing_element():
         chn.StinespringIsometry(v, 2, 3)
 
 
+def test_kraus_built_isometry_is_checked_once(monkeypatch):
+    calls = []
+    check = chn._check_isometry
+    monkeypatch.setattr(chn, "_check_isometry", lambda v, message: calls.append(message) or check(v, message))
+    gammas = np.linspace(0.1, 0.9, 5)
+    V = chn.stinespring_from_kraus(chn.excitation_channel(gammas))
+    assert calls == ["V^dag V differs from identity"]
+    assert V.V.shape == (5, 4, 2)
+
+
 def test_stinespring_identity():
     V = chn.stinespring_from_kraus(chn.KrausChannel((np.eye(2),)))
     assert V.out_dim_w == 1

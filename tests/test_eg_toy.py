@@ -467,6 +467,11 @@ def ref_protocol_state(code, V, povm, abstain):
     return tau
 
 
+def ref_warden_state(code, V, povm, abstain):
+    tau = ref_protocol_state(code, V, povm, abstain)
+    return np.einsum("rmbwkl,rmbvkl->wv", tau, tau.conj())
+
+
 def ref_decoupled(code, V, povm, abstain, alpha, mode):
     T, L, n = code.T, code.l_size, code.n
     chi = ref_branches(code, V)
@@ -498,7 +503,7 @@ def ref_decoupled(code, V, povm, abstain, alpha, mode):
         "mode": mode,
         "alpha": alpha,
     }
-    return out, diagnostics
+    return out, diagnostics, thetas[0]
 
 
 def ref_branch_fidelities(out):
@@ -537,7 +542,7 @@ def test_wrappers_match_multi_pass_reference(shape):
     assert diag["alignedOverlapSum"] == pytest.approx(np.sum(np.abs(raw)), abs=1e-12)
     assert diag["zeroPhaseOverlapSum"] == pytest.approx(np.sum(raw).real, abs=1e-12)
     for mode in ("paper-target", "self-target"):
-        ref_out, ref_diag = ref_decoupled(code, V, povm, abstain, alpha, mode)
+        ref_out, ref_diag, _ = ref_decoupled(code, V, povm, abstain, alpha, mode)
         state, dec_diag = eg.decoupling_decoder(code, V, povm, abstain, alpha, mode)
         np.testing.assert_allclose(state, ref_out, rtol=0, atol=1e-12)
         # 2 sqrt(1 - overlap^2) is not Lipschitz at overlap 1, so the trace
@@ -550,3 +555,71 @@ def test_wrappers_match_multi_pass_reference(shape):
         ref_fidelities = ref_branch_fidelities(ref_out)
         np.testing.assert_allclose(fidelities, ref_fidelities, rtol=0, atol=1e-12)
         assert best_j == next(i for i, f in enumerate(ref_fidelities) if f >= max(ref_fidelities) - 1e-12)
+
+
+@pytest.mark.parametrize("case, mode", sorted(PINNED_REPORTS))
+def test_eg_report_reads_only_the_matched_slices(monkeypatch, case, mode):
+    # eg_report neither decouples the full decoded block nor reduces it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eg_report formed the full decoupled block")
+
+    monkeypatch.setattr(eg, "_apply_decoupler", forbidden)
+    monkeypatch.setattr(op, "partial_trace_vector", forbidden)
+    code, V, povm, abstain, alpha = demo_setup() if case == "demo" else pinned_rotated_setup()
+    rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+    assert rep.fidelity == pytest.approx(PINNED_REPORTS[case, mode]["fidelity"], abs=1e-10)
+
+
+def wide_environment_setup():
+    # dC = dW^n = 81 exceeds dB^n * L = 32
+    code = eg.default_demo_code()
+    povm, abstain = eg.exact_string_povm(code.words.reshape(-1, code.n))
+    return code, three_kraus_isometry(), povm, abstain, float(np.mean(code.words))
+
+
+def near_complete_setup():
+    # the completed POVM sums to I up to about 1e-10, inside the 1e-9 gate
+    code, V, povm, abstain, alpha = random_rotated_setup(2, 2, 3)
+    return code, V, povm, abstain + 1e-10 * np.diag(np.linspace(0.0, 1.0, 8)), alpha
+
+
+SLICE_SETUPS = {
+    "random-2-2-3": lambda: random_rotated_setup(2, 2, 3),
+    "random-2-1-4": lambda: random_rotated_setup(2, 1, 4),
+    "wide-environment": wide_environment_setup,
+    "near-complete-povm": near_complete_setup,
+}
+
+
+def eg_report_phases(code, V, povm, abstain):
+    """The code with eg_report's phases: zero encode phases, aligned decode phases."""
+    _, h, _ = eg.align_phases(code, V, povm, abstain)
+    return eg.EGToyCode.from_words(code.words, decode_phases=h)
+
+
+@pytest.mark.parametrize("mode", ["paper-target", "self-target"])
+@pytest.mark.parametrize("name", sorted(SLICE_SETUPS))
+def test_eg_report_slices_match_full_block(name, mode):
+    code, V, povm, abstain, alpha = SLICE_SETUPS[name]()
+    rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+    aligned = eg_report_phases(code, V, povm, abstain)
+    state, _ = eg.decoupling_decoder(aligned, V, povm, abstain, alpha, mode)
+    np.testing.assert_allclose(rep.perStepDiagnostics["branchFidelities"], ref_branch_fidelities(state), rtol=0, atol=1e-12)
+    assert rep.fidelity == rep.perStepDiagnostics["branchFidelities"][0]
+    T = code.T
+    _, _, theta_ref = ref_decoupled(aligned, V, povm, abstain, alpha, mode)
+    overlap = abs(sum(np.vdot(theta_ref, state[m, m, :, m]) for m in range(T))) / math.sqrt(T)
+    assert rep.perStepDiagnostics["targetOverlap"] == pytest.approx(overlap, abs=1e-12)
+    omega0 = chn.marginal_outputs(V, 0)[1]
+    tau_w = ref_warden_state(aligned, V, povm, abstain)
+    assert rep.covertDivergence == pytest.approx(dv.qre(tau_w, op.tensor_power(omega0, code.n)), abs=1e-12)
+
+
+def test_warden_state_keeps_povm_completion_defect():
+    # with sum Lam = I assumed, the warden state would differ by about 1e-10
+    code, V, povm, abstain, _ = near_complete_setup()
+    aligned = eg_report_phases(code, V, povm, abstain)
+    exact = ref_warden_state(aligned, V, povm, abstain)
+    complete = ref_warden_state(aligned, V, povm, np.eye(8) - sum(povm))
+    assert np.max(np.abs(exact - complete)) > 1e-11
+    np.testing.assert_allclose(eg.willie_marginal(aligned, V, povm, abstain), exact, rtol=0, atol=1e-13)
