@@ -7,6 +7,13 @@ built from it are diagonal in the product of their shared eigenbasis and are
 computed on probability vectors; otherwise on dense matrices.  Either way the
 n-fold dimension must fit a configurable cap.
 
+Every codebook average (the warden state, covertness, the secrecy bins and the
+resolvability samples) goes through ``operators.mean_word_product``: the
+words are counted by their 2**n binary index and the counts are contracted
+with the single-letter table one position at a time, which costs
+O(n d**n) per codebook for any number of words K (d**(2n) on the dense
+route), and holds one codebook's d**n average at a time.
+
 Randomness uses the counter-based Philox generator keyed by
 ``(seed, sample_index)``; within one codebook the bits are drawn in a fixed
 row-major (message, bin-index, position) order, so identical configurations
@@ -65,8 +72,8 @@ class SimConfig:
     a_threshold: float | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.m_size < 1 or self.l_size < 1:
-            raise InvalidParameterError("n, m_size, l_size must be positive")
+        if min(self.n, self.m_size, self.l_size, self.samples) < 1:
+            raise InvalidParameterError("n, m_size, l_size and samples must be positive")
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.gamma / math.sqrt(self.n))
         if not 0.0 <= self.alpha <= 1.0:
@@ -172,34 +179,35 @@ def _word_distributions(words, p0, p1) -> np.ndarray:
     ``words`` is a (K, n) bit array; row k of the (K, d**n) result is
     p_{w_1} (x) ... (x) p_{w_n} for the k-th word.
     """
-    words = np.asarray(words)
-    table = np.stack([p0, p1])
-    out = np.ones((words.shape[0], 1))
-    for column in words.T:
-        out = (out[:, :, None] * table[column][:, None, :]).reshape(words.shape[0], -1)
-    return out
+    return op.word_products(words, np.stack([p0, p1]))
 
 
 def _power(p, n: int) -> np.ndarray:
     """n-fold kron power of a probability vector."""
-    return _word_distributions(np.zeros((1, n), dtype=np.uint8), p, p)[0]
+    return op.word_products(np.zeros((1, n), dtype=np.uint8), np.stack([p, p]))[0]
 
 
 def _l1(diff) -> np.ndarray:
     return np.sum(np.abs(diff), axis=-1)
 
 
+def _check_average_budget(d: int, n: int) -> None:
+    """Charge a codebook average over n-letter words with d-dimensional letters:
+    its d**n result and the 2**n word counts of ``op.mean_word_product``."""
+    check_budget(max(d, 2) ** n)
+
+
 def _average_state(words, ch: BinaryCovertChannel, tol: Tolerances) -> np.ndarray:
     """Dense warden state averaged uniformly over the (K, n) ``words``."""
     n = words.shape[1]
-    check_budget(ch.omega0.shape[0] ** n)
+    _check_average_budget(ch.omega0.shape[0], n)
     basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
     if basis is not None:
         U, p0, p1 = basis
-        diag = _word_distributions(words, p0, p1).mean(axis=0)
+        diag = op.mean_word_product(words, np.stack([p0, p1]))
         Un = op.tensor_power(U, n)
         return (Un * diag) @ Un.conj().T
-    return sum(product_state(w, ch.omega0, ch.omega1) for w in words) / words.shape[0]
+    return op.mean_word_product(words, np.stack([ch.omega0, ch.omega1]).astype(complex))
 
 
 def willie_average_state(cb: Codebook, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -240,33 +248,33 @@ def resolvability_rhs(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances =
     nu = dv.distinct_eigenvalue_count(mixed_output(ch, cfg.alpha), cfg.n, tol)
     k_total = cfg.m_size * cfg.l_size
     betas = np.asarray(cfg.beta_grid) if cfg.beta_grid is not None else _default_beta_grid(cfg, ch, tol)
-    best = math.inf
-    for s in cfg.s_grid:
-        phi_s = dv.phi(s, ensemble, tol)
-        for beta in betas:
-            first = 2.0 * math.sqrt(math.exp(beta * s + cfg.n * phi_s))
-            second = math.sqrt(math.exp(beta) * nu / k_total)
-            best = min(best, first + second)
-    return best
+    s = np.asarray(cfg.s_grid, dtype=float)[:, None]
+    phis = dv.phi(s, ensemble, tol)
+    with np.errstate(over="ignore"):  # an overflowing grid point is a vacuous (inf) bound
+        first = 2.0 * np.sqrt(np.exp(betas * s + cfg.n * phis))
+        second = np.sqrt(np.exp(betas) * nu / k_total)
+    return float(np.min(first + second))
 
 
 def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Trace distance of the codebook-average state to the mixed reference,
-    for ``cfg.samples`` independently seeded codebooks."""
-    check_budget(ch.omega0.shape[0] ** cfg.n)
+    for ``cfg.samples`` independently seeded codebooks, one codebook in
+    memory at a time."""
+    _check_average_budget(ch.omega0.shape[0], cfg.n)
     basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
     distances = np.empty(cfg.samples)
     if basis is not None:
         _, p0, p1 = basis
+        table = np.stack([p0, p1])
         target = _power((1.0 - cfg.alpha) * p0 + cfg.alpha * p1, cfg.n)
         for i in range(cfg.samples):
             words = sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
-            distances[i] = _l1(_word_distributions(words, p0, p1).mean(axis=0) - target)
+            distances[i] = _l1(op.mean_word_product(words, table) - target)
         return distances
     target = op.tensor_power(mixed_output(ch, cfg.alpha), cfg.n)
     for i in range(cfg.samples):
-        cb = sample_codebook(cfg, sample_index=i)
-        distances[i] = op.trace_norm(willie_average_state(cb, ch, tol) - target)
+        words = sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
+        distances[i] = op.trace_norm(_average_state(words, ch, tol) - target)
     return distances
 
 
@@ -287,16 +295,17 @@ def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Toler
 
 
 def _warden_vectors(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances):
-    """Per-word distributions, n-fold innocent and mixed references, all in the
-    shared eigenbasis of the warden outputs; None when they do not commute."""
-    check_budget(ch.omega0.shape[0] ** cb.n)
+    """Per-bin average distributions (one row per message), n-fold innocent and
+    mixed references, all in the shared eigenbasis of the warden outputs; None
+    when they do not commute."""
+    _check_average_budget(ch.omega0.shape[0], cb.n)
     basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
     if basis is None:
         return None
     _, p0, p1 = basis
-    per_word = _word_distributions(cb.words.reshape(-1, cb.n), p0, p1)
+    bins = op.mean_word_product(cb.words, np.stack([p0, p1]))
     mixed = _power((1.0 - cfg.alpha) * p0 + cfg.alpha * p1, cb.n)
-    return per_word, _power(p0, cb.n), mixed
+    return bins, _power(p0, cb.n), mixed
 
 
 def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> CovertnessReport:
@@ -307,8 +316,8 @@ def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol
     """
     vectors = _warden_vectors(cb, ch, cfg, tol)
     if vectors is not None:
-        per_word, ref0, mixed = vectors
-        avg = per_word.mean(axis=0)
+        bins, ref0, mixed = vectors
+        avg = bins.mean(axis=0)  # the bins are equal-size
         d_covert = dv.qre_commuting(avg, ref0, tol)
         trace_dist = float(_l1(avg - mixed))
         helstrom = 0.5 * (1.0 - 0.5 * float(_l1(avg - ref0)))
@@ -335,8 +344,7 @@ def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: T
     """Per-bin trace distances to the mixed reference and their mean."""
     vectors = _warden_vectors(cb, ch, cfg, tol)
     if vectors is not None:
-        per_word, _, mixed = vectors
-        bins = per_word.reshape(cb.m_size, cb.l_size, -1).mean(axis=1)
+        bins, _, mixed = vectors
         dists = tuple(float(d) for d in _l1(bins - mixed))
     else:
         mixed = op.tensor_power(mixed_output(ch, cfg.alpha), cb.n)

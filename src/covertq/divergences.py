@@ -11,7 +11,8 @@ Stack contract: ``qre``, ``chi_square``, ``hockey_stick``, ``petz_renyi``
 and ``helstrom_error`` take a pair of density operators or two equal-shape
 stacks of them, shape ``(..., d, d)``, and evaluate every pair at once with
 batched eigendecompositions.  A 2-D pair gives a ``float``, stacks give an
-array of shape ``(...)``.  The remaining functions take single states.
+array of shape ``(...)``.  ``phi`` takes a scalar or an array of orders
+``s`` and answers in kind.  The remaining functions take single states.
 """
 
 from __future__ import annotations
@@ -208,30 +209,37 @@ class CqEnsemble:
         return out
 
 
-def _power_on_support(h, exponent: float, tol: Tolerances) -> np.ndarray:
+def _spectrum_on_support(h, tol: Tolerances):
+    """Eigenvalues (1 off the support), support mask and eigenvectors of ``h``."""
     vals, vecs = np.linalg.eigh(op.check_hermitian(h, tol))
-    out = np.where(vals > tol.support, vals, 1.0) ** exponent
-    out = np.where(vals > tol.support, out, 0.0)
-    return (vecs * out) @ vecs.conj().T
+    support = vals > tol.support
+    return np.where(support, vals, 1.0), support, vecs
 
 
-def phi(s: float, ensemble: CqEnsemble, tol: Tolerances = DEFAULT_TOL) -> float:
+def phi(s, ensemble: CqEnsemble, tol: Tolerances = DEFAULT_TOL):
     """Cumulant functional log sum_x p(x) tr[w_x^{1-s} w_p^s] for s <= 0.
 
-    The average state w_p is formed internally; phi(0, .) = 0 exactly.
+    ``s`` is a scalar, giving a ``float``, or an array, giving an array of
+    its shape; each state is eigendecomposed once for all values of ``s``,
+    and the trace is sum_ij a_i^{1-s} b_j^s |<u_i|v_j>|^2 over the supports
+    of w_x = sum a_i |u_i><u_i| and w_p = sum b_j |v_j><v_j|.  The average
+    state w_p is formed internally; phi(0, .) = 0 exactly.
     """
-    if s > 0.0:
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(s_arr > 0.0):
         raise ValueError(f"phi is defined for s <= 0, got s = {s}")
-    if s == 0.0:
-        return 0.0
-    wp_s = _power_on_support(ensemble.average_state(), s, tol)
-    total = 0.0
+    exps = s_arr[..., None]
+    b, b_support, v = _spectrum_on_support(ensemble.average_state(), tol)
+    wp_s = b**exps * b_support
+    total = np.zeros(s_arr.shape)
     for p, w in zip(ensemble.probs, ensemble.states):
         if p == 0.0:
             continue
-        w_pow = _power_on_support(w, 1.0 - s, tol)
-        total += p * np.trace(w_pow @ wp_s).real
-    return math.log(total)
+        a, a_support, u = _spectrum_on_support(w, tol)
+        overlap = np.abs(u.conj().T @ v) ** 2
+        w_pow = a ** (1.0 - exps) * a_support
+        total = total + p * np.einsum("...i,ij,...j->...", w_pow, overlap, wp_s)
+    return op.scalar_or_stack(np.where(s_arr == 0.0, 0.0, np.log(total)))
 
 
 def helstrom_error(rho, sigma, tol: Tolerances = DEFAULT_TOL):

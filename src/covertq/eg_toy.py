@@ -446,9 +446,7 @@ def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha
     _, omega1 = marginal_outputs(V, 1)
     covert_div = dv.qre(tau_w, op.tensor_power(omega0, code.n), tol)
     # distance to the incoherent classical-codebook average, as a diagnostic
-    states = (omega0, omega1)
-    words = code.words.reshape(-1, code.n)
-    classical = sum(op.tensor(*(states[b] for b in w)) for w in words) / len(words)
+    classical = op.mean_word_product(code.words.reshape(-1, code.n), np.stack([omega0, omega1]))
     diagnostics = dict(phase_diag)
     diagnostics.update(dec_diag)
     diagnostics["willieClassicalGap"] = op.trace_norm(tau_w - classical)

@@ -9,8 +9,10 @@ Stack contract: :func:`as_operator`, :func:`check_hermitian`,
 take a stack of square matrices of shape ``(..., d, d)`` and work on every
 element at once.  A 2-D input gives a ``float`` (``bool`` for
 ``support_contained``), a stacked input an array of shape ``(...)``.  A check
-that fails on a stack names the lowest failing element.  Every other function
-here takes single matrices only.
+that fails on a stack names the lowest failing element.
+:func:`word_products` and :func:`mean_word_product` take ``(..., K, n)``
+stacks of binary words.  Every other function here takes single matrices
+only.
 """
 
 from __future__ import annotations
@@ -180,6 +182,60 @@ def tensor_power(op, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = np.kron(out, m)
     return out
+
+
+def word_products(words, table) -> np.ndarray:
+    """Row-wise kron products of probability vectors, one per word.
+
+    ``words`` is a ``(..., K, n)`` bit array and ``table`` a ``(2, d)`` pair
+    of vectors; entry ``[..., k, :]`` of the ``(..., K, d**n)`` result is
+    table[w_1] (x) ... (x) table[w_n] for the k-th word, built with one
+    broadcast product per position.
+    """
+    words = np.asarray(words)
+    table = np.asarray(table)
+    rows = words.shape[:-1]
+    out = np.ones(rows + (1,))
+    for i in range(words.shape[-1]):
+        out = (out[..., :, None] * table[words[..., i]][..., None, :]).reshape(rows + (-1,))
+    return out
+
+
+def mean_word_product(words, table) -> np.ndarray:
+    """Mean over the word axis of the kron products of ``table`` rows.
+
+    ``words`` is a ``(..., K, n)`` bit array.  ``table`` is ``(2, d)`` for
+    probability vectors, giving a ``(..., d**n)`` result, or ``(2, d, d)``
+    for matrices, giving ``(..., d**n, d**n)``; entry ``[...]`` is
+    (1/K) sum_k table[w_k1] (x) ... (x) table[w_kn].
+
+    The words are counted by their binary index (first position most
+    significant) into 2**n frequencies, and that count tensor is contracted
+    with the table one position at a time, one matrix product per position:
+    about n max(d, 2)**n multiplies for vectors and d**(2n) for matrices
+    whatever K is, with no temporary larger than the result.  The count
+    vector holds 2**n floats per leading index, so callers charge
+    ``max(d, 2)**n`` to their budget.
+    """
+    words = np.asarray(words)
+    table = np.asarray(table)
+    k_size, n = words.shape[-2:]
+    batch = words.shape[:-2]
+    flat = words.reshape(-1, k_size, n).astype(np.intp)
+    groups = flat.shape[0]
+    index = flat @ (1 << np.arange(n - 1, -1, -1)) + (np.arange(groups) << n)[:, None]
+    out = np.bincount(index.ravel(), minlength=groups << n) / k_size
+    # contract the leading position; its letter's factor axis goes last
+    step = table.reshape(2, -1)
+    for _ in range(n):
+        out = out.reshape(groups, 2, -1).swapaxes(1, 2) @ step
+    d = table.shape[1]
+    if table.ndim == 2:
+        return out.reshape(batch + (d**n,))
+    # axes (row_1, col_1, ..., row_n, col_n) -> (row_1..row_n, col_1..col_n)
+    out = out.reshape((groups,) + (d,) * (2 * n))
+    out = out.transpose((0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2)))
+    return out.reshape(batch + (d**n, d**n))
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

@@ -163,6 +163,15 @@ def test_simulate_budget(exc_spec, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_simulate_rejects_nonpositive_samples(exc_spec, tmp_path, capsys, samples):
+    out = tmp_path / "sim.json"
+    assert main(["simulate", exc_spec, "--n", "6", "--m", "2", "--l", "2", "--gamma", "0.5",
+                 "--samples", samples, "-o", str(out)]) == 2
+    assert "samples must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_fast_path(exc_spec, capsys):
     assert main(["simulate", exc_spec, "--n", "100", "--gamma", "0.7",
                  "--m", "16", "--l", "16", "--commuting-fast-path"]) == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from covertq import cli
 from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
-from covertq.errors import BudgetExceededError, IndexOutOfRangeError, NotHermitianError
+from covertq.errors import BudgetExceededError, IndexOutOfRangeError, InvalidParameterError, NotHermitianError
 
 
 def excitation_quadruple(gamma=0.25):
@@ -457,3 +458,85 @@ def test_sqrt_decoder_dense_route():
     ]
     rep = cs.sqrt_measurement_decoder(cb, quad, cfg)
     np.testing.assert_allclose(list(rep.perMessageError.values()), expected, atol=1e-12)
+
+
+def test_sim_config_rejects_nonpositive_samples():
+    for samples in (0, -3):
+        with pytest.raises(InvalidParameterError, match="samples"):
+            cs.SimConfig(n=6, gamma=0.5, m_size=2, l_size=2, samples=samples)
+
+
+def rotated_damping_quadruple(gamma=0.3, theta=0.7, phi=0.4):
+    """Amplitude damping after an input rotation: neither output pair commutes."""
+    a0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
+    a1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    u = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex)
+    return chn.build_covert_channel(chn.stinespring_from_kraus(chn.KrausChannel((a0 @ u, a1 @ u))))
+
+
+@pytest.mark.parametrize("make_quad", [excitation_quadruple, rotated_damping_quadruple])
+def test_codebook_averages_skip_per_word_products(monkeypatch, make_quad):
+    quad = make_quad()
+    cfg = cs.SimConfig(n=3, gamma=0.8, m_size=2, l_size=4, seed=6, samples=3)  # bins of L > n words
+    cb = cs.sample_codebook(cfg)
+    mixed = dense_word_state([0] * cfg.n, chn.mixed_output(quad, cfg.alpha), None)
+    want_avg = dense_average(cb, quad)
+    want_bins = [
+        dense_trace_norm(sum(dense_word_state(w, quad.omega0, quad.omega1) for w in cb.words[m]) / cb.l_size - mixed)
+        for m in range(cb.m_size)
+    ]
+    want_res = dense_resolvability(cfg, quad)
+
+    def per_word(*args, **kwargs):
+        raise AssertionError("codebook average built from per-word products")
+
+    monkeypatch.setattr(cs, "_word_distributions", per_word)
+    monkeypatch.setattr(cs, "product_state", per_word)
+    np.testing.assert_allclose(cs.willie_average_state(cb, quad), want_avg, atol=1e-12)
+    np.testing.assert_allclose(cs.secrecy_report(cb, quad, cfg).perBinDistances, want_bins, atol=1e-10)
+    cov = cs.covertness_report(cb, quad, cfg)
+    assert cov.traceDistToMixed == pytest.approx(dense_trace_norm(want_avg - mixed), abs=1e-10)
+    np.testing.assert_allclose(cs.resolvability_samples(cfg, quad), want_res, atol=1e-10)
+
+
+def test_resolvability_memory_independent_of_codebook_size(monkeypatch):
+    monkeypatch.setattr(cs, "max_dense_dim", lambda: 1 << 16)
+    quad = excitation_quadruple()
+    cfg = cs.SimConfig(n=16, gamma=1.0, m_size=32, l_size=32, seed=5, samples=2)
+    tracemalloc.start()
+    try:
+        distances = cs.resolvability_samples(cfg, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one codebook's 2**16 counts and d**16 average, not K = 1024 rows of them
+    assert peak < 8 * 2**20
+    assert np.all((distances > 0.0) & (distances < 2.0))
+
+
+def test_average_budget_counts_words_for_one_dimensional_warden():
+    exc = excitation_quadruple()
+    trivial = np.ones((1, 1))
+    quad = chn.BinaryCovertChannel(exc.sigma0, exc.sigma1, trivial, trivial)
+    cfg = cs.SimConfig(n=40, gamma=0.5, m_size=2, l_size=2)
+    with pytest.raises(BudgetExceededError):
+        cs.resolvability_samples(cfg, quad)
+
+
+def test_resolvability_rhs_matches_grid_loop():
+    for quad, cfg in (
+        (excitation_quadruple(), cs.SimConfig(n=8, gamma=1.0, m_size=4, l_size=4)),
+        (rotated_damping_quadruple(), cs.SimConfig(n=5, gamma=0.6, m_size=8, l_size=2, beta_grid=(0.1, 1.0, 3.0))),
+    ):
+        ensemble = dv.CqEnsemble(np.array([1.0 - cfg.alpha, cfg.alpha]), (quad.omega0, quad.omega1))
+        nu = dv.distinct_eigenvalue_count(chn.mixed_output(quad, cfg.alpha), cfg.n)
+        betas = cfg.beta_grid or cs._default_beta_grid(cfg, quad, op.DEFAULT_TOL)
+        best = math.inf
+        for s in cfg.s_grid:
+            phi_s = dv.phi(s, ensemble)
+            for beta in betas:
+                first = 2.0 * math.sqrt(math.exp(beta * s + cfg.n * phi_s))
+                second = math.sqrt(math.exp(beta) * nu / (cfg.m_size * cfg.l_size))
+                best = min(best, first + second)
+        assert cs.resolvability_rhs(cfg, quad) == pytest.approx(best, rel=1e-12, abs=0.0)

@@ -192,6 +192,21 @@ def test_phi():
         dv.phi(0.5, ens)
 
 
+def test_phi_array_matches_scalar_calls():
+    rng = np.random.default_rng(4)
+    states = (random_density(rng, 3), random_density(rng, 3, full_rank=False), np.diag([0.5, 0.5, 0.0]))
+    ens = dv.CqEnsemble(np.array([0.5, 0.3, 0.2]), states)
+    grid = np.array([[-2.0, -1.0, -0.5], [-0.1, -0.05, 0.0]])
+    got = dv.phi(grid, ens)
+    assert isinstance(got, np.ndarray) and got.shape == grid.shape
+    want = np.array([[dv.phi(float(s), ens) for s in row] for row in grid])
+    assert all(isinstance(dv.phi(float(s), ens), float) for s in grid.ravel())
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert got[1, 2] == 0.0
+    with pytest.raises(ValueError):
+        dv.phi(np.array([-0.5, 0.5]), ens)
+
+
 def test_helstrom_error():
     rng = np.random.default_rng(10)
     rho = random_density(rng, 2)

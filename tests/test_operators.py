@@ -1,5 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covertq import operators as op
 from covertq.errors import DimMismatchError, InvalidParameterError, NotHermitianError
@@ -235,3 +239,39 @@ def test_single_matrix_functions_reject_stacks():
     # the stack-aware primitives take it
     assert op.trace_norm(stack).tolist() == [1.0, 1.0]
     assert op.support_contained(stack, stack).tolist() == [True, True]
+
+
+@st.composite
+def word_product_cases(draw):
+    """Word stacks with repeated words and an optional leading batch axis,
+    with K on both sides of n, and a (2, d) vector or (2, d, d) matrix table."""
+    d = draw(st.sampled_from([2, 3]))
+    matrix = draw(st.booleans())
+    n = draw(st.integers(1, 4 if matrix and d == 3 else 6))
+    k = draw(st.integers(1, 40))
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 2, size=(draw(st.integers(1, 4)), n), dtype=np.uint8)
+    words = pool[rng.integers(0, len(pool), size=batch + (k,))]
+    shape = (2, d, d) if matrix else (2, d)
+    table = rng.normal(size=shape) + (1j * rng.normal(size=shape) if matrix else 0.0)
+    return words, table
+
+
+def kron_chain_mean(words, table):
+    return np.mean([reduce(np.kron, [table[b] for b in word]) for word in words], axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_product_cases())
+@example((np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8), np.array([[0.2, 0.8], [0.6, 0.4]])))
+@example((np.array([[0, 1], [1, 0], [1, 0], [0, 0]], dtype=np.uint8), np.array([[0.2, 0.8], [0.6, 0.4]])))
+def test_mean_word_product_matches_kron_chain(case):
+    words, table = case
+    got = op.mean_word_product(words, table)
+    side = table.shape[1] ** words.shape[-1]
+    assert got.shape == words.shape[:-2] + (side,) * (table.ndim - 1)
+    flat = words.reshape(-1, *words.shape[-2:])
+    want = np.stack([kron_chain_mean(group, table) for group in flat]).reshape(got.shape)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
