@@ -190,7 +190,7 @@ def _validate_quadruple(quad: BinaryCovertChannel, tol: Tolerances) -> BinaryCov
         (AssumptionViolationError, "supp(omega1) not contained in supp(omega0)"),
     )
     failing = np.stack([
-        op.trace_norm(quad.omega1 - quad.omega0) <= tol.support,
+        op.trace_norm(quad.omega1 - quad.omega0, tol) <= tol.support,
         np.logical_not(op.support_contained(quad.sigma1, quad.sigma0, tol)),
         np.logical_not(op.support_contained(quad.omega1, quad.omega0, tol)),
     ])

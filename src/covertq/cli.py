@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 input error, 3 budget error, 4 assumption violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -103,16 +102,13 @@ def cmd_sweep(args) -> int:
         raise SystemExit2("need 0 < gamma-from < gamma-to < 1")
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.steps)
     reports = cap.capacity_reports([chn.stinespring_from_kraus(chn.excitation_channel(gammas))])
+    fields = ("dBob", "dWillie", "chi2Willie", "cSKey", "cS", "cEG", "lKeyMin")
+    columns = [gammas.tolist()]
+    columns += [[float(getattr(r, f)) for r in reports] for f in fields]
+    columns.append([cap.excitation_capacity_closed_form(g) for g in columns[0]])
     with open(args.out, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["gamma", "d_bob", "d_willie", "chi2", "c_s_key", "c_s", "c_eg",
-             "l_key_min", "c_eg_closed_form"]
-        )
-        for g, r in zip(gammas, reports):
-            row = [g, r.dBob, r.dWillie, r.chi2Willie, r.cSKey, r.cS, r.cEG,
-                   r.lKeyMin, cap.excitation_capacity_closed_form(float(g))]
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write("gamma,d_bob,d_willie,chi2,c_s_key,c_s,c_eg,l_key_min,c_eg_closed_form\n")
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in zip(*columns)))
     _write_manifest(
         "sweep", {"kind": "excitation"},
         {"gammaFrom": args.gamma_from, "gammaTo": args.gamma_to, "steps": args.steps},
@@ -154,7 +150,7 @@ def cmd_simulate(args) -> int:
     cb = cs.sample_codebook(cfg)
     cov = cs.covertness_report(cb, quad, cfg)
     sec = cs.secrecy_report(cb, quad, cfg)
-    mean, rhs, holds = cs.resolvability_experiment(cfg, quad)
+    mean, rhs, holds = cs.resolvability_experiment(cfg, quad, rhs=cov.resolvabilityRhs)
     payload = {
         "config": params,
         "covertness": asdict(cov),

@@ -274,12 +274,15 @@ def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel, tol: Toleranc
     target = op.tensor_power(mixed_output(ch, cfg.alpha), cfg.n)
     for i in range(cfg.samples):
         words = sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
-        distances[i] = op.trace_norm(_average_state(words, ch, tol) - target)
+        distances[i] = op.trace_norm(_average_state(words, ch, tol) - target, tol)
     return distances
 
 
-def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL):
+def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL, rhs: float | None = None):
     """Compare the Monte-Carlo mean trace distance against the bound.
+
+    ``rhs`` is the bound if the caller has already evaluated
+    ``resolvability_rhs(cfg, ch, tol)``; otherwise it is evaluated here.
 
     Returns
     -------
@@ -290,7 +293,8 @@ def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Toler
     distances = resolvability_samples(cfg, ch, tol)
     mean = float(distances.mean())
     se = float(distances.std(ddof=1) / math.sqrt(len(distances))) if len(distances) > 1 else 0.0
-    rhs = resolvability_rhs(cfg, ch, tol)
+    if rhs is None:
+        rhs = resolvability_rhs(cfg, ch, tol)
     return mean, rhs, mean <= rhs + 3.0 * se
 
 
@@ -326,7 +330,7 @@ def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol
         ref0 = op.tensor_power(ch.omega0, cb.n)
         mixed = op.tensor_power(mixed_output(ch, cfg.alpha), cb.n)
         d_covert = dv.qre(avg, ref0, tol)
-        trace_dist = op.trace_norm(avg - mixed)
+        trace_dist = op.trace_norm(avg - mixed, tol)
         helstrom = dv.helstrom_error(avg, ref0, tol)
     d_reference = cb.n * dv.qre(mixed_output(ch, cfg.alpha), ch.omega0, tol)
     pinsker_lb = 0.5 * (1.0 - math.sqrt(0.5 * d_covert)) if math.isfinite(d_covert) else 0.0
@@ -349,7 +353,7 @@ def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: T
     else:
         mixed = op.tensor_power(mixed_output(ch, cfg.alpha), cb.n)
         dists = tuple(
-            op.trace_norm(willie_bin_state(cb, ch, m, tol) - mixed)
+            op.trace_norm(willie_bin_state(cb, ch, m, tol) - mixed, tol)
             for m in range(cb.m_size)
         )
     return SecrecyReport(perBinDistances=dists, averageLeakage=float(np.mean(dists)))

@@ -247,7 +247,7 @@ def helstrom_error(rho, sigma, tol: Tolerances = DEFAULT_TOL):
     r = op.check_hermitian(rho, tol)
     s = op.check_hermitian(sigma, tol)
     _require_same_dim(r, s)
-    return 0.5 * (1.0 - 0.5 * op.trace_norm(r - s))
+    return 0.5 * (1.0 - 0.5 * op.trace_norm(r - s, tol))
 
 
 def pinsker_check(rho, sigma, tol: Tolerances = DEFAULT_TOL):
@@ -259,7 +259,7 @@ def pinsker_check(rho, sigma, tol: Tolerances = DEFAULT_TOL):
         lhs = ||rho - sigma||_1 / 2, rhs = sqrt(qre(rho, sigma)/2), and
         ``holds`` is True when lhs <= rhs + 1e-12.
     """
-    lhs = 0.5 * op.trace_norm(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex))
+    lhs = 0.5 * op.trace_norm(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex), tol)
     d = qre(rho, sigma, tol)
     rhs = math.sqrt(0.5 * d) if math.isfinite(d) else math.inf
     return lhs, rhs, lhs <= rhs + 1e-12

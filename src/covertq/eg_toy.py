@@ -28,6 +28,18 @@ warden's state comes from the codeword outputs and the Gram sum of the POVM
 square roots.  The public per-step functions are thin wrappers over the same
 construction; ``protocol_state`` and ``decoupling_decoder`` form the full
 block because they return it.
+
+The decoupler runs one message at a time in factored form: Gamma^m =
+conj(u vh) from the SVD of K = theta^dag psi_m is applied to the decoded
+slice X_m as conj(u (vh conj(X_m))), and u, vh are dropped before the next
+message, so ``eg_report`` never forms a Gamma^m (``decoupling_decoder``
+forms each from the same factors, as it returns the whole block).  Its
+``decouplerIsometryDefect`` is measured on that input: the largest
+max|Y_m^dag Y_m - X_m^dag X_m| relative to max|X_m^dag X_m|, with Y_m the
+decoupled slice.  The SVD itself sees the same K bit for bit as before:
+Gamma^m is not unique off the support of K, and the completion LAPACK
+returns there sets the reported fidelity, so a cheaper or differently
+completed SVD would move the pinned fidelities.
 """
 
 from __future__ import annotations
@@ -209,8 +221,12 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, tol: Toleran
     elements, defect = _completed_povm(povm, abstain, tol)
     if defect > 1e-9:
         raise DimMismatchError(f"POVM completion defect {defect:.3e}; supply the abstain remainder")
-    sqrts = np.stack([op.sqrtm_psd(e, tol) for e in elements])
-    chis = np.stack([_channel_word_matrix(w, V) for w in code.words.reshape(T * L, n)])
+    sqrts = np.empty((len(elements),) + elements[0].shape, dtype=complex)
+    for k, e in enumerate(elements):
+        sqrts[k] = op.sqrtm_psd(e, tol)
+    chis = np.empty((T * L, dBn, dWn), dtype=complex)
+    for k, w in enumerate(code.words.reshape(T * L, n)):
+        chis[k] = _channel_word_matrix(w, V)
     overlaps = np.array([np.vdot(chi, root @ chi) for root, chi in zip(sqrts, chis)]).reshape(T, L)
     branches = chis.reshape(T, L, dBn, dWn)
     amp = np.exp(1j * code.encode_phases) / math.sqrt(T * L)
@@ -262,6 +278,15 @@ def align_phases(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, to
     return _phase_alignment(_decode(code, V, povm, abstain, tol).overlaps)
 
 
+def _uhlmann_factors(psi_mat: np.ndarray, theta_mat: np.ndarray):
+    """SVD factors (u, vh) of the cross-overlap K = theta^dag psi; the Uhlmann
+    isometry is conj(u @ vh)."""
+    # the optimum sum_{c,b} K[c,b] W[c,b] over isometries W is ||K||_1
+    K = theta_mat.conj().T @ psi_mat
+    u, _, vh = np.linalg.svd(K, full_matrices=False)
+    return u, vh
+
+
 def uhlmann_isometry(psi, dims_psi, theta, dims_theta, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Partial isometry W : B -> C aligning two purifications.
 
@@ -278,18 +303,18 @@ def uhlmann_isometry(psi, dims_psi, theta, dims_theta, tol: Tolerances = DEFAULT
         raise DimMismatchError(f"target side dim {dC} < source side dim {dB}; pad C")
     psi_mat = np.asarray(psi, dtype=complex).reshape(dA, dB)
     theta_mat = np.asarray(theta, dtype=complex).reshape(dA, dC)
-    # cross-overlap K[c, b]; the optimum sum_{c,b} K[c,b] W[c,b] is ||K||_1
-    K = theta_mat.conj().T @ psi_mat
-    u, _, vh = np.linalg.svd(K, full_matrices=False)
+    u, vh = _uhlmann_factors(psi_mat, theta_mat)
     return np.conj(u @ vh)
 
 
-def _decoupler_targets(code: EGToyCode, V: StinespringIsometry, branches, alpha, mode: str, tol: Tolerances):
-    """Per-message Uhlmann isometries Gamma^m : B^n Lhat -> Wbreve.
+def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha, mode: str, tol: Tolerances):
+    """Per message m: m, the target theta (a dW^n x dC matrix) and the SVD
+    factors (u, vh) of the Uhlmann isometry Gamma^m = conj(u @ vh) : B^n Lhat -> Wbreve.
 
     ``branches`` holds the channel outputs chi_{m,l} as (dB^n x dW^n) matrices.
-    Returns (gammas, theta_ref) with theta_ref the (dW^n x dC) matrix of the
-    purification used as the comparison target in the GHZ distance.
+    A generator, so that one message's factors are held at a time; it yields
+    m itself because ``enumerate`` would keep the previous factors alive in
+    the result tuple it reuses.
     """
     T, L, n = code.T, code.l_size, code.n
     dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
@@ -303,8 +328,6 @@ def _decoupler_targets(code: EGToyCode, V: StinespringIsometry, branches, alpha,
         theta[:, :dWn] = pur.reshape(dWn, dWn)
     elif mode != "self-target":
         raise ValueError(f"unknown decoupling mode {mode!r}")
-    gammas = []
-    theta_ref = None
     for m in range(T):
         # ideal per-message branch on (W^n; B^n Lhat), decode phases applied
         psi = np.zeros((dWn, dBn, L), dtype=complex)
@@ -314,57 +337,69 @@ def _decoupler_targets(code: EGToyCode, V: StinespringIsometry, branches, alpha,
         psi = psi.reshape(dWn, dBn * L)
         psi /= np.linalg.norm(psi)
         if mode == "self-target":
-            marg = psi @ psi.conj().T
-            pur = op.canonical_purification(marg, tol)
+            pur = op.canonical_purification(psi @ psi.conj().T, tol)
             theta = np.zeros((dWn, dC), dtype=complex)
             theta[:, :dWn] = pur.reshape(dWn, dWn)
+        yield m, theta, _uhlmann_factors(psi, theta)
+
+
+def _apply_decoupler(state: np.ndarray, m: int, gamma: np.ndarray, out: np.ndarray) -> None:
+    """Write Gamma^m applied to the Mhat = m part of the trailing (B, W, Mhat, L)
+    axes of a state tensor into ``out[..., m, :]``, axes (..., W, Mhat, Wbreve)."""
+    moved = np.moveaxis(state[..., m, :], -3, -2)  # (..., W, B, L)
+    out[..., m, :] = moved.reshape(moved.shape[:-2] + (-1,)) @ gamma.T
+
+
+def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, tol: Tolerances, block=None):
+    """The EPR fidelity and the decoupling diagnostics, one message at a time.
+
+    Only the r = m = Mhat slices of the decoupled block meet the GHZ state.
+    Slice m is X_m = sqrt(Lam^{(m,l)}) outputs[m] with row b*L + l, a
+    (dB^n L x dW^n) matrix, and Gamma^m = conj(u vh) acts on it in factored
+    form, Y_m = conj(u (vh conj(X_m))).  With s = sum_m Y_m the EPR fidelity
+    is ||s||^2 / T and the overlap with GHZ (x) theta_ref is
+    |<theta_ref, s^T>| / sqrt(T).  ``decouplerIsometryDefect`` is the largest
+    max|Y_m^dag Y_m - X_m^dag X_m| / max|X_m^dag X_m| (the unscaled deviation
+    for a zero slice): how far the decoupler fails to preserve the inner
+    products of the input it is applied to, which bounds the error of the
+    reported fidelity.
+
+    With ``block`` (the decoded R = M diagonal, axes (R, B^n, W^n, Mhat,
+    Lhat)) each Gamma^m is also formed from the same factors and applied to
+    it; the third result is then the decoupled block, axes (R, W^n, Mhat,
+    Wbreve), else None.
+    """
+    T, L, dBn, dWn = decoded.branches.shape
+    dC = _wbreve_dim(dBn, dWn, L)
+    roots = decoded.roots.reshape(T, L, dBn, dBn)
+    out = None if block is None else np.empty(block.shape[:1] + (dWn, T, dC), dtype=complex)
+    s = np.zeros((dC, dWn), dtype=complex)
+    theta_ref = None
+    defect = 0.0
+    for m, theta, (u, vh) in _decoupler_factors(code, V, decoded.branches, alpha, mode, tol):
         if theta_ref is None:
             theta_ref = theta
-        gammas.append(uhlmann_isometry(psi.ravel(), (dWn, dBn * L), theta.ravel(), (dWn, dC), tol))
-    return gammas, theta_ref
-
-
-def _apply_decoupler(state: np.ndarray, gammas) -> np.ndarray:
-    """Apply sum_m |m><m|_Mhat (x) Gamma^m to the trailing (B, W, Mhat, L)
-    axes of a state tensor; output axes end with (W, Mhat, Wbreve)."""
-    prefix = state.shape[:-4]
-    dB, dW, T, L = state.shape[-4:]
-    dC = gammas[0].shape[0]
-    moved = np.moveaxis(state, -4, -2)  # (..., W, Mhat, B, L)
-    moved = moved.reshape(prefix + (dW, T, dB * L))
-    out = np.empty(prefix + (dW, T, dC), dtype=complex)
-    for m in range(T):
-        out[..., m, :] = moved[..., m, :] @ gammas[m].T
-    return out
-
-
-def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, tol: Tolerances):
-    """The decoupler Gamma^m, the EPR fidelity and the decoupling diagnostics.
-
-    Only the r = m = Mhat slices of the decoupled block meet the GHZ state:
-    with s = sum_m Gamma^m applied to slice m, a (dW^n x dC) matrix, the EPR
-    fidelity is ||s||^2 / T and the overlap with GHZ (x) theta_ref is
-    |<theta_ref, s>| / sqrt(T).
-    """
-    gammas, theta_ref = _decoupler_targets(code, V, decoded.branches, alpha, mode, tol)
-    T, L, dBn, dWn = decoded.branches.shape
-    # slice m is sqrt(Lam^{(m,l)}) outputs[m], row b*L + l as Gamma^m's input B^n Lhat
-    slices = np.matmul(decoded.roots.reshape(T, L, dBn, dBn), decoded.outputs[:, None])
-    s = (np.concatenate(gammas, axis=1) @ np.swapaxes(slices, 1, 2).reshape(T * dBn * L, dWn)).T
+        x = np.swapaxes(np.matmul(roots[m], decoded.outputs[m]), 0, 1).reshape(dBn * L, dWn)
+        y = np.conj(u @ (vh @ x.conj()))
+        s += y
+        gram = x.conj().T @ x
+        scale = float(np.max(np.abs(gram)))
+        deviation = float(np.max(np.abs(y.conj().T @ y - gram)))
+        defect = max(defect, deviation / scale if scale > 0.0 else deviation)
+        if block is not None:
+            _apply_decoupler(block, m, np.conj(u @ vh), out)
+        del u, vh, x, y  # one message's factors at a time
     fidelity = float(np.vdot(s, s).real) / T
-    overlap = min(abs(np.vdot(theta_ref, s)) / math.sqrt(T), 1.0)
+    overlap = min(abs(np.vdot(theta_ref.T, s)) / math.sqrt(T), 1.0)
     trace_dist = 2.0 * math.sqrt(max(1.0 - overlap**2, 0.0))
-    gamma_defect = max(
-        float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[1])))) for g in gammas
-    )
     diagnostics = {
         "traceDistanceGHZ": trace_dist,
         "targetOverlap": float(overlap),
-        "decouplerIsometryDefect": gamma_defect,
+        "decouplerIsometryDefect": defect,
         "mode": mode,
         "alpha": float(alpha),
     }
-    return gammas, fidelity, diagnostics
+    return fidelity, diagnostics, out
 
 
 def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL):
@@ -382,8 +417,7 @@ def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=No
     dWn = V.out_dim_w**n
     _check_eg_budget(T * T * dWn * T * _wbreve_dim(V.out_dim_b**n, dWn, L))
     decoded = _decode(code, V, povm, abstain, tol)
-    gammas, _, diagnostics = _decouple(code, V, decoded, alpha, mode, tol)
-    out = _apply_decoupler(decoded.diag, gammas)
+    _, diagnostics, out = _decouple(code, V, decoded, alpha, mode, tol, block=decoded.diag)
     state = np.zeros((T,) + out.shape, dtype=complex)
     state[np.arange(T), np.arange(T)] = out
     return state, diagnostics
@@ -422,7 +456,7 @@ def eliminate_assistance(code: EGToyCode, V: StinespringIsometry, povm, abstain=
     """
     if alpha is None:
         alpha = float(np.mean(code.words))
-    _, fidelity, _ = _decouple(code, V, _decode(code, V, povm, abstain, tol), alpha, mode, tol)
+    fidelity, _, _ = _decouple(code, V, _decode(code, V, povm, abstain, tol), alpha, mode, tol)
     return 0, [fidelity] * code.T
 
 
@@ -440,7 +474,7 @@ def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha
     decoded = _decode(unphased, V, povm, abstain, tol)
     _, h, phase_diag = _phase_alignment(decoded.overlaps)
     aligned = replace(unphased, decode_phases=h)
-    _, fidelity, dec_diag = _decouple(aligned, V, decoded, alpha, mode, tol)
+    fidelity, dec_diag, _ = _decouple(aligned, V, decoded, alpha, mode, tol)
     tau_w = decoded.warden_state()
     _, omega0 = marginal_outputs(V, 0)
     _, omega1 = marginal_outputs(V, 1)
@@ -449,7 +483,7 @@ def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha
     classical = op.mean_word_product(code.words.reshape(-1, code.n), np.stack([omega0, omega1]))
     diagnostics = dict(phase_diag)
     diagnostics.update(dec_diag)
-    diagnostics["willieClassicalGap"] = op.trace_norm(tau_w - classical)
+    diagnostics["willieClassicalGap"] = op.trace_norm(tau_w - classical, tol)
     # every Fourier branch has the same fidelity (see eliminate_assistance)
     diagnostics["branchFidelities"] = [fidelity] * code.T
     diagnostics["meanBranchFidelity"] = fidelity

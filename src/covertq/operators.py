@@ -7,7 +7,9 @@ unit trace.  Everything here is a pure function; no shared mutable state.
 Stack contract: :func:`as_operator`, :func:`check_hermitian`,
 :func:`trace_norm`, :func:`support_projector` and :func:`support_contained`
 take a stack of square matrices of shape ``(..., d, d)`` and work on every
-element at once.  A 2-D input gives a ``float`` (``bool`` for
+element at once.  :func:`trace_norm` takes Hermitian input only (the trace
+distance of two states): it sums the absolute eigenvalues from ``eigvalsh``
+and raises ``NotHermitianError`` on anything else.  A 2-D input gives a ``float`` (``bool`` for
 ``support_contained``), a stacked input an array of shape ``(...)``.  A check
 that fails on a stack names the lowest failing element.
 :func:`word_products` and :func:`mean_word_product` take ``(..., K, n)``
@@ -289,10 +291,15 @@ def partial_trace_vector(vec, dims, keep) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def trace_norm(a):
-    """Schatten 1-norm: the sum of singular values, per stack element."""
-    m = as_operator(a)
-    return scalar_or_stack(np.sum(np.linalg.svd(m, compute_uv=False), axis=-1))
+def trace_norm(a, tol: Tolerances = DEFAULT_TOL):
+    """Schatten 1-norm of a Hermitian matrix, per stack element.
+
+    The sum of |eigenvalues|, which equals the sum of singular values for
+    Hermitian input.  ``eigvalsh`` reads one triangle only, so the input is
+    checked first and a non-Hermitian one raises ``NotHermitianError``.
+    """
+    m = check_hermitian(a, tol)
+    return scalar_or_stack(np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1))
 
 
 def sqrtm_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -309,7 +316,8 @@ def fidelity(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
     s = _single(as_operator(sigma))
     if r.shape != s.shape:
         raise DimMismatchError(f"dims {r.shape[0]} vs {s.shape[0]}")
-    val = trace_norm(sqrtm_psd(r, tol) @ sqrtm_psd(s, tol)) ** 2
+    # sqrt(rho) sqrt(sigma) is not Hermitian, so its singular values are summed
+    val = float(np.sum(np.linalg.svd(sqrtm_psd(r, tol) @ sqrtm_psd(s, tol), compute_uv=False))) ** 2
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -397,8 +405,13 @@ def canonical_purification(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     vals, vecs = np.linalg.eigh(m)
     vals = np.clip(vals, 0.0, None)
     dim = m.shape[0]
-    out = np.zeros(dim * dim, dtype=complex)
+    out = np.zeros((dim, dim), dtype=complex)
+    term = np.empty((dim, dim), dtype=complex)
+    # the entries of kron(vec, conj(vec)), scaled and summed in the same order
     for lam, vec in zip(vals, vecs.T):
         if lam > 0.0:
-            out += np.sqrt(lam) * np.kron(vec, vec.conj())
+            np.multiply.outer(vec, vec.conj(), out=term)
+            term *= np.sqrt(lam)
+            out += term
+    out = out.ravel()
     return out / np.linalg.norm(out)

@@ -7,6 +7,7 @@ import pytest
 
 from covertq import capacities as cap
 from covertq import channels as chn
+from covertq import covert_sim as cs
 from covertq import operators as op
 from covertq.cli import main
 
@@ -155,6 +156,18 @@ def test_simulate_deterministic(exc_spec, tmp_path):
     assert payload["decoder"]["averageError"] <= 1.0
     # JSON round-trips byte for byte
     assert json.dumps(payload, indent=2) + "\n" == a.read_text()
+
+
+def test_simulate_evaluates_the_bound_once(exc_spec, tmp_path, monkeypatch):
+    calls = []
+    rhs = cs.resolvability_rhs
+    monkeypatch.setattr(cs, "resolvability_rhs", lambda *args: calls.append(args) or rhs(*args))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", exc_spec, "--n", "6", "--gamma", "0.6", "--m", "2",
+                 "--l", "2", "--samples", "3", "-o", str(out)]) == 0
+    assert len(calls) == 1
+    payload = json.loads(out.read_text())
+    assert payload["resolvability"]["rhs"] == payload["covertness"]["resolvabilityRhs"]
 
 
 def test_simulate_budget(exc_spec, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -496,10 +497,19 @@ def ref_decoupled(code, V, povm, abstain, alpha, mode):
     tau = ref_protocol_state(code, V, povm, abstain)
     out = np.einsum("rmbwkl,kcbl->rmwkc", tau, np.array(gammas).reshape(T, dC, dBn, L))
     overlap = min(abs(sum(np.vdot(thetas[0], out[m, m, :, m, :]) for m in range(T))) / math.sqrt(T), 1.0)
+    # the decoupler's defect on the slice it meets: X_m rows (b, l), columns w;
+    # relative to the largest Gram entry unless the slice is zero
+    defects = []
+    for m in range(T):
+        x = np.moveaxis(tau[m, m, :, :, m, :], 1, 2).reshape(dBn * L, dWn)
+        y = gammas[m] @ x
+        gram = x.conj().T @ x
+        scale = np.max(np.abs(gram))
+        defects.append(float(np.max(np.abs(y.conj().T @ y - gram)) / (scale if scale > 0.0 else 1.0)))
     diagnostics = {
         "traceDistanceGHZ": 2.0 * math.sqrt(max(1.0 - overlap**2, 0.0)),
         "targetOverlap": overlap,
-        "decouplerIsometryDefect": max(float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[1])))) for g in gammas),
+        "decouplerIsometryDefect": max(defects),
         "mode": mode,
         "alpha": alpha,
     }
@@ -623,3 +633,46 @@ def test_warden_state_keeps_povm_completion_defect():
     complete = ref_warden_state(aligned, V, povm, np.eye(8) - sum(povm))
     assert np.max(np.abs(exact - complete)) > 1e-11
     np.testing.assert_allclose(eg.willie_marginal(aligned, V, povm, abstain), exact, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("case, mode", sorted(PINNED_REPORTS))
+def test_decoupler_defect_is_live(monkeypatch, case, mode):
+    # a decoupler that stretches its input by 1e-6 must show in the defect
+    factors = eg._uhlmann_factors
+
+    def stretched(psi_mat, theta_mat):
+        u, vh = factors(psi_mat, theta_mat)
+        return u * (1.0 + 1e-6), vh
+
+    monkeypatch.setattr(eg, "_uhlmann_factors", stretched)
+    code, V, povm, abstain, alpha = demo_setup() if case == "demo" else pinned_rotated_setup()
+    rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+    assert rep.perStepDiagnostics["decouplerIsometryDefect"] > 1e-7
+
+
+def bench_eg_setup(seed=42):
+    """The benchmark's eg input: excitation 0.1, T = 4, L = 3, n = 7, distinct words."""
+    T, L, n = 4, 3, 7
+    V = chn.stinespring_from_kraus(chn.excitation_channel(0.1))
+    quad = chn.build_covert_channel(V)
+    index = np.random.default_rng(seed).choice(2**n, T * L, replace=False)
+    words = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    code = eg.EGToyCode.from_words(words.reshape(T, L, n))
+    alpha = float(np.mean(code.words))
+    a = 0.5 * alpha * n * dv.qre(quad.sigma1, quad.sigma0)
+    povm, abstain = cs.square_root_povm(list(words), quad.sigma0, quad.sigma1, a)
+    return code, V, povm, abstain, alpha
+
+
+@pytest.mark.parametrize("mode", ["paper-target", "self-target"])
+def test_eg_report_memory_bound(mode):
+    # each Gamma^m is 384 x 384 here; holding all four and their 384 x 1536
+    # concatenation took the peak to 32.5 MiB
+    code, V, povm, abstain, alpha = bench_eg_setup()
+    tracemalloc.start()
+    try:
+        eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * 2**20

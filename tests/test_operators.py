@@ -121,6 +121,26 @@ def test_trace_norm():
     assert op.trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_trace_norm_matches_svd_on_hermitian_stacks(d):
+    rng = np.random.default_rng(d)
+    g = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    h = g + op.dagger(g)
+    h[0] = h[0] @ h[0]  # positive semidefinite
+    h[1, :, 0] = h[1, 0, :] = 0.0  # singular
+    want = np.sum(np.linalg.svd(h, compute_uv=False), axis=-1)
+    np.testing.assert_allclose(op.trace_norm(h), want, rtol=0, atol=1e-12)
+    assert op.trace_norm(h[2]) == pytest.approx(want[2], abs=1e-12)
+
+
+def test_trace_norm_rejects_non_hermitian():
+    # eigvalsh would read one triangle of this and return 0
+    with pytest.raises(NotHermitianError):
+        op.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitianError, match="stack element 1"):
+        op.trace_norm(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+
+
 def test_fidelity():
     rng = np.random.default_rng(6)
     rho = random_density(rng, 2)
@@ -275,3 +295,32 @@ def test_mean_word_product_matches_kron_chain(case):
     flat = words.reshape(-1, *words.shape[-2:])
     want = np.stack([kron_chain_mean(group, table) for group in flat]).reshape(got.shape)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def kron_loop_purification(rho):
+    """canonical_purification as one np.kron per eigenvector."""
+    vals, vecs = np.linalg.eigh(rho)
+    vals = np.clip(vals, 0.0, None)
+    out = np.zeros(rho.shape[0] ** 2, dtype=complex)
+    for lam, vec in zip(vals, vecs.T):
+        if lam > 0.0:
+            out += np.sqrt(lam) * np.kron(vec, vec.conj())
+    return out / np.linalg.norm(out)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "degenerate"])
+def test_canonical_purification_matches_kron_loop(d, kind):
+    rng = np.random.default_rng(100 + d)
+    if kind == "full-rank":
+        rho = random_density(rng, d)
+    elif kind == "rank-deficient":
+        g = rng.normal(size=(d, 1)) + 1j * rng.normal(size=(d, 1))
+        rho = g @ g.conj().T + (d > 2) * np.diag(np.r_[1.0, np.zeros(d - 1)])
+        rho /= np.trace(rho).real
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        spectrum = np.r_[np.full(d - d // 2, 2.0), np.full(d // 2, 1.0)]
+        rho = (q * spectrum) @ q.conj().T
+        rho /= np.trace(rho).real
+    assert np.array_equal(op.canonical_purification(rho), kron_loop_purification(rho))
