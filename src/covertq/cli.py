@@ -132,21 +132,7 @@ def cmd_simulate(args) -> int:
     params = {
         "n": args.n, "gamma": args.gamma, "alpha": cfg.alpha, "m": args.m,
         "l": args.l, "samples": args.samples,
-        "commutingFastPath": args.commuting_fast_path,
     }
-    if args.commuting_fast_path:
-        # covertness-only scalar study, no dense n-fold states
-        values, target = cs.covertness_scaling(quad, args.gamma, [args.n])
-        payload = {
-            "config": params,
-            "covertness": {
-                "dReference": values[0][1],
-                "quadraticTarget": target,
-                "resolvabilityRhs": cs.resolvability_rhs(cfg, quad),
-            },
-        }
-        _emit_json(payload, args.out, "simulate", spec, params, args.seed)
-        return EXIT_OK
     cb = cs.sample_codebook(cfg)
     cov = cs.covertness_report(cb, quad, cfg)
     sec = cs.secrecy_report(cb, quad, cfg)
@@ -244,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--commuting-fast-path", action="store_true",
-                   help="scalar covertness-only study for large n")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_simulate)
 

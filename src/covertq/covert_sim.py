@@ -7,12 +7,20 @@ built from it are diagonal in the product of their shared eigenbasis and are
 computed on probability vectors; otherwise on dense matrices.  Either way the
 n-fold dimension must fit a configurable cap.
 
-Every codebook average (the warden state, covertness, the secrecy bins and the
+For the warden pair that choice is made once per report, by
+``_warden_route``: it returns the single-letter table (eigenvalue vectors or
+matrices) with the distance, divergence and dense lift that match it, and
+everything else is one body for both routes.  Every n-fold reference is a
+``operators.word_products`` kron chain of a table letter, and every codebook
+average (the warden state, covertness, the secrecy bins and the
 resolvability samples) goes through ``operators.mean_word_product``: the
 words are counted by their 2**n binary index and the counts are contracted
-with the single-letter table one position at a time, which costs
-O(n d**n) per codebook for any number of words K (d**(2n) on the dense
-route), and holds one codebook's d**n average at a time.
+with the table one position at a time, which costs O(n d**n) per codebook
+for any number of words K (d**(2n) on the dense route), and holds one
+codebook's or one bin's d**n average at a time.  The decoder and
+``square_root_povm`` keep two algorithms, as the pinched threshold
+projectors of a non-commuting pair are not diagonal in any product basis;
+their dense route builds one word's product state at a time.
 
 Randomness uses the counter-based Philox generator keyed by
 ``(seed, sample_index)``; within one codebook the bits are drawn in a fixed
@@ -24,7 +32,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -138,11 +147,7 @@ def otp_encode(m: int, m2: int, k: int, cb: Codebook) -> np.ndarray:
 
 def product_state(word, state0, state1) -> np.ndarray:
     """Tensor product with the factor chosen per bit of ``word``."""
-    states = (np.asarray(state0, dtype=complex), np.asarray(state1, dtype=complex))
-    out = states[int(word[0])]
-    for bit in word[1:]:
-        out = np.kron(out, states[int(bit)])
-    return out
+    return op.word_products(word, np.stack([state0, state1]).astype(complex))
 
 
 def shared_eigenbasis(a, b, tol: Tolerances = DEFAULT_TOL):
@@ -173,41 +178,51 @@ def shared_eigenbasis(a, b, tol: Tolerances = DEFAULT_TOL):
     return np.hstack(cols), np.array(pa), np.array(pb)
 
 
-def _word_distributions(words, p0, p1) -> np.ndarray:
-    """Row-wise kron products: the joint eigenvalue distribution of each word.
-
-    ``words`` is a (K, n) bit array; row k of the (K, d**n) result is
-    p_{w_1} (x) ... (x) p_{w_n} for the k-th word.
-    """
-    return op.word_products(words, np.stack([p0, p1]))
+def _power(letter, n: int) -> np.ndarray:
+    """n-fold kron power of one single-letter table entry."""
+    return op.word_products(np.zeros(n, dtype=np.uint8), letter[None])
 
 
-def _power(p, n: int) -> np.ndarray:
-    """n-fold kron power of a probability vector."""
-    return op.word_products(np.zeros((1, n), dtype=np.uint8), np.stack([p, p]))[0]
+def _mixed_reference(table, alpha: float, n: int) -> np.ndarray:
+    """n-fold power of the mixed letter (1 - alpha) table[0] + alpha table[1]."""
+    return _power((1.0 - alpha) * table[0] + alpha * table[1], n)
 
 
 def _l1(diff) -> np.ndarray:
     return np.sum(np.abs(diff), axis=-1)
 
 
-def _check_average_budget(d: int, n: int) -> None:
-    """Charge a codebook average over n-letter words with d-dimensional letters:
-    its d**n result and the 2**n word counts of ``op.mean_word_product``."""
-    check_budget(max(d, 2) ** n)
+def _warden_route(ch: BinaryCovertChannel, n: int, tol: Tolerances):
+    """The one choice of how the warden's n-letter quantities are computed.
+
+    Charges the budget of a codebook average over n-letter words (its d**n
+    result and the 2**n word counts of ``op.mean_word_product``), then
+    returns ``(table, distance, divergence, lift)``.  When omega0 and omega1
+    commute, ``table`` holds their (2, d) eigenvalue vectors in the shared
+    eigenbasis, so every n-fold quantity is a probability vector:
+    ``distance`` is the l1 norm, ``divergence`` the classical relative
+    entropy and ``lift`` rotates a vector back to a dense matrix.  Otherwise
+    ``table`` holds the (2, d, d) complex matrices themselves, ``distance``
+    is the trace norm, ``divergence`` Umegaki's and ``lift`` the identity.
+    """
+    check_budget(max(ch.omega0.shape[0], 2) ** n)
+    basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
+    if basis is None:
+        table = np.stack([ch.omega0, ch.omega1]).astype(complex)
+        return table, partial(op.trace_norm, tol=tol), partial(dv.qre, tol=tol), lambda x: x
+    U, p0, p1 = basis
+
+    def lift(diag):
+        Un = op.tensor_power(U, n)
+        return (Un * diag) @ Un.conj().T
+
+    return np.stack([p0, p1]), _l1, partial(dv.qre_commuting, tol=tol), lift
 
 
 def _average_state(words, ch: BinaryCovertChannel, tol: Tolerances) -> np.ndarray:
     """Dense warden state averaged uniformly over the (K, n) ``words``."""
-    n = words.shape[1]
-    _check_average_budget(ch.omega0.shape[0], n)
-    basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
-    if basis is not None:
-        U, p0, p1 = basis
-        diag = op.mean_word_product(words, np.stack([p0, p1]))
-        Un = op.tensor_power(U, n)
-        return (Un * diag) @ Un.conj().T
-    return op.mean_word_product(words, np.stack([ch.omega0, ch.omega1]).astype(complex))
+    table, _, _, lift = _warden_route(ch, words.shape[1], tol)
+    return lift(op.mean_word_product(words, table))
 
 
 def willie_average_state(cb: Codebook, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -260,21 +275,12 @@ def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel, tol: Toleranc
     """Trace distance of the codebook-average state to the mixed reference,
     for ``cfg.samples`` independently seeded codebooks, one codebook in
     memory at a time."""
-    _check_average_budget(ch.omega0.shape[0], cfg.n)
-    basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
+    table, distance, _, _ = _warden_route(ch, cfg.n, tol)
+    target = _mixed_reference(table, cfg.alpha, cfg.n)
     distances = np.empty(cfg.samples)
-    if basis is not None:
-        _, p0, p1 = basis
-        table = np.stack([p0, p1])
-        target = _power((1.0 - cfg.alpha) * p0 + cfg.alpha * p1, cfg.n)
-        for i in range(cfg.samples):
-            words = sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
-            distances[i] = _l1(op.mean_word_product(words, table) - target)
-        return distances
-    target = op.tensor_power(mixed_output(ch, cfg.alpha), cfg.n)
     for i in range(cfg.samples):
         words = sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
-        distances[i] = op.trace_norm(_average_state(words, ch, tol) - target, tol)
+        distances[i] = distance(op.mean_word_product(words, table) - target)
     return distances
 
 
@@ -298,40 +304,17 @@ def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Toler
     return mean, rhs, mean <= rhs + 3.0 * se
 
 
-def _warden_vectors(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances):
-    """Per-bin average distributions (one row per message), n-fold innocent and
-    mixed references, all in the shared eigenbasis of the warden outputs; None
-    when they do not commute."""
-    _check_average_budget(ch.omega0.shape[0], cb.n)
-    basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
-    if basis is None:
-        return None
-    _, p0, p1 = basis
-    bins = op.mean_word_product(cb.words, np.stack([p0, p1]))
-    mixed = _power((1.0 - cfg.alpha) * p0 + cfg.alpha * p1, cb.n)
-    return bins, _power(p0, cb.n), mixed
-
-
 def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> CovertnessReport:
-    """Covertness metrics of one codebook against the innocent reference.
-
-    When the warden outputs commute every metric is classical on the joint
-    eigenvalue distributions; otherwise dense n-fold states are formed.
-    """
-    vectors = _warden_vectors(cb, ch, cfg, tol)
-    if vectors is not None:
-        bins, ref0, mixed = vectors
-        avg = bins.mean(axis=0)  # the bins are equal-size
-        d_covert = dv.qre_commuting(avg, ref0, tol)
-        trace_dist = float(_l1(avg - mixed))
-        helstrom = 0.5 * (1.0 - 0.5 * float(_l1(avg - ref0)))
-    else:
-        avg = willie_average_state(cb, ch, tol)
-        ref0 = op.tensor_power(ch.omega0, cb.n)
-        mixed = op.tensor_power(mixed_output(ch, cfg.alpha), cb.n)
-        d_covert = dv.qre(avg, ref0, tol)
-        trace_dist = op.trace_norm(avg - mixed, tol)
-        helstrom = dv.helstrom_error(avg, ref0, tol)
+    """Covertness metrics of one codebook against the innocent reference,
+    on the warden route of :func:`_warden_route`."""
+    table, distance, divergence, _ = _warden_route(ch, cb.n, tol)
+    # the mean of the equal-size bins' averages, one bin at a time
+    avg = sum(op.mean_word_product(words, table) for words in cb.words) / cb.m_size
+    ref0 = _power(table[0], cb.n)
+    mixed = _mixed_reference(table, cfg.alpha, cb.n)
+    d_covert = divergence(avg, ref0)
+    trace_dist = float(distance(avg - mixed))
+    helstrom = 0.5 * (1.0 - 0.5 * float(distance(avg - ref0)))
     d_reference = cb.n * dv.qre(mixed_output(ch, cfg.alpha), ch.omega0, tol)
     pinsker_lb = 0.5 * (1.0 - math.sqrt(0.5 * d_covert)) if math.isfinite(d_covert) else 0.0
     return CovertnessReport(
@@ -346,16 +329,10 @@ def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol
 
 def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> SecrecyReport:
     """Per-bin trace distances to the mixed reference and their mean."""
-    vectors = _warden_vectors(cb, ch, cfg, tol)
-    if vectors is not None:
-        bins, _, mixed = vectors
-        dists = tuple(float(d) for d in _l1(bins - mixed))
-    else:
-        mixed = op.tensor_power(mixed_output(ch, cfg.alpha), cb.n)
-        dists = tuple(
-            op.trace_norm(willie_bin_state(cb, ch, m, tol) - mixed, tol)
-            for m in range(cb.m_size)
-        )
+    table, distance, _, _ = _warden_route(ch, cb.n, tol)
+    mixed = _mixed_reference(table, cfg.alpha, cb.n)
+    # one bin's average at a time, dropped as soon as its distance is taken
+    dists = tuple(float(distance(op.mean_word_product(words, table) - mixed)) for words in cb.words)
     return SecrecyReport(perBinDistances=dists, averageLeakage=float(np.mean(dists)))
 
 
@@ -395,7 +372,7 @@ def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances 
     basis = shared_eigenbasis(sigma0, sigma1, tol)
     if basis is not None:
         U, s0, s1 = basis
-        weights = _srm_weights(_word_distributions(words, s0, s1), _power(s0, n), a_threshold, tol)
+        weights = _srm_weights(op.word_products(words, np.stack([s0, s1])), _power(s0, n), a_threshold, tol)
         Un = op.tensor_power(U, n)
         elements = [(Un * w) @ Un.conj().T for w in weights]
         return elements, np.eye(Un.shape[0]) - sum(elements)
@@ -433,7 +410,7 @@ def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConf
     basis = shared_eigenbasis(ch.sigma0, ch.sigma1, tol)
     if basis is not None:
         _, s0, s1 = basis
-        sigs = _word_distributions(words, s0, s1)
+        sigs = op.word_products(words, np.stack([s0, s1]))
         p_ok = np.sum(sigs * _srm_weights(sigs, _power(s0, cb.n), a, tol), axis=1)
     else:
         elements, _ = square_root_povm(list(words), ch.sigma0, ch.sigma1, a, tol)

@@ -32,8 +32,8 @@ block because they return it.
 The decoupler runs one message at a time in factored form: Gamma^m =
 conj(u vh) from the SVD of K = theta^dag psi_m is applied to the decoded
 slice X_m as conj(u (vh conj(X_m))), and u, vh are dropped before the next
-message, so ``eg_report`` never forms a Gamma^m (``decoupling_decoder``
-forms each from the same factors, as it returns the whole block).  Its
+message, so no Gamma^m is ever formed (``decoupling_decoder`` applies the
+same factors to every R slice, as it returns the whole block).  Its
 ``decouplerIsometryDefect`` is measured on that input: the largest
 max|Y_m^dag Y_m - X_m^dag X_m| relative to max|X_m^dag X_m|, with Y_m the
 decoupled slice.  The SVD itself sees the same K bit for bit as before:
@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -118,16 +117,12 @@ def exact_string_povm(words, dim_b: int = 2):
     All words must be distinct; the remainder I - sum of projectors is the
     abstain element.
     """
-    words = [tuple(int(b) for b in w) for w in words]
-    if len(set(words)) != len(words):
+    index = op.word_index(words, dim_b)
+    if len(np.unique(index)) != len(index):
         raise DuplicateWordError("exact string POVM needs distinct words")
-    n = len(words[0])
-    dim = dim_b**n
+    dim = dim_b ** np.shape(words)[-1]
     elements = []
-    for w in words:
-        idx = 0
-        for b in w:
-            idx = idx * dim_b + b
+    for idx in index:
         proj = np.zeros((dim, dim), dtype=complex)
         proj[idx, idx] = 1.0
         elements.append(proj)
@@ -139,25 +134,13 @@ def build_quantum_codewords(code: EGToyCode) -> list[np.ndarray]:
     """Codeword superpositions |phi_m> on the n-qubit input space."""
     states = []
     for m in range(code.T):
-        strings = [tuple(int(b) for b in w) for w in code.words[m]]
-        if len(set(strings)) != len(strings):
+        index = op.word_index(code.words[m])
+        if len(np.unique(index)) != len(index):
             raise DuplicateWordError(f"repeated classical word within message {m}")
         vec = np.zeros(2**code.n, dtype=complex)
-        for l, w in enumerate(strings):
-            idx = int("".join(map(str, w)), 2)
-            vec[idx] += np.exp(1j * code.encode_phases[m, l])
+        vec[index] = np.exp(1j * code.encode_phases[m])
         states.append(vec / math.sqrt(code.l_size))
     return states
-
-
-def _channel_word_matrix(word, V: StinespringIsometry) -> np.ndarray:
-    """Channel output of a basis string as a (dB^n x dW^n) matrix.
-
-    Row index enumerates B^n, column index W^n; the vectorization of this
-    matrix is V^{(x)n}|x^n> in B-major order.
-    """
-    factors = [V.V[:, int(b)].reshape(V.out_dim_b, V.out_dim_w) for b in word]
-    return reduce(np.kron, factors)
 
 
 def _completed_povm(povm, abstain, tol: Tolerances):
@@ -224,9 +207,8 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, tol: Toleran
     sqrts = np.empty((len(elements),) + elements[0].shape, dtype=complex)
     for k, e in enumerate(elements):
         sqrts[k] = op.sqrtm_psd(e, tol)
-    chis = np.empty((T * L, dBn, dWn), dtype=complex)
-    for k, w in enumerate(code.words.reshape(T * L, n)):
-        chis[k] = _channel_word_matrix(w, V)
+    # chi_k = V^{(x)n}|x^n> as a (dB^n x dW^n) matrix, B^n the row index
+    chis = op.word_products(code.words.reshape(T * L, n), V.V.T.reshape(V.in_dim, V.out_dim_b, V.out_dim_w))
     overlaps = np.array([np.vdot(chi, root @ chi) for root, chi in zip(sqrts, chis)]).reshape(T, L)
     branches = chis.reshape(T, L, dBn, dWn)
     amp = np.exp(1j * code.encode_phases) / math.sqrt(T * L)
@@ -343,13 +325,6 @@ def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha,
         yield m, theta, _uhlmann_factors(psi, theta)
 
 
-def _apply_decoupler(state: np.ndarray, m: int, gamma: np.ndarray, out: np.ndarray) -> None:
-    """Write Gamma^m applied to the Mhat = m part of the trailing (B, W, Mhat, L)
-    axes of a state tensor into ``out[..., m, :]``, axes (..., W, Mhat, Wbreve)."""
-    moved = np.moveaxis(state[..., m, :], -3, -2)  # (..., W, B, L)
-    out[..., m, :] = moved.reshape(moved.shape[:-2] + (-1,)) @ gamma.T
-
-
 def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, tol: Tolerances, block=None):
     """The EPR fidelity and the decoupling diagnostics, one message at a time.
 
@@ -365,9 +340,9 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     reported fidelity.
 
     With ``block`` (the decoded R = M diagonal, axes (R, B^n, W^n, Mhat,
-    Lhat)) each Gamma^m is also formed from the same factors and applied to
-    it; the third result is then the decoupled block, axes (R, W^n, Mhat,
-    Wbreve), else None.
+    Lhat)) the same factored Gamma^m is also applied to every R slice of its
+    Mhat = m part; the third result is then the decoupled block, axes (R,
+    W^n, Mhat, Wbreve), else None.
     """
     T, L, dBn, dWn = decoded.branches.shape
     dC = _wbreve_dim(dBn, dWn, L)
@@ -387,7 +362,9 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
         deviation = float(np.max(np.abs(y.conj().T @ y - gram)))
         defect = max(defect, deviation / scale if scale > 0.0 else deviation)
         if block is not None:
-            _apply_decoupler(block, m, np.conj(u @ vh), out)
+            # every R slice of Mhat = m, as (R, dB^n L, dW^n) matrices like x
+            xs = np.swapaxes(block[..., m, :], -2, -1).reshape(-1, dBn * L, dWn)
+            out[:, :, m, :] = np.swapaxes(np.conj(u @ (vh @ xs.conj())), -2, -1)
         del u, vh, x, y  # one message's factors at a time
     fidelity = float(np.vdot(s, s).real) / T
     overlap = min(abs(np.vdot(theta_ref.T, s)) / math.sqrt(T), 1.0)

@@ -12,9 +12,9 @@ distance of two states): it sums the absolute eigenvalues from ``eigvalsh``
 and raises ``NotHermitianError`` on anything else.  A 2-D input gives a ``float`` (``bool`` for
 ``support_contained``), a stacked input an array of shape ``(...)``.  A check
 that fails on a stack names the lowest failing element.
-:func:`word_products` and :func:`mean_word_product` take ``(..., K, n)``
-stacks of binary words.  Every other function here takes single matrices
-only.
+:func:`word_products` and :func:`word_index` take ``(..., n)`` stacks of
+words and :func:`mean_word_product` ``(..., K, n)`` stacks.  Every other
+function here takes single matrices only.
 """
 
 from __future__ import annotations
@@ -180,26 +180,41 @@ def tensor_power(op, n: int) -> np.ndarray:
     if n < 0:
         raise InvalidParameterError(f"tensor power needs n >= 0, got {n}")
     m = _single(as_operator(op))
-    out = m if n else np.eye(1, dtype=complex)
-    for _ in range(n - 1):
-        out = np.kron(out, m)
-    return out
+    return word_products(np.zeros(n, dtype=np.uint8), m[None])
+
+
+def word_index(words, base: int = 2) -> np.ndarray:
+    """Index of each ``(..., n)`` word in the product basis of ``base``-level
+    letters, first letter most significant."""
+    words = np.asarray(words).astype(np.intp)
+    return words @ (base ** np.arange(words.shape[-1] - 1, -1, -1, dtype=np.intp))
 
 
 def word_products(words, table) -> np.ndarray:
-    """Row-wise kron products of probability vectors, one per word.
+    """Kronecker products of ``table`` rows, one per word: the n-fold kron chain.
 
-    ``words`` is a ``(..., K, n)`` bit array and ``table`` a ``(2, d)`` pair
-    of vectors; entry ``[..., k, :]`` of the ``(..., K, d**n)`` result is
-    table[w_1] (x) ... (x) table[w_n] for the k-th word, built with one
-    broadcast product per position.
+    ``words`` is a ``(..., n)`` array of letters, each indexing the first axis
+    of ``table``: a ``(2, d)`` pair of vectors (more rows for larger
+    alphabets) gives a ``(..., d**n)`` result, a ``(2, r, c)`` pair of
+    matrices, square or not, gives ``(..., r**n, c**n)``.  Entry ``[...]``
+    is table[w_1] (x) ... (x) table[w_n], built left to right with one
+    broadcast product per position, so it equals ``reduce(np.kron, ...)``
+    entry for entry; for n = 0 it is the all-ones ``(..., 1)`` or
+    ``(..., 1, 1)`` array.
     """
     words = np.asarray(words)
     table = np.asarray(table)
-    rows = words.shape[:-1]
-    out = np.ones(rows + (1,))
-    for i in range(words.shape[-1]):
-        out = (out[..., :, None] * table[words[..., i]][..., None, :]).reshape(rows + (-1,))
+    rows, n = words.shape[:-1], words.shape[-1]
+    if n == 0:
+        return np.ones(rows + (1,) * (table.ndim - 1), dtype=table.dtype)
+    out = table[words[..., 0]]
+    for i in range(1, n):
+        letter = table[words[..., i]]
+        if table.ndim == 2:
+            out = (out[..., :, None] * letter[..., None, :]).reshape(rows + (-1,))
+        else:
+            side = out.shape[-2] * letter.shape[-2]
+            out = (out[..., :, None, :, None] * letter[..., None, :, None, :]).reshape(rows + (side, -1))
     return out
 
 
@@ -211,21 +226,21 @@ def mean_word_product(words, table) -> np.ndarray:
     for matrices, giving ``(..., d**n, d**n)``; entry ``[...]`` is
     (1/K) sum_k table[w_k1] (x) ... (x) table[w_kn].
 
-    The words are counted by their binary index (first position most
-    significant) into 2**n frequencies, and that count tensor is contracted
-    with the table one position at a time, one matrix product per position:
-    about n max(d, 2)**n multiplies for vectors and d**(2n) for matrices
-    whatever K is, with no temporary larger than the result.  The count
-    vector holds 2**n floats per leading index, so callers charge
-    ``max(d, 2)**n`` to their budget.
+    The words are counted by their :func:`word_index` into 2**n
+    frequencies, and that count tensor is contracted with the table one
+    position at a time, one matrix product per position: about
+    n max(d, 2)**n multiplies for vectors and d**(2n) for matrices whatever
+    K is, with no temporary larger than the result.  The count vector holds
+    2**n floats per leading index, so callers charge ``max(d, 2)**n`` to
+    their budget.
     """
     words = np.asarray(words)
     table = np.asarray(table)
     k_size, n = words.shape[-2:]
     batch = words.shape[:-2]
-    flat = words.reshape(-1, k_size, n).astype(np.intp)
+    flat = words.reshape(-1, k_size, n)
     groups = flat.shape[0]
-    index = flat @ (1 << np.arange(n - 1, -1, -1)) + (np.arange(groups) << n)[:, None]
+    index = word_index(flat) + (np.arange(groups) << n)[:, None]
     out = np.bincount(index.ravel(), minlength=groups << n) / k_size
     # contract the leading position; its letter's factor axis goes last
     step = table.reshape(2, -1)

@@ -1,8 +1,10 @@
-"""The benchmark's `eg` and `sweep` studies with their checks and oracles.
+"""The benchmark's studies with their checks and oracles, and its tracer's names.
 
-`bench/workloads.py` is imported as it is; its `eg` oracle compares the EG
-fidelity with `bench/references.json` at seeds 42 and 7, so a change that
-moves that fidelity fails here and not only in the benchmark.
+`bench/workloads.py` is imported as it is.  Its `eg` and `simulate` oracles
+compare with `bench/references.json` at seeds 42 and 7, and its `resolve`
+oracle recomputes each commuting-route distance densely, so a change that
+moves those numbers fails here and not only in the benchmark.
+`bench/spans.py` must find every function it traces.
 """
 
 import importlib.util
@@ -11,12 +13,11 @@ from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no cache files in the benchmark's tree
@@ -25,6 +26,11 @@ def workloads():
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_bench("workloads")
 
 
 def run_study(study, seed, tmp_path):
@@ -40,7 +46,32 @@ def test_eg_study(workloads, seed, tmp_path):
     assert errors == []
 
 
+@pytest.mark.parametrize("seed", [42, 7])
+def test_resolve_study(workloads, seed, tmp_path):
+    _, errors = run_study(workloads.Resolve(), seed, tmp_path)
+    assert errors == []
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_simulate_study(workloads, seed, tmp_path):
+    assert workloads.recorded_reference("simulate", seed) is not None
+    _, errors = run_study(workloads.Simulate(), seed, tmp_path)
+    assert errors == []
+
+
 def test_sweep_study(workloads, tmp_path):
     value, errors = run_study(workloads.Sweep(), 0, tmp_path)
     assert errors == []
     assert len(value) == workloads.Sweep.steps
+
+
+def test_traced_functions_exist():
+    # Tracer.install looks up every traced name with getattr
+    spans = load_bench("spans")
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fns in spans.TRACED.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"covertq.{mod}"), fn, None))
+    ]
+    assert missing == []

@@ -185,12 +185,12 @@ def test_simulate_rejects_nonpositive_samples(exc_spec, tmp_path, capsys, sample
     assert not out.exists()
 
 
-def test_simulate_fast_path(exc_spec, capsys):
-    assert main(["simulate", exc_spec, "--n", "100", "--gamma", "0.7",
-                 "--m", "16", "--l", "16", "--commuting-fast-path"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    target = payload["covertness"]["quadraticTarget"]
-    assert payload["covertness"]["dReference"] == pytest.approx(target, rel=0.1)
+def test_simulate_has_no_fast_path_flag(exc_spec, capsys):
+    # the route is chosen automatically; the scalar study is covertness_scaling
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", exc_spec, "--n", "6", "--gamma", "0.7", "--commuting-fast-path"])
+    assert exc.value.code == 2
+    assert "--commuting-fast-path" in capsys.readouterr().err
 
 
 def test_egdemo(exc_spec, tmp_path):

@@ -433,8 +433,8 @@ def test_square_root_povm_budget(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("n-fold operator built before the budget check")
 
-    for module, name in ((cs, "product_state"), (cs, "_word_distributions"), (op, "tensor_power")):
-        monkeypatch.setattr(module, name, no_allocation)
+    for name in ("word_products", "mean_word_product"):
+        monkeypatch.setattr(op, name, no_allocation)
     quad = excitation_quadruple()
     for sigma0, sigma1 in ((quad.sigma0, quad.sigma1), (np.array([[0.7, 0.2], [0.2, 0.3]]), np.array([[0.4, 0.1], [0.1, 0.6]]))):
         with pytest.raises(BudgetExceededError):
@@ -488,11 +488,14 @@ def test_codebook_averages_skip_per_word_products(monkeypatch, make_quad):
     ]
     want_res = dense_resolvability(cfg, quad)
 
-    def per_word(*args, **kwargs):
-        raise AssertionError("codebook average built from per-word products")
+    one_word_products = op.word_products
 
-    monkeypatch.setattr(cs, "_word_distributions", per_word)
-    monkeypatch.setattr(cs, "product_state", per_word)
+    def one_word(words, table):
+        # the n-fold references are single words; a codebook is not
+        assert np.ndim(words) == 1, "codebook average built from per-word products"
+        return one_word_products(words, table)
+
+    monkeypatch.setattr(op, "word_products", one_word)
     np.testing.assert_allclose(cs.willie_average_state(cb, quad), want_avg, atol=1e-12)
     np.testing.assert_allclose(cs.secrecy_report(cb, quad, cfg).perBinDistances, want_bins, atol=1e-10)
     cov = cs.covertness_report(cb, quad, cfg)

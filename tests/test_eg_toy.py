@@ -573,7 +573,7 @@ def test_eg_report_reads_only_the_matched_slices(monkeypatch, case, mode):
     def forbidden(*args, **kwargs):
         raise AssertionError("eg_report formed the full decoupled block")
 
-    monkeypatch.setattr(eg, "_apply_decoupler", forbidden)
+    monkeypatch.setattr(eg._Decoded, "diag", property(forbidden))
     monkeypatch.setattr(op, "partial_trace_vector", forbidden)
     code, V, povm, abstain, alpha = demo_setup() if case == "demo" else pinned_rotated_setup()
     rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)

@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 
 import numpy as np
@@ -295,6 +296,39 @@ def test_mean_word_product_matches_kron_chain(case):
     flat = words.reshape(-1, *words.shape[-2:])
     want = np.stack([kron_chain_mean(group, table) for group in flat]).reshape(got.shape)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def word_product_table(kind, rng):
+    if kind == "real-vector":
+        return rng.normal(size=(2, 3))
+    shape = (2, 2, 2) if kind == "complex-square" else (2, 2, 3)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def kron_chain(word, table):
+    letters = [table[b] for b in word]
+    return reduce(np.kron, letters) if letters else np.ones((1,) * (table.ndim - 1))
+
+
+@pytest.mark.parametrize("kind", ["real-vector", "complex-square", "complex-rectangular"])
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+def test_word_products_equal_kron_chain(kind, n, batch):
+    rng = np.random.default_rng(n + 10 * len(batch))
+    table = word_product_table(kind, rng)
+    words = rng.integers(0, 2, size=batch + (n,), dtype=np.uint8)
+    got = op.word_products(words, table)
+    want = np.stack([kron_chain(word, table) for word in words.reshape(math.prod(batch), n)])
+    assert got.shape == batch + want.shape[1:]
+    assert got.dtype == table.dtype
+    assert np.array_equal(got.reshape(want.shape), want)
+
+
+def test_word_index_first_letter_most_significant():
+    words = np.array([[0, 0, 1], [1, 0, 0], [2, 1, 0]])
+    assert op.word_index(words[:2]).tolist() == [1, 4]
+    assert op.word_index(words, 3).tolist() == [1, 9, 21]
+    assert op.word_index(np.zeros((2, 0), dtype=np.uint8)).tolist() == [0, 0]
 
 
 def kron_loop_purification(rho):
