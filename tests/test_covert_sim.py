@@ -488,19 +488,34 @@ def test_codebook_averages_skip_per_word_products(monkeypatch, make_quad):
     ]
     want_res = dense_resolvability(cfg, quad)
 
+    def per_word(*args, **kwargs):
+        raise AssertionError("codebook average built from per-word products")
+
     one_word_products = op.word_products
+    calls = []
 
     def one_word(words, table):
         # the n-fold references are single words; a codebook is not
         assert np.ndim(words) == 1, "codebook average built from per-word products"
+        calls.append(words)
         return one_word_products(words, table)
 
+    def counted(report, *args):
+        calls.clear()
+        out = report(*args)
+        # a few references per report, not one product per codeword
+        assert len(calls) <= 2 < cb.m_size * cb.l_size
+        return out
+
+    monkeypatch.setattr(cs, "product_state", per_word)
     monkeypatch.setattr(op, "word_products", one_word)
-    np.testing.assert_allclose(cs.willie_average_state(cb, quad), want_avg, atol=1e-12)
-    np.testing.assert_allclose(cs.secrecy_report(cb, quad, cfg).perBinDistances, want_bins, atol=1e-10)
-    cov = cs.covertness_report(cb, quad, cfg)
+    avg = counted(cs.willie_average_state, cb, quad)
+    np.testing.assert_allclose(avg, want_avg, atol=1e-12)
+    sec = counted(cs.secrecy_report, cb, quad, cfg)
+    np.testing.assert_allclose(sec.perBinDistances, want_bins, atol=1e-10)
+    cov = counted(cs.covertness_report, cb, quad, cfg)
     assert cov.traceDistToMixed == pytest.approx(dense_trace_norm(want_avg - mixed), abs=1e-10)
-    np.testing.assert_allclose(cs.resolvability_samples(cfg, quad), want_res, atol=1e-10)
+    np.testing.assert_allclose(counted(cs.resolvability_samples, cfg, quad), want_res, atol=1e-10)
 
 
 def test_resolvability_memory_independent_of_codebook_size(monkeypatch):
