@@ -20,12 +20,8 @@ import numpy as np
 
 from . import operators as op
 from .errors import (
-    AssumptionViolationError,
-    DimMismatchError,
-    IndexOutOfRangeError,
-    InvalidParameterError,
-    NotTracePreservingError,
-    TrivialTestError,
+    AssumptionViolationError, DimMismatchError, IndexOutOfRangeError, InvalidParameterError,
+    NotTracePreservingError, TrivialTestError,
 )
 from .operators import DEFAULT_TOL, Tolerances
 

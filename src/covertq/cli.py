@@ -27,12 +27,7 @@ from . import channels as chn
 from . import covert_sim as cs
 from . import divergences as dv
 from . import eg_toy as eg
-from .errors import (
-    AssumptionViolationError,
-    BudgetExceededError,
-    ToolkitError,
-    TrivialTestError,
-)
+from .errors import AssumptionViolationError, BudgetExceededError, ToolkitError, TrivialTestError
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -5,7 +5,8 @@ covertness / secrecy / resolvability metrics, and the square-root-measurement
 decoder.  When a pair of single-copy outputs commutes, the n-fold quantities
 built from it are diagonal in the product of their shared eigenbasis and are
 computed on probability vectors; otherwise on dense matrices.  Either way the
-n-fold dimension must fit a configurable cap.
+bytes each entry point holds at once are charged to :mod:`covertq.budget`
+before anything n-fold is allocated.
 
 For the warden pair that choice is made once per report, by
 ``_warden_route``: it returns the single-letter table (eigenvalue vectors or
@@ -31,32 +32,17 @@ reproduce bitwise-identical codebooks regardless of scheduling.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from . import budget
 from . import divergences as dv
 from . import operators as op
 from .channels import BinaryCovertChannel, mixed_output
-from .errors import BudgetExceededError, IndexOutOfRangeError, InvalidParameterError
+from .errors import IndexOutOfRangeError, InvalidParameterError
 from .operators import DEFAULT_TOL, Tolerances
-
-#: Fallback cap on the dense Hilbert-space dimension.
-DEFAULT_MAX_DENSE_DIM = 4096
-
-
-def max_dense_dim() -> int:
-    """Dense-dimension budget; the COVERTQ_MAX_DENSE_DIM env var overrides."""
-    raw = os.environ.get("COVERTQ_MAX_DENSE_DIM")
-    return int(raw) if raw else DEFAULT_MAX_DENSE_DIM
-
-
-def check_budget(dim: int) -> None:
-    cap = max_dense_dim()
-    if dim > cap:
-        raise BudgetExceededError(f"dense dimension {dim} exceeds budget {cap}")
 
 
 @dataclass(frozen=True)
@@ -192,12 +178,19 @@ def _l1(diff) -> np.ndarray:
     return np.sum(np.abs(diff), axis=-1)
 
 
-def _warden_route(ch: BinaryCovertChannel, n: int, tol: Tolerances):
+def _charge(what: str, d: int, n: int, dense: bool, copies: int, extra: int = 0) -> None:
+    """Charge ``copies`` d**n x d**n complex matrices (dense) or max(d, 2)**n float
+    vectors (the 2**n word counts outgrow d**n when d = 1), plus ``extra`` bytes."""
+    unit = 16 * d ** (2 * n) if dense else 8 * max(d, 2) ** n
+    budget.check(copies * unit + extra, f"{what} at n = {n}")
+
+
+def _warden_route(ch: BinaryCovertChannel, n: int, tol: Tolerances, what: str, copies: int, k_size: int):
     """The one choice of how the warden's n-letter quantities are computed.
 
-    Charges the budget of a codebook average over n-letter words (its d**n
-    result and the 2**n word counts of ``op.mean_word_product``), then
-    returns ``(table, distance, divergence, lift)``.  When omega0 and omega1
+    Charges ``copies`` n-fold arrays of the route and the counting copies of
+    ``k_size`` words to the budget (``lift`` charges its own), then returns
+    ``(table, distance, divergence, lift)``.  When omega0 and omega1
     commute, ``table`` holds their (2, d) eigenvalue vectors in the shared
     eigenbasis, so every n-fold quantity is a probability vector:
     ``distance`` is the l1 norm, ``divergence`` the classical relative
@@ -205,14 +198,17 @@ def _warden_route(ch: BinaryCovertChannel, n: int, tol: Tolerances):
     ``table`` holds the (2, d, d) complex matrices themselves, ``distance``
     is the trace norm, ``divergence`` Umegaki's and ``lift`` the identity.
     """
-    check_budget(max(ch.omega0.shape[0], 2) ** n)
+    d = ch.omega0.shape[0]
     basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
+    _charge(what, d, n, basis is None, copies, 24 * k_size * n)
     if basis is None:
         table = np.stack([ch.omega0, ch.omega1]).astype(complex)
         return table, partial(op.trace_norm, tol=tol), partial(dv.qre, tol=tol), lambda x: x
     U, p0, p1 = basis
 
     def lift(diag):
+        # U^(x)n, its scaled copy and adjoint, and the result
+        _charge("lift to a dense warden state", d, n, True, 5)
         Un = op.tensor_power(U, n)
         return (Un * diag) @ Un.conj().T
 
@@ -221,7 +217,7 @@ def _warden_route(ch: BinaryCovertChannel, n: int, tol: Tolerances):
 
 def _average_state(words, ch: BinaryCovertChannel, tol: Tolerances) -> np.ndarray:
     """Dense warden state averaged uniformly over the (K, n) ``words``."""
-    table, _, _, lift = _warden_route(ch, words.shape[1], tol)
+    table, _, _, lift = _warden_route(ch, words.shape[1], tol, "warden average state", 3, len(words))
     return lift(op.mean_word_product(words, table))
 
 
@@ -231,7 +227,7 @@ def willie_average_state(cb: Codebook, ch: BinaryCovertChannel, tol: Tolerances 
     When the two warden outputs commute, the state is assembled from the
     classical distribution over joint eigenvalue strings in the shared
     eigenbasis; otherwise a dense tensor-product average is formed.  Either
-    way the dense dimension must fit the budget.
+    way its bytes, the dense result included, are charged to the budget first.
     """
     return _average_state(cb.words.reshape(-1, cb.n), ch, tol)
 
@@ -275,7 +271,7 @@ def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel, tol: Toleranc
     """Trace distance of the codebook-average state to the mixed reference,
     for ``cfg.samples`` independently seeded codebooks, one codebook in
     memory at a time."""
-    table, distance, _, _ = _warden_route(ch, cfg.n, tol)
+    table, distance, _, _ = _warden_route(ch, cfg.n, tol, "resolvability_samples", 6, cfg.m_size * cfg.l_size)
     target = _mixed_reference(table, cfg.alpha, cfg.n)
     distances = np.empty(cfg.samples)
     for i in range(cfg.samples):
@@ -307,9 +303,9 @@ def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Toler
 def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> CovertnessReport:
     """Covertness metrics of one codebook against the innocent reference,
     on the warden route of :func:`_warden_route`."""
-    table, distance, divergence, _ = _warden_route(ch, cb.n, tol)
-    # the mean of the equal-size bins' averages, one bin at a time
-    avg = sum(op.mean_word_product(words, table) for words in cb.words) / cb.m_size
+    words = cb.words.reshape(-1, cb.n)
+    table, distance, divergence, _ = _warden_route(ch, cb.n, tol, "covertness_report", 9, len(words))
+    avg = op.mean_word_product(words, table)
     ref0 = _power(table[0], cb.n)
     mixed = _mixed_reference(table, cfg.alpha, cb.n)
     d_covert = divergence(avg, ref0)
@@ -329,7 +325,7 @@ def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol
 
 def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> SecrecyReport:
     """Per-bin trace distances to the mixed reference and their mean."""
-    table, distance, _, _ = _warden_route(ch, cb.n, tol)
+    table, distance, _, _ = _warden_route(ch, cb.n, tol, "secrecy_report", 6, cb.m_size * cb.l_size)
     mixed = _mixed_reference(table, cfg.alpha, cb.n)
     # one bin's average at a time, dropped as soon as its distance is taken
     dists = tuple(float(distance(op.mean_word_product(words, table) - mixed)) for words in cb.words)
@@ -366,30 +362,30 @@ def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances 
     (elements, abstain) : (list of ndarray, ndarray)
     """
     words = [np.asarray(w) for w in words]
-    n = len(words[0])
-    check_budget(np.asarray(sigma0).shape[0] ** n)
+    k_size, n, d = len(words), len(words[0]), np.asarray(sigma0).shape[0]
     op.check_hermitian(sigma1, tol)  # shared_eigenbasis checks only sigma0
     basis = shared_eigenbasis(sigma0, sigma1, tol)
+    # measured peaks: the K elements and a few n-fold matrices (commuting);
+    # the K projectors, the K elements and the pinching's eigenprojectors of
+    # the reference, at most one per multiset of n eigenvalues (dense)
+    dense_copies = 2 * k_size + min(math.comb(n + d - 1, n), d**n) + 8
+    _charge("square_root_povm", d, n, True, k_size + 6 if basis is not None else dense_copies)
     if basis is not None:
         U, s0, s1 = basis
         weights = _srm_weights(op.word_products(words, np.stack([s0, s1])), _power(s0, n), a_threshold, tol)
         Un = op.tensor_power(U, n)
         elements = [(Un * w) @ Un.conj().T for w in weights]
-        return elements, np.eye(Un.shape[0]) - sum(elements)
-    ref = product_state([0] * n, sigma0, sigma1)
-    scale = math.exp(a_threshold)
-    projectors = []
-    for w in words:
-        sig = product_state(w, sigma0, sigma1)
-        pinched = op.pinching(sig, ref, tol)
-        projectors.append(op.nonneg_eigenspace_projector(pinched - scale * ref, tol))
-    s_total = sum(projectors)
-    vals, vecs = np.linalg.eigh(s_total)
-    inv_sqrt = np.where(vals > tol.support, 1.0 / np.sqrt(np.where(vals > tol.support, vals, 1.0)), 0.0)
-    s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
-    elements = [s_inv_half @ p @ s_inv_half for p in projectors]
-    abstain = np.eye(ref.shape[0]) - sum(elements)
-    return elements, abstain
+    else:
+        ref = product_state([0] * n, sigma0, sigma1)
+        projectors = []
+        for w in words:
+            pinched = op.pinching(product_state(w, sigma0, sigma1), ref, tol)
+            projectors.append(op.nonneg_eigenspace_projector(pinched - math.exp(a_threshold) * ref, tol))
+        vals, vecs = np.linalg.eigh(sum(projectors))
+        inv_sqrt = np.where(vals > tol.support, 1.0 / np.sqrt(np.where(vals > tol.support, vals, 1.0)), 0.0)
+        s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
+        elements = [s_inv_half @ p @ s_inv_half for p in projectors]
+    return elements, np.eye(d**n) - sum(elements)
 
 
 def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> DecoderReport:
@@ -398,10 +394,9 @@ def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConf
     When sigma0 and sigma1 commute, every operator of the measurement is
     diagonal in their shared eigenbasis: the pinching is the identity, Pi_c
     is the indicator of sigma_c - e^a sigma0^{(x)n} >= -tol.cluster, and
-    S^{-1/2} vanishes where S <= tol.support, as in :func:`square_root_povm`.
+    S^{-1/2} vanishes where S <= tol.support, as in :func:`square_root_povm`,
+    which charges the dense route's budget.
     """
-    dim = ch.sigma0.shape[0] ** cb.n
-    check_budget(dim)
     a = cfg.a_threshold
     if a is None:
         a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0, tol)
@@ -409,20 +404,17 @@ def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConf
     op.check_hermitian(ch.sigma1, tol)  # shared_eigenbasis checks only sigma0
     basis = shared_eigenbasis(ch.sigma0, ch.sigma1, tol)
     if basis is not None:
+        # measured: the (K, d**n) distributions, weights and their product
+        _charge("sqrt_measurement_decoder", ch.sigma0.shape[0], cb.n, False, 3 * len(words) + 4)
         _, s0, s1 = basis
         sigs = op.word_products(words, np.stack([s0, s1]))
         p_ok = np.sum(sigs * _srm_weights(sigs, _power(s0, cb.n), a, tol), axis=1)
     else:
         elements, _ = square_root_povm(list(words), ch.sigma0, ch.sigma1, a, tol)
         p_ok = [np.trace(e @ product_state(w, ch.sigma0, ch.sigma1)).real for e, w in zip(elements, words)]
-    indices = [(m, l) for m in range(cb.m_size) for l in range(cb.l_size)]
-    errors = {ml: float(min(max(1.0 - p, 0.0), 1.0)) for ml, p in zip(indices, p_ok)}
-    vals = list(errors.values())
-    return DecoderReport(
-        perMessageError=errors,
-        averageError=float(np.mean(vals)),
-        maxError=float(np.max(vals)),
-    )
+    errors = np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0)
+    per_message = {ml: float(e) for ml, e in zip(np.ndindex(cb.m_size, cb.l_size), errors)}
+    return DecoderReport(perMessageError=per_message, averageError=float(errors.mean()), maxError=float(errors.max()))
 
 
 def covertness_scaling(ch: BinaryCovertChannel, gamma: float, ns, tol: Tolerances = DEFAULT_TOL):

@@ -203,10 +203,7 @@ class CqEnsemble:
         object.__setattr__(self, "probs", p)
 
     def average_state(self) -> np.ndarray:
-        out = np.zeros_like(np.asarray(self.states[0], dtype=complex))
-        for p, w in zip(self.probs, self.states):
-            out = out + p * np.asarray(w, dtype=complex)
-        return out
+        return sum(p * np.asarray(w, dtype=complex) for p, w in zip(self.probs, self.states))
 
 
 def _spectrum_on_support(h, tol: Tolerances):
@@ -273,14 +270,6 @@ def distinct_eigenvalue_count(omega, n: int, tol: Tolerances = DEFAULT_TOL) -> i
     (n + 1)^dim.
     """
     sd = op.spectral_decompose(omega, tol)
-    products = sorted(
-        math.prod(combo)
-        for combo in combinations_with_replacement(sd.eigenvalues, n)
-    )
-    count = 0
-    prev = None
-    for v in products:
-        if prev is None or abs(v - prev) >= tol.cluster:
-            count += 1
-        prev = v
-    return count
+    products = sorted(math.prod(combo) for combo in combinations_with_replacement(sd.eigenvalues, n))
+    # a new cluster starts wherever the ascending products step by the tolerance
+    return 1 + int(np.sum(np.diff(products) >= tol.cluster))

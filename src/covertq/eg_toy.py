@@ -45,24 +45,16 @@ completed SVD would move the pinned fidelities.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import budget
 from . import divergences as dv
 from . import operators as op
 from .channels import KrausChannel, StinespringIsometry, marginal_outputs, stinespring_from_kraus
-from .errors import BudgetExceededError, DimMismatchError, DuplicateWordError
+from .errors import DimMismatchError, DuplicateWordError
 from .operators import DEFAULT_TOL, Tolerances
-
-#: Default cap on the total dense dimension of the protocol state.
-DEFAULT_EG_BUDGET = 1 << 22
-
-
-def eg_budget_cap() -> int:
-    raw = os.environ.get("COVERTQ_MAX_DENSE_DIM")
-    return int(raw) if raw else DEFAULT_EG_BUDGET
 
 
 @dataclass(frozen=True)
@@ -117,17 +109,18 @@ def exact_string_povm(words, dim_b: int = 2):
     All words must be distinct; the remainder I - sum of projectors is the
     abstain element.
     """
+    k_size, n = np.shape(words)
+    dim = dim_b**n
+    # the K projectors and the abstain element, with one to spare
+    budget.check(16 * (k_size + 2) * dim**2, f"exact_string_povm at n = {n}")
     index = op.word_index(words, dim_b)
     if len(np.unique(index)) != len(index):
         raise DuplicateWordError("exact string POVM needs distinct words")
-    dim = dim_b ** np.shape(words)[-1]
-    elements = []
-    for idx in index:
-        proj = np.zeros((dim, dim), dtype=complex)
-        proj[idx, idx] = 1.0
-        elements.append(proj)
-    abstain = np.eye(dim, dtype=complex) - sum(elements)
-    return elements, abstain
+    elements = np.zeros((k_size, dim, dim), dtype=complex)
+    elements[np.arange(k_size), index, index] = 1.0
+    abstain = np.eye(dim, dtype=complex)
+    abstain[index, index] = 0.0  # I minus the projectors, as the words are distinct
+    return list(elements), abstain
 
 
 def build_quantum_codewords(code: EGToyCode) -> list[np.ndarray]:
@@ -148,14 +141,7 @@ def _completed_povm(povm, abstain, tol: Tolerances):
     elements = [np.asarray(e, dtype=complex) for e in povm]
     if abstain is not None:
         elements[0] = elements[0] + np.asarray(abstain, dtype=complex)
-    total = sum(elements)
-    defect = float(np.max(np.abs(total - np.eye(total.shape[0]))))
-    return elements, defect
-
-
-def _check_eg_budget(total_dim: int) -> None:
-    if total_dim > eg_budget_cap():
-        raise BudgetExceededError(f"protocol state dimension {total_dim} exceeds budget")
+    return elements, float(np.max(np.abs(sum(elements) - np.eye(elements[0].shape[0]))))
 
 
 def _wbreve_dim(dBn: int, dWn: int, L: int) -> int:
@@ -194,13 +180,18 @@ class _Decoded:
         return self.outputs.reshape(T * dBn, dWn).T @ mixed.reshape(T * dBn, dWn)
 
 
-def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, tol: Tolerances) -> _Decoded:
+def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, tol: Tolerances, what: str, held: int = 0) -> _Decoded:
     """Budget and POVM checks, then every decoded branch from one square root
-    per POVM element and one channel-output matrix per word."""
+    per POVM element and one channel-output matrix per word.  The charge, as
+    measured on ``eg_report``, covers the roots, the channel outputs and a
+    conjugate copy, the decoupler's K (dC x dB^n L) and its SVD factors, a
+    dozen single-system n-fold matrices, and ``held`` bytes of the caller's
+    full blocks."""
     T, L, n = code.T, code.l_size, code.n
     dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
-    # the protocol state, or the decoupled R = M block if that is larger
-    _check_eg_budget(max(T * T * dBn * dWn * T * L, T * dWn * T * _wbreve_dim(dBn, dWn, L)))
+    side = max(dBn, dWn)
+    nbytes = 16 * (3 * T * L * dBn * side + 4 * _wbreve_dim(dBn, dWn, L) * dBn * L + 12 * side**2)
+    budget.check(nbytes + held, f"{what} at n = {n}, T = {T}, L = {L}")
     elements, defect = _completed_povm(povm, abstain, tol)
     if defect > 1e-9:
         raise DimMismatchError(f"POVM completion defect {defect:.3e}; supply the abstain remainder")
@@ -227,8 +218,9 @@ def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, 
     ndarray of shape (T, T, dB^n, dW^n, T, L)
         The normalized state tensor over (R, M, B^n, W^n, Mhat, Lhat).
     """
-    diag = _decode(code, V, povm, abstain, tol).diag
-    T = code.T
+    T, block = code.T, 16 * code.T**2 * code.l_size * (V.out_dim_b * V.out_dim_w) ** code.n
+    # the R = M diagonal and the returned state
+    diag = _decode(code, V, povm, abstain, tol, "protocol_state", (T + 1) * block).diag
     out = np.zeros((T,) + diag.shape, dtype=complex)
     out[np.arange(T), np.arange(T)] = diag
     return out
@@ -257,7 +249,7 @@ def align_phases(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, to
         ``diagnostics`` reports the summed branch overlap with aligned and
         with zero phases.
     """
-    return _phase_alignment(_decode(code, V, povm, abstain, tol).overlaps)
+    return _phase_alignment(_decode(code, V, povm, abstain, tol, "align_phases").overlaps)
 
 
 def _uhlmann_factors(psi_mat: np.ndarray, theta_mat: np.ndarray):
@@ -391,9 +383,10 @@ def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=No
     if alpha is None:
         alpha = float(np.mean(code.words))
     T, L, n = code.T, code.l_size, code.n
-    dWn = V.out_dim_w**n
-    _check_eg_budget(T * T * dWn * T * _wbreve_dim(V.out_dim_b**n, dWn, L))
-    decoded = _decode(code, V, povm, abstain, tol)
+    dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
+    # the R = M diagonal, the decoupled block and the returned state
+    held = 16 * T**2 * (L * dBn * dWn + (T + 1) * dWn * _wbreve_dim(dBn, dWn, L))
+    decoded = _decode(code, V, povm, abstain, tol, "decoupling_decoder", held)
     _, diagnostics, out = _decouple(code, V, decoded, alpha, mode, tol, block=decoded.diag)
     state = np.zeros((T,) + out.shape, dtype=complex)
     state[np.arange(T), np.arange(T)] = out
@@ -433,13 +426,13 @@ def eliminate_assistance(code: EGToyCode, V: StinespringIsometry, povm, abstain=
     """
     if alpha is None:
         alpha = float(np.mean(code.words))
-    fidelity, _, _ = _decouple(code, V, _decode(code, V, povm, abstain, tol), alpha, mode, tol)
+    fidelity, _, _ = _decouple(code, V, _decode(code, V, povm, abstain, tol, "eliminate_assistance"), alpha, mode, tol)
     return 0, [fidelity] * code.T
 
 
 def willie_marginal(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Warden's exact reduced state of the full protocol state."""
-    return _decode(code, V, povm, abstain, tol).warden_state()
+    return _decode(code, V, povm, abstain, tol, "willie_marginal").warden_state()
 
 
 def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL) -> EGReport:
@@ -448,7 +441,7 @@ def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha
     if alpha is None:
         alpha = float(np.mean(code.words))
     unphased = replace(code, encode_phases=np.zeros((code.T, code.l_size)))
-    decoded = _decode(unphased, V, povm, abstain, tol)
+    decoded = _decode(unphased, V, povm, abstain, tol, "eg_report")
     _, h, phase_diag = _phase_alignment(decoded.overlaps)
     aligned = replace(unphased, decode_phases=h)
     fidelity, dec_diag, _ = _decouple(aligned, V, decoded, alpha, mode, tol)

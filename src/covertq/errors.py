@@ -42,7 +42,7 @@ class TrivialTestError(ToolkitError):
 
 
 class BudgetExceededError(ToolkitError):
-    """Requested dense computation exceeds the configured dimension budget."""
+    """A computation would hold more bytes than the memory budget allows."""
 
 
 class DuplicateWordError(ToolkitError):

@@ -231,8 +231,8 @@ def mean_word_product(words, table) -> np.ndarray:
     position at a time, one matrix product per position: about
     n max(d, 2)**n multiplies for vectors and d**(2n) for matrices whatever
     K is, with no temporary larger than the result.  The count vector holds
-    2**n floats per leading index, so callers charge ``max(d, 2)**n`` to
-    their budget.
+    2**n floats per leading index, so callers charge ``8 * max(d, 2)**n``
+    bytes per vector result to their budget.
     """
     words = np.asarray(words)
     table = np.asarray(table)

@@ -1,0 +1,158 @@
+"""The byte budget: one variable, checked before anything n-fold is allocated,
+with charges that bound what each entry point holds at once."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from test_covert_sim import rotated_damping_isometry
+
+from covertq import budget
+from covertq import channels as chn
+from covertq import covert_sim as cs
+from covertq import eg_toy as eg
+from covertq import operators as op
+from covertq.errors import BudgetExceededError
+
+CHECK = budget.check
+ISOMETRIES = {
+    "commuting": lambda: chn.stinespring_from_kraus(chn.excitation_channel(0.3)),
+    "dense": rotated_damping_isometry,
+}
+SIM_ENTRY_POINTS = (
+    "willie_average_state", "willie_bin_state", "resolvability_samples", "resolvability_experiment",
+    "covertness_report", "secrecy_report", "sqrt_measurement_decoder", "square_root_povm",
+)
+EG_ENTRY_POINTS = (
+    "exact_string_povm", "protocol_state", "decoupling_decoder", "align_phases",
+    "willie_marginal", "eliminate_assistance", "eg_report",
+)
+
+
+def sim_call(name, V, n):
+    """A zero-argument call of a covert_sim entry point on 16 words of n letters
+    (4 words for ``square_root_povm``, whose dense elements grow with K)."""
+    quad = chn.build_covert_channel(V)
+    cfg = cs.SimConfig(n=n, gamma=1.0, m_size=4, l_size=4, seed=3, samples=2)
+    cb = cs.sample_codebook(cfg)
+    args = {
+        "willie_average_state": (cb, quad),
+        "willie_bin_state": (cb, quad, 0),
+        "resolvability_samples": (cfg, quad),
+        "resolvability_experiment": (cfg, quad),
+        "covertness_report": (cb, quad, cfg),
+        "secrecy_report": (cb, quad, cfg),
+        "sqrt_measurement_decoder": (cb, quad, cfg),
+        "square_root_povm": (list(cb.words[0]), quad.sigma0, quad.sigma1, 0.1),
+    }[name]
+    return lambda: getattr(cs, name)(*args)
+
+
+def eg_code(n, T=2, L=2):
+    """A code of T*L distinct words of n letters."""
+    index = np.random.default_rng(n).choice(2**n, T * L, replace=False)
+    bits = (index[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return eg.EGToyCode.from_words(bits.astype(np.uint8).reshape(T, L, n))
+
+
+def eg_call(name, V, code, povm):
+    """A zero-argument call of an eg_toy entry point; ``povm`` is (elements, abstain)."""
+    if name == "exact_string_povm":
+        return lambda: eg.exact_string_povm(code.words.reshape(-1, code.n), V.out_dim_b)
+    return lambda: getattr(eg, name)(code, V, *povm)
+
+
+def peak_and_charge(call, monkeypatch):
+    """Tracemalloc peak of ``call()`` and the largest charge it passed to budget.check."""
+    charges = []
+    monkeypatch.setattr(budget, "check", lambda nbytes, what: charges.append(nbytes) or CHECK(nbytes, what))
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charges, "no budget check"
+    return peak, max(charges)
+
+
+def test_check_message_names_bytes_and_variable(monkeypatch):
+    monkeypatch.setenv("COVERTQ_MAX_BYTES", "1000")
+    budget.check(1000, "fits")
+    with pytest.raises(BudgetExceededError, match=r"^big needs 1001 bytes, budget 1000 bytes \(COVERTQ_MAX_BYTES\)$"):
+        budget.check(1001, "big")
+    monkeypatch.setenv("COVERTQ_MAX_BYTES", "")  # empty means unset
+    budget.check(budget.DEFAULT_MAX_BYTES, "default")
+    with pytest.raises(BudgetExceededError, match=f"budget {budget.DEFAULT_MAX_BYTES} bytes"):
+        budget.check(budget.DEFAULT_MAX_BYTES + 1, "default")
+
+
+@pytest.mark.parametrize("route", sorted(ISOMETRIES))
+@pytest.mark.parametrize("name", SIM_ENTRY_POINTS + EG_ENTRY_POINTS)
+def test_entry_points_charge_before_allocating(monkeypatch, name, route):
+    """An oversize n exits before any n-fold kron chain, codebook average or
+    tensor power is built, and before anything else of note is allocated."""
+    n = 13
+    V = ISOMETRIES[route]()
+    # the gate fires before the POVM is read, so a placeholder element will do
+    call = sim_call(name, V, n) if name in SIM_ENTRY_POINTS else eg_call(name, V, eg_code(n), ([np.eye(1)], None))
+
+    def built(*args, **kwargs):
+        raise AssertionError("n-fold array built before the budget check")
+
+    for fn in ("word_products", "mean_word_product", "tensor_power"):
+        monkeypatch.setattr(op, fn, built)
+    monkeypatch.setenv("COVERTQ_MAX_BYTES", str(64 * 2**10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="COVERTQ_MAX_BYTES"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+# Three sizes per entry point and route, where the n-fold arrays outweigh
+# numpy's fixed ufunc buffers (8192 elements per operand), which no charge counts.
+SIM_SIZES = {
+    "willie_average_state": {"commuting": (6, 7, 8), "dense": (5, 6, 7)},
+    "willie_bin_state": {"commuting": (6, 7, 8), "dense": (5, 6, 7)},
+    "resolvability_samples": {"commuting": (12, 14, 16), "dense": (5, 6, 7)},
+    "covertness_report": {"commuting": (12, 14, 16), "dense": (5, 6, 7)},
+    "secrecy_report": {"commuting": (12, 14, 16), "dense": (5, 6, 7)},
+    "sqrt_measurement_decoder": {"commuting": (12, 14, 16), "dense": (5, 6, 7)},
+    "square_root_povm": {"commuting": (5, 6, 7), "dense": (5, 6, 7)},
+}
+
+
+@pytest.mark.parametrize("route", sorted(ISOMETRIES))
+@pytest.mark.parametrize("name", sorted(SIM_SIZES))
+def test_sim_charges_bound_peaks(monkeypatch, name, route):
+    V = ISOMETRIES[route]()
+    for n in SIM_SIZES[name][route]:
+        peak, charge = peak_and_charge(sim_call(name, V, n), monkeypatch)
+        assert peak <= charge, f"n = {n}: peak {peak} above charge {charge}"
+
+
+@pytest.mark.parametrize("route", sorted(ISOMETRIES))
+@pytest.mark.parametrize("name", EG_ENTRY_POINTS)
+def test_eg_charges_bound_peaks(monkeypatch, name, route):
+    V = ISOMETRIES[route]()
+    for n in (4, 5, 6) if name != "exact_string_povm" else (6, 7, 8):
+        code = eg_code(n)
+        povm = eg.exact_string_povm(code.words.reshape(-1, n), V.out_dim_b)
+        peak, charge = peak_and_charge(eg_call(name, V, code, povm), monkeypatch)
+        assert peak <= charge, f"n = {n}: peak {peak} above charge {charge}"
+
+
+def test_exact_string_povm_refuses_oversize_word_list():
+    words = np.eye(4, 16, dtype=np.uint8)  # 4 distinct words of 16 letters: 4 GiB per projector
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="exact_string_povm"):
+            eg.exact_string_povm(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -176,6 +176,40 @@ def test_simulate_budget(exc_spec, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_simulate_sizes_under_byte_budget(exc_spec, tmp_path, capsys):
+    # n = 13 needs 64 KiB vectors, far inside the default budget
+    out = tmp_path / "sim13.json"
+    assert main(["simulate", exc_spec, "--n", "13", "--gamma", "0.5", "--m", "2", "--l", "2", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["diagnostics"]["route"]["warden"] == "commuting"
+    out = tmp_path / "sim40.json"
+    assert main(["simulate", exc_spec, "--n", "40", "--gamma", "0.5", "--m", "2", "--l", "2", "-o", str(out)]) == 3
+    assert "bytes (COVERTQ_MAX_BYTES)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_egdemo_byte_budget(exc_spec, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "eg.json"
+    monkeypatch.setenv("COVERTQ_MAX_BYTES", "1000")
+    assert main(["egdemo", exc_spec, "-o", str(out)]) == 3
+    assert "budget 1000 bytes (COVERTQ_MAX_BYTES)" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.delenv("COVERTQ_MAX_BYTES")
+    assert main(["egdemo", exc_spec, "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("COVERTQ_MAX_BYTES", "abc"), ("COVERTQ_MAX_BYTES", "-5"), ("COVERTQ_MAX_BYTES", "0"),
+    ("COVERTQ_MAX_BYTES", "1e9"), ("COVERTQ_MAX_DENSE_DIM", "4096"),
+])
+def test_bad_budget_variable_is_an_input_error(exc_spec, tmp_path, capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    for argv in (["simulate", exc_spec, "--n", "6", "--gamma", "0.5", "--m", "2", "--l", "2"], ["egdemo", exc_spec]):
+        out = tmp_path / "out.json"
+        assert main(argv + ["-o", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_simulate_rejects_nonpositive_samples(exc_spec, tmp_path, capsys, samples):
     out = tmp_path / "sim.json"

@@ -140,7 +140,8 @@ def test_budget():
 
 
 def test_resolvability_budget(monkeypatch):
-    monkeypatch.setenv("COVERTQ_MAX_DENSE_DIM", "16")
+    # below the n = 6 charge of either route (3648 bytes on the commuting one)
+    monkeypatch.setenv("COVERTQ_MAX_BYTES", "3000")
     exc = excitation_quadruple()
     omega0 = np.array([[0.7, 0.2], [0.2, 0.3]])
     omega1 = np.array([[0.4, 0.1], [0.1, 0.6]])
@@ -429,18 +430,6 @@ def test_commuting_route_rejects_non_hermitian_sigma1():
             cs.sqrt_measurement_decoder(cb, chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1), cfg)
 
 
-def test_square_root_povm_budget(monkeypatch):
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("n-fold operator built before the budget check")
-
-    for name in ("word_products", "mean_word_product"):
-        monkeypatch.setattr(op, name, no_allocation)
-    quad = excitation_quadruple()
-    for sigma0, sigma1 in ((quad.sigma0, quad.sigma1), (np.array([[0.7, 0.2], [0.2, 0.3]]), np.array([[0.4, 0.1], [0.1, 0.6]]))):
-        with pytest.raises(BudgetExceededError):
-            cs.square_root_povm([np.zeros(13, dtype=np.uint8)], sigma0, sigma1, 0.1)
-
-
 def test_sqrt_decoder_dense_route():
     sigma0 = np.array([[0.7, 0.2], [0.2, 0.3]])
     sigma1 = np.array([[0.4, 0.1], [0.1, 0.6]])
@@ -466,13 +455,17 @@ def test_sim_config_rejects_nonpositive_samples():
             cs.SimConfig(n=6, gamma=0.5, m_size=2, l_size=2, samples=samples)
 
 
-def rotated_damping_quadruple(gamma=0.3, theta=0.7, phi=0.4):
+def rotated_damping_isometry(gamma=0.3, theta=0.7, phi=0.4):
     """Amplitude damping after an input rotation: neither output pair commutes."""
     a0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
     a1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     u = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex)
-    return chn.build_covert_channel(chn.stinespring_from_kraus(chn.KrausChannel((a0 @ u, a1 @ u))))
+    return chn.stinespring_from_kraus(chn.KrausChannel((a0 @ u, a1 @ u)))
+
+
+def rotated_damping_quadruple(gamma=0.3, theta=0.7, phi=0.4):
+    return chn.build_covert_channel(rotated_damping_isometry(gamma, theta, phi))
 
 
 @pytest.mark.parametrize("make_quad", [excitation_quadruple, rotated_damping_quadruple])
@@ -519,7 +512,7 @@ def test_codebook_averages_skip_per_word_products(monkeypatch, make_quad):
 
 
 def test_resolvability_memory_independent_of_codebook_size(monkeypatch):
-    monkeypatch.setattr(cs, "max_dense_dim", lambda: 1 << 16)
+    monkeypatch.setenv("COVERTQ_MAX_BYTES", str(8 * 2**20))  # the charge fits the peak bound below
     quad = excitation_quadruple()
     cfg = cs.SimConfig(n=16, gamma=1.0, m_size=32, l_size=32, seed=5, samples=2)
     tracemalloc.start()
