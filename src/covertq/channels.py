@@ -135,14 +135,6 @@ def stinespring_from_kraus(ch: KrausChannel) -> StinespringIsometry:
     return ch._isometry
 
 
-def apply_isometry(V: StinespringIsometry, rho) -> np.ndarray:
-    """Joint receiver-environment state V rho V^dag."""
-    r = np.asarray(rho, dtype=complex)
-    if r.shape[0] != V.in_dim:
-        raise DimMismatchError(f"input dim {r.shape[0]} != isometry dim {V.in_dim}")
-    return V.V @ r @ op.dagger(V.V)
-
-
 def _marginals(v: np.ndarray, db: int, dw: int, inputs):
     """Receiver and warden outputs of basis inputs through isometry matrices.
 

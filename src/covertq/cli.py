@@ -112,11 +112,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _route(state0, state1) -> str:
-    """Which path covert_sim takes for a pair of single-copy outputs."""
-    return "dense" if cs.shared_eigenbasis(state0, state1) is None else "commuting"
-
-
 def cmd_simulate(args) -> int:
     spec = _load_channel_spec(args.channel)
     quad = chn.channel_spec_to_quadruple(spec)
@@ -128,32 +123,17 @@ def cmd_simulate(args) -> int:
         "n": args.n, "gamma": args.gamma, "alpha": cfg.alpha, "m": args.m,
         "l": args.l, "samples": args.samples,
     }
-    cb = cs.sample_codebook(cfg)
-    cov = cs.covertness_report(cb, quad, cfg)
-    sec = cs.secrecy_report(cb, quad, cfg)
-    mean, rhs, holds = cs.resolvability_experiment(cfg, quad, rhs=cov.resolvabilityRhs)
+    cov, sec, (mean, rhs, holds), dec, routes = cs.simulate(cfg, quad)
     payload = {
         "config": params,
         "covertness": asdict(cov),
-        "secrecy": {
-            "perBinDistances": list(sec.perBinDistances),
-            "averageLeakage": sec.averageLeakage,
-        },
+        "secrecy": asdict(sec),
         "resolvability": {"empiricalMeanDistance": mean, "rhs": rhs, "holds": holds},
+        "decoder": None if dec is None else {
+            **asdict(dec), "perMessageError": {f"{m},{l}": e for (m, l), e in dec.perMessageError.items()},
+        },
+        "diagnostics": {"route": routes},
     }
-    if args.m * args.l <= 64:
-        dec = cs.sqrt_measurement_decoder(cb, quad, cfg)
-        payload["decoder"] = {
-            "perMessageError": {f"{m},{l}": e for (m, l), e in dec.perMessageError.items()},
-            "averageError": dec.averageError,
-            "maxError": dec.maxError,
-        }
-    else:
-        payload["decoder"] = None
-    payload["diagnostics"] = {"route": {
-        "warden": _route(quad.omega0, quad.omega1),
-        "decoder": _route(quad.sigma0, quad.sigma1),
-    }}
     _emit_json(payload, args.out, "simulate", spec, params, args.seed)
     return EXIT_OK
 
@@ -168,7 +148,7 @@ def cmd_egdemo(args) -> int:
         quad = chn.build_covert_channel(V)
         a = 0.5 * alpha * code.n * dv.qre(quad.sigma1, quad.sigma0)
         povm, abstain = cs.square_root_povm(words_flat, quad.sigma0, quad.sigma1, a)
-        decoder_route = _route(quad.sigma0, quad.sigma1)
+        decoder_route = cs.pair_route(quad.sigma0, quad.sigma1).name
     except (TrivialTestError, AssumptionViolationError):
         # degenerate warden (e.g. noiseless channel): decode by exact strings
         povm, abstain = eg.exact_string_povm(words_flat, V.out_dim_b)

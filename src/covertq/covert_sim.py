@@ -8,20 +8,20 @@ computed on probability vectors; otherwise on dense matrices.  Either way the
 bytes each entry point holds at once are charged to :mod:`covertq.budget`
 before anything n-fold is allocated.
 
-For the warden pair that choice is made once per report, by
-``_warden_route``: it returns the single-letter table (eigenvalue vectors or
-matrices) with the distance, divergence and dense lift that match it, and
-everything else is one body for both routes.  Every n-fold reference is a
-``operators.word_products`` kron chain of a table letter, and every codebook
-average (the warden state, covertness, the secrecy bins and the
-resolvability samples) goes through ``operators.mean_word_product``: the
-words are counted by their 2**n binary index and the counts are contracted
-with the table one position at a time, which costs O(n d**n) per codebook
-for any number of words K (d**(2n) on the dense route), and holds one
-codebook's or one bin's d**n average at a time.  The decoder and
-``square_root_povm`` keep two algorithms, as the pinched threshold
-projectors of a non-commuting pair are not diagonal in any product basis;
-their dense route builds one word's product state at a time.
+``pair_route`` makes that choice; its ``Route`` holds the single-letter
+table (eigenvalue vectors or matrices) with the matching distance and
+divergence.  Each public report builds its own route, while ``simulate``
+builds each pair's once and checks every stage's charge before any stage
+runs.  Every n-fold reference is a ``operators.word_products`` kron chain of
+a table letter, and every codebook average (the warden state, covertness,
+the secrecy bins and the resolvability samples) goes through
+``operators.mean_word_product``: the words are counted by their 2**n binary
+index and the counts are contracted with the table one position at a time,
+which costs O(n d**n) per codebook for any number of words K (d**(2n) on the
+dense route), and holds one codebook's or one bin's d**n average at a time.
+The decoder and ``square_root_povm`` keep two algorithms, as the pinched
+threshold projectors of a non-commuting pair are not diagonal in any product
+basis; their dense route builds one word's product state at a time.
 
 Randomness uses the counter-based Philox generator keyed by
 ``(seed, sample_index)``; within one codebook the bits are drawn in a fixed
@@ -32,6 +32,7 @@ reproduce bitwise-identical codebooks regardless of scheduling.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -178,47 +179,65 @@ def _l1(diff) -> np.ndarray:
     return np.sum(np.abs(diff), axis=-1)
 
 
-def _charge(what: str, d: int, n: int, dense: bool, copies: int, extra: int = 0) -> None:
-    """Charge ``copies`` d**n x d**n complex matrices (dense) or max(d, 2)**n float
-    vectors (the 2**n word counts outgrow d**n when d = 1), plus ``extra`` bytes."""
-    unit = 16 * d ** (2 * n) if dense else 8 * max(d, 2) ** n
-    budget.check(copies * unit + extra, f"{what} at n = {n}")
+@dataclass(frozen=True)
+class Route:
+    """How the n-letter quantities of one pair of single-copy outputs are computed:
+    ``"commuting"`` on (2, d) eigenvalue vectors in the shared eigenbasis ``basis``
+    with the l1 norm and the classical relative entropy, or ``"dense"`` on the
+    (2, d, d) matrices themselves with the trace norm and Umegaki's divergence."""
+
+    name: str
+    table: np.ndarray
+    basis: np.ndarray | None
+    distance: Callable
+    divergence: Callable
 
 
-def _warden_route(ch: BinaryCovertChannel, n: int, tol: Tolerances, what: str, copies: int, k_size: int):
-    """The one choice of how the warden's n-letter quantities are computed.
-
-    Charges ``copies`` n-fold arrays of the route and the counting copies of
-    ``k_size`` words to the budget (``lift`` charges its own), then returns
-    ``(table, distance, divergence, lift)``.  When omega0 and omega1
-    commute, ``table`` holds their (2, d) eigenvalue vectors in the shared
-    eigenbasis, so every n-fold quantity is a probability vector:
-    ``distance`` is the l1 norm, ``divergence`` the classical relative
-    entropy and ``lift`` rotates a vector back to a dense matrix.  Otherwise
-    ``table`` holds the (2, d, d) complex matrices themselves, ``distance``
-    is the trace norm, ``divergence`` Umegaki's and ``lift`` the identity.
-    """
-    d = ch.omega0.shape[0]
-    basis = shared_eigenbasis(ch.omega0, ch.omega1, tol)
-    _charge(what, d, n, basis is None, copies, 24 * k_size * n)
+def pair_route(state0, state1, tol: Tolerances = DEFAULT_TOL) -> Route:
+    """The one choice of route for a pair of single-copy outputs, both Hermitian."""
+    op.check_hermitian(state1, tol)  # shared_eigenbasis checks only state0
+    basis = shared_eigenbasis(state0, state1, tol)
     if basis is None:
-        table = np.stack([ch.omega0, ch.omega1]).astype(complex)
-        return table, partial(op.trace_norm, tol=tol), partial(dv.qre, tol=tol), lambda x: x
+        table = np.stack([state0, state1]).astype(complex)
+        return Route("dense", table, None, partial(op.trace_norm, tol=tol), partial(dv.qre, tol=tol))
     U, p0, p1 = basis
+    return Route("commuting", np.stack([p0, p1]), U, _l1, partial(dv.qre_commuting, tol=tol))
 
-    def lift(diag):
-        # U^(x)n, its scaled copy and adjoint, and the result
-        _charge("lift to a dense warden state", d, n, True, 5)
-        Un = op.tensor_power(U, n)
-        return (Un * diag) @ Un.conj().T
 
-    return np.stack([p0, p1]), _l1, partial(dv.qre_commuting, tol=tol), lift
+def _charge(stage: str, route: Route, n: int, k_size: int) -> None:
+    """Check against the budget the bytes ``stage`` holds at once on ``route`` for
+    ``k_size`` words of n letters, counted from measured tracemalloc peaks in d**n x d**n
+    complex matrices or max(d, 2)**n float vectors (2**n word counts when d = 1)."""
+    d, dense = route.table.shape[1], route.basis is None
+    vector, matrix = 8 * max(d, 2) ** n, 16 * d ** (2 * n)
+    warden, count = (matrix if dense else vector), 24 * k_size * n  # count: the words' counting copies
+    # the K elements and a few n-fold matrices (commuting); the K projectors, the K
+    # elements and the pinching's eigenprojectors of the reference, at most one per
+    # multiset of n eigenvalues (dense)
+    povm = (2 * k_size + min(math.comb(n + d - 1, n), d**n) + 8 if dense else k_size + 6) * matrix
+    nbytes = {
+        "square_root_povm": povm,
+        # the (K, d**n) distributions, weights and their product
+        "sqrt_measurement_decoder": povm if dense else (3 * k_size + 4) * vector,
+        # on the commuting route, plus the lift: U^(x)n, its scaled copy and adjoint, the result
+        "warden average state": 3 * warden + count + (0 if dense else 5 * matrix),
+        "covertness_report": (9 if dense else 6) * warden + count,
+        "secrecy_report": 6 * warden + count,
+        "resolvability_samples": 6 * warden + count,
+    }[stage]
+    budget.check(nbytes, f"{stage} at n = {n}")
 
 
 def _average_state(words, ch: BinaryCovertChannel, tol: Tolerances) -> np.ndarray:
     """Dense warden state averaged uniformly over the (K, n) ``words``."""
-    table, _, _, lift = _warden_route(ch, words.shape[1], tol, "warden average state", 3, len(words))
-    return lift(op.mean_word_product(words, table))
+    n = words.shape[1]
+    route = pair_route(ch.omega0, ch.omega1, tol)
+    _charge("warden average state", route, n, len(words))
+    avg = op.mean_word_product(words, route.table)
+    if route.basis is None:
+        return avg
+    Un = op.tensor_power(route.basis, n)
+    return (Un * avg) @ Un.conj().T
 
 
 def willie_average_state(cb: Codebook, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -267,24 +286,32 @@ def resolvability_rhs(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances =
     return float(np.min(first + second))
 
 
+def _distances(cfg: SimConfig, route: Route) -> np.ndarray:
+    target = _mixed_reference(route.table, cfg.alpha, cfg.n)
+    distances = np.empty(cfg.samples)
+    for i in range(cfg.samples):
+        words = sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
+        distances[i] = route.distance(op.mean_word_product(words, route.table) - target)
+    return distances
+
+
 def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Trace distance of the codebook-average state to the mixed reference,
     for ``cfg.samples`` independently seeded codebooks, one codebook in
     memory at a time."""
-    table, distance, _, _ = _warden_route(ch, cfg.n, tol, "resolvability_samples", 6, cfg.m_size * cfg.l_size)
-    target = _mixed_reference(table, cfg.alpha, cfg.n)
-    distances = np.empty(cfg.samples)
-    for i in range(cfg.samples):
-        words = sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
-        distances[i] = distance(op.mean_word_product(words, table) - target)
-    return distances
+    route = pair_route(ch.omega0, ch.omega1, tol)
+    _charge("resolvability_samples", route, cfg.n, cfg.m_size * cfg.l_size)
+    return _distances(cfg, route)
 
 
-def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL, rhs: float | None = None):
+def _resolvability(distances: np.ndarray, rhs: float) -> tuple:
+    mean = float(distances.mean())
+    se = float(distances.std(ddof=1) / math.sqrt(len(distances))) if len(distances) > 1 else 0.0
+    return mean, rhs, mean <= rhs + 3.0 * se
+
+
+def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL):
     """Compare the Monte-Carlo mean trace distance against the bound.
-
-    ``rhs`` is the bound if the caller has already evaluated
-    ``resolvability_rhs(cfg, ch, tol)``; otherwise it is evaluated here.
 
     Returns
     -------
@@ -292,25 +319,17 @@ def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Toler
         ``holds`` is True when the mean does not exceed the bound by more
         than three standard errors of the mean.
     """
-    distances = resolvability_samples(cfg, ch, tol)
-    mean = float(distances.mean())
-    se = float(distances.std(ddof=1) / math.sqrt(len(distances))) if len(distances) > 1 else 0.0
-    if rhs is None:
-        rhs = resolvability_rhs(cfg, ch, tol)
-    return mean, rhs, mean <= rhs + 3.0 * se
+    return _resolvability(resolvability_samples(cfg, ch, tol), resolvability_rhs(cfg, ch, tol))
 
 
-def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> CovertnessReport:
-    """Covertness metrics of one codebook against the innocent reference,
-    on the warden route of :func:`_warden_route`."""
-    words = cb.words.reshape(-1, cb.n)
-    table, distance, divergence, _ = _warden_route(ch, cb.n, tol, "covertness_report", 9, len(words))
-    avg = op.mean_word_product(words, table)
+def _covertness(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances, route: Route, rhs: float) -> CovertnessReport:
+    table = route.table
+    avg = op.mean_word_product(cb.words.reshape(-1, cb.n), table)
     ref0 = _power(table[0], cb.n)
     mixed = _mixed_reference(table, cfg.alpha, cb.n)
-    d_covert = divergence(avg, ref0)
-    trace_dist = float(distance(avg - mixed))
-    helstrom = 0.5 * (1.0 - 0.5 * float(distance(avg - ref0)))
+    d_covert = route.divergence(avg, ref0)
+    trace_dist = float(route.distance(avg - mixed))
+    helstrom = 0.5 * (1.0 - 0.5 * float(route.distance(avg - ref0)))
     d_reference = cb.n * dv.qre(mixed_output(ch, cfg.alpha), ch.omega0, tol)
     pinsker_lb = 0.5 * (1.0 - math.sqrt(0.5 * d_covert)) if math.isfinite(d_covert) else 0.0
     return CovertnessReport(
@@ -319,17 +338,29 @@ def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol
         traceDistToMixed=trace_dist,
         helstromError=helstrom,
         pinskerLowerBound=pinsker_lb,
-        resolvabilityRhs=resolvability_rhs(cfg, ch, tol),
+        resolvabilityRhs=rhs,
     )
+
+
+def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> CovertnessReport:
+    """Covertness metrics of one codebook against the innocent reference."""
+    route = pair_route(ch.omega0, ch.omega1, tol)
+    _charge("covertness_report", route, cb.n, cb.m_size * cb.l_size)
+    return _covertness(cb, ch, cfg, tol, route, resolvability_rhs(cfg, ch, tol))
+
+
+def _secrecy(cb: Codebook, cfg: SimConfig, route: Route) -> SecrecyReport:
+    mixed = _mixed_reference(route.table, cfg.alpha, cb.n)
+    # one bin's average at a time, dropped as soon as its distance is taken
+    dists = tuple(float(route.distance(op.mean_word_product(words, route.table) - mixed)) for words in cb.words)
+    return SecrecyReport(perBinDistances=dists, averageLeakage=float(np.mean(dists)))
 
 
 def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> SecrecyReport:
     """Per-bin trace distances to the mixed reference and their mean."""
-    table, distance, _, _ = _warden_route(ch, cb.n, tol, "secrecy_report", 6, cb.m_size * cb.l_size)
-    mixed = _mixed_reference(table, cfg.alpha, cb.n)
-    # one bin's average at a time, dropped as soon as its distance is taken
-    dists = tuple(float(distance(op.mean_word_product(words, table) - mixed)) for words in cb.words)
-    return SecrecyReport(perBinDistances=dists, averageLeakage=float(np.mean(dists)))
+    route = pair_route(ch.omega0, ch.omega1, tol)
+    _charge("secrecy_report", route, cb.n, cb.m_size * cb.l_size)
+    return _secrecy(cb, cfg, route)
 
 
 def _srm_weights(sigs, ref, a: float, tol: Tolerances) -> np.ndarray:
@@ -344,6 +375,24 @@ def _srm_weights(sigs, ref, a: float, tol: Tolerances) -> np.ndarray:
     counts = projectors.sum(axis=0)
     inv = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > tol.support)
     return projectors * inv
+
+
+def _povm(words, route: Route, a: float, tol: Tolerances) -> list:
+    """The square-root measurement's elements for the (K, n) ``words`` on Bob's ``route``."""
+    n, table = len(words[0]), route.table
+    ref = _power(table[0], n)
+    if route.basis is not None:
+        weights = _srm_weights(op.word_products(words, table), ref, a, tol)
+        Un = op.tensor_power(route.basis, n)
+        return [(Un * w) @ Un.conj().T for w in weights]
+    projectors = []
+    for w in words:
+        pinched = op.pinching(op.word_products(w, table), ref, tol)
+        projectors.append(op.nonneg_eigenspace_projector(pinched - math.exp(a) * ref, tol))
+    vals, vecs = np.linalg.eigh(sum(projectors))
+    inv_sqrt = np.where(vals > tol.support, 1.0 / np.sqrt(np.where(vals > tol.support, vals, 1.0)), 0.0)
+    s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
+    return [s_inv_half @ p @ s_inv_half for p in projectors]
 
 
 def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances = DEFAULT_TOL):
@@ -362,30 +411,25 @@ def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances 
     (elements, abstain) : (list of ndarray, ndarray)
     """
     words = [np.asarray(w) for w in words]
-    k_size, n, d = len(words), len(words[0]), np.asarray(sigma0).shape[0]
-    op.check_hermitian(sigma1, tol)  # shared_eigenbasis checks only sigma0
-    basis = shared_eigenbasis(sigma0, sigma1, tol)
-    # measured peaks: the K elements and a few n-fold matrices (commuting);
-    # the K projectors, the K elements and the pinching's eigenprojectors of
-    # the reference, at most one per multiset of n eigenvalues (dense)
-    dense_copies = 2 * k_size + min(math.comb(n + d - 1, n), d**n) + 8
-    _charge("square_root_povm", d, n, True, k_size + 6 if basis is not None else dense_copies)
-    if basis is not None:
-        U, s0, s1 = basis
-        weights = _srm_weights(op.word_products(words, np.stack([s0, s1])), _power(s0, n), a_threshold, tol)
-        Un = op.tensor_power(U, n)
-        elements = [(Un * w) @ Un.conj().T for w in weights]
+    route = pair_route(sigma0, sigma1, tol)
+    _charge("square_root_povm", route, len(words[0]), len(words))
+    elements = _povm(words, route, a_threshold, tol)
+    return elements, np.eye(len(elements[0])) - sum(elements)
+
+
+def _decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances, route: Route) -> DecoderReport:
+    a = cfg.a_threshold
+    if a is None:
+        a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0, tol)
+    words = cb.words.reshape(-1, cb.n)
+    if route.basis is not None:
+        sigs = op.word_products(words, route.table)
+        p_ok = np.sum(sigs * _srm_weights(sigs, _power(route.table[0], cb.n), a, tol), axis=1)
     else:
-        ref = product_state([0] * n, sigma0, sigma1)
-        projectors = []
-        for w in words:
-            pinched = op.pinching(product_state(w, sigma0, sigma1), ref, tol)
-            projectors.append(op.nonneg_eigenspace_projector(pinched - math.exp(a_threshold) * ref, tol))
-        vals, vecs = np.linalg.eigh(sum(projectors))
-        inv_sqrt = np.where(vals > tol.support, 1.0 / np.sqrt(np.where(vals > tol.support, vals, 1.0)), 0.0)
-        s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
-        elements = [s_inv_half @ p @ s_inv_half for p in projectors]
-    return elements, np.eye(d**n) - sum(elements)
+        p_ok = [np.trace(e @ op.word_products(w, route.table)).real for e, w in zip(_povm(words, route, a, tol), words)]
+    errors = np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0)
+    per_message = {ml: float(e) for ml, e in zip(np.ndindex(cb.m_size, cb.l_size), errors)}
+    return DecoderReport(perMessageError=per_message, averageError=float(errors.mean()), maxError=float(errors.max()))
 
 
 def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> DecoderReport:
@@ -394,27 +438,32 @@ def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConf
     When sigma0 and sigma1 commute, every operator of the measurement is
     diagonal in their shared eigenbasis: the pinching is the identity, Pi_c
     is the indicator of sigma_c - e^a sigma0^{(x)n} >= -tol.cluster, and
-    S^{-1/2} vanishes where S <= tol.support, as in :func:`square_root_povm`,
-    which charges the dense route's budget.
+    S^{-1/2} vanishes where S <= tol.support, as in :func:`square_root_povm`.
     """
-    a = cfg.a_threshold
-    if a is None:
-        a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0, tol)
-    words = cb.words.reshape(-1, cb.n)
-    op.check_hermitian(ch.sigma1, tol)  # shared_eigenbasis checks only sigma0
-    basis = shared_eigenbasis(ch.sigma0, ch.sigma1, tol)
-    if basis is not None:
-        # measured: the (K, d**n) distributions, weights and their product
-        _charge("sqrt_measurement_decoder", ch.sigma0.shape[0], cb.n, False, 3 * len(words) + 4)
-        _, s0, s1 = basis
-        sigs = op.word_products(words, np.stack([s0, s1]))
-        p_ok = np.sum(sigs * _srm_weights(sigs, _power(s0, cb.n), a, tol), axis=1)
-    else:
-        elements, _ = square_root_povm(list(words), ch.sigma0, ch.sigma1, a, tol)
-        p_ok = [np.trace(e @ product_state(w, ch.sigma0, ch.sigma1)).real for e, w in zip(elements, words)]
-    errors = np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0)
-    per_message = {ml: float(e) for ml, e in zip(np.ndindex(cb.m_size, cb.l_size), errors)}
-    return DecoderReport(perMessageError=per_message, averageError=float(errors.mean()), maxError=float(errors.max()))
+    route = pair_route(ch.sigma0, ch.sigma1, tol)
+    _charge("sqrt_measurement_decoder", route, cb.n, cb.m_size * cb.l_size)
+    return _decoder(cb, ch, cfg, tol, route)
+
+
+def simulate(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL):
+    """One campaign on one codebook: covertness, secrecy, resolvability and, for
+    at most 64 words, the decoder.  Each pair's route is chosen once, and every
+    stage's charge is checked before the codebook is drawn.  Returns
+    ``(covertness, secrecy, (mean, rhs, holds), decoder or None, route names)``."""
+    warden, bob = pair_route(ch.omega0, ch.omega1, tol), pair_route(ch.sigma0, ch.sigma1, tol)
+    k_size = cfg.m_size * cfg.l_size
+    for stage in ("covertness_report", "secrecy_report", "resolvability_samples"):
+        _charge(stage, warden, cfg.n, k_size)
+    if k_size <= 64:
+        _charge("sqrt_measurement_decoder", bob, cfg.n, k_size)
+    cb = sample_codebook(cfg)
+    rhs = resolvability_rhs(cfg, ch, tol)
+    return (
+        _covertness(cb, ch, cfg, tol, warden, rhs), _secrecy(cb, cfg, warden),
+        _resolvability(_distances(cfg, warden), rhs),
+        _decoder(cb, ch, cfg, tol, bob) if k_size <= 64 else None,
+        {"warden": warden.name, "decoder": bob.name},
+    )
 
 
 def covertness_scaling(ch: BinaryCovertChannel, gamma: float, ns, tol: Tolerances = DEFAULT_TOL):

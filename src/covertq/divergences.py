@@ -137,15 +137,21 @@ def qre_commuting(p, q, tol: Tolerances = DEFAULT_TOL) -> float:
     tolerance are dropped, and ``inf`` is returned when a remaining entry
     meets an entry of ``q`` at or below it.
     """
-    pa = np.clip(np.asarray(p, dtype=float).ravel(), 0.0, None)
+    pa = np.asarray(p, dtype=float).ravel()
     qa = np.asarray(q, dtype=float).ravel()
     if pa.shape != qa.shape:
         raise DimMismatchError(f"lengths {pa.size} vs {qa.size}")
-    keep = pa > tol.support
-    if np.any(qa[keep] <= tol.support):
+    keep = pa > tol.support  # kept entries are positive, so p needs no clip at 0
+    log_q = qa[keep]
+    if np.any(log_q <= tol.support):
         return math.inf
-    total = float(np.sum(pa[keep] * (np.log(pa[keep]) - np.log(qa[keep]))))
-    return max(total, 0.0)
+    # p (log p - log q) in place on one masked copy, holding two masked copies at most
+    terms = pa[keep]
+    np.log(terms, out=terms)
+    terms -= np.log(log_q, out=log_q)
+    del log_q
+    terms *= pa[keep]
+    return max(float(np.sum(terms)), 0.0)
 
 
 def hockey_stick(rho, sigma, gamma: float, tol: Tolerances = DEFAULT_TOL):

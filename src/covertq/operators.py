@@ -133,13 +133,6 @@ def check_density(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return m
 
 
-def ket(index: int, dim: int) -> np.ndarray:
-    """Computational basis column vector |index> in the given dimension."""
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def projector(vec) -> np.ndarray:
     """Rank-one projector |v><v| for a (not necessarily normalized) vector."""
     v = np.asarray(vec, dtype=complex).ravel()
@@ -378,26 +371,6 @@ def support_contained(inner, outer, tol: Tolerances = DEFAULT_TOL):
     residual = np.linalg.norm(vecs - proj @ vecs, axis=-2)
     escapes = (vals > tol.support) & (residual >= np.sqrt(tol.support))
     return scalar_or_stack(~np.any(escapes, axis=-1), bool)
-
-
-def standard_unitaries(dim: int) -> dict[str, np.ndarray]:
-    """Fourier, cyclic shift, phase, and CNOT unitaries for a qudit of size ``dim``.
-
-    The shift acts as X|j> = |j+1 mod d>, the phase as Z|j> = e^{2 pi i j/d}|j>,
-    and CNOT adds the control value to the target modulo d.
-    """
-    if dim < 2:
-        raise DimMismatchError("standard unitaries need dim >= 2")
-    j = np.arange(dim)
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
-    shift_x = np.zeros((dim, dim), dtype=complex)
-    shift_x[(j + 1) % dim, j] = 1.0
-    phase_z = np.diag(np.exp(2j * np.pi * j / dim))
-    cnot = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for c in range(dim):
-        for t in range(dim):
-            cnot[c * dim + (t + c) % dim, c * dim + t] = 1.0
-    return {"fourier": fourier, "shift_x": shift_x, "phase_z": phase_z, "cnot": cnot}
 
 
 def matrix_to_json(a) -> list:

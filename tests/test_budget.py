@@ -21,7 +21,7 @@ ISOMETRIES = {
 }
 SIM_ENTRY_POINTS = (
     "willie_average_state", "willie_bin_state", "resolvability_samples", "resolvability_experiment",
-    "covertness_report", "secrecy_report", "sqrt_measurement_decoder", "square_root_povm",
+    "covertness_report", "secrecy_report", "sqrt_measurement_decoder", "square_root_povm", "simulate",
 )
 EG_ENTRY_POINTS = (
     "exact_string_povm", "protocol_state", "decoupling_decoder", "align_phases",
@@ -44,6 +44,7 @@ def sim_call(name, V, n):
         "secrecy_report": (cb, quad, cfg),
         "sqrt_measurement_decoder": (cb, quad, cfg),
         "square_root_povm": (list(cb.words[0]), quad.sigma0, quad.sigma1, 0.1),
+        "simulate": (cfg, quad),
     }[name]
     return lambda: getattr(cs, name)(*args)
 
@@ -123,6 +124,7 @@ SIM_SIZES = {
     "secrecy_report": {"commuting": (12, 14, 16), "dense": (5, 6, 7)},
     "sqrt_measurement_decoder": {"commuting": (12, 14, 16), "dense": (5, 6, 7)},
     "square_root_povm": {"commuting": (5, 6, 7), "dense": (5, 6, 7)},
+    "simulate": {"commuting": (12, 14, 16), "dense": (5, 6, 7)},
 }
 
 

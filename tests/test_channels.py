@@ -136,23 +136,9 @@ def test_stinespring_kraus_equivalence():
         ch = random_kraus_channel(rng, 3, 2, 3)
         V = chn.stinespring_from_kraus(ch)
         rho = random_density(rng, 3)
-        joint = chn.apply_isometry(V, rho)
+        joint = V.V @ rho @ V.V.conj().T
         reduced = op.partial_trace(joint, [V.out_dim_b, V.out_dim_w], [0])
         np.testing.assert_allclose(reduced, ch.apply(rho), atol=1e-10)
-
-
-def test_apply_isometry_basic():
-    V = chn.stinespring_from_kraus(chn.KrausChannel((np.eye(2),)))
-    rng = np.random.default_rng(2)
-    rho = random_density(rng, 2)
-    np.testing.assert_allclose(chn.apply_isometry(V, rho), rho, atol=1e-12)
-    # isometries preserve rank: pure input stays pure
-    Ve = chn.stinespring_from_kraus(chn.excitation_channel(0.3))
-    psi = np.zeros((2, 2), dtype=complex)
-    psi[0, 0] = 1.0
-    out = chn.apply_isometry(Ve, psi)
-    vals = np.linalg.eigvalsh(out)
-    assert np.sum(vals > 1e-12) == 1
 
 
 def test_marginal_outputs_excitation():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,30 @@ def test_simulate_sizes_under_byte_budget(exc_spec, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, budget", [(16, str(10 * 2**20)), (23, "")])
+def test_simulate_refuses_before_any_stage(exc_spec, tmp_path, capsys, monkeypatch, n, budget):
+    # at n = 16 the warden stages fit in 10 MiB and the decoder's (K, d**n) arrays
+    # do not; at n = 23 the decoder does not fit the default budget
+    def entered(*args, **kwargs):
+        raise AssertionError("stage run before every charge was checked")
+
+    for body in ("sample_codebook", "_covertness", "_secrecy", "_distances", "_decoder"):
+        monkeypatch.setattr(cs, body, entered)
+    monkeypatch.setenv("COVERTQ_MAX_BYTES", budget)
+    out = tmp_path / "sim.json"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", exc_spec, "--n", str(n), "--gamma", "0.5", "--m", "4", "--l", "4",
+                     "--samples", "2", "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert f"sqrt_measurement_decoder at n = {n} needs" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 2**20
+
+
 def test_egdemo_byte_budget(exc_spec, tmp_path, capsys, monkeypatch):
     out = tmp_path / "eg.json"
     monkeypatch.setenv("COVERTQ_MAX_BYTES", "1000")
@@ -314,3 +339,29 @@ def test_simulate_reports_route(exc_spec, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["diagnostics"] == {"route": {"warden": "dense", "decoder": "dense"}}
     assert 0.0 <= payload["decoder"]["averageError"] <= 1.0
+
+
+@pytest.mark.parametrize("kind, m, l", [("excitation", 2, 2), ("excitation", 8, 16), ("cq-pair", 2, 2)])
+def test_simulate_diagonalises_each_pair_once(exc_spec, tmp_path, monkeypatch, kind, m, l):
+    spec = tmp_path / "exc.json"  # the file exc_spec wrote
+    if kind == "cq-pair":  # neither pair commutes
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps({
+            "kind": "cq-pair",
+            "sigma0": _pair_json([[0.7, 0.2], [0.2, 0.3]]),
+            "sigma1": _pair_json([[0.4, 0.1], [0.1, 0.6]]),
+            "omega0": _pair_json([[0.6, 0.25], [0.25, 0.4]]),
+            "omega1": _pair_json([[0.5, -0.2], [-0.2, 0.5]]),
+        }))
+    calls = []
+    shared = cs.shared_eigenbasis
+    monkeypatch.setattr(cs, "shared_eigenbasis", lambda a, b, *rest: calls.append((a, b)) or shared(a, b, *rest))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", str(spec), "--n", "4", "--gamma", "0.6", "--m", str(m), "--l", str(l),
+                 "--samples", "2", "-o", str(out)]) == 0
+    assert (json.loads(out.read_text())["decoder"] is None) == (m * l > 64)
+    quad = chn.channel_spec_to_quadruple(json.loads(spec.read_text()))
+    pairs = [(quad.omega0, quad.omega1), (quad.sigma0, quad.sigma1)]
+    assert len(calls) == 2
+    for want in pairs:
+        assert sum(np.array_equal(a, want[0]) and np.array_equal(b, want[1]) for a, b in calls) == 1

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from covertq import channels as chn
-from covertq import cli
 from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
@@ -428,13 +427,22 @@ def test_commuting_route_rejects_non_hermitian_sigma1():
             cs.square_root_povm([np.array([0, 1], dtype=np.uint8)], sigma0, sigma1, 0.1)
         with pytest.raises(NotHermitianError):
             cs.sqrt_measurement_decoder(cb, chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1), cfg)
+        # the same pair as the warden's outputs
+        warden = chn.BinaryCovertChannel(exc.sigma0, exc.sigma1, sigma0, sigma1)
+        for report in (
+            lambda: cs.secrecy_report(cb, warden, cfg),
+            lambda: cs.resolvability_samples(cfg, warden),
+            lambda: cs.willie_average_state(cb, warden),
+        ):
+            with pytest.raises(NotHermitianError):
+                report()
 
 
 def test_sqrt_decoder_dense_route():
     sigma0 = np.array([[0.7, 0.2], [0.2, 0.3]])
     sigma1 = np.array([[0.4, 0.1], [0.1, 0.6]])
     assert cs.shared_eigenbasis(sigma0, sigma1) is None
-    assert cli._route(sigma0, sigma1) == "dense"
+    assert cs.pair_route(sigma0, sigma1).name == "dense"
     exc = excitation_quadruple()
     quad = chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1)
     cfg = cs.SimConfig(n=3, gamma=0.5, m_size=2, l_size=2, seed=4, a_threshold=0.2)

@@ -203,31 +203,6 @@ def test_pinching_trace_and_positivity():
         np.testing.assert_allclose(out @ ref, ref @ out, atol=1e-8)
 
 
-def test_standard_unitaries_qubit():
-    u = op.standard_unitaries(2)
-    np.testing.assert_allclose(u["shift_x"], np.array([[0, 1], [1, 0]]), atol=1e-12)
-    np.testing.assert_allclose(u["fourier"], np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-12)
-    v10 = np.zeros(4)
-    v10[2] = 1.0  # |10>
-    out = u["cnot"] @ v10
-    expected = np.zeros(4)
-    expected[3] = 1.0  # |11>
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_standard_unitaries_qudit():
-    for d in (2, 3, 5):
-        us = op.standard_unitaries(d)
-        for name, u in us.items():
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-12, err_msg=name)
-        x, z = us["shift_x"], us["phase_z"]
-        for j in range(d):
-            np.testing.assert_allclose(x @ op.ket(j, d), op.ket((j + 1) % d, d), atol=1e-12)
-            np.testing.assert_allclose(
-                z @ op.ket(j, d), np.exp(2j * np.pi * j / d) * op.ket(j, d), atol=1e-12
-            )
-
-
 def test_canonical_purification():
     rng = np.random.default_rng(11)
     rho = random_density(rng, 3)
