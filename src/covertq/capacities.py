@@ -24,7 +24,6 @@ from . import divergences as dv
 from . import operators as op
 from .channels import BinaryCovertChannel, StinespringIsometry, _covert_quadruple
 from .errors import DimMismatchError, InvalidParameterError, SingularReferenceError
-from .operators import DEFAULT_TOL, Tolerances
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,12 @@ def _positive_gap(a, b):
     return np.where(gap <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))), 0.0, gap)
 
 
-def _reports(ch: BinaryCovertChannel, tol: Tolerances) -> list[CapacityReport]:
+def _reports(ch: BinaryCovertChannel) -> list[CapacityReport]:
     """Every rate of a quadruple, or of a stack of quadruples, in one pass:
     two batched ``qre`` calls and one batched ``chi_square`` call."""
-    d_bob = dv.qre(ch.sigma1, ch.sigma0, tol)
-    d_willie = dv.qre(ch.omega1, ch.omega0, tol)
-    chi2 = dv.chi_square(ch.omega1, ch.omega0, tol)
+    d_bob = dv.qre(ch.sigma1, ch.sigma0)
+    d_willie = dv.qre(ch.omega1, ch.omega0)
+    chi2 = dv.chi_square(ch.omega1, ch.omega0)
     failed = op.first_failure(chi2 <= 0.0)
     if failed:
         raise SingularReferenceError(f"{failed[1]}chi-square of warden outputs vanished")
@@ -70,7 +69,7 @@ def _reports(ch: BinaryCovertChannel, tol: Tolerances) -> list[CapacityReport]:
             for row in zip(*(np.ravel(column).tolist() for column in columns))]
 
 
-def capacity_reports(isometries, tol: Tolerances = DEFAULT_TOL) -> list[CapacityReport]:
+def capacity_reports(isometries) -> list[CapacityReport]:
     """Capacity reports for many channels of one shape, evaluated as one stack.
 
     Each isometry is one channel or a stack of channels; their leading axes
@@ -88,39 +87,39 @@ def capacity_reports(isometries, tol: Tolerances = DEFAULT_TOL) -> list[Capacity
     if len(shapes) > 1:
         raise DimMismatchError("stacked isometries must share one shape")
     ((*_, db, dw),) = shapes
-    return _reports(_covert_quadruple(np.concatenate(matrices), db, dw, tol), tol)
+    return _reports(_covert_quadruple(np.concatenate(matrices), db, dw))
 
 
-def covert_secrecy_capacity_keyed(ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> float:
+def covert_secrecy_capacity_keyed(ch: BinaryCovertChannel) -> float:
     """Key-assisted covert secrecy capacity D(sigma1||sigma0) / sqrt(chi^2/2)."""
-    return capacity_report_from_quadruple(ch, tol).cSKey
+    return capacity_report_from_quadruple(ch).cSKey
 
 
-def covert_secrecy_capacity_unassisted(ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> float:
+def covert_secrecy_capacity_unassisted(ch: BinaryCovertChannel) -> float:
     """Unassisted covert secrecy capacity: positive part of the divergence gap
     [D(sigma1||sigma0) - D(omega1||omega0)]_+ over sqrt(chi^2/2)."""
-    return capacity_report_from_quadruple(ch, tol).cS
+    return capacity_report_from_quadruple(ch).cS
 
 
-def covert_eg_capacity(V: StinespringIsometry, tol: Tolerances = DEFAULT_TOL) -> float:
+def covert_eg_capacity(V: StinespringIsometry) -> float:
     """Covert entanglement-generation capacity of the channel dilated by V.
 
     Coincides with the unassisted covert secrecy capacity of the induced
     binary quadruple.
     """
-    return capacity_report(V, tol).cEG
+    return capacity_report(V).cEG
 
 
-def minimal_key_rate(ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> float:
+def minimal_key_rate(ch: BinaryCovertChannel) -> float:
     """Asymptotic key rate D(omega1||omega0) / sqrt(chi^2/2) that suffices
     for secrecy in the key-assisted scheme."""
-    return capacity_report_from_quadruple(ch, tol).lKeyMin
+    return capacity_report_from_quadruple(ch).lKeyMin
 
 
-def key_rate_without_secrecy(ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> float:
+def key_rate_without_secrecy(ch: BinaryCovertChannel) -> float:
     """Key rate needed for covertness alone:
     [D(omega1||omega0) - D(sigma1||sigma0)]_+ over sqrt(chi^2/2)."""
-    return capacity_report_from_quadruple(ch, tol).lKeyNoSecrecy
+    return capacity_report_from_quadruple(ch).lKeyNoSecrecy
 
 
 def excitation_capacity_closed_form(gamma: float) -> float:
@@ -135,13 +134,13 @@ def excitation_capacity_closed_form(gamma: float) -> float:
     return math.log((1.0 - gamma) / gamma) * math.sqrt(2.0 * (1.0 - gamma) / gamma)
 
 
-def capacity_report_from_quadruple(ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> CapacityReport:
+def capacity_report_from_quadruple(ch: BinaryCovertChannel) -> CapacityReport:
     """Evaluate every rate formula on one quadruple."""
-    return _reports(ch, tol)[0]
+    return _reports(ch)[0]
 
 
-def capacity_report(V: StinespringIsometry, tol: Tolerances = DEFAULT_TOL) -> CapacityReport:
+def capacity_report(V: StinespringIsometry) -> CapacityReport:
     """Capacity report for the binary covert channel induced by V."""
     if V.V.ndim != 2:
         raise DimMismatchError("capacity_report takes one channel; use capacity_reports for a stack")
-    return capacity_reports([V], tol)[0]
+    return capacity_reports([V])[0]

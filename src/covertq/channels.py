@@ -23,7 +23,7 @@ from .errors import (
     AssumptionViolationError, DimMismatchError, IndexOutOfRangeError, InvalidParameterError,
     NotTracePreservingError, TrivialTestError,
 )
-from .operators import DEFAULT_TOL, Tolerances
+from .operators import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def marginal_outputs(V: StinespringIsometry, x: int):
     return sigma[0], omega[0]
 
 
-def _validate_quadruple(quad: BinaryCovertChannel, tol: Tolerances) -> BinaryCovertChannel:
+def _validate_quadruple(quad: BinaryCovertChannel) -> BinaryCovertChannel:
     """Check the covert setting on a quadruple or on a stack of quadruples.
 
     The warden's outputs must differ (trace norm above the support tolerance),
@@ -178,9 +178,9 @@ def _validate_quadruple(quad: BinaryCovertChannel, tol: Tolerances) -> BinaryCov
         (AssumptionViolationError, "supp(omega1) not contained in supp(omega0)"),
     )
     failing = np.stack([
-        op.trace_norm(quad.omega1 - quad.omega0, tol) <= tol.support,
-        np.logical_not(op.support_contained(quad.sigma1, quad.sigma0, tol)),
-        np.logical_not(op.support_contained(quad.omega1, quad.omega0, tol)),
+        op.trace_norm(quad.omega1 - quad.omega0) <= DEFAULT_TOL.support,
+        np.logical_not(op.support_contained(quad.sigma1, quad.sigma0)),
+        np.logical_not(op.support_contained(quad.omega1, quad.omega0)),
     ])
     failed = op.first_failure(failing.any(axis=0))
     if failed:
@@ -190,23 +190,23 @@ def _validate_quadruple(quad: BinaryCovertChannel, tol: Tolerances) -> BinaryCov
     return quad
 
 
-def _covert_quadruple(v: np.ndarray, db: int, dw: int, tol: Tolerances) -> BinaryCovertChannel:
+def _covert_quadruple(v: np.ndarray, db: int, dw: int) -> BinaryCovertChannel:
     """Validated quadruple of inputs 0 and 1 for one isometry matrix or a
     stack of them, shape (..., db*dw, da); the fields are stacked alike."""
     if v.shape[-1] < 2:
         raise DimMismatchError("covert setting needs at least two input symbols")
     sigma, omega = _marginals(v, db, dw, (0, 1))
     quad = BinaryCovertChannel(sigma[..., 0, :, :], sigma[..., 1, :, :], omega[..., 0, :, :], omega[..., 1, :, :])
-    return _validate_quadruple(quad, tol)
+    return _validate_quadruple(quad)
 
 
-def build_covert_channel(V: StinespringIsometry, tol: Tolerances = DEFAULT_TOL) -> BinaryCovertChannel:
+def build_covert_channel(V: StinespringIsometry) -> BinaryCovertChannel:
     """Form the binary covert quadruple from input symbols 0 and 1.
 
     Validates the two support inclusions supp(sigma1) in supp(sigma0) and
     supp(omega1) in supp(omega0), and that the warden's two outputs differ.
     """
-    return _covert_quadruple(V.V, V.out_dim_b, V.out_dim_w, tol)
+    return _covert_quadruple(V.V, V.out_dim_b, V.out_dim_w)
 
 
 def mixed_output(ch: BinaryCovertChannel, alpha: float) -> np.ndarray:
@@ -232,12 +232,12 @@ def channel_spec_to_stinespring(spec: dict) -> StinespringIsometry:
     raise InvalidParameterError(f"unsupported channel kind for isometry: {kind!r}")
 
 
-def channel_spec_to_quadruple(spec: dict, tol: Tolerances = DEFAULT_TOL) -> BinaryCovertChannel:
+def channel_spec_to_quadruple(spec: dict) -> BinaryCovertChannel:
     """Build a BinaryCovertChannel from a channel-spec dictionary."""
     kind = spec.get("kind")
     if kind == "cq-pair":
         return _validate_quadruple(BinaryCovertChannel(*(
-            op.check_density(op.matrix_from_json(spec[name]), tol)
+            op.check_density(op.matrix_from_json(spec[name]))
             for name in ("sigma0", "sigma1", "omega0", "omega1")
-        )), tol)
-    return build_covert_channel(channel_spec_to_stinespring(spec), tol)
+        )))
+    return build_covert_channel(channel_spec_to_stinespring(spec))

@@ -25,7 +25,6 @@ from . import __version__
 from . import capacities as cap
 from . import channels as chn
 from . import covert_sim as cs
-from . import divergences as dv
 from . import eg_toy as eg
 from .errors import AssumptionViolationError, BudgetExceededError, ToolkitError, TrivialTestError
 
@@ -86,9 +85,7 @@ def _maybe_bits(report: dict, bits: bool) -> dict:
 def cmd_capacity(args) -> int:
     spec = _load_channel_spec(args.channel)
     quad = chn.channel_spec_to_quadruple(spec)
-    report = cap.capacity_report_from_quadruple(quad).to_dict()
-    report = {k: (bool(v) if k == "antiDegradedFlag" else float(v) if not isinstance(v, bool) else v) for k, v in report.items()}
-    payload = _maybe_bits(report, args.bits)
+    payload = _maybe_bits(cap.capacity_report_from_quadruple(quad).to_dict(), args.bits)
     _emit_json(payload, args.out, "capacity", spec, {"bits": args.bits}, None)
     return EXIT_OK
 
@@ -142,18 +139,8 @@ def cmd_egdemo(args) -> int:
     spec = _load_channel_spec(args.channel)
     V = chn.channel_spec_to_stinespring(spec)
     code = eg.default_demo_code()
-    words_flat = [code.words[m, l] for m in range(code.T) for l in range(code.l_size)]
-    alpha = float(np.mean(code.words))
-    try:
-        quad = chn.build_covert_channel(V)
-        a = 0.5 * alpha * code.n * dv.qre(quad.sigma1, quad.sigma0)
-        povm, abstain = cs.square_root_povm(words_flat, quad.sigma0, quad.sigma1, a)
-        decoder_route = cs.pair_route(quad.sigma0, quad.sigma1).name
-    except (TrivialTestError, AssumptionViolationError):
-        # degenerate warden (e.g. noiseless channel): decode by exact strings
-        povm, abstain = eg.exact_string_povm(words_flat, V.out_dim_b)
-        decoder_route = "exact-string"
-    report = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=args.mode)
+    povm, abstain, decoder_route = eg.decoding_povm(code, V)
+    report = eg.eg_report(code, V, povm, abstain, mode=args.mode)
     params = {"n": code.n, "T": code.T, "l": code.l_size, "mode": args.mode}
     payload = {
         "config": params,

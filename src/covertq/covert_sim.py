@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from . import divergences as dv
 from . import operators as op
 from .channels import BinaryCovertChannel, mixed_output
 from .errors import IndexOutOfRangeError, InvalidParameterError
-from .operators import DEFAULT_TOL, Tolerances
+from .operators import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def product_state(word, state0, state1) -> np.ndarray:
     return op.word_products(word, np.stack([state0, state1]).astype(complex))
 
 
-def shared_eigenbasis(a, b, tol: Tolerances = DEFAULT_TOL):
+def shared_eigenbasis(a, b):
     """Common eigenbasis of two Hermitian operators, or None if they do not commute.
 
     Each eigenspace of ``a`` is spanned by its own orthonormal columns, inside
@@ -151,9 +150,9 @@ def shared_eigenbasis(a, b, tol: Tolerances = DEFAULT_TOL):
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if np.max(np.abs(a @ b - b @ a)) > tol.herm:
+    if np.max(np.abs(a @ b - b @ a)) > DEFAULT_TOL.herm:
         return None
-    sd = op.spectral_decompose(a, tol)
+    sd = op.spectral_decompose(a)
     cols, pa, pb = [], [], []
     for lam, proj in zip(sd.eigenvalues, sd.projectors):
         weights, vecs = np.linalg.eigh(proj)
@@ -193,15 +192,15 @@ class Route:
     divergence: Callable
 
 
-def pair_route(state0, state1, tol: Tolerances = DEFAULT_TOL) -> Route:
+def pair_route(state0, state1) -> Route:
     """The one choice of route for a pair of single-copy outputs, both Hermitian."""
-    op.check_hermitian(state1, tol)  # shared_eigenbasis checks only state0
-    basis = shared_eigenbasis(state0, state1, tol)
+    op.check_hermitian(state1)  # shared_eigenbasis checks only state0
+    basis = shared_eigenbasis(state0, state1)
     if basis is None:
         table = np.stack([state0, state1]).astype(complex)
-        return Route("dense", table, None, partial(op.trace_norm, tol=tol), partial(dv.qre, tol=tol))
+        return Route("dense", table, None, op.trace_norm, dv.qre)
     U, p0, p1 = basis
-    return Route("commuting", np.stack([p0, p1]), U, _l1, partial(dv.qre_commuting, tol=tol))
+    return Route("commuting", np.stack([p0, p1]), U, _l1, dv.qre_commuting)
 
 
 def _charge(stage: str, route: Route, n: int, k_size: int) -> None:
@@ -228,10 +227,10 @@ def _charge(stage: str, route: Route, n: int, k_size: int) -> None:
     budget.check(nbytes, f"{stage} at n = {n}")
 
 
-def _average_state(words, ch: BinaryCovertChannel, tol: Tolerances) -> np.ndarray:
+def _average_state(words, ch: BinaryCovertChannel) -> np.ndarray:
     """Dense warden state averaged uniformly over the (K, n) ``words``."""
     n = words.shape[1]
-    route = pair_route(ch.omega0, ch.omega1, tol)
+    route = pair_route(ch.omega0, ch.omega1)
     _charge("warden average state", route, n, len(words))
     avg = op.mean_word_product(words, route.table)
     if route.basis is None:
@@ -240,7 +239,7 @@ def _average_state(words, ch: BinaryCovertChannel, tol: Tolerances) -> np.ndarra
     return (Un * avg) @ Un.conj().T
 
 
-def willie_average_state(cb: Codebook, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def willie_average_state(cb: Codebook, ch: BinaryCovertChannel) -> np.ndarray:
     """Warden's exact average state over all (m, l) codewords.
 
     When the two warden outputs commute, the state is assembled from the
@@ -248,24 +247,24 @@ def willie_average_state(cb: Codebook, ch: BinaryCovertChannel, tol: Tolerances 
     eigenbasis; otherwise a dense tensor-product average is formed.  Either
     way its bytes, the dense result included, are charged to the budget first.
     """
-    return _average_state(cb.words.reshape(-1, cb.n), ch, tol)
+    return _average_state(cb.words.reshape(-1, cb.n), ch)
 
 
-def willie_bin_state(cb: Codebook, ch: BinaryCovertChannel, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def willie_bin_state(cb: Codebook, ch: BinaryCovertChannel, m: int) -> np.ndarray:
     """Warden's state conditioned on message m, averaged over the bin index."""
     if not 0 <= m < cb.m_size:
         raise IndexOutOfRangeError(f"message index {m} outside [0, {cb.m_size})")
-    return _average_state(cb.words[m], ch, tol)
+    return _average_state(cb.words[m], ch)
 
 
-def _default_beta_grid(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances) -> np.ndarray:
-    center = cfg.alpha * cfg.n * dv.qre(ch.omega1, ch.omega0, tol)
+def _default_beta_grid(cfg: SimConfig, ch: BinaryCovertChannel) -> np.ndarray:
+    center = cfg.alpha * cfg.n * dv.qre(ch.omega1, ch.omega0)
     if center <= 0.0:
         center = 1.0
     return np.geomspace(0.1 * center, 10.0 * center, 21)
 
 
-def resolvability_rhs(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> float:
+def resolvability_rhs(cfg: SimConfig, ch: BinaryCovertChannel) -> float:
     """Grid-minimized soft-covering bound on the expected trace distance.
 
     min over (s, beta) of 2 sqrt(exp(beta s + n phi(s, alpha))) +
@@ -275,11 +274,11 @@ def resolvability_rhs(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances =
     ensemble = dv.CqEnsemble(
         np.array([1.0 - cfg.alpha, cfg.alpha]), (ch.omega0, ch.omega1)
     )
-    nu = dv.distinct_eigenvalue_count(mixed_output(ch, cfg.alpha), cfg.n, tol)
+    nu = dv.distinct_eigenvalue_count(mixed_output(ch, cfg.alpha), cfg.n)
     k_total = cfg.m_size * cfg.l_size
-    betas = np.asarray(cfg.beta_grid) if cfg.beta_grid is not None else _default_beta_grid(cfg, ch, tol)
+    betas = np.asarray(cfg.beta_grid) if cfg.beta_grid is not None else _default_beta_grid(cfg, ch)
     s = np.asarray(cfg.s_grid, dtype=float)[:, None]
-    phis = dv.phi(s, ensemble, tol)
+    phis = dv.phi(s, ensemble)
     with np.errstate(over="ignore"):  # an overflowing grid point is a vacuous (inf) bound
         first = 2.0 * np.sqrt(np.exp(betas * s + cfg.n * phis))
         second = np.sqrt(np.exp(betas) * nu / k_total)
@@ -295,11 +294,11 @@ def _distances(cfg: SimConfig, route: Route) -> np.ndarray:
     return distances
 
 
-def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel) -> np.ndarray:
     """Trace distance of the codebook-average state to the mixed reference,
     for ``cfg.samples`` independently seeded codebooks, one codebook in
     memory at a time."""
-    route = pair_route(ch.omega0, ch.omega1, tol)
+    route = pair_route(ch.omega0, ch.omega1)
     _charge("resolvability_samples", route, cfg.n, cfg.m_size * cfg.l_size)
     return _distances(cfg, route)
 
@@ -310,7 +309,7 @@ def _resolvability(distances: np.ndarray, rhs: float) -> tuple:
     return mean, rhs, mean <= rhs + 3.0 * se
 
 
-def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL):
+def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel):
     """Compare the Monte-Carlo mean trace distance against the bound.
 
     Returns
@@ -319,10 +318,10 @@ def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel, tol: Toler
         ``holds`` is True when the mean does not exceed the bound by more
         than three standard errors of the mean.
     """
-    return _resolvability(resolvability_samples(cfg, ch, tol), resolvability_rhs(cfg, ch, tol))
+    return _resolvability(resolvability_samples(cfg, ch), resolvability_rhs(cfg, ch))
 
 
-def _covertness(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances, route: Route, rhs: float) -> CovertnessReport:
+def _covertness(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, route: Route, rhs: float) -> CovertnessReport:
     table = route.table
     avg = op.mean_word_product(cb.words.reshape(-1, cb.n), table)
     ref0 = _power(table[0], cb.n)
@@ -330,7 +329,7 @@ def _covertness(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tole
     d_covert = route.divergence(avg, ref0)
     trace_dist = float(route.distance(avg - mixed))
     helstrom = 0.5 * (1.0 - 0.5 * float(route.distance(avg - ref0)))
-    d_reference = cb.n * dv.qre(mixed_output(ch, cfg.alpha), ch.omega0, tol)
+    d_reference = cb.n * dv.qre(mixed_output(ch, cfg.alpha), ch.omega0)
     pinsker_lb = 0.5 * (1.0 - math.sqrt(0.5 * d_covert)) if math.isfinite(d_covert) else 0.0
     return CovertnessReport(
         dCovert=d_covert,
@@ -342,11 +341,11 @@ def _covertness(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tole
     )
 
 
-def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> CovertnessReport:
+def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> CovertnessReport:
     """Covertness metrics of one codebook against the innocent reference."""
-    route = pair_route(ch.omega0, ch.omega1, tol)
+    route = pair_route(ch.omega0, ch.omega1)
     _charge("covertness_report", route, cb.n, cb.m_size * cb.l_size)
-    return _covertness(cb, ch, cfg, tol, route, resolvability_rhs(cfg, ch, tol))
+    return _covertness(cb, ch, cfg, route, resolvability_rhs(cfg, ch))
 
 
 def _secrecy(cb: Codebook, cfg: SimConfig, route: Route) -> SecrecyReport:
@@ -356,46 +355,46 @@ def _secrecy(cb: Codebook, cfg: SimConfig, route: Route) -> SecrecyReport:
     return SecrecyReport(perBinDistances=dists, averageLeakage=float(np.mean(dists)))
 
 
-def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> SecrecyReport:
+def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> SecrecyReport:
     """Per-bin trace distances to the mixed reference and their mean."""
-    route = pair_route(ch.omega0, ch.omega1, tol)
+    route = pair_route(ch.omega0, ch.omega1)
     _charge("secrecy_report", route, cb.n, cb.m_size * cb.l_size)
     return _secrecy(cb, cfg, route)
 
 
-def _srm_weights(sigs, ref, a: float, tol: Tolerances) -> np.ndarray:
+def _srm_weights(sigs, ref, a: float) -> np.ndarray:
     """Square-root-measurement elements as diagonals in a shared eigenbasis.
 
     ``sigs`` holds the (K, D) eigenvalue distributions of the codeword states
     and ``ref`` the n-fold reference's.  Pi_c is the indicator of
-    sigma_c - e^a ref >= -tol.cluster, S = sum Pi_c counts the words at each
-    entry, and Upsilon_c = Pi_c / S with 1/S set to 0 where S <= tol.support.
+    sigma_c - e^a ref >= -DEFAULT_TOL.cluster, S = sum Pi_c counts the words at each
+    entry, and Upsilon_c = Pi_c / S with 1/S set to 0 where S <= DEFAULT_TOL.support.
     """
-    projectors = sigs - math.exp(a) * ref >= -tol.cluster
+    projectors = sigs - math.exp(a) * ref >= -DEFAULT_TOL.cluster
     counts = projectors.sum(axis=0)
-    inv = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > tol.support)
+    inv = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > DEFAULT_TOL.support)
     return projectors * inv
 
 
-def _povm(words, route: Route, a: float, tol: Tolerances) -> list:
+def _povm(words, route: Route, a: float) -> list:
     """The square-root measurement's elements for the (K, n) ``words`` on Bob's ``route``."""
     n, table = len(words[0]), route.table
     ref = _power(table[0], n)
     if route.basis is not None:
-        weights = _srm_weights(op.word_products(words, table), ref, a, tol)
+        weights = _srm_weights(op.word_products(words, table), ref, a)
         Un = op.tensor_power(route.basis, n)
         return [(Un * w) @ Un.conj().T for w in weights]
     projectors = []
     for w in words:
-        pinched = op.pinching(op.word_products(w, table), ref, tol)
-        projectors.append(op.nonneg_eigenspace_projector(pinched - math.exp(a) * ref, tol))
+        pinched = op.pinching(op.word_products(w, table), ref)
+        projectors.append(op.nonneg_eigenspace_projector(pinched - math.exp(a) * ref))
     vals, vecs = np.linalg.eigh(sum(projectors))
-    inv_sqrt = np.where(vals > tol.support, 1.0 / np.sqrt(np.where(vals > tol.support, vals, 1.0)), 0.0)
+    inv_sqrt = np.where(vals > DEFAULT_TOL.support, 1.0 / np.sqrt(np.where(vals > DEFAULT_TOL.support, vals, 1.0)), 0.0)
     s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
     return [s_inv_half @ p @ s_inv_half for p in projectors]
 
 
-def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances = DEFAULT_TOL):
+def square_root_povm(words, sigma0, sigma1, a_threshold: float):
     """Square-root measurement from pinched-threshold codeword projectors.
 
     For each classical word c the projector Pi_c is the nonnegative eigenspace
@@ -410,63 +409,66 @@ def square_root_povm(words, sigma0, sigma1, a_threshold: float, tol: Tolerances 
     -------
     (elements, abstain) : (list of ndarray, ndarray)
     """
-    words = [np.asarray(w) for w in words]
-    route = pair_route(sigma0, sigma1, tol)
+    return povm_on_route([np.asarray(w) for w in words], pair_route(sigma0, sigma1), a_threshold)
+
+
+def povm_on_route(words, route: Route, a_threshold: float):
+    """:func:`square_root_povm` on a :func:`pair_route` its caller built and reports."""
     _charge("square_root_povm", route, len(words[0]), len(words))
-    elements = _povm(words, route, a_threshold, tol)
+    elements = _povm(words, route, a_threshold)
     return elements, np.eye(len(elements[0])) - sum(elements)
 
 
-def _decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances, route: Route) -> DecoderReport:
+def _decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, route: Route) -> DecoderReport:
     a = cfg.a_threshold
     if a is None:
-        a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0, tol)
+        a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0)
     words = cb.words.reshape(-1, cb.n)
     if route.basis is not None:
         sigs = op.word_products(words, route.table)
-        p_ok = np.sum(sigs * _srm_weights(sigs, _power(route.table[0], cb.n), a, tol), axis=1)
+        p_ok = np.sum(sigs * _srm_weights(sigs, _power(route.table[0], cb.n), a), axis=1)
     else:
-        p_ok = [np.trace(e @ op.word_products(w, route.table)).real for e, w in zip(_povm(words, route, a, tol), words)]
+        p_ok = [np.trace(e @ op.word_products(w, route.table)).real for e, w in zip(_povm(words, route, a), words)]
     errors = np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0)
     per_message = {ml: float(e) for ml, e in zip(np.ndindex(cb.m_size, cb.l_size), errors)}
     return DecoderReport(perMessageError=per_message, averageError=float(errors.mean()), maxError=float(errors.max()))
 
 
-def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, tol: Tolerances = DEFAULT_TOL) -> DecoderReport:
+def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> DecoderReport:
     """Error probabilities of the square-root measurement on Bob's outputs.
 
     When sigma0 and sigma1 commute, every operator of the measurement is
     diagonal in their shared eigenbasis: the pinching is the identity, Pi_c
-    is the indicator of sigma_c - e^a sigma0^{(x)n} >= -tol.cluster, and
-    S^{-1/2} vanishes where S <= tol.support, as in :func:`square_root_povm`.
+    is the indicator of sigma_c - e^a sigma0^{(x)n} >= -DEFAULT_TOL.cluster, and
+    S^{-1/2} vanishes where S <= DEFAULT_TOL.support, as in :func:`square_root_povm`.
     """
-    route = pair_route(ch.sigma0, ch.sigma1, tol)
+    route = pair_route(ch.sigma0, ch.sigma1)
     _charge("sqrt_measurement_decoder", route, cb.n, cb.m_size * cb.l_size)
-    return _decoder(cb, ch, cfg, tol, route)
+    return _decoder(cb, ch, cfg, route)
 
 
-def simulate(cfg: SimConfig, ch: BinaryCovertChannel, tol: Tolerances = DEFAULT_TOL):
+def simulate(cfg: SimConfig, ch: BinaryCovertChannel):
     """One campaign on one codebook: covertness, secrecy, resolvability and, for
     at most 64 words, the decoder.  Each pair's route is chosen once, and every
     stage's charge is checked before the codebook is drawn.  Returns
     ``(covertness, secrecy, (mean, rhs, holds), decoder or None, route names)``."""
-    warden, bob = pair_route(ch.omega0, ch.omega1, tol), pair_route(ch.sigma0, ch.sigma1, tol)
+    warden, bob = pair_route(ch.omega0, ch.omega1), pair_route(ch.sigma0, ch.sigma1)
     k_size = cfg.m_size * cfg.l_size
     for stage in ("covertness_report", "secrecy_report", "resolvability_samples"):
         _charge(stage, warden, cfg.n, k_size)
     if k_size <= 64:
         _charge("sqrt_measurement_decoder", bob, cfg.n, k_size)
     cb = sample_codebook(cfg)
-    rhs = resolvability_rhs(cfg, ch, tol)
+    rhs = resolvability_rhs(cfg, ch)
     return (
-        _covertness(cb, ch, cfg, tol, warden, rhs), _secrecy(cb, cfg, warden),
+        _covertness(cb, ch, cfg, warden, rhs), _secrecy(cb, cfg, warden),
         _resolvability(_distances(cfg, warden), rhs),
-        _decoder(cb, ch, cfg, tol, bob) if k_size <= 64 else None,
+        _decoder(cb, ch, cfg, bob) if k_size <= 64 else None,
         {"warden": warden.name, "decoder": bob.name},
     )
 
 
-def covertness_scaling(ch: BinaryCovertChannel, gamma: float, ns, tol: Tolerances = DEFAULT_TOL):
+def covertness_scaling(ch: BinaryCovertChannel, gamma: float, ns):
     """Scaled single-copy divergence n * D(omega_{gamma/sqrt(n)} || omega0)
     against its quadratic limit gamma^2 chi^2(omega1||omega0) / 2.
 
@@ -474,9 +476,9 @@ def covertness_scaling(ch: BinaryCovertChannel, gamma: float, ns, tol: Tolerance
     -------
     (values, target) : (list of (n, value), float)
     """
-    target = 0.5 * gamma**2 * dv.chi_square(ch.omega1, ch.omega0, tol)
+    target = 0.5 * gamma**2 * dv.chi_square(ch.omega1, ch.omega0)
     values = []
     for n in ns:
         alpha = gamma / math.sqrt(n)
-        values.append((int(n), n * dv.qre(mixed_output(ch, alpha), ch.omega0, tol)))
+        values.append((int(n), n * dv.qre(mixed_output(ch, alpha), ch.omega0)))
     return values, target

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import operators as op
 from .errors import DimMismatchError, InvalidGammaError, SingularReferenceError
-from .operators import DEFAULT_TOL, Tolerances
+from .operators import DEFAULT_TOL
 
 
 def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -40,7 +40,7 @@ def _log_where(mask, x):
     return np.log(np.where(mask, x, 1.0))
 
 
-def qre(rho, sigma, tol: Tolerances = DEFAULT_TOL):
+def qre(rho, sigma):
     """Umegaki relative entropy tr[rho(log rho - log sigma)] in nats.
 
     Returns ``inf`` when the support of ``rho`` is not contained in the
@@ -56,18 +56,18 @@ def qre(rho, sigma, tol: Tolerances = DEFAULT_TOL):
     float or ndarray
         Nonnegative divergence value, possibly ``inf``; one per stack element.
     """
-    r = op.check_hermitian(rho, tol)
-    s = op.check_hermitian(sigma, tol)
+    r = op.check_hermitian(rho)
+    s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
     rvals, rvecs = np.linalg.eigh(r)
     svals, svecs = np.linalg.eigh(s)
     # eigenvalues of rho at or below the support tolerance drop out
-    on_r = rvals > tol.support
-    on_s = svals > tol.support
+    on_r = rvals > DEFAULT_TOL.support
+    on_s = svals > DEFAULT_TOL.support
     lam = np.where(on_r, rvals, 0.0)
     # weight[i, j] = lam_i |<u_i|v_j>|^2 between eigenvectors of rho and sigma
     weight = lam[..., :, None] * np.abs(op.dagger(rvecs) @ svecs) ** 2
-    escapes = np.any((weight > tol.support) & ~on_s[..., None, :], axis=(-2, -1))
+    escapes = np.any((weight > DEFAULT_TOL.support) & ~on_s[..., None, :], axis=(-2, -1))
     # summed left to right, each rho eigenvalue's entropy term then its cross
     # terms, so a 2-D input gives the bits of the plain per-eigenvalue sum
     terms = np.concatenate([
@@ -78,7 +78,7 @@ def qre(rho, sigma, tol: Tolerances = DEFAULT_TOL):
     return op.scalar_or_stack(np.where(escapes, math.inf, np.maximum(total, 0.0)))
 
 
-def chi_square(rho, sigma, tol: Tolerances = DEFAULT_TOL):
+def chi_square(rho, sigma):
     """Chi-square divergence from the spectral decomposition of ``sigma``.
 
     With sigma = sum_i lambda_i Pi_i the value is
@@ -97,22 +97,22 @@ def chi_square(rho, sigma, tol: Tolerances = DEFAULT_TOL):
         If ``sigma`` (the lowest such stack element) is not full rank within
         the support tolerance.
     """
-    r = op.check_hermitian(rho, tol)
-    s = op.check_hermitian(sigma, tol)
+    r = op.check_hermitian(rho)
+    s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
     vals, vecs = np.linalg.eigh(s)
     # clusters as in operators.spectral_decompose: a chain of ascending
     # eigenvalues with gaps below the tolerance, each at its cluster's mean
-    label = np.cumsum(np.diff(vals, axis=-1, prepend=-np.inf) >= tol.cluster, axis=-1)
+    label = np.cumsum(np.diff(vals, axis=-1, prepend=-np.inf) >= DEFAULT_TOL.cluster, axis=-1)
     same = label[..., :, None] == label[..., None, :]
     means = np.sum(np.where(same, vals[..., None, :], 0.0), axis=-1) / np.sum(same, axis=-1)
-    failed = op.first_failure(np.min(means, axis=-1, initial=np.inf) <= tol.support)
+    failed = op.first_failure(np.min(means, axis=-1, initial=np.inf) <= DEFAULT_TOL.support)
     if failed:
         raise SingularReferenceError(f"{failed[1]}chi-square reference must be full rank")
     # tr[D Pi_i D Pi_j] is the sum of |<v_a|D|v_b>|^2 over the eigenvectors of both clusters
     weight = np.abs(op.dagger(vecs) @ (r - s) @ vecs) ** 2
     li, lj = means[..., :, None], means[..., None, :]
-    close = np.abs(li - lj) < tol.cluster
+    close = np.abs(li - lj) < DEFAULT_TOL.cluster
     quotient = np.where(close, 1.0 / li, (np.log(li) - np.log(lj)) / np.where(close, 1.0, li - lj))
     total = np.sum(weight * quotient, axis=(-2, -1))
     return op.scalar_or_stack(np.maximum(total, 0.0))
@@ -129,7 +129,7 @@ def chi_square_commuting(p, q) -> float:
     return float(np.sum((pa - qa) ** 2 / qa))
 
 
-def qre_commuting(p, q, tol: Tolerances = DEFAULT_TOL) -> float:
+def qre_commuting(p, q) -> float:
     """Classical relative entropy sum p log(p / q) of eigenvalue vectors
     paired in a shared eigenbasis.
 
@@ -141,9 +141,9 @@ def qre_commuting(p, q, tol: Tolerances = DEFAULT_TOL) -> float:
     qa = np.asarray(q, dtype=float).ravel()
     if pa.shape != qa.shape:
         raise DimMismatchError(f"lengths {pa.size} vs {qa.size}")
-    keep = pa > tol.support  # kept entries are positive, so p needs no clip at 0
+    keep = pa > DEFAULT_TOL.support  # kept entries are positive, so p needs no clip at 0
     log_q = qa[keep]
-    if np.any(log_q <= tol.support):
+    if np.any(log_q <= DEFAULT_TOL.support):
         return math.inf
     # p (log p - log q) in place on one masked copy, holding two masked copies at most
     terms = pa[keep]
@@ -154,18 +154,18 @@ def qre_commuting(p, q, tol: Tolerances = DEFAULT_TOL) -> float:
     return max(float(np.sum(terms)), 0.0)
 
 
-def hockey_stick(rho, sigma, gamma: float, tol: Tolerances = DEFAULT_TOL):
+def hockey_stick(rho, sigma, gamma: float):
     """Hockey-stick divergence: sum of positive eigenvalues of rho - gamma*sigma."""
     if gamma < 1.0:
         raise InvalidGammaError(f"gamma must be >= 1, got {gamma}")
-    r = op.check_hermitian(rho, tol)
-    s = op.check_hermitian(sigma, tol)
+    r = op.check_hermitian(rho)
+    s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
     vals = np.linalg.eigvalsh(r - gamma * s)
     return op.scalar_or_stack(np.sum(np.where(vals > 0.0, vals, 0.0), axis=-1))
 
 
-def petz_renyi(rho, sigma, s: float, tol: Tolerances = DEFAULT_TOL):
+def petz_renyi(rho, sigma, s: float):
     """Petz-Renyi relative entropy (1/(s-1)) log tr[rho^s sigma^{1-s}].
 
     Powers are taken spectrally on the respective supports.  For s > 1 a
@@ -173,22 +173,22 @@ def petz_renyi(rho, sigma, s: float, tol: Tolerances = DEFAULT_TOL):
     """
     if s == 1.0:
         raise ValueError("order s = 1 is the qre limit; call qre instead")
-    r = op.check_hermitian(rho, tol)
-    sig = op.check_hermitian(sigma, tol)
+    r = op.check_hermitian(rho)
+    sig = op.check_hermitian(sigma)
     _require_same_dim(r, sig)
     rvals, rvecs = np.linalg.eigh(r)
     svals, svecs = np.linalg.eigh(sig)
     rvals = np.clip(rvals, 0.0, None)
     svals = np.clip(svals, 0.0, None)
     overlap = np.abs(op.dagger(rvecs) @ svecs) ** 2
-    rp = np.where(rvals > tol.support, rvals, 0.0) ** s if s != 0 else np.ones_like(rvals)
+    rp = np.where(rvals > DEFAULT_TOL.support, rvals, 0.0) ** s if s != 0 else np.ones_like(rvals)
     with np.errstate(divide="ignore"):
-        sp = np.where(svals > tol.support, svals, np.nan) ** (1.0 - s)
+        sp = np.where(svals > DEFAULT_TOL.support, svals, np.nan) ** (1.0 - s)
     sp = np.nan_to_num(sp, nan=0.0, posinf=0.0)
     trace = np.einsum("...i,...ij,...j->...", rp, overlap, sp)
     infinite = trace <= 0.0
     if s > 1.0:
-        infinite = infinite | np.logical_not(op.support_contained(r, sig, tol))
+        infinite = infinite | np.logical_not(op.support_contained(r, sig))
     value = _log_where(~infinite, trace) / (s - 1.0)
     return op.scalar_or_stack(np.where(infinite, math.inf, value))
 
@@ -212,14 +212,14 @@ class CqEnsemble:
         return sum(p * np.asarray(w, dtype=complex) for p, w in zip(self.probs, self.states))
 
 
-def _spectrum_on_support(h, tol: Tolerances):
+def _spectrum_on_support(h):
     """Eigenvalues (1 off the support), support mask and eigenvectors of ``h``."""
-    vals, vecs = np.linalg.eigh(op.check_hermitian(h, tol))
-    support = vals > tol.support
+    vals, vecs = np.linalg.eigh(op.check_hermitian(h))
+    support = vals > DEFAULT_TOL.support
     return np.where(support, vals, 1.0), support, vecs
 
 
-def phi(s, ensemble: CqEnsemble, tol: Tolerances = DEFAULT_TOL):
+def phi(s, ensemble: CqEnsemble):
     """Cumulant functional log sum_x p(x) tr[w_x^{1-s} w_p^s] for s <= 0.
 
     ``s`` is a scalar, giving a ``float``, or an array, giving an array of
@@ -232,28 +232,28 @@ def phi(s, ensemble: CqEnsemble, tol: Tolerances = DEFAULT_TOL):
     if np.any(s_arr > 0.0):
         raise ValueError(f"phi is defined for s <= 0, got s = {s}")
     exps = s_arr[..., None]
-    b, b_support, v = _spectrum_on_support(ensemble.average_state(), tol)
+    b, b_support, v = _spectrum_on_support(ensemble.average_state())
     wp_s = b**exps * b_support
     total = np.zeros(s_arr.shape)
     for p, w in zip(ensemble.probs, ensemble.states):
         if p == 0.0:
             continue
-        a, a_support, u = _spectrum_on_support(w, tol)
+        a, a_support, u = _spectrum_on_support(w)
         overlap = np.abs(u.conj().T @ v) ** 2
         w_pow = a ** (1.0 - exps) * a_support
         total = total + p * np.einsum("...i,ij,...j->...", w_pow, overlap, wp_s)
     return op.scalar_or_stack(np.where(s_arr == 0.0, 0.0, np.log(total)))
 
 
-def helstrom_error(rho, sigma, tol: Tolerances = DEFAULT_TOL):
+def helstrom_error(rho, sigma):
     """Minimal binary-discrimination error (1/2)(1 - ||rho - sigma||_1 / 2)."""
-    r = op.check_hermitian(rho, tol)
-    s = op.check_hermitian(sigma, tol)
+    r = op.check_hermitian(rho)
+    s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
-    return 0.5 * (1.0 - 0.5 * op.trace_norm(r - s, tol))
+    return 0.5 * (1.0 - 0.5 * op.trace_norm(r - s))
 
 
-def pinsker_check(rho, sigma, tol: Tolerances = DEFAULT_TOL):
+def pinsker_check(rho, sigma):
     """Evaluate both sides of the quantum Pinsker inequality.
 
     Returns
@@ -262,20 +262,20 @@ def pinsker_check(rho, sigma, tol: Tolerances = DEFAULT_TOL):
         lhs = ||rho - sigma||_1 / 2, rhs = sqrt(qre(rho, sigma)/2), and
         ``holds`` is True when lhs <= rhs + 1e-12.
     """
-    lhs = 0.5 * op.trace_norm(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex), tol)
-    d = qre(rho, sigma, tol)
+    lhs = 0.5 * op.trace_norm(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex))
+    d = qre(rho, sigma)
     rhs = math.sqrt(0.5 * d) if math.isfinite(d) else math.inf
     return lhs, rhs, lhs <= rhs + 1e-12
 
 
-def distinct_eigenvalue_count(omega, n: int, tol: Tolerances = DEFAULT_TOL) -> int:
+def distinct_eigenvalue_count(omega, n: int) -> int:
     """Number of distinct eigenvalues of the n-fold tensor power of ``omega``.
 
     Products of n single-copy eigenvalues are enumerated over multisets and
     clustered by the clustering tolerance.  The count never exceeds
     (n + 1)^dim.
     """
-    sd = op.spectral_decompose(omega, tol)
+    sd = op.spectral_decompose(omega)
     products = sorted(math.prod(combo) for combo in combinations_with_replacement(sd.eigenvalues, n))
     # a new cluster starts wherever the ascending products step by the tolerance
-    return 1 + int(np.sum(np.diff(products) >= tol.cluster))
+    return 1 + int(np.sum(np.diff(products) >= DEFAULT_TOL.cluster))

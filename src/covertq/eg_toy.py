@@ -50,11 +50,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import budget
+from . import covert_sim as cs
 from . import divergences as dv
 from . import operators as op
-from .channels import KrausChannel, StinespringIsometry, marginal_outputs, stinespring_from_kraus
-from .errors import DimMismatchError, DuplicateWordError
-from .operators import DEFAULT_TOL, Tolerances
+from .channels import KrausChannel, StinespringIsometry, build_covert_channel, marginal_outputs, stinespring_from_kraus
+from .errors import AssumptionViolationError, DimMismatchError, DuplicateWordError, TrivialTestError
+from .operators import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,22 @@ def exact_string_povm(words, dim_b: int = 2):
     return list(elements), abstain
 
 
+def decoding_povm(code: EGToyCode, V: StinespringIsometry):
+    """Bob's decoding POVM for ``code`` on the channel V, ``(elements, abstain, route)``:
+    the square-root measurement at a = alpha n D(sigma1||sigma0) / 2 (alpha the
+    code's fraction of ones) on one :func:`covert_sim.pair_route` of that name, or,
+    for a degenerate warden (e.g. a noiseless channel), :func:`exact_string_povm`
+    with route ``"exact-string"``."""
+    words = code.words.reshape(-1, code.n)
+    try:
+        quad = build_covert_channel(V)
+    except (TrivialTestError, AssumptionViolationError):
+        return (*exact_string_povm(words, V.out_dim_b), "exact-string")
+    a = 0.5 * float(np.mean(code.words)) * code.n * dv.qre(quad.sigma1, quad.sigma0)
+    route = cs.pair_route(quad.sigma0, quad.sigma1)
+    return (*cs.povm_on_route(words, route, a), route.name)
+
+
 def build_quantum_codewords(code: EGToyCode) -> list[np.ndarray]:
     """Codeword superpositions |phi_m> on the n-qubit input space."""
     states = []
@@ -136,7 +153,7 @@ def build_quantum_codewords(code: EGToyCode) -> list[np.ndarray]:
     return states
 
 
-def _completed_povm(povm, abstain, tol: Tolerances):
+def _completed_povm(povm, abstain):
     """Route the abstain remainder into outcome 0, keeping sum = I."""
     elements = [np.asarray(e, dtype=complex) for e in povm]
     if abstain is not None:
@@ -180,7 +197,7 @@ class _Decoded:
         return self.outputs.reshape(T * dBn, dWn).T @ mixed.reshape(T * dBn, dWn)
 
 
-def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, tol: Tolerances, what: str, held: int = 0) -> _Decoded:
+def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, held: int = 0) -> _Decoded:
     """Budget and POVM checks, then every decoded branch from one square root
     per POVM element and one channel-output matrix per word.  The charge, as
     measured on ``eg_report``, covers the roots, the channel outputs and a
@@ -192,12 +209,12 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, tol: Toleran
     side = max(dBn, dWn)
     nbytes = 16 * (3 * T * L * dBn * side + 4 * _wbreve_dim(dBn, dWn, L) * dBn * L + 12 * side**2)
     budget.check(nbytes + held, f"{what} at n = {n}, T = {T}, L = {L}")
-    elements, defect = _completed_povm(povm, abstain, tol)
-    if defect > 1e-9:
+    elements, defect = _completed_povm(povm, abstain)
+    if defect > DEFAULT_TOL.herm:
         raise DimMismatchError(f"POVM completion defect {defect:.3e}; supply the abstain remainder")
     sqrts = np.empty((len(elements),) + elements[0].shape, dtype=complex)
     for k, e in enumerate(elements):
-        sqrts[k] = op.sqrtm_psd(e, tol)
+        sqrts[k] = op.sqrtm_psd(e)
     # chi_k = V^{(x)n}|x^n> as a (dB^n x dW^n) matrix, B^n the row index
     chis = op.word_products(code.words.reshape(T * L, n), V.V.T.reshape(V.in_dim, V.out_dim_b, V.out_dim_w))
     overlaps = np.array([np.vdot(chi, root @ chi) for root, chi in zip(sqrts, chis)]).reshape(T, L)
@@ -206,7 +223,7 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, tol: Toleran
     return _Decoded(sqrts, branches, overlaps, np.einsum("ml,mlbw->mbw", amp, branches))
 
 
-def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None) -> np.ndarray:
     """Global pure state after encoding, channel, and coherent decoding.
 
     ``povm`` lists the decoding POVM elements on B^n in (m, l) row-major
@@ -220,7 +237,7 @@ def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, 
     """
     T, block = code.T, 16 * code.T**2 * code.l_size * (V.out_dim_b * V.out_dim_w) ** code.n
     # the R = M diagonal and the returned state
-    diag = _decode(code, V, povm, abstain, tol, "protocol_state", (T + 1) * block).diag
+    diag = _decode(code, V, povm, abstain, "protocol_state", (T + 1) * block).diag
     out = np.zeros((T,) + diag.shape, dtype=complex)
     out[np.arange(T), np.arange(T)] = diag
     return out
@@ -236,7 +253,7 @@ def _phase_alignment(overlaps: np.ndarray):
     return t, h, diagnostics
 
 
-def align_phases(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, tol: Tolerances = DEFAULT_TOL):
+def align_phases(code: EGToyCode, V: StinespringIsometry, povm, abstain=None):
     """Choose phases making every per-branch decoded overlap real nonnegative.
 
     The encode phases stay zero; the decode phase h(m, l) is the argument of
@@ -249,7 +266,7 @@ def align_phases(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, to
         ``diagnostics`` reports the summed branch overlap with aligned and
         with zero phases.
     """
-    return _phase_alignment(_decode(code, V, povm, abstain, tol, "align_phases").overlaps)
+    return _phase_alignment(_decode(code, V, povm, abstain, "align_phases").overlaps)
 
 
 def _uhlmann_factors(psi_mat: np.ndarray, theta_mat: np.ndarray):
@@ -261,7 +278,7 @@ def _uhlmann_factors(psi_mat: np.ndarray, theta_mat: np.ndarray):
     return u, vh
 
 
-def uhlmann_isometry(psi, dims_psi, theta, dims_theta, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def uhlmann_isometry(psi, dims_psi, theta, dims_theta) -> np.ndarray:
     """Partial isometry W : B -> C aligning two purifications.
 
     ``psi`` lives on A (x) B with dims ``dims_psi = (dA, dB)`` and ``theta``
@@ -281,7 +298,7 @@ def uhlmann_isometry(psi, dims_psi, theta, dims_theta, tol: Tolerances = DEFAULT
     return np.conj(u @ vh)
 
 
-def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha, mode: str, tol: Tolerances):
+def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha, mode: str):
     """Per message m: m, the target theta (a dW^n x dC matrix) and the SVD
     factors (u, vh) of the Uhlmann isometry Gamma^m = conj(u @ vh) : B^n Lhat -> Wbreve.
 
@@ -297,7 +314,7 @@ def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha,
         _, omega0 = marginal_outputs(V, 0)
         _, omega1 = marginal_outputs(V, 1)
         omega_alpha = (1.0 - alpha) * omega0 + alpha * omega1
-        pur = op.canonical_purification(op.tensor_power(omega_alpha, n), tol)
+        pur = op.canonical_purification(op.tensor_power(omega_alpha, n))
         theta = np.zeros((dWn, dC), dtype=complex)
         theta[:, :dWn] = pur.reshape(dWn, dWn)
     elif mode != "self-target":
@@ -311,13 +328,13 @@ def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha,
         psi = psi.reshape(dWn, dBn * L)
         psi /= np.linalg.norm(psi)
         if mode == "self-target":
-            pur = op.canonical_purification(psi @ psi.conj().T, tol)
+            pur = op.canonical_purification(psi @ psi.conj().T)
             theta = np.zeros((dWn, dC), dtype=complex)
             theta[:, :dWn] = pur.reshape(dWn, dWn)
         yield m, theta, _uhlmann_factors(psi, theta)
 
 
-def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, tol: Tolerances, block=None):
+def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, block=None):
     """The EPR fidelity and the decoupling diagnostics, one message at a time.
 
     Only the r = m = Mhat slices of the decoupled block meet the GHZ state.
@@ -343,7 +360,7 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     s = np.zeros((dC, dWn), dtype=complex)
     theta_ref = None
     defect = 0.0
-    for m, theta, (u, vh) in _decoupler_factors(code, V, decoded.branches, alpha, mode, tol):
+    for m, theta, (u, vh) in _decoupler_factors(code, V, decoded.branches, alpha, mode):
         if theta_ref is None:
             theta_ref = theta
         x = np.swapaxes(np.matmul(roots[m], decoded.outputs[m]), 0, 1).reshape(dBn * L, dWn)
@@ -371,7 +388,7 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     return fidelity, diagnostics, out
 
 
-def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL):
+def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target"):
     """Run the protocol through the controlled Uhlmann decoupler.
 
     Returns
@@ -386,8 +403,8 @@ def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=No
     dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
     # the R = M diagonal, the decoupled block and the returned state
     held = 16 * T**2 * (L * dBn * dWn + (T + 1) * dWn * _wbreve_dim(dBn, dWn, L))
-    decoded = _decode(code, V, povm, abstain, tol, "decoupling_decoder", held)
-    _, diagnostics, out = _decouple(code, V, decoded, alpha, mode, tol, block=decoded.diag)
+    decoded = _decode(code, V, povm, abstain, "decoupling_decoder", held)
+    _, diagnostics, out = _decouple(code, V, decoded, alpha, mode, block=decoded.diag)
     state = np.zeros((T,) + out.shape, dtype=complex)
     state[np.arange(T), np.arange(T)] = out
     return state, diagnostics
@@ -415,7 +432,7 @@ def ghz_to_epr(state_rmmhat, T: int, j: int):
     return corr @ reduced @ corr.conj().T
 
 
-def eliminate_assistance(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL):
+def eliminate_assistance(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target"):
     """Evaluate every Fourier-branch encoder/decoder pair and keep the best.
 
     Branch j uses the standalone encoder sum_m e^{-2 pi i j m / T}|phi_m><m|
@@ -426,34 +443,34 @@ def eliminate_assistance(code: EGToyCode, V: StinespringIsometry, povm, abstain=
     """
     if alpha is None:
         alpha = float(np.mean(code.words))
-    fidelity, _, _ = _decouple(code, V, _decode(code, V, povm, abstain, tol, "eliminate_assistance"), alpha, mode, tol)
+    fidelity, _, _ = _decouple(code, V, _decode(code, V, povm, abstain, "eliminate_assistance"), alpha, mode)
     return 0, [fidelity] * code.T
 
 
-def willie_marginal(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def willie_marginal(code: EGToyCode, V: StinespringIsometry, povm, abstain=None) -> np.ndarray:
     """Warden's exact reduced state of the full protocol state."""
-    return _decode(code, V, povm, abstain, tol, "willie_marginal").warden_state()
+    return _decode(code, V, povm, abstain, "willie_marginal").warden_state()
 
 
-def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target", tol: Tolerances = DEFAULT_TOL) -> EGReport:
+def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target") -> EGReport:
     """Full pipeline: phase alignment, decoupling, assistance elimination,
     and exact covertness accounting, all from one decoded state."""
     if alpha is None:
         alpha = float(np.mean(code.words))
     unphased = replace(code, encode_phases=np.zeros((code.T, code.l_size)))
-    decoded = _decode(unphased, V, povm, abstain, tol, "eg_report")
+    decoded = _decode(unphased, V, povm, abstain, "eg_report")
     _, h, phase_diag = _phase_alignment(decoded.overlaps)
     aligned = replace(unphased, decode_phases=h)
-    fidelity, dec_diag, _ = _decouple(aligned, V, decoded, alpha, mode, tol)
+    fidelity, dec_diag, _ = _decouple(aligned, V, decoded, alpha, mode)
     tau_w = decoded.warden_state()
     _, omega0 = marginal_outputs(V, 0)
     _, omega1 = marginal_outputs(V, 1)
-    covert_div = dv.qre(tau_w, op.tensor_power(omega0, code.n), tol)
+    covert_div = dv.qre(tau_w, op.tensor_power(omega0, code.n))
     # distance to the incoherent classical-codebook average, as a diagnostic
     classical = op.mean_word_product(code.words.reshape(-1, code.n), np.stack([omega0, omega1]))
     diagnostics = dict(phase_diag)
     diagnostics.update(dec_diag)
-    diagnostics["willieClassicalGap"] = op.trace_norm(tau_w - classical, tol)
+    diagnostics["willieClassicalGap"] = op.trace_norm(tau_w - classical)
     # every Fourier branch has the same fidelity (see eliminate_assistance)
     diagnostics["branchFidelities"] = [fidelity] * code.T
     diagnostics["meanBranchFidelity"] = fidelity

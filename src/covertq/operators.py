@@ -28,7 +28,8 @@ from .errors import DimMismatchError, InvalidParameterError, NotHermitianError
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances for validation, clustering and support tests."""
+    """Numerical tolerances for validation, clustering and support tests.  Its one
+    instance :data:`DEFAULT_TOL` is their only source: no function takes a tolerance."""
 
     herm: float = 1e-9
     psd: float = 1e-9
@@ -102,29 +103,29 @@ def first_failure(bad):
     return index, f"stack element {index[0] if len(index) == 1 else index}: "
 
 
-def check_hermitian(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def check_hermitian(h) -> np.ndarray:
     """Return ``h`` as an array, raising ``NotHermitianError`` if asymmetric."""
     m = as_operator(h)
     dev = np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0)
-    failed = first_failure(dev > tol.herm)
+    failed = first_failure(dev > DEFAULT_TOL.herm)
     if failed:
         index, where = failed
         raise NotHermitianError(f"{where}deviation from Hermitian symmetry: {dev[index]:.3e}")
     return m
 
 
-def check_density(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def check_density(rho) -> np.ndarray:
     """Validate a density operator; clamp roundoff-negative eigenvalues to 0.
 
     Eigenvalues in ``[-psd, 0)`` are treated as roundoff and clamped; anything
     more negative raises.  The clamped operator is renormalized to unit trace.
     """
-    m = _single(check_hermitian(rho, tol))
+    m = _single(check_hermitian(rho))
     tr = np.trace(m).real
-    if abs(tr - 1.0) > tol.trace:
+    if abs(tr - 1.0) > DEFAULT_TOL.trace:
         raise DimMismatchError(f"trace {tr} differs from 1 beyond tolerance")
     vals, vecs = np.linalg.eigh(m)
-    if vals[0] < -tol.psd:
+    if vals[0] < -DEFAULT_TOL.psd:
         raise DimMismatchError(f"negative eigenvalue {vals[0]:.3e} beyond tolerance")
     if vals[0] < 0.0:
         vals = np.clip(vals, 0.0, None)
@@ -133,16 +134,9 @@ def check_density(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return m
 
 
-def projector(vec) -> np.ndarray:
-    """Rank-one projector |v><v| for a (not necessarily normalized) vector."""
-    v = np.asarray(vec, dtype=complex).ravel()
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
-def spectral_decompose(h, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
+def spectral_decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian operator into clustered eigenprojectors."""
-    m = _single(check_hermitian(h, tol))
+    m = _single(check_hermitian(h))
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
@@ -151,7 +145,7 @@ def spectral_decompose(h, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     i = 0
     while i < len(vals):
         j = i + 1
-        while j < len(vals) and abs(vals[j] - vals[j - 1]) < tol.cluster:
+        while j < len(vals) and abs(vals[j] - vals[j - 1]) < DEFAULT_TOL.cluster:
             j += 1
         block = vecs[:, i:j]
         eigenvalues.append(float(np.mean(vals[i:j])))
@@ -299,51 +293,51 @@ def partial_trace_vector(vec, dims, keep) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def trace_norm(a, tol: Tolerances = DEFAULT_TOL):
+def trace_norm(a):
     """Schatten 1-norm of a Hermitian matrix, per stack element.
 
     The sum of |eigenvalues|, which equals the sum of singular values for
     Hermitian input.  ``eigvalsh`` reads one triangle only, so the input is
     checked first and a non-Hermitian one raises ``NotHermitianError``.
     """
-    m = check_hermitian(a, tol)
+    m = check_hermitian(a)
     return scalar_or_stack(np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1))
 
 
-def sqrtm_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def sqrtm_psd(a) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, spectrally."""
-    m = _single(check_hermitian(a, tol))
+    m = _single(check_hermitian(a))
     vals, vecs = np.linalg.eigh(m)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def fidelity(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
+def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity ||sqrt(rho) sqrt(sigma)||_1^2, clipped to [0, 1]."""
     r = _single(as_operator(rho))
     s = _single(as_operator(sigma))
     if r.shape != s.shape:
         raise DimMismatchError(f"dims {r.shape[0]} vs {s.shape[0]}")
     # sqrt(rho) sqrt(sigma) is not Hermitian, so its singular values are summed
-    val = float(np.sum(np.linalg.svd(sqrtm_psd(r, tol) @ sqrtm_psd(s, tol), compute_uv=False))) ** 2
+    val = float(np.sum(np.linalg.svd(sqrtm_psd(r) @ sqrtm_psd(s), compute_uv=False))) ** 2
     return float(min(max(val, 0.0), 1.0))
 
 
-def nonneg_eigenspace_projector(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def nonneg_eigenspace_projector(p) -> np.ndarray:
     """Projector onto the eigenspaces of ``p`` with eigenvalue >= 0.
 
     Eigenvalues within the clustering tolerance of zero count as nonnegative.
     """
-    m = _single(check_hermitian(p, tol))
+    m = _single(check_hermitian(p))
     vals, vecs = np.linalg.eigh(m)
-    cols = vecs[:, vals >= -tol.cluster]
+    cols = vecs[:, vals >= -DEFAULT_TOL.cluster]
     return cols @ cols.conj().T
 
 
-def pinching(q, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def pinching(q, p) -> np.ndarray:
     """Block-diagonal part of ``q`` with respect to the eigenspaces of ``p``."""
     m = _single(as_operator(q))
-    sd = spectral_decompose(p, tol)
+    sd = spectral_decompose(p)
     if sd.projectors[0].shape != m.shape:
         raise DimMismatchError("pinching reference dim mismatch")
     out = np.zeros_like(m)
@@ -352,24 +346,24 @@ def pinching(q, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return out
 
 
-def support_projector(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Projector onto the span of eigenvectors with eigenvalue > support tol."""
-    vals, vecs = np.linalg.eigh(check_hermitian(a, tol))
-    cols = vecs * (vals > tol.support)[..., None, :]
+def support_projector(a) -> np.ndarray:
+    """Projector onto the span of eigenvectors with eigenvalue > ``DEFAULT_TOL.support``."""
+    vals, vecs = np.linalg.eigh(check_hermitian(a))
+    cols = vecs * (vals > DEFAULT_TOL.support)[..., None, :]
     return cols @ dagger(cols)
 
 
-def support_contained(inner, outer, tol: Tolerances = DEFAULT_TOL):
+def support_contained(inner, outer):
     """Test supp(inner) subseteq supp(outer) numerically.
 
     Every eigenvector of ``inner`` with eigenvalue above the support tolerance
-    must have residual norm below sqrt(tol) after projecting onto the support
+    must have residual norm below its square root after projecting onto the support
     of ``outer``.
     """
-    proj = support_projector(outer, tol)
-    vals, vecs = np.linalg.eigh(check_hermitian(inner, tol))
+    proj = support_projector(outer)
+    vals, vecs = np.linalg.eigh(check_hermitian(inner))
     residual = np.linalg.norm(vecs - proj @ vecs, axis=-2)
-    escapes = (vals > tol.support) & (residual >= np.sqrt(tol.support))
+    escapes = (vals > DEFAULT_TOL.support) & (residual >= np.sqrt(DEFAULT_TOL.support))
     return scalar_or_stack(~np.any(escapes, axis=-1), bool)
 
 
@@ -387,9 +381,9 @@ def matrix_from_json(data) -> np.ndarray:
     return as_operator(arr[..., 0] + 1j * arr[..., 1])
 
 
-def canonical_purification(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def canonical_purification(rho) -> np.ndarray:
     """Eigen-purification sum_i sqrt(lambda_i) |e_i>|e_i> on a doubled space."""
-    m = _single(check_hermitian(rho, tol))
+    m = _single(check_hermitian(rho))
     vals, vecs = np.linalg.eigh(m)
     vals = np.clip(vals, 0.0, None)
     dim = m.shape[0]

@@ -252,9 +252,13 @@ def test_simulate_has_no_fast_path_flag(exc_spec, capsys):
     assert "--commuting-fast-path" in capsys.readouterr().err
 
 
-def test_egdemo(exc_spec, tmp_path):
+def test_egdemo(exc_spec, tmp_path, monkeypatch):
+    calls = []  # Bob's pair is diagonalised once per run
+    shared = cs.shared_eigenbasis
+    monkeypatch.setattr(cs, "shared_eigenbasis", lambda a, b: calls.append((a, b)) or shared(a, b))
     out = tmp_path / "eg.json"
     assert main(["egdemo", exc_spec, "-o", str(out)]) == 0
+    assert len(calls) == 1
     payload = json.loads(out.read_text())
     assert 0.0 <= payload["fidelity"] <= 1.0
     assert payload["covertDivergence"] >= 0.0
@@ -270,6 +274,7 @@ def test_egdemo(exc_spec, tmp_path):
     payload = json.loads(out.read_text())
     assert 0.0 <= payload["fidelity"] <= 1.0
     assert payload["diagnostics"] == {"route": {"decoder": "dense"}}
+    assert len(calls) == 2
 
 
 def test_egdemo_noiseless(tmp_path, capsys):

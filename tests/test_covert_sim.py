@@ -550,7 +550,7 @@ def test_resolvability_rhs_matches_grid_loop():
     ):
         ensemble = dv.CqEnsemble(np.array([1.0 - cfg.alpha, cfg.alpha]), (quad.omega0, quad.omega1))
         nu = dv.distinct_eigenvalue_count(chn.mixed_output(quad, cfg.alpha), cfg.n)
-        betas = cfg.beta_grid or cs._default_beta_grid(cfg, quad, op.DEFAULT_TOL)
+        betas = cfg.beta_grid or cs._default_beta_grid(cfg, quad)
         best = math.inf
         for s in cfg.s_grid:
             phi_s = dv.phi(s, ensemble)

@@ -262,7 +262,7 @@ def loop_qre(rho, sigma, tol=DEFAULT_TOL):
 
 
 def loop_chi_square(rho, sigma, tol=DEFAULT_TOL):
-    sd = op.spectral_decompose(sigma, tol)
+    sd = op.spectral_decompose(sigma)
     delta = rho - sigma
     total = 0.0
     for i, (li, pi) in enumerate(zip(sd.eigenvalues, sd.projectors)):

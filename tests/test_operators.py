@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import math
+import pkgutil
 from functools import reduce
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import covertq
 from covertq import operators as op
 from covertq.errors import DimMismatchError, InvalidParameterError, NotHermitianError
 
@@ -333,3 +337,15 @@ def test_canonical_purification_matches_kron_loop(d, kind):
         rho = (q * spectrum) @ q.conj().T
         rho /= np.trace(rho).real
     assert np.array_equal(op.canonical_purification(rho), kron_loop_purification(rho))
+
+
+def test_no_function_takes_a_tolerance():
+    # the tolerances are fixed in op.DEFAULT_TOL; no caller can pass others
+    functions = []
+    for info in pkgutil.iter_modules(covertq.__path__):
+        module = importlib.import_module(f"covertq.{info.name}")
+        for obj in vars(module).values():
+            members = [obj] + ([getattr(obj, name) for name in vars(obj)] if isinstance(obj, type) else [])
+            functions += [f for f in members if inspect.isfunction(f) and f.__module__ == module.__name__]
+    assert len(functions) > 100
+    assert [f"{f.__module__}.{f.__qualname__}" for f in functions if "tol" in inspect.signature(f).parameters] == []
