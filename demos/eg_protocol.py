@@ -11,8 +11,6 @@
 import numpy as np
 
 from covertq import channels as chn
-from covertq import covert_sim as cs
-from covertq import divergences as dv
 from covertq import eg_toy as eg
 
 code = eg.default_demo_code()
@@ -28,10 +26,7 @@ print(f"  branch fidelities      = {rep.perStepDiagnostics['branchFidelities']}"
 print()
 print("excitation channel gamma = 0.1, square-root-measurement decoder:")
 V = chn.stinespring_from_kraus(chn.excitation_channel(0.1))
-quad = chn.build_covert_channel(V)
-alpha = float(np.mean(code.words))
-a = 0.5 * alpha * code.n * dv.qre(quad.sigma1, quad.sigma0)
-povm, abstain = cs.square_root_povm(flat, quad.sigma0, quad.sigma1, a)
+povm, abstain, _ = eg.decoding_povm(code, V)
 rep = eg.eg_report(code, V, povm, abstain)
 d = rep.perStepDiagnostics
 print(f"  EPR fidelity           = {rep.fidelity:.6f} (best branch j = {rep.bestJ})")

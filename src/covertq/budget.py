@@ -16,18 +16,19 @@ from .errors import BudgetExceededError, InvalidParameterError
 DEFAULT_MAX_BYTES = 2 << 30
 
 
-def check(nbytes: int, what: str) -> None:
-    """Raise ``BudgetExceededError`` if ``what`` needs more than the budget.
-
-    A malformed or non-positive budget raises ``InvalidParameterError``, as
-    does a value of the retired dimension variable, so that a limit the user
-    set is never dropped silently.
-    """
+def max_bytes() -> int:
+    """``COVERTQ_MAX_BYTES``, or ``DEFAULT_MAX_BYTES`` when unset or empty; a malformed or non-positive value,
+    or any value of the retired dimension variable, raises ``InvalidParameterError`` rather than being dropped."""
     if os.environ.get("COVERTQ_MAX_DENSE_DIM"):
         raise InvalidParameterError("COVERTQ_MAX_DENSE_DIM is no longer read; set COVERTQ_MAX_BYTES (bytes) instead")
     raw = os.environ.get("COVERTQ_MAX_BYTES") or str(DEFAULT_MAX_BYTES)
     if not raw.strip().isdecimal() or int(raw) == 0:
         raise InvalidParameterError(f"COVERTQ_MAX_BYTES={raw!r} is not a positive whole number of bytes")
-    cap = int(raw)
+    return int(raw)
+
+
+def check(nbytes: int, what: str) -> None:
+    """Raise ``BudgetExceededError`` if ``what`` needs more than :func:`max_bytes`."""
+    cap = max_bytes()
     if nbytes > cap:
         raise BudgetExceededError(f"{what} needs {nbytes} bytes, budget {cap} bytes (COVERTQ_MAX_BYTES)")

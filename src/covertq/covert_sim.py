@@ -18,15 +18,16 @@ the secrecy bins and the resolvability samples) goes through
 ``operators.mean_word_product``: the words are counted by their 2**n binary
 index and the counts are contracted with the table one position at a time,
 which costs O(n d**n) per codebook for any number of words K (d**(2n) on the
-dense route), and holds one codebook's or one bin's d**n average at a time.
+dense route).  Resolvability samples and secrecy bins are averaged and charged in blocks
+of as many codebooks as fit in min(``_BLOCK_BYTES``, budget), at least one.
 The decoder and ``square_root_povm`` keep two algorithms, as the pinched
 threshold projectors of a non-commuting pair are not diagonal in any product
 basis; their dense route builds one word's product state at a time.
 
 Randomness uses the counter-based Philox generator keyed by
-``(seed, sample_index)``; within one codebook the bits are drawn in a fixed
-row-major (message, bin-index, position) order, so identical configurations
-reproduce bitwise-identical codebooks regardless of scheduling.
+``(seed, sample_index)``, one generator per block set to each key in turn; within one
+codebook the bits are drawn in a fixed row-major (message, bin-index, position) order, so
+identical configurations reproduce bitwise-identical codebooks whatever the block size.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from . import operators as op
 from .channels import BinaryCovertChannel, mixed_output
 from .errors import IndexOutOfRangeError, InvalidParameterError
 from .operators import DEFAULT_TOL
+
+_BLOCK_BYTES = 1 << 20  #: bytes a block of codebooks may be charged, or the budget if smaller; fixed
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,8 @@ class SimConfig:
     def __post_init__(self):
         if min(self.n, self.m_size, self.l_size, self.samples) < 1:
             raise InvalidParameterError("n, m_size, l_size and samples must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidParameterError(f"seed = {self.seed} outside [0, 2**64)")
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.gamma / math.sqrt(self.n))
         if not 0.0 <= self.alpha <= 1.0:
@@ -113,13 +118,20 @@ class DecoderReport:
     maxError: float
 
 
+def _draws(cfg: SimConfig, indices):
+    """Yield the (M, L, n) bits of each codebook i of ``indices`` from one Philox, set before each
+    to an unused Philox's state keyed (seed, i): a fresh one, without the cost of building it."""
+    bitgen = np.random.Philox(key=np.zeros(2, np.uint64))
+    state, rng = bitgen.state, np.random.Generator(bitgen)
+    for i in indices:
+        state["state"]["key"] = np.array([cfg.seed, i], dtype=np.uint64)
+        bitgen.state = state
+        yield (rng.random((cfg.m_size, cfg.l_size, cfg.n)) < cfg.alpha).astype(np.uint8)
+
+
 def sample_codebook(cfg: SimConfig, sample_index: int = 0) -> Codebook:
     """Draw a Bernoulli(alpha) codebook, deterministically in (seed, index)."""
-    key = np.array([cfg.seed, sample_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    draws = rng.random((cfg.m_size, cfg.l_size, cfg.n))
-    words = (draws < cfg.alpha).astype(np.uint8)
-    return Codebook(cfg.n, cfg.m_size, cfg.l_size, words)
+    return Codebook(cfg.n, cfg.m_size, cfg.l_size, next(_draws(cfg, [sample_index])))
 
 
 def otp_encode(m: int, m2: int, k: int, cb: Codebook) -> np.ndarray:
@@ -203,13 +215,15 @@ def pair_route(state0, state1) -> Route:
     return Route("commuting", np.stack([p0, p1]), U, _l1, dv.qre_commuting)
 
 
-def _charge(stage: str, route: Route, n: int, k_size: int) -> None:
-    """Check against the budget the bytes ``stage`` holds at once on ``route`` for
-    ``k_size`` words of n letters, counted from measured tracemalloc peaks in d**n x d**n
-    complex matrices or max(d, 2)**n float vectors (2**n word counts when d = 1)."""
+def _charge(stage: str, route: Route, n: int, k_size: int, items: int = 1) -> int:
+    """Check against the budget the bytes ``stage`` holds at once on ``route`` for ``items`` codebooks
+    of ``k_size`` words of n letters, counted from measured tracemalloc peaks in d**n x d**n complex
+    matrices or max(d, 2)**n float vectors (2**n word counts when d = 1); return the block size."""
     d, dense = route.table.shape[1], route.basis is None
     vector, matrix = 8 * max(d, 2) ** n, 16 * d ** (2 * n)
     warden, count = (matrix if dense else vector), 24 * k_size * n  # count: the words' counting copies
+    per_item = 6 * warden + count
+    block = min(items, max(1, min(_BLOCK_BYTES, budget.max_bytes()) // per_item))
     # the K elements and a few n-fold matrices (commuting); the K projectors, the K
     # elements and the pinching's eigenprojectors of the reference, at most one per
     # multiset of n eigenvalues (dense)
@@ -221,10 +235,11 @@ def _charge(stage: str, route: Route, n: int, k_size: int) -> None:
         # on the commuting route, plus the lift: U^(x)n, its scaled copy and adjoint, the result
         "warden average state": 3 * warden + count + (0 if dense else 5 * matrix),
         "covertness_report": (9 if dense else 6) * warden + count,
-        "secrecy_report": 6 * warden + count,
-        "resolvability_samples": 6 * warden + count,
+        "secrecy_report": block * per_item,
+        "resolvability_samples": block * per_item,
     }[stage]
     budget.check(nbytes, f"{stage} at n = {n}")
+    return block
 
 
 def _average_state(words, ch: BinaryCovertChannel) -> np.ndarray:
@@ -285,22 +300,23 @@ def resolvability_rhs(cfg: SimConfig, ch: BinaryCovertChannel) -> float:
     return float(np.min(first + second))
 
 
-def _distances(cfg: SimConfig, route: Route) -> np.ndarray:
-    target = _mixed_reference(route.table, cfg.alpha, cfg.n)
-    distances = np.empty(cfg.samples)
-    for i in range(cfg.samples):
-        words = sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
-        distances[i] = route.distance(op.mean_word_product(words, route.table) - target)
-    return distances
+def _mean_distances(route: Route, alpha: float, n: int, blocks) -> np.ndarray:
+    """Distance to the mixed reference of each codebook average of ``blocks``, (B, K, n) words."""
+    target = _mixed_reference(route.table, alpha, n)
+    return np.concatenate([route.distance(op.mean_word_product(w, route.table) - target) for w in blocks])
+
+
+def _distances(cfg: SimConfig, route: Route, block: int) -> np.ndarray:
+    indices = range(cfg.samples)  # one block's codebooks drawn at a time
+    blocks = (np.array([*_draws(cfg, indices[a : a + block])]) for a in indices[::block])
+    return _mean_distances(route, cfg.alpha, cfg.n, (w.reshape(len(w), -1, cfg.n) for w in blocks))
 
 
 def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel) -> np.ndarray:
     """Trace distance of the codebook-average state to the mixed reference,
-    for ``cfg.samples`` independently seeded codebooks, one codebook in
-    memory at a time."""
+    for ``cfg.samples`` independently seeded codebooks, a block at a time."""
     route = pair_route(ch.omega0, ch.omega1)
-    _charge("resolvability_samples", route, cfg.n, cfg.m_size * cfg.l_size)
-    return _distances(cfg, route)
+    return _distances(cfg, route, _charge("resolvability_samples", route, cfg.n, cfg.m_size * cfg.l_size, cfg.samples))
 
 
 def _resolvability(distances: np.ndarray, rhs: float) -> tuple:
@@ -348,18 +364,15 @@ def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> 
     return _covertness(cb, ch, cfg, route, resolvability_rhs(cfg, ch))
 
 
-def _secrecy(cb: Codebook, cfg: SimConfig, route: Route) -> SecrecyReport:
-    mixed = _mixed_reference(route.table, cfg.alpha, cb.n)
-    # one bin's average at a time, dropped as soon as its distance is taken
-    dists = tuple(float(route.distance(op.mean_word_product(words, route.table) - mixed)) for words in cb.words)
-    return SecrecyReport(perBinDistances=dists, averageLeakage=float(np.mean(dists)))
+def _secrecy(cb: Codebook, cfg: SimConfig, route: Route, block: int) -> SecrecyReport:
+    dists = _mean_distances(route, cfg.alpha, cb.n, (cb.words[a : a + block] for a in range(0, cb.m_size, block)))
+    return SecrecyReport(perBinDistances=tuple(map(float, dists)), averageLeakage=float(np.mean(dists)))
 
 
 def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> SecrecyReport:
     """Per-bin trace distances to the mixed reference and their mean."""
     route = pair_route(ch.omega0, ch.omega1)
-    _charge("secrecy_report", route, cb.n, cb.m_size * cb.l_size)
-    return _secrecy(cb, cfg, route)
+    return _secrecy(cb, cfg, route, _charge("secrecy_report", route, cb.n, cb.l_size, cb.m_size))
 
 
 def _srm_weights(sigs, ref, a: float) -> np.ndarray:
@@ -454,15 +467,16 @@ def simulate(cfg: SimConfig, ch: BinaryCovertChannel):
     ``(covertness, secrecy, (mean, rhs, holds), decoder or None, route names)``."""
     warden, bob = pair_route(ch.omega0, ch.omega1), pair_route(ch.sigma0, ch.sigma1)
     k_size = cfg.m_size * cfg.l_size
-    for stage in ("covertness_report", "secrecy_report", "resolvability_samples"):
-        _charge(stage, warden, cfg.n, k_size)
+    _charge("covertness_report", warden, cfg.n, k_size)
+    bins = _charge("secrecy_report", warden, cfg.n, cfg.l_size, cfg.m_size)
+    samples = _charge("resolvability_samples", warden, cfg.n, k_size, cfg.samples)
     if k_size <= 64:
         _charge("sqrt_measurement_decoder", bob, cfg.n, k_size)
     cb = sample_codebook(cfg)
     rhs = resolvability_rhs(cfg, ch)
     return (
-        _covertness(cb, ch, cfg, warden, rhs), _secrecy(cb, cfg, warden),
-        _resolvability(_distances(cfg, warden), rhs),
+        _covertness(cb, ch, cfg, warden, rhs), _secrecy(cb, cfg, warden, bins),
+        _resolvability(_distances(cfg, warden, samples), rhs),
         _decoder(cb, ch, cfg, bob) if k_size <= 64 else None,
         {"warden": warden.name, "decoder": bob.name},
     )

@@ -29,11 +29,11 @@ EG_ENTRY_POINTS = (
 )
 
 
-def sim_call(name, V, n):
+def sim_call(name, V, n, samples=2):
     """A zero-argument call of a covert_sim entry point on 16 words of n letters
     (4 words for ``square_root_povm``, whose dense elements grow with K)."""
     quad = chn.build_covert_channel(V)
-    cfg = cs.SimConfig(n=n, gamma=1.0, m_size=4, l_size=4, seed=3, samples=2)
+    cfg = cs.SimConfig(n=n, gamma=1.0, m_size=4, l_size=4, seed=3, samples=samples)
     cb = cs.sample_codebook(cfg)
     args = {
         "willie_average_state": (cb, quad),
@@ -128,6 +128,11 @@ SIM_SIZES = {
 }
 
 
+# A size per route where 4 resolvability samples or 4 secrecy bins of 4 words span
+# two blocks of two codebooks.
+SPANNING_N = {"commuting": 13, "dense": 6}
+
+
 @pytest.mark.parametrize("route", sorted(ISOMETRIES))
 @pytest.mark.parametrize("name", sorted(SIM_SIZES))
 def test_sim_charges_bound_peaks(monkeypatch, name, route):
@@ -135,6 +140,28 @@ def test_sim_charges_bound_peaks(monkeypatch, name, route):
     for n in SIM_SIZES[name][route]:
         peak, charge = peak_and_charge(sim_call(name, V, n), monkeypatch)
         assert peak <= charge, f"n = {n}: peak {peak} above charge {charge}"
+    if name in ("resolvability_samples", "secrecy_report"):
+        n = SPANNING_N[route]
+        quad = chn.build_covert_channel(V)
+        k_size = 16 if name == "resolvability_samples" else 4
+        assert cs._charge(name, cs.pair_route(quad.omega0, quad.omega1), n, k_size, 4) == 2
+        peak, charge = peak_and_charge(sim_call(name, V, n, samples=4), monkeypatch)
+        assert peak <= charge, f"n = {n} over two blocks: peak {peak} above charge {charge}"
+
+
+def test_small_budget_shrinks_blocks_not_runs(monkeypatch):
+    """A budget that fits one codebook's charge still runs 25 samples and 4 bins, one
+    codebook per block, with the results of the default blocks."""
+    quad = chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(0.25)))
+    cfg = cs.SimConfig(n=12, gamma=1.0, m_size=4, l_size=4, seed=3, samples=25)
+    cb = cs.sample_codebook(cfg)
+    route = cs.pair_route(quad.omega0, quad.omega1)
+    want = cs.resolvability_samples(cfg, quad), cs.secrecy_report(cb, quad, cfg)
+    monkeypatch.setenv("COVERTQ_MAX_BYTES", str(6 * 8 * 2**12 + 24 * 16 * 12))  # one codebook's charge
+    assert cs._charge("resolvability_samples", route, cfg.n, 16, cfg.samples) == 1
+    assert cs._charge("secrecy_report", route, cfg.n, 4, cfg.m_size) == 1
+    got = cs.resolvability_samples(cfg, quad), cs.secrecy_report(cb, quad, cfg)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 @pytest.mark.parametrize("route", sorted(ISOMETRIES))

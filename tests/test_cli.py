@@ -244,6 +244,14 @@ def test_simulate_rejects_nonpositive_samples(exc_spec, tmp_path, capsys, sample
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_rejects_out_of_range_seed(exc_spec, tmp_path, capsys, seed):
+    out = tmp_path / "sim.json"
+    assert main(["simulate", exc_spec, "--n", "4", "--gamma", "0.5", "--seed", seed, "-o", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_has_no_fast_path_flag(exc_spec, capsys):
     # the route is chosen automatically; the scalar study is covertness_scaling
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -463,6 +464,13 @@ def test_sim_config_rejects_nonpositive_samples():
             cs.SimConfig(n=6, gamma=0.5, m_size=2, l_size=2, samples=samples)
 
 
+def test_sim_config_rejects_seed_outside_uint64():
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            cs.SimConfig(n=6, gamma=0.5, m_size=2, l_size=2, seed=seed)
+    assert cs.SimConfig(n=6, gamma=0.5, m_size=2, l_size=2, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def rotated_damping_isometry(gamma=0.3, theta=0.7, phi=0.4):
     """Amplitude damping after an input rotation: neither output pair commutes."""
     a0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
@@ -559,3 +567,41 @@ def test_resolvability_rhs_matches_grid_loop():
                 second = math.sqrt(math.exp(beta) * nu / (cfg.m_size * cfg.l_size))
                 best = min(best, first + second)
         assert cs.resolvability_rhs(cfg, quad) == pytest.approx(best, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("make_quad", [excitation_quadruple, rotated_damping_quadruple])
+def test_block_size_does_not_change_results(monkeypatch, make_quad):
+    """Codebooks averaged one per block or all in one block give the same bits."""
+    quad = make_quad()
+    cfg = cs.SimConfig(n=4, gamma=0.8, m_size=5, l_size=3, seed=8, samples=7)
+    cb = cs.sample_codebook(cfg, 2)
+    results = []
+    for block_bytes in (1, 2**40):  # one codebook per block; every codebook in one block
+        monkeypatch.setattr(cs, "_BLOCK_BYTES", block_bytes)
+        route = cs.pair_route(quad.omega0, quad.omega1)
+        block = cs._charge("resolvability_samples", route, cfg.n, 15, cfg.samples)
+        assert block == (1 if block_bytes == 1 else cfg.samples)
+        results.append((cs.resolvability_samples(cfg, quad), cs.secrecy_report(cb, quad, cfg)))
+    (res_one, sec_one), (res_all, sec_all) = results
+    assert np.array_equal(res_one, res_all)
+    assert np.array_equal(sec_one.perBinDistances, sec_all.perBinDistances)
+    assert sec_one.averageLeakage == sec_all.averageLeakage
+
+
+def test_sample_codebook_matches_fresh_philox_draws():
+    """Every codebook, drawn alone or by the blocked sampler, is the draw of a fresh
+    Philox keyed (seed, index), whatever other draws came before it."""
+    quad = excitation_quadruple()
+    cfg = cs.SimConfig(n=5, gamma=0.9, m_size=3, l_size=2, seed=2**63 + 9, samples=6)
+    other = replace(cfg, n=7, m_size=2, seed=1, samples=3)
+    route = cs.pair_route(quad.omega0, quad.omega1)
+    mixed = cs._mixed_reference(route.table, cfg.alpha, cfg.n)
+    distances = []
+    for i in range(cfg.samples):
+        cs.sample_codebook(other, i + 3)  # draws of another campaign in between
+        cs.resolvability_samples(other, quad)
+        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)))
+        want = (rng.random((cfg.m_size, cfg.l_size, cfg.n)) < cfg.alpha).astype(np.uint8)
+        assert np.array_equal(cs.sample_codebook(cfg, i).words, want)
+        distances.append(route.distance(op.mean_word_product(want.reshape(-1, cfg.n), route.table) - mixed))
+    assert np.array_equal(cs.resolvability_samples(cfg, quad), distances)
