@@ -48,7 +48,7 @@ class CapacityReport:
 def _positive_gap(a, b):
     """Positive part of a - b, snapping roundoff-scale gaps to exact zero."""
     gap = a - b
-    return np.where(gap <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))), 0.0, gap)
+    return np.where(gap <= op.DEFAULT_TOL.roundoff * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))), 0.0, gap)
 
 
 def _reports(ch: BinaryCovertChannel) -> list[CapacityReport]:

@@ -14,6 +14,7 @@ element at once and a failure names the lowest failing element.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,12 +103,30 @@ class BinaryCovertChannel:
     """The quadruple (sigma0, sigma1, omega0, omega1) of receiver and warden
     outputs for the two input symbols, with the support assumptions of the
     covert setting already validated.  Inside the package the four fields may
-    also be equal-shape stacks (..., d, d) of many channels' quadruples."""
+    also be equal-shape stacks (..., d, d) of many channels' quadruples.
+
+    The fields are read-only copies of the arrays passed in, so what
+    :meth:`cached` keeps (the pairs' routes and the bound's K-free terms)
+    cannot be made stale by writing to either; ``dataclasses.replace`` gives
+    a new channel with an empty cache."""
 
     sigma0: np.ndarray
     sigma1: np.ndarray
     omega0: np.ndarray
     omega1: np.ndarray
+    _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("sigma0", "sigma1", "omega0", "omega1"):
+            own = np.array(getattr(self, name))
+            own.flags.writeable = False
+            object.__setattr__(self, name, own)
+
+    def cached(self, key, make: Callable):
+        """``make()``, computed on the first call with ``key`` and kept on this channel."""
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
 
 
 def excitation_channel(gamma) -> KrausChannel:

@@ -89,7 +89,10 @@ def cmd_capacity(args) -> int:
     _emit_json(payload, args.out, "capacity", spec, {"bits": args.bits}, None)
     return EXIT_OK
 
+
 def cmd_sweep(args) -> int:
+    if args.steps < 1:
+        raise SystemExit2(f"--steps must be at least 1, got {args.steps}")
     if not 0.0 < args.gamma_from < args.gamma_to < 1.0:
         raise SystemExit2("need 0 < gamma-from < gamma-to < 1")
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.steps)

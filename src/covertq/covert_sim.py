@@ -10,8 +10,9 @@ before anything n-fold is allocated.
 
 ``pair_route`` makes that choice; its ``Route`` holds the single-letter
 table (eigenvalue vectors or matrices) with the matching distance and
-divergence.  Each public report builds its own route, while ``simulate``
-builds each pair's once and checks every stage's charge before any stage
+divergence.  A channel object builds each pair's route once and keeps it, as
+``resolvability_rhs`` keeps the bound's K-free terms, and ``simulate`` checks
+every stage's charge before any stage
 runs.  Every n-fold reference is a ``operators.word_products`` kron chain of
 a table letter, and every codebook average (the warden state, covertness,
 the secrecy bins and the resolvability samples) goes through
@@ -215,6 +216,16 @@ def pair_route(state0, state1) -> Route:
     return Route("commuting", np.stack([p0, p1]), U, _l1, dv.qre_commuting)
 
 
+def _warden_route(ch: BinaryCovertChannel) -> Route:
+    """``pair_route(ch.omega0, ch.omega1)``, built once per channel object."""
+    return ch.cached("warden", lambda: pair_route(ch.omega0, ch.omega1))
+
+
+def _bob_route(ch: BinaryCovertChannel) -> Route:
+    """``pair_route(ch.sigma0, ch.sigma1)``, built once per channel object."""
+    return ch.cached("bob", lambda: pair_route(ch.sigma0, ch.sigma1))
+
+
 def _charge(stage: str, route: Route, n: int, k_size: int, items: int = 1) -> int:
     """Check against the budget the bytes ``stage`` holds at once on ``route`` for ``items`` codebooks
     of ``k_size`` words of n letters, counted from measured tracemalloc peaks in d**n x d**n complex
@@ -245,7 +256,7 @@ def _charge(stage: str, route: Route, n: int, k_size: int, items: int = 1) -> in
 def _average_state(words, ch: BinaryCovertChannel) -> np.ndarray:
     """Dense warden state averaged uniformly over the (K, n) ``words``."""
     n = words.shape[1]
-    route = pair_route(ch.omega0, ch.omega1)
+    route = _warden_route(ch)
     _charge("warden average state", route, n, len(words))
     avg = op.mean_word_product(words, route.table)
     if route.basis is None:
@@ -279,25 +290,31 @@ def _default_beta_grid(cfg: SimConfig, ch: BinaryCovertChannel) -> np.ndarray:
     return np.geomspace(0.1 * center, 10.0 * center, 21)
 
 
+def _rhs_terms(cfg: SimConfig, ch: BinaryCovertChannel):
+    """The bound's terms that do not depend on K: the (s, beta) grid of
+    2 sqrt(exp(beta s + n phi(s, alpha))) and e^beta nu."""
+    ensemble = dv.CqEnsemble(
+        np.array([1.0 - cfg.alpha, cfg.alpha]), (ch.omega0, ch.omega1)
+    )
+    nu = dv.distinct_eigenvalue_count(mixed_output(ch, cfg.alpha), cfg.n)
+    betas = np.asarray(cfg.beta_grid) if cfg.beta_grid is not None else _default_beta_grid(cfg, ch)
+    s = np.asarray(cfg.s_grid, dtype=float)[:, None]
+    phis = dv.phi(s, ensemble)
+    with np.errstate(over="ignore"):  # an overflowing grid point is a vacuous (inf) bound
+        return 2.0 * np.sqrt(np.exp(betas * s + cfg.n * phis)), np.exp(betas) * nu
+
+
 def resolvability_rhs(cfg: SimConfig, ch: BinaryCovertChannel) -> float:
     """Grid-minimized soft-covering bound on the expected trace distance.
 
     min over (s, beta) of 2 sqrt(exp(beta s + n phi(s, alpha))) +
     sqrt(e^beta nu / K) with nu the distinct-eigenvalue count of the n-fold
-    reference and K the number of codewords.
+    reference and K the number of codewords.  The K-free terms are computed
+    once per channel object and (alpha, n, s grid, beta grid).
     """
-    ensemble = dv.CqEnsemble(
-        np.array([1.0 - cfg.alpha, cfg.alpha]), (ch.omega0, ch.omega1)
-    )
-    nu = dv.distinct_eigenvalue_count(mixed_output(ch, cfg.alpha), cfg.n)
-    k_total = cfg.m_size * cfg.l_size
-    betas = np.asarray(cfg.beta_grid) if cfg.beta_grid is not None else _default_beta_grid(cfg, ch)
-    s = np.asarray(cfg.s_grid, dtype=float)[:, None]
-    phis = dv.phi(s, ensemble)
-    with np.errstate(over="ignore"):  # an overflowing grid point is a vacuous (inf) bound
-        first = 2.0 * np.sqrt(np.exp(betas * s + cfg.n * phis))
-        second = np.sqrt(np.exp(betas) * nu / k_total)
-    return float(np.min(first + second))
+    grids = (None if g is None else tuple(np.ravel(g).tolist()) for g in (cfg.s_grid, cfg.beta_grid))
+    first, scaled_nu = ch.cached(("rhs", cfg.alpha, cfg.n, *grids), lambda: _rhs_terms(cfg, ch))
+    return float(np.min(first + np.sqrt(scaled_nu / (cfg.m_size * cfg.l_size))))
 
 
 def _mean_distances(route: Route, alpha: float, n: int, blocks) -> np.ndarray:
@@ -315,7 +332,7 @@ def _distances(cfg: SimConfig, route: Route, block: int) -> np.ndarray:
 def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel) -> np.ndarray:
     """Trace distance of the codebook-average state to the mixed reference,
     for ``cfg.samples`` independently seeded codebooks, a block at a time."""
-    route = pair_route(ch.omega0, ch.omega1)
+    route = _warden_route(ch)
     return _distances(cfg, route, _charge("resolvability_samples", route, cfg.n, cfg.m_size * cfg.l_size, cfg.samples))
 
 
@@ -359,7 +376,7 @@ def _covertness(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, route: Ro
 
 def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> CovertnessReport:
     """Covertness metrics of one codebook against the innocent reference."""
-    route = pair_route(ch.omega0, ch.omega1)
+    route = _warden_route(ch)
     _charge("covertness_report", route, cb.n, cb.m_size * cb.l_size)
     return _covertness(cb, ch, cfg, route, resolvability_rhs(cfg, ch))
 
@@ -371,7 +388,7 @@ def _secrecy(cb: Codebook, cfg: SimConfig, route: Route, block: int) -> SecrecyR
 
 def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> SecrecyReport:
     """Per-bin trace distances to the mixed reference and their mean."""
-    route = pair_route(ch.omega0, ch.omega1)
+    route = _warden_route(ch)
     return _secrecy(cb, cfg, route, _charge("secrecy_report", route, cb.n, cb.l_size, cb.m_size))
 
 
@@ -455,17 +472,17 @@ def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConf
     is the indicator of sigma_c - e^a sigma0^{(x)n} >= -DEFAULT_TOL.cluster, and
     S^{-1/2} vanishes where S <= DEFAULT_TOL.support, as in :func:`square_root_povm`.
     """
-    route = pair_route(ch.sigma0, ch.sigma1)
+    route = _bob_route(ch)
     _charge("sqrt_measurement_decoder", route, cb.n, cb.m_size * cb.l_size)
     return _decoder(cb, ch, cfg, route)
 
 
 def simulate(cfg: SimConfig, ch: BinaryCovertChannel):
     """One campaign on one codebook: covertness, secrecy, resolvability and, for
-    at most 64 words, the decoder.  Each pair's route is chosen once, and every
-    stage's charge is checked before the codebook is drawn.  Returns
+    at most 64 words, the decoder.  Every stage's charge is checked before the
+    codebook is drawn.  Returns
     ``(covertness, secrecy, (mean, rhs, holds), decoder or None, route names)``."""
-    warden, bob = pair_route(ch.omega0, ch.omega1), pair_route(ch.sigma0, ch.sigma1)
+    warden, bob = _warden_route(ch), _bob_route(ch)
     k_size = cfg.m_size * cfg.l_size
     _charge("covertness_report", warden, cfg.n, k_size)
     bins = _charge("secrecy_report", warden, cfg.n, cfg.l_size, cfg.m_size)

@@ -260,12 +260,12 @@ def pinsker_check(rho, sigma):
     -------
     (lhs, rhs, holds) : tuple
         lhs = ||rho - sigma||_1 / 2, rhs = sqrt(qre(rho, sigma)/2), and
-        ``holds`` is True when lhs <= rhs + 1e-12.
+        ``holds`` is True when lhs <= rhs + DEFAULT_TOL.roundoff.
     """
     lhs = 0.5 * op.trace_norm(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex))
     d = qre(rho, sigma)
     rhs = math.sqrt(0.5 * d) if math.isfinite(d) else math.inf
-    return lhs, rhs, lhs <= rhs + 1e-12
+    return lhs, rhs, lhs <= rhs + DEFAULT_TOL.roundoff
 
 
 def distinct_eigenvalue_count(omega, n: int) -> int:

@@ -28,7 +28,8 @@ from .errors import DimMismatchError, InvalidParameterError, NotHermitianError
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances for validation, clustering and support tests.  Its one
+    """Numerical tolerances for validation, clustering and support tests, and the
+    roundoff slack of comparisons between computed rates or bounds.  Its one
     instance :data:`DEFAULT_TOL` is their only source: no function takes a tolerance."""
 
     herm: float = 1e-9
@@ -36,6 +37,7 @@ class Tolerances:
     trace: float = 1e-9
     cluster: float = 1e-10
     support: float = 1e-10
+    roundoff: float = 1e-12
 
 
 DEFAULT_TOL = Tolerances()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,3 +250,17 @@ def test_channel_spec_cq_pair_violation():
     spec["omega1"] = spec["omega0"]
     with pytest.raises(TrivialTestError):
         chn.channel_spec_to_quadruple(spec)
+
+
+def test_quadruple_fields_read_only_and_replace_starts_empty():
+    quad = chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(0.25)))
+    for name in ("sigma0", "sigma1", "omega0", "omega1"):
+        with pytest.raises(ValueError):
+            getattr(quad, name)[0, 0] = 0.5
+    assert quad.cached("key", lambda: 1) == 1
+    assert quad.cached("key", lambda: 2) == 1  # kept from the first call
+    other = replace(quad, omega1=np.diag([0.9, 0.1]))
+    assert other.cached("key", lambda: 2) == 2
+    assert quad.cached("key", lambda: 3) == 1
+    assert "_cache" not in repr(other)
+

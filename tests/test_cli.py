@@ -378,3 +378,11 @@ def test_simulate_diagonalises_each_pair_once(exc_spec, tmp_path, monkeypatch, k
     assert len(calls) == 2
     for want in pairs:
         assert sum(np.array_equal(a, want[0]) and np.array_equal(b, want[1]) for a, b in calls) == 1
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_step(tmp_path, capsys, steps):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--gamma-from", "0.1", "--gamma-to", "0.9", "--steps", steps, "--out", str(out)]) == 2
+    assert "--steps" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -605,3 +605,54 @@ def test_sample_codebook_matches_fresh_philox_draws():
         assert np.array_equal(cs.sample_codebook(cfg, i).words, want)
         distances.append(route.distance(op.mean_word_product(want.reshape(-1, cfg.n), route.table) - mixed))
     assert np.array_equal(cs.resolvability_samples(cfg, quad), distances)
+
+
+def test_one_shared_eigenbasis_per_pair_per_channel(monkeypatch):
+    calls = []
+    shared = cs.shared_eigenbasis
+    monkeypatch.setattr(cs, "shared_eigenbasis", lambda a, b: calls.append((a, b)) or shared(a, b))
+    quad = excitation_quadruple()
+    for k in (16, 64, 256):
+        cs.resolvability_experiment(cs.SimConfig(n=6, gamma=0.6, m_size=k, l_size=1, seed=3, samples=3), quad)
+    cfg = cs.SimConfig(n=5, gamma=0.6, m_size=4, l_size=2, seed=4)
+    cb = cs.sample_codebook(cfg)
+    cs.covertness_report(cb, quad, cfg)
+    cs.secrecy_report(cb, quad, cfg)
+    cs.willie_average_state(cb, quad)
+    cs.willie_bin_state(cb, quad, 1)
+    assert len(calls) == 1  # the warden's pair
+    cs.sqrt_measurement_decoder(cb, quad, cfg)
+    cs.simulate(cfg, quad)
+    assert len(calls) == 2  # and Bob's
+    for (a, b), want in zip(calls, [(quad.omega0, quad.omega1), (quad.sigma0, quad.sigma1)]):
+        assert np.array_equal(a, want[0]) and np.array_equal(b, want[1])
+    other = replace(quad, omega1=np.diag([0.9, 0.1]))
+    cs.resolvability_experiment(cfg, other)
+    cs.covertness_report(cb, other, cfg)
+    assert len(calls) == 3 and np.array_equal(calls[-1][1], other.omega1)
+
+
+def test_resolvability_rhs_on_reused_channel_equals_fresh():
+    cfgs = [
+        cs.SimConfig(n=n, gamma=0.6, alpha=alpha, m_size=k, l_size=l, **grids)
+        for n in (4, 8) for alpha in (None, 0.25) for k, l in ((16, 1), (64, 1), (4, 64))
+        for grids in ({}, {"s_grid": (-0.75, -0.3)}, {"beta_grid": (0.1, 1.0, 3.0)})
+    ]
+    for make_quad in (excitation_quadruple, rotated_damping_quadruple):
+        reused = make_quad()
+        for cfg in cfgs + cfgs[::-1]:
+            want = cs.resolvability_rhs(cfg, make_quad())
+            assert float.hex(cs.resolvability_rhs(cfg, reused)) == float.hex(want), cfg
+
+
+def test_cached_route_and_bound_ignore_writes_to_the_arrays_passed_in():
+    fresh = excitation_quadruple()
+    arrays = [np.array(a) for a in (fresh.sigma0, fresh.sigma1, fresh.omega0, fresh.omega1)]
+    quad = chn.BinaryCovertChannel(*arrays)
+    cfg = cs.SimConfig(n=6, gamma=0.6, m_size=16, l_size=1)
+    rhs, route = cs.resolvability_rhs(cfg, quad), cs._warden_route(quad)
+    table = route.table.copy()
+    arrays[2][...] = np.diag([0.3, 0.7])
+    assert np.array_equal(quad.omega0, fresh.omega0)
+    assert cs._warden_route(quad) is route and np.array_equal(route.table, table)
+    assert float.hex(cs.resolvability_rhs(cfg, quad)) == float.hex(rhs) == float.hex(cs.resolvability_rhs(cfg, fresh))
