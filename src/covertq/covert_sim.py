@@ -168,9 +168,9 @@ def shared_eigenbasis(a, b):
     sd = op.spectral_decompose(a)
     cols, pa, pb = [], [], []
     for lam, proj in zip(sd.eigenvalues, sd.projectors):
-        weights, vecs = np.linalg.eigh(proj)
+        weights, vecs = op.eigh(proj)
         block = vecs[:, weights > 0.5]
-        mu, inner = np.linalg.eigh(block.conj().T @ b @ block)
+        mu, inner = op.eigh(block.conj().T @ b @ block)
         cols.append(block @ inner)
         pa.extend([lam] * mu.size)
         pb.extend(mu)
@@ -418,7 +418,7 @@ def _povm(words, route: Route, a: float) -> list:
     for w in words:
         pinched = op.pinching(op.word_products(w, table), ref)
         projectors.append(op.nonneg_eigenspace_projector(pinched - math.exp(a) * ref))
-    vals, vecs = np.linalg.eigh(sum(projectors))
+    vals, vecs = op.eigh(sum(projectors))
     inv_sqrt = np.where(vals > DEFAULT_TOL.support, 1.0 / np.sqrt(np.where(vals > DEFAULT_TOL.support, vals, 1.0)), 0.0)
     s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
     return [s_inv_half @ p @ s_inv_half for p in projectors]

@@ -59,8 +59,8 @@ def qre(rho, sigma):
     r = op.check_hermitian(rho)
     s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
-    rvals, rvecs = np.linalg.eigh(r)
-    svals, svecs = np.linalg.eigh(s)
+    rvals, rvecs = op.eigh(r)
+    svals, svecs = op.eigh(s)
     # eigenvalues of rho at or below the support tolerance drop out
     on_r = rvals > DEFAULT_TOL.support
     on_s = svals > DEFAULT_TOL.support
@@ -100,7 +100,7 @@ def chi_square(rho, sigma):
     r = op.check_hermitian(rho)
     s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
-    vals, vecs = np.linalg.eigh(s)
+    vals, vecs = op.eigh(s)
     # clusters as in operators.spectral_decompose: a chain of ascending
     # eigenvalues with gaps below the tolerance, each at its cluster's mean
     label = np.cumsum(np.diff(vals, axis=-1, prepend=-np.inf) >= DEFAULT_TOL.cluster, axis=-1)
@@ -155,13 +155,16 @@ def qre_commuting(p, q) -> float:
 
 
 def hockey_stick(rho, sigma, gamma: float):
-    """Hockey-stick divergence: sum of positive eigenvalues of rho - gamma*sigma."""
-    if gamma < 1.0:
-        raise InvalidGammaError(f"gamma must be >= 1, got {gamma}")
+    """Hockey-stick divergence: sum of positive eigenvalues of rho - gamma*sigma.
+
+    Raises ``InvalidGammaError`` unless ``gamma`` is finite and at least 1.
+    """
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise InvalidGammaError(f"gamma must be finite and >= 1, got {gamma}")
     r = op.check_hermitian(rho)
     s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
-    vals = np.linalg.eigvalsh(r - gamma * s)
+    vals = op.eigvalsh(r - gamma * s)
     return op.scalar_or_stack(np.sum(np.where(vals > 0.0, vals, 0.0), axis=-1))
 
 
@@ -171,13 +174,15 @@ def petz_renyi(rho, sigma, s: float):
     Powers are taken spectrally on the respective supports.  For s > 1 a
     support violation of rho against sigma yields ``inf``.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"order s must be finite, got {s}")
     if s == 1.0:
         raise ValueError("order s = 1 is the qre limit; call qre instead")
     r = op.check_hermitian(rho)
     sig = op.check_hermitian(sigma)
     _require_same_dim(r, sig)
-    rvals, rvecs = np.linalg.eigh(r)
-    svals, svecs = np.linalg.eigh(sig)
+    rvals, rvecs = op.eigh(r)
+    svals, svecs = op.eigh(sig)
     rvals = np.clip(rvals, 0.0, None)
     svals = np.clip(svals, 0.0, None)
     overlap = np.abs(op.dagger(rvecs) @ svecs) ** 2
@@ -214,7 +219,7 @@ class CqEnsemble:
 
 def _spectrum_on_support(h):
     """Eigenvalues (1 off the support), support mask and eigenvectors of ``h``."""
-    vals, vecs = np.linalg.eigh(op.check_hermitian(h))
+    vals, vecs = op.eigh(op.check_hermitian(h))
     support = vals > DEFAULT_TOL.support
     return np.where(support, vals, 1.0), support, vecs
 
@@ -229,8 +234,8 @@ def phi(s, ensemble: CqEnsemble):
     state w_p is formed internally; phi(0, .) = 0 exactly.
     """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr > 0.0):
-        raise ValueError(f"phi is defined for s <= 0, got s = {s}")
+    if not np.all(np.isfinite(s_arr) & (s_arr <= 0.0)):
+        raise ValueError(f"phi is defined for finite s <= 0, got s = {s}")
     exps = s_arr[..., None]
     b, b_support, v = _spectrum_on_support(ensemble.average_state())
     wp_s = b**exps * b_support

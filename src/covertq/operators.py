@@ -4,10 +4,19 @@ All operators are plain ``numpy`` arrays of dtype complex128.  Density
 operators are Hermitian, positive semidefinite (up to a small clamp) and have
 unit trace.  Everything here is a pure function; no shared mutable state.
 
-Stack contract: :func:`as_operator`, :func:`check_hermitian`,
-:func:`trace_norm`, :func:`support_projector` and :func:`support_contained`
-take a stack of square matrices of shape ``(..., d, d)`` and work on every
-element at once.  :func:`trace_norm` takes Hermitian input only (the trace
+Eigensolver: :func:`eigh` and :func:`eigvalsh` are the package's one entry
+point to LAPACK's Hermitian eigensolver; no other module calls
+``np.linalg.eigh`` or ``np.linalg.eigvalsh``.  A stack whose off-diagonal
+entries are all exactly zero is read off its diagonal (sorted values, a
+permutation matrix of eigenvectors) and any other goes to LAPACK whole.
+:func:`sqrtm_psd` and :func:`canonical_purification` write the square root
+of an exactly diagonal input onto its diagonal.  The decoupler's SVDs in
+``eg_toy`` are not eigendecompositions and stay on ``np.linalg.svd``.
+
+Stack contract: :func:`as_operator`, :func:`check_hermitian`, :func:`eigh`,
+:func:`eigvalsh`, :func:`trace_norm`, :func:`support_projector` and
+:func:`support_contained` take a stack of square matrices of shape
+``(..., d, d)`` and work on every element at once.  :func:`trace_norm` takes Hermitian input only (the trace
 distance of two states): it sums the absolute eigenvalues from ``eigvalsh``
 and raises ``NotHermitianError`` on anything else.  A 2-D input gives a ``float`` (``bool`` for
 ``support_contained``), a stacked input an array of shape ``(...)``.  A check
@@ -116,6 +125,47 @@ def check_hermitian(h) -> np.ndarray:
     return m
 
 
+def _real_diagonal(m: np.ndarray):
+    """The real diagonal of a ``(..., d, d)`` stack whose off-diagonal entries are all
+    exactly zero, or None for any other input (LAPACK raises its own errors)."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        return None
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    if np.count_nonzero(m) != np.count_nonzero(diag):
+        return None
+    # LAPACK ignores the imaginary part of a Hermitian diagonal and solves integers in float64
+    return diag.real if diag.dtype.kind in "fc" else diag.astype(float)
+
+
+def eigh(h):
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian ``(..., d, d)`` stack.
+
+    The one eigensolver of the package.  A stack whose off-diagonal entries
+    are all exactly zero is read off its diagonal: the stable-sorted values,
+    and the matching permutation matrix as eigenvectors, in the dtype
+    ``np.linalg.eigh`` returns.  Any other input goes to ``np.linalg.eigh``
+    as a whole.  On diagonal input LAPACK returns the same values and unit
+    eigenvectors that differ at most in the order of tied eigenvalues, which
+    no spectral function here depends on.  The one exception is a matrix
+    whose largest entry lies below about 1e-146 or above about 1e146: LAPACK
+    rescales it and rounds its eigenvalues, while the diagonal read is exact.
+    """
+    m = np.asarray(h)
+    real = _real_diagonal(m)
+    if real is None:
+        return np.linalg.eigh(m)
+    order = np.argsort(real, axis=-1, kind="stable")
+    basis = np.eye(m.shape[-1], dtype=np.result_type(m.dtype, real.dtype))
+    return np.sort(real, axis=-1, kind="stable"), basis[order].swapaxes(-1, -2)
+
+
+def eigvalsh(h):
+    """Ascending eigenvalues of a Hermitian ``(..., d, d)`` stack, by the rule of :func:`eigh`."""
+    m = np.asarray(h)
+    real = _real_diagonal(m)
+    return np.linalg.eigvalsh(m) if real is None else np.sort(real, axis=-1, kind="stable")
+
+
 def check_density(rho) -> np.ndarray:
     """Validate a density operator; clamp roundoff-negative eigenvalues to 0.
 
@@ -126,7 +176,7 @@ def check_density(rho) -> np.ndarray:
     tr = np.trace(m).real
     if abs(tr - 1.0) > DEFAULT_TOL.trace:
         raise DimMismatchError(f"trace {tr} differs from 1 beyond tolerance")
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = eigh(m)
     if vals[0] < -DEFAULT_TOL.psd:
         raise DimMismatchError(f"negative eigenvalue {vals[0]:.3e} beyond tolerance")
     if vals[0] < 0.0:
@@ -139,7 +189,7 @@ def check_density(rho) -> np.ndarray:
 def spectral_decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian operator into clustered eigenprojectors."""
     m = _single(check_hermitian(h))
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = eigh(m)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     eigenvalues: list[float] = []
@@ -303,13 +353,22 @@ def trace_norm(a):
     checked first and a non-Hermitian one raises ``NotHermitianError``.
     """
     m = check_hermitian(a)
-    return scalar_or_stack(np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1))
+    return scalar_or_stack(np.sum(np.abs(eigvalsh(m)), axis=-1))
+
+
+def _diagonal_sqrt(real: np.ndarray) -> np.ndarray:
+    """The complex diagonal matrix of the square roots of ``real``, negative entries clipped to 0."""
+    return np.diag(np.sqrt(np.clip(real, 0.0, None))).astype(complex)
 
 
 def sqrtm_psd(a) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix, spectrally."""
+    """Principal square root of a PSD Hermitian matrix, spectrally; an exactly
+    diagonal one is read off its diagonal without a matrix product."""
     m = _single(check_hermitian(a))
-    vals, vecs = np.linalg.eigh(m)
+    real = _real_diagonal(m)
+    if real is not None:
+        return _diagonal_sqrt(real)
+    vals, vecs = eigh(m)
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
@@ -331,7 +390,7 @@ def nonneg_eigenspace_projector(p) -> np.ndarray:
     Eigenvalues within the clustering tolerance of zero count as nonnegative.
     """
     m = _single(check_hermitian(p))
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = eigh(m)
     cols = vecs[:, vals >= -DEFAULT_TOL.cluster]
     return cols @ cols.conj().T
 
@@ -350,7 +409,7 @@ def pinching(q, p) -> np.ndarray:
 
 def support_projector(a) -> np.ndarray:
     """Projector onto the span of eigenvectors with eigenvalue > ``DEFAULT_TOL.support``."""
-    vals, vecs = np.linalg.eigh(check_hermitian(a))
+    vals, vecs = eigh(check_hermitian(a))
     cols = vecs * (vals > DEFAULT_TOL.support)[..., None, :]
     return cols @ dagger(cols)
 
@@ -363,7 +422,7 @@ def support_contained(inner, outer):
     of ``outer``.
     """
     proj = support_projector(outer)
-    vals, vecs = np.linalg.eigh(check_hermitian(inner))
+    vals, vecs = eigh(check_hermitian(inner))
     residual = np.linalg.norm(vecs - proj @ vecs, axis=-2)
     escapes = (vals > DEFAULT_TOL.support) & (residual >= np.sqrt(DEFAULT_TOL.support))
     return scalar_or_stack(~np.any(escapes, axis=-1), bool)
@@ -384,18 +443,26 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def canonical_purification(rho) -> np.ndarray:
-    """Eigen-purification sum_i sqrt(lambda_i) |e_i>|e_i> on a doubled space."""
+    """Eigen-purification sum_i sqrt(lambda_i) |e_i>|e_i> on a doubled space.
+
+    An exactly diagonal ``rho`` has the standard basis as its eigenbasis, so
+    the square roots of its clipped diagonal are written onto the diagonal
+    without the per-eigenvalue loop.
+    """
     m = _single(check_hermitian(rho))
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    dim = m.shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    term = np.empty((dim, dim), dtype=complex)
-    # the entries of kron(vec, conj(vec)), scaled and summed in the same order
-    for lam, vec in zip(vals, vecs.T):
-        if lam > 0.0:
-            np.multiply.outer(vec, vec.conj(), out=term)
-            term *= np.sqrt(lam)
-            out += term
+    real = _real_diagonal(m)
+    if real is not None:
+        out = _diagonal_sqrt(real)
+    else:
+        vals, vecs = eigh(m)
+        vals = np.clip(vals, 0.0, None)
+        out = np.zeros(m.shape, dtype=complex)
+        term = np.empty(m.shape, dtype=complex)
+        # the entries of kron(vec, conj(vec)), scaled and summed in the same order
+        for lam, vec in zip(vals, vecs.T):
+            if lam > 0.0:
+                np.multiply.outer(vec, vec.conj(), out=term)
+                term *= np.sqrt(lam)
+                out += term
     out = out.ravel()
     return out / np.linalg.norm(out)

@@ -207,6 +207,25 @@ def test_phi_array_matches_scalar_calls():
         dv.phi(np.array([-0.5, 0.5]), ens)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda r, s, e: dv.hockey_stick(r, s, math.nan), InvalidGammaError),
+    (lambda r, s, e: dv.hockey_stick(r, s, math.inf), InvalidGammaError),
+    (lambda r, s, e: dv.petz_renyi(r, s, math.nan), ValueError),
+    (lambda r, s, e: dv.petz_renyi(r, s, math.inf), ValueError),
+    (lambda r, s, e: dv.petz_renyi(r, s, -math.inf), ValueError),
+    (lambda r, s, e: dv.phi(math.nan, e), ValueError),
+    (lambda r, s, e: dv.phi(-math.inf, e), ValueError),
+    (lambda r, s, e: dv.phi(np.array([-0.5, math.nan]), e), ValueError),
+], ids=["hockey-nan", "hockey-inf", "petz-nan", "petz-inf", "petz-minus-inf",
+        "phi-nan", "phi-minus-inf", "phi-array-nan"])
+def test_non_finite_parameters_raise(call, error):
+    # NaN fails every range comparison, so a check written as "x < bound" lets it through
+    rho, sigma = np.diag([0.75, 0.25]), np.diag([0.5, 0.5])
+    ens = dv.CqEnsemble(np.array([0.5, 0.5]), (rho, sigma))
+    with pytest.raises(error):
+        call(rho, sigma, ens)
+
+
 def test_helstrom_error():
     rng = np.random.default_rng(10)
     rho = random_density(rng, 2)

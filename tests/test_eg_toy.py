@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from covertq import channels as chn
-from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import eg_toy as eg
 from covertq import operators as op
@@ -16,12 +15,8 @@ from covertq.errors import BudgetExceededError, DimMismatchError, DuplicateWordE
 def demo_setup(gamma=0.1):
     code = eg.default_demo_code()
     V = chn.stinespring_from_kraus(chn.excitation_channel(gamma))
-    quad = chn.build_covert_channel(V)
-    words = [code.words[m, l] for m in range(code.T) for l in range(code.l_size)]
-    alpha = float(np.mean(code.words))
-    a = 0.5 * alpha * code.n * dv.qre(quad.sigma1, quad.sigma0)
-    povm, abstain = cs.square_root_povm(words, quad.sigma0, quad.sigma1, a)
-    return code, V, povm, abstain, alpha
+    povm, abstain, _ = eg.decoding_povm(code, V)
+    return code, V, povm, abstain, float(np.mean(code.words))
 
 
 def noiseless_setup():
@@ -302,11 +297,8 @@ def rotated_damping_isometry(gamma=0.3, theta=0.7, phi=0.4):
 def rotated_setup(words, encode_phases, decode_phases):
     code = eg.EGToyCode.from_words(words, encode_phases, decode_phases)
     V = rotated_damping_isometry()
-    quad = chn.build_covert_channel(V)
-    alpha = float(np.mean(code.words))
-    a = 0.5 * alpha * code.n * dv.qre(quad.sigma1, quad.sigma0)
-    povm, abstain = cs.square_root_povm(list(code.words.reshape(-1, code.n)), quad.sigma0, quad.sigma1, a)
-    return code, V, povm, abstain, alpha
+    povm, abstain, _ = eg.decoding_povm(code, V)
+    return code, V, povm, abstain, float(np.mean(code.words))
 
 
 def pinned_rotated_setup():
@@ -580,6 +572,37 @@ def test_eg_report_reads_only_the_matched_slices(monkeypatch, case, mode):
     assert rep.fidelity == pytest.approx(PINNED_REPORTS[case, mode]["fidelity"], abs=1e-10)
 
 
+def test_eg_report_diagonal_roots_and_purification_skip_lapack(monkeypatch):
+    # on the excitation channel every POVM element and omega_alpha^(x)n are exactly
+    # diagonal, so their square roots and the purification never reach np.linalg.eigh
+    inside, calls, lapack_inside = [], {}, []
+    lapack = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        lapack_inside.extend(inside[-1:])
+        return lapack(*args, **kwargs)
+
+    def tracked(name):
+        real = getattr(op, name)
+
+        def run(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            inside.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    code, V, povm, abstain, alpha = demo_setup()
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for name in ("sqrtm_psd", "canonical_purification"):
+        monkeypatch.setattr(op, name, tracked(name))
+    eg.eg_report(code, V, povm, abstain, alpha=alpha, mode="paper-target")
+    assert calls == {"sqrtm_psd": len(povm), "canonical_purification": 1}
+    assert lapack_inside == []
+
+
 def wide_environment_setup():
     # dC = dW^n = 81 exceeds dB^n * L = 32
     code = eg.default_demo_code()
@@ -654,14 +677,11 @@ def bench_eg_setup(seed=42):
     """The benchmark's eg input: excitation 0.1, T = 4, L = 3, n = 7, distinct words."""
     T, L, n = 4, 3, 7
     V = chn.stinespring_from_kraus(chn.excitation_channel(0.1))
-    quad = chn.build_covert_channel(V)
     index = np.random.default_rng(seed).choice(2**n, T * L, replace=False)
     words = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     code = eg.EGToyCode.from_words(words.reshape(T, L, n))
-    alpha = float(np.mean(code.words))
-    a = 0.5 * alpha * n * dv.qre(quad.sigma1, quad.sigma0)
-    povm, abstain = cs.square_root_povm(list(words), quad.sigma0, quad.sigma1, a)
-    return code, V, povm, abstain, alpha
+    povm, abstain, _ = eg.decoding_povm(code, V)
+    return code, V, povm, abstain, float(np.mean(code.words))
 
 
 @pytest.mark.parametrize("mode", ["paper-target", "self-target"])

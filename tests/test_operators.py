@@ -2,7 +2,9 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,3 +351,72 @@ def test_no_function_takes_a_tolerance():
             functions += [f for f in members if inspect.isfunction(f) and f.__module__ == module.__name__]
     assert len(functions) > 100
     assert [f"{f.__module__}.{f.__qualname__}" for f in functions if "tol" in inspect.signature(f).parameters] == []
+
+
+@st.composite
+def diagonal_stacks(draw):
+    """Exactly diagonal (..., d, d) stacks, real or complex, empty stacks included,
+    with repeated, zero and negative diagonal entries and optional -0.0 off the diagonal."""
+    d = draw(st.integers(1, 4))
+    batch = draw(st.sampled_from([(), (0,), (1,), (3,), (2, 2)]))
+    dtype = draw(st.sampled_from([float, complex]))
+    # LAPACK rescales a matrix whose largest entry is below about 1e-146 (or above 1e146)
+    # and rounds its eigenvalues on the way back; the diagonal read stays exact, so skip that
+    entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 0.25, 1e-11, -1e-11]) | st.floats(-4.0, 4.0).filter(
+        lambda x: x == 0.0 or abs(x) >= 1e-100)
+    diag = draw(st.lists(entries, min_size=math.prod(batch) * d, max_size=math.prod(batch) * d))
+    m = np.full(batch + (d, d), draw(st.sampled_from([0.0, -0.0])), dtype=dtype)
+    if dtype is complex:
+        m.imag = m.real
+    m[..., np.arange(d), np.arange(d)] = np.reshape(diag, batch + (d,))
+    return m
+
+
+def lapack_spectral_functions(m):
+    """sqrtm_psd, nonneg_eigenspace_projector and support_projector of one matrix, from np.linalg.eigh."""
+    vals, vecs = np.linalg.eigh(m)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    cols = vecs[:, vals >= -op.DEFAULT_TOL.cluster]
+    support = vecs * (vals > op.DEFAULT_TOL.support)
+    return root, cols @ cols.conj().T, support @ support.conj().T
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagonal_stacks())
+@example(np.diag([0.5, -0.0, 0.5, 0.0]).astype(complex))
+@example(np.zeros((0, 3, 3)))
+def test_eigh_reads_exactly_diagonal_input_off_its_diagonal(m):
+    vals, vecs = op.eigh(m)
+    want_vals, want_vecs = np.linalg.eigh(m)
+    assert vals.dtype == want_vals.dtype and vecs.dtype == want_vecs.dtype and vecs.shape == want_vecs.shape
+    # the same numbers (== equates -0.0 with 0.0); the vectors may order tied eigenvalues differently
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(op.eigvalsh(m), np.linalg.eigvalsh(m))
+    assert np.array_equal(np.abs(vecs).sum(axis=-2), np.ones(vals.shape))
+    assert np.array_equal((vecs * vals[..., None, :]) @ op.dagger(vecs), (want_vecs * want_vals[..., None, :]) @ op.dagger(want_vecs))
+    for element in m.reshape(-1, *m.shape[-2:]):
+        root, nonneg, support = lapack_spectral_functions(element)
+        assert np.array_equal(op.sqrtm_psd(element), root)
+        assert np.array_equal(op.nonneg_eigenspace_projector(element), nonneg)
+        assert np.array_equal(op.support_projector(element), support)
+        if np.max(element.real) > 0.0:
+            assert np.array_equal(op.canonical_purification(element), kron_loop_purification(element))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigh_sends_any_off_diagonal_entry_to_lapack(dtype):
+    tiny = np.diag([0.5, 0.25, 0.25]).astype(dtype)
+    tiny[0, 2] = tiny[2, 0] = 1e-300
+    stack = np.stack([np.diag([0.5, 0.5, 0.0]), np.diag([0.2, 0.3, 0.5]), [[0.5, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.2]]]).astype(dtype)
+    for m in (tiny, stack):
+        for got, want in zip(op.eigh(m), np.linalg.eigh(m)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(op.eigvalsh(m), np.linalg.eigvalsh(m))
+
+
+def test_one_eigensolver_entry_point():
+    # every eigendecomposition goes through op.eigh / op.eigvalsh, so none can skip the diagonal rule
+    direct = re.compile(r"linalg\.eig(vals)?h\b|linalg import .*\beig(vals)?h\b")
+    sources = sorted(Path(covertq.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    assert [p.name for p in sources if p.name != "operators.py" and direct.search(p.read_text())] == []
