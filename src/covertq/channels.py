@@ -235,6 +235,14 @@ def mixed_output(ch: BinaryCovertChannel, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * ch.omega0 + alpha * ch.omega1
 
 
+def _spec_field(spec: dict, name: str, kind: str):
+    """``spec[name]``, which must be a JSON ``kind``: "list" or "real number"."""
+    value = spec[name]
+    if isinstance(value, bool) or not isinstance(value, list if kind == "list" else (int, float)):
+        raise InvalidParameterError(f"channel spec field {name!r} must be a {kind}, got {type(value).__name__}")
+    return value
+
+
 def channel_spec_to_stinespring(spec: dict) -> StinespringIsometry:
     """Build a Stinespring isometry from a channel-spec dictionary.
 
@@ -244,9 +252,9 @@ def channel_spec_to_stinespring(spec: dict) -> StinespringIsometry:
     """
     kind = spec.get("kind")
     if kind == "excitation":
-        return stinespring_from_kraus(excitation_channel(float(spec["gamma"])))
+        return stinespring_from_kraus(excitation_channel(float(_spec_field(spec, "gamma", "real number"))))
     if kind == "kraus":
-        ks = tuple(op.matrix_from_json(k) for k in spec["kraus"])
+        ks = tuple(op.matrix_from_json(k) for k in _spec_field(spec, "kraus", "list"))
         return stinespring_from_kraus(KrausChannel(ks))
     raise InvalidParameterError(f"unsupported channel kind for isometry: {kind!r}")
 
@@ -256,7 +264,7 @@ def channel_spec_to_quadruple(spec: dict) -> BinaryCovertChannel:
     kind = spec.get("kind")
     if kind == "cq-pair":
         return _validate_quadruple(BinaryCovertChannel(*(
-            op.check_density(op.matrix_from_json(spec[name]))
+            op.check_density(op.matrix_from_json(_spec_field(spec, name, "list")))
             for name in ("sigma0", "sigma1", "omega0", "omega1")
         )))
     return build_covert_channel(channel_spec_to_stinespring(spec))

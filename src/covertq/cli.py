@@ -37,9 +37,12 @@ EXIT_ASSUMPTION = 4
 def _load_channel_spec(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit2(f"cannot read channel spec {path!r}: {exc}")
+    if not isinstance(spec, dict):
+        raise SystemExit2(f"channel spec {path!r} must be a JSON object, got {type(spec).__name__}")
+    return spec
 
 
 class SystemExit2(Exception):
@@ -170,48 +173,48 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Each subcommand's name, help text, handler and arguments (flags, ``add_argument`` keywords), in help order.
+_COMMANDS = (
+    ("capacity", "capacity report for a channel spec", cmd_capacity, (
+        ("channel", {}), ("-o --out", {}), ("--bits", dict(action="store_true", help="display rates in bits")))),
+    ("sweep", "excitation-channel capacity sweep to CSV", cmd_sweep, (
+        ("--gamma-from", dict(type=float, required=True)), ("--gamma-to", dict(type=float, required=True)),
+        ("--steps", dict(type=int, required=True)), ("--out", dict(required=True)))),
+    ("simulate", "covert codebook Monte-Carlo campaign", cmd_simulate, (
+        ("channel", {}), ("--n", dict(type=int, required=True)), ("--gamma", dict(type=float, required=True)),
+        ("--m", dict(type=int, default=4)), ("--l", dict(type=int, default=4)),
+        ("--seed", dict(type=int, default=0)), ("--samples", dict(type=int, default=1)), ("-o --out", {}))),
+    ("egdemo", "toy entanglement-generation run", cmd_egdemo, (
+        ("channel", {}), ("--mode", dict(choices=["paper-target", "self-target"], default="paper-target")),
+        ("-o --out", {}))),
+    ("validate", "check a channel spec file", cmd_validate, (("channel", {}),)),
+)
+
+
+def _parser(commands) -> argparse.ArgumentParser:
+    """The parser with the subcommands ``commands`` registered; its usage names all five."""
     parser = argparse.ArgumentParser(prog="covertq", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("capacity", help="capacity report for a channel spec")
-    p.add_argument("channel")
-    p.add_argument("-o", "--out")
-    p.add_argument("--bits", action="store_true", help="display rates in bits")
-    p.set_defaults(func=cmd_capacity)
-
-    p = sub.add_parser("sweep", help="excitation-channel capacity sweep to CSV")
-    p.add_argument("--gamma-from", type=float, required=True)
-    p.add_argument("--gamma-to", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="covert codebook Monte-Carlo campaign")
-    p.add_argument("channel")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--l", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1)
-    p.add_argument("-o", "--out")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("egdemo", help="toy entanglement-generation run")
-    p.add_argument("channel")
-    p.add_argument("--mode", choices=["paper-target", "self-target"], default="paper-target")
-    p.add_argument("-o", "--out")
-    p.set_defaults(func=cmd_egdemo)
-
-    p = sub.add_parser("validate", help="check a channel spec file")
-    p.add_argument("channel")
-    p.set_defaults(func=cmd_validate)
+    every = "{" + ",".join(name for name, *_ in _COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if commands is _COMMANDS else every)
+    for name, help_text, handler, arguments in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags.split(), **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with all five subcommands registered."""
+    return _parser(_COMMANDS)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand.  Only the subcommand that ``argv[0]`` names is registered, or all
+    five when it names none, so help, usage and error text match :func:`build_parser`'s."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = [command for command in _COMMANDS if argv[:1] == [command[0]]]
+    args = _parser(named or _COMMANDS).parse_args(argv)
     try:
         return args.func(args)
     except SystemExit2 as exc:

@@ -152,9 +152,9 @@ def product_state(word, state0, state1) -> np.ndarray:
 def shared_eigenbasis(a, b):
     """Common eigenbasis of two Hermitian operators, or None if they do not commute.
 
-    Each eigenspace of ``a`` is spanned by its own orthonormal columns, inside
-    which ``b`` is diagonalised, so degenerate spectra of either operator are
-    handled exactly.
+    The columns of one ``op.eigh`` of ``a`` are grouped into its eigenspaces by
+    ``op.eigenvalue_clusters``, largest first, and ``b`` is diagonalised inside
+    each, so degenerate spectra of either operator are handled exactly.
 
     Returns
     -------
@@ -165,11 +165,10 @@ def shared_eigenbasis(a, b):
     b = np.asarray(b, dtype=complex)
     if np.max(np.abs(a @ b - b @ a)) > DEFAULT_TOL.herm:
         return None
-    sd = op.spectral_decompose(a)
+    vals, vecs = op.eigh(op.check_hermitian(a))
     cols, pa, pb = [], [], []
-    for lam, proj in zip(sd.eigenvalues, sd.projectors):
-        weights, vecs = op.eigh(proj)
-        block = vecs[:, weights > 0.5]
+    for lam, idx in op.eigenvalue_clusters(vals):
+        block = vecs[:, idx]
         mu, inner = op.eigh(block.conj().T @ b @ block)
         cols.append(block @ inner)
         pa.extend([lam] * mu.size)
@@ -413,6 +412,9 @@ def _povm(words, route: Route, a: float) -> list:
     if route.basis is not None:
         weights = _srm_weights(op.word_products(words, table), ref, a)
         Un = op.tensor_power(route.basis, n)
+        rows = np.argmax(Un.real, axis=0)
+        if np.array_equal(Un, np.eye(len(Un))[:, rows]):  # a permutation: Un diag(w) Un^dag moves w[k] to rows[k]
+            return [np.diag(w) for w in weights[:, np.argsort(rows)].astype(complex)]
         return [(Un * w) @ Un.conj().T for w in weights]
     projectors = []
     for w in words:

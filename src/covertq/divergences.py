@@ -101,7 +101,7 @@ def chi_square(rho, sigma):
     s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
     vals, vecs = op.eigh(s)
-    # clusters as in operators.spectral_decompose: a chain of ascending
+    # the rule of operators.eigenvalue_clusters on a stack: a chain of ascending
     # eigenvalues with gaps below the tolerance, each at its cluster's mean
     label = np.cumsum(np.diff(vals, axis=-1, prepend=-np.inf) >= DEFAULT_TOL.cluster, axis=-1)
     same = label[..., :, None] == label[..., None, :]
@@ -280,7 +280,7 @@ def distinct_eigenvalue_count(omega, n: int) -> int:
     clustered by the clustering tolerance.  The count never exceeds
     (n + 1)^dim.
     """
-    sd = op.spectral_decompose(omega)
-    products = sorted(math.prod(combo) for combo in combinations_with_replacement(sd.eigenvalues, n))
+    values = [lam for lam, _ in op.eigenvalue_clusters(op.eigvalsh(op.check_hermitian(omega)))]
+    products = sorted(math.prod(combo) for combo in combinations_with_replacement(values, n))
     # a new cluster starts wherever the ascending products step by the tolerance
     return 1 + int(np.sum(np.diff(products) >= DEFAULT_TOL.cluster))

@@ -186,24 +186,26 @@ def check_density(rho) -> np.ndarray:
     return m
 
 
+def eigenvalue_clusters(vals) -> list[tuple[float, np.ndarray]]:
+    """The package's one clustering rule for the eigenvalues ``vals`` of one matrix: sorted
+    decreasing, a chain of steps below ``DEFAULT_TOL.cluster`` is one cluster.  Returns each
+    cluster, largest first, as its mean and the indices into ``vals`` of its members."""
+    vals = np.asarray(vals)
+    if vals.ndim != 1:
+        raise DimMismatchError(f"expected the spectrum of one matrix, got shape {vals.shape}")
+    order = np.argsort(vals)[::-1]
+    steps = np.flatnonzero(np.abs(np.diff(vals[order])) >= DEFAULT_TOL.cluster) + 1
+    return [(float(np.mean(vals[idx])), idx) for idx in np.split(order, steps) if idx.size]
+
+
 def spectral_decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian operator into clustered eigenprojectors."""
-    m = _single(check_hermitian(h))
-    vals, vecs = eigh(m)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    eigenvalues: list[float] = []
-    projectors: list[np.ndarray] = []
-    i = 0
-    while i < len(vals):
-        j = i + 1
-        while j < len(vals) and abs(vals[j] - vals[j - 1]) < DEFAULT_TOL.cluster:
-            j += 1
-        block = vecs[:, i:j]
-        eigenvalues.append(float(np.mean(vals[i:j])))
-        projectors.append(block @ block.conj().T)
-        i = j
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
+    vals, vecs = eigh(_single(check_hermitian(h)))
+    clusters = eigenvalue_clusters(vals)
+    return SpectralDecomposition(
+        tuple(lam for lam, _ in clusters),
+        tuple(vecs[:, idx] @ vecs[:, idx].conj().T for _, idx in clusters),
+    )
 
 
 def tensor(*ops) -> np.ndarray:
@@ -436,7 +438,10 @@ def matrix_to_json(a) -> list:
 
 def matrix_from_json(data) -> np.ndarray:
     """Inverse of :func:`matrix_to_json`."""
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except TypeError as exc:  # an entry that is not a number, such as a JSON object
+        raise DimMismatchError(f"expected nested [re, im] pairs of numbers: {exc}") from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise DimMismatchError(f"expected nested [re, im] pairs, got shape {arr.shape}")
     return as_operator(arr[..., 0] + 1j * arr[..., 1])

@@ -10,7 +10,7 @@ from covertq import capacities as cap
 from covertq import channels as chn
 from covertq import covert_sim as cs
 from covertq import operators as op
-from covertq.cli import main
+from covertq.cli import build_parser, main
 
 
 @pytest.fixture
@@ -354,8 +354,17 @@ def test_simulate_reports_route(exc_spec, tmp_path, capsys):
     assert 0.0 <= payload["decoder"]["averageError"] <= 1.0
 
 
-@pytest.mark.parametrize("kind, m, l", [("excitation", 2, 2), ("excitation", 8, 16), ("cq-pair", 2, 2)])
-def test_simulate_diagonalises_each_pair_once(exc_spec, tmp_path, monkeypatch, kind, m, l):
+# at most how many eigensolves a campaign makes on a fresh channel: a commuting pair's route takes
+# three (one for the first state, one per eigenspace), a dense pair's none; the last two
+# campaigns are those of the benchmark's simulate study
+@pytest.mark.parametrize("kind, n, m, l, eigensolves", [
+    pytest.param("excitation", 4, 2, 2, 21, id="excitation-2-2"),
+    pytest.param("excitation", 4, 8, 16, 19, id="excitation-8-16"),
+    pytest.param("cq-pair", 4, 2, 2, 34, id="cq-pair-2-2"),
+    pytest.param("excitation", 9, 8, 16, 19, id="excitation-n9-8-16"),
+    pytest.param("excitation", 8, 4, 4, 21, id="excitation-n8-4-4"),
+])
+def test_simulate_diagonalises_each_pair_once(exc_spec, tmp_path, monkeypatch, kind, n, m, l, eigensolves):
     spec = tmp_path / "exc.json"  # the file exc_spec wrote
     if kind == "cq-pair":  # neither pair commutes
         spec = tmp_path / "pair.json"
@@ -369,9 +378,13 @@ def test_simulate_diagonalises_each_pair_once(exc_spec, tmp_path, monkeypatch, k
     calls = []
     shared = cs.shared_eigenbasis
     monkeypatch.setattr(cs, "shared_eigenbasis", lambda a, b, *rest: calls.append((a, b)) or shared(a, b, *rest))
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(op, name, lambda h, solve=getattr(op, name): solves.append(h) or solve(h))
     out = tmp_path / "sim.json"
-    assert main(["simulate", str(spec), "--n", "4", "--gamma", "0.6", "--m", str(m), "--l", str(l),
+    assert main(["simulate", str(spec), "--n", str(n), "--gamma", "0.6", "--m", str(m), "--l", str(l),
                  "--samples", "2", "-o", str(out)]) == 0
+    assert len(solves) <= eigensolves
     assert (json.loads(out.read_text())["decoder"] is None) == (m * l > 64)
     quad = chn.channel_spec_to_quadruple(json.loads(spec.read_text()))
     pairs = [(quad.omega0, quad.omega1), (quad.sigma0, quad.sigma1)]
@@ -386,3 +399,43 @@ def test_sweep_rejects_fewer_than_one_step(tmp_path, capsys, steps):
     assert main(["sweep", "--gamma-from", "0.1", "--gamma-to", "0.9", "--steps", steps, "--out", str(out)]) == 2
     assert "--steps" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _outcome(capsys, call):
+    """(exit code, stdout, stderr) of ``call``, whether it returns or exits."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["bogus"], ["-h", "simulate"],
+    ["capacity", "--help"], ["sweep", "--help"], ["simulate", "--help"], ["egdemo", "--help"], ["validate", "--help"],
+    ["capacity"], ["sweep", "--gamma-from", "0.1"], ["simulate", "spec.json", "--gamma", "0.5"], ["egdemo"],
+    ["validate"], ["egdemo", "spec.json", "--mode", "other"], ["simulate", "spec.json", "--n", "x", "--gamma", "1"],
+    ["validate", "spec.json", "extra"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_cli_matches_a_parser_holding_every_subcommand(capsys, argv):
+    # main registers only the subcommand argv[0] names; what it prints must not show that
+    want = _outcome(capsys, lambda: build_parser().parse_args(argv))
+    assert _outcome(capsys, lambda: main(argv)) == want
+    assert want[0] in (0, 2) and (want[1] or want[2])
+
+
+@pytest.mark.parametrize("command", ["capacity", "validate", "simulate", "egdemo"])
+@pytest.mark.parametrize("spec", [
+    [1, 2], "str", {"kind": "excitation", "gamma": None}, {"kind": "excitation", "gamma": [0.1, 0.2]},
+    {"kind": "excitation", "gamma": True}, {"kind": "kraus", "kraus": 5}, {"kind": "kraus", "kraus": [{}]},
+    {"kind": "kraus", "kraus": [[[{}, 0.0]]]},
+], ids=["list", "string", "gamma-null", "gamma-list", "gamma-bool", "kraus-int", "kraus-object", "entry-object"])
+def test_malformed_channel_spec_is_an_input_error(tmp_path, capsys, command, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = [command, str(path)] + (["--n", "2", "--gamma", "0.5"] if command == "simulate" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -309,13 +309,23 @@ def degenerate_block_quadruple():
     return chn.BinaryCovertChannel(w0, w1, w0, w1)
 
 
-def test_shared_eigenbasis_degenerate_block():
-    quad = degenerate_block_quadruple()
-    U, p0, p1 = cs.shared_eigenbasis(quad.omega0, quad.omega1)
-    assert U.shape == (3, 3)
-    np.testing.assert_allclose(U.conj().T @ U, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose((U * p0) @ U.conj().T, quad.omega0, atol=1e-12)
-    np.testing.assert_allclose((U * p1) @ U.conj().T, quad.omega1, atol=1e-12)
+@pytest.mark.parametrize("seed, d0, d1", [
+    pytest.param(5, [0.5, 0.25, 0.25], [0.0, 1.0, 0.0], id="block"),  # degenerate_block_quadruple's pair
+    pytest.param(6, [0.5, 0.3, 0.2], [0.1, 0.45, 0.45], id="degenerate-in-b"),
+    pytest.param(7, [0.4, 0.4, 0.1, 0.1], [0.7, 0.1, 0.1, 0.1], id="degenerate-in-both"),
+    pytest.param(8, [0.25, 0.25, 0.25, 0.25], [0.6, 0.2, 0.2, 0.0], id="a-multiple-of-identity"),
+    pytest.param(9, [0.3, 0.3, 0.3, 0.1], [0.4, 0.4, 0.1, 0.1], id="both-crossing"),
+    pytest.param(None, [0.2, 0.5, 0.3], [0.3, 0.3, 0.4], id="diagonal"),  # U is a permutation
+])
+def test_shared_eigenbasis_degenerate_block(seed, d0, d1):
+    unitary = np.eye(len(d0)) if seed is None else random_unitary(np.random.default_rng(seed), len(d0))
+    a, b = commuting_pair(unitary, d0, d1)
+    U, p0, p1 = cs.shared_eigenbasis(a, b)
+    assert U.shape == a.shape
+    np.testing.assert_allclose(U.conj().T @ U, np.eye(len(d0)), atol=1e-12)
+    np.testing.assert_allclose((U * p0) @ U.conj().T, a, atol=1e-12)
+    np.testing.assert_allclose((U * p1) @ U.conj().T, b, atol=1e-12)
+    assert list(p0) == sorted(p0, reverse=True)  # a's eigenspaces, largest first
     assert cs.shared_eigenbasis(np.diag([1.0, 0.0]), np.ones((2, 2)) / 2) is None
 
 
@@ -413,6 +423,30 @@ def test_square_root_povm_commuting_matches_dense(case):
     for got, ref in zip(elements, want):
         np.testing.assert_allclose(got, ref, atol=1e-9)
     np.testing.assert_allclose(abstain, want_abstain, atol=1e-9)
+
+
+@pytest.mark.parametrize("case", ["excitation", "diagonal", "rotated"])
+def test_permutation_basis_povm_equals_the_product(case):
+    # a permutation basis writes each element onto its diagonal; any other takes (Un * w) @ Un^dag
+    if case == "excitation":
+        quad = excitation_quadruple(0.25)
+        pair = quad.sigma0, quad.sigma1
+    elif case == "diagonal":  # the larger eigenvalue of sigma0 comes second, so U swaps the two
+        pair = np.diag([0.3, 0.7]).astype(complex), np.diag([0.6, 0.4]).astype(complex)
+    else:
+        pair = commuting_pair(random_unitary(np.random.default_rng(3), 2), [0.7, 0.3], [0.4, 0.6])
+    route = cs.pair_route(*pair)
+    if case == "rotated":  # not a permutation: a write onto the diagonal would differ from the product
+        assert np.count_nonzero(route.basis - np.diag(np.diag(route.basis)))
+    else:
+        assert np.array_equal(route.basis, np.eye(2)[::-1] if case == "diagonal" else np.eye(2))
+    words = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 1], [1, 1, 1]], dtype=np.uint8)
+    elements, _ = cs.povm_on_route(list(words), route, 0.3)
+    weights = cs._srm_weights(op.word_products(words, route.table), cs._power(route.table[0], 3), 0.3)
+    Un = op.tensor_power(route.basis, 3)
+    assert np.any(weights)
+    for got, w in zip(elements, weights):
+        assert np.array_equal(got, (Un * w) @ Un.conj().T)
 
 
 def test_commuting_route_rejects_non_hermitian_sigma1():

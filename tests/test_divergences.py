@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -248,11 +249,32 @@ def test_pinsker():
         assert dv.pinsker_check(a, b)[2]
 
 
-def test_distinct_eigenvalue_count():
-    assert dv.distinct_eigenvalue_count(np.eye(2) / 2, 5) == 1
-    count = dv.distinct_eigenvalue_count(np.diag([0.8, 0.2]), 3)
-    assert count == 4
-    assert count <= (3 + 1) ** 2
+_TOL = DEFAULT_TOL.cluster
+
+
+@pytest.mark.parametrize("spectrum, n, count", [
+    pytest.param([0.5, 0.5], 5, 1, id="maximally-mixed"),
+    pytest.param([0.8, 0.2], 3, 4, id="qubit"),
+    # a step just below the tolerance merges two eigenvalues, one just above keeps them apart
+    pytest.param([0.45, 0.45 - 0.99 * _TOL, 0.1 + 0.99 * _TOL], 1, 2, id="below"),
+    pytest.param([0.45, 0.45 - 1.01 * _TOL, 0.1 + 1.01 * _TOL], 1, 3, id="above"),
+    pytest.param([0.3, 0.3 - 0.99 * _TOL, 0.3 - 2.0 * _TOL, 0.1 + 2.99 * _TOL], 1, 3, id="below-and-above"),
+    # 0.3 times the step above the tolerance is below it
+    pytest.param([0.3, 0.3 - 0.99 * _TOL, 0.3 - 2.0 * _TOL, 0.1 + 2.99 * _TOL], 2, 3, id="below-and-above-n2"),
+    pytest.param([0.99, 0.99 - 1.03 * _TOL, 0.01 + 1.03 * _TOL], 2, 5, id="above-n2"),  # 0.99 times it is not
+    pytest.param([0.99, 0.99 - 0.99 * _TOL, 0.01 + 0.99 * _TOL], 2, 3, id="below-n2"),
+    pytest.param([0.6, 0.3 - 0.99 * _TOL, 0.1 + 0.99 * _TOL], 3, 10, id="below-n3"),
+    pytest.param([0.6, 0.3 - 0.99 * _TOL, 0.1 + 0.99 * _TOL], 4, 15, id="below-n4"),
+    pytest.param([0.5, 0.5 - 1.01 * _TOL, 0.0 + 1.01 * _TOL], 2, 2, id="above-near-zero-n2"),
+])
+def test_distinct_eigenvalue_count(spectrum, n, count):
+    # against the n-fold spectrum itself, clustered as a chain of ascending steps below the tolerance
+    values = np.sort(reduce(np.kron, [np.asarray(spectrum)] * n))
+    brute_force = 1 + int(np.sum(np.diff(values) >= _TOL))
+    omega = rotated(random_unitary(np.random.default_rng(n), len(spectrum)), np.asarray(spectrum))
+    got = dv.distinct_eigenvalue_count(omega, n)
+    assert got == brute_force == count
+    assert got <= (n + 1) ** len(spectrum)
 
 
 # ---- stacked kernels against the per-element loop formulas they replaced
