@@ -11,19 +11,20 @@ before anything n-fold is allocated.
 ``pair_route`` makes that choice; its ``Route`` holds the single-letter
 table (eigenvalue vectors or matrices) with the matching distance and
 divergence.  A channel object builds each pair's route once and keeps it, as
-``resolvability_rhs`` keeps the bound's K-free terms, and ``simulate`` checks
-every stage's charge before any stage
-runs.  Every n-fold reference is a ``operators.word_products`` kron chain of
-a table letter, and every codebook average (the warden state, covertness,
-the secrecy bins and the resolvability samples) goes through
-``operators.mean_word_product``: the words are counted by their 2**n binary
-index and the counts are contracted with the table one position at a time,
-which costs O(n d**n) per codebook for any number of words K (d**(2n) on the
-dense route).  Resolvability samples and secrecy bins are averaged and charged in blocks
-of as many codebooks as fit in min(``_BLOCK_BYTES``, budget), at least one.
-The decoder and ``square_root_povm`` keep two algorithms, as the pinched
-threshold projectors of a non-commuting pair are not diagonal in any product
-basis; their dense route builds one word's product state at a time.
+``resolvability_rhs`` keeps the bound's K-free terms.  ``simulate`` checks
+every stage's charge, then runs the public stages themselves.  Every n-fold
+reference is a ``operators.word_products`` kron chain of a table letter, and
+every codebook average (the warden state, covertness, the secrecy bins and
+the resolvability samples) goes through ``operators.mean_word_product``: the
+words are counted by their 2**n binary index and the counts are contracted
+with the table one position at a time, which costs O(n d**n) per codebook for
+any number of words K (d**(2n) on the dense route); forming the K products
+directly was timed no faster for any K at d = 2 and 3.  Resolvability samples
+and secrecy bins are averaged and charged in blocks of as many codebooks as
+fit in min(``_BLOCK_BYTES``, budget), at least one.  The decoder and
+``square_root_povm`` keep two algorithms, as the pinched threshold projectors
+of a non-commuting pair are not diagonal in any product basis; their dense
+route builds one word's product state at a time.
 
 Randomness uses the counter-based Philox generator keyed by
 ``(seed, sample_index)``, one generator per block set to each key in turn; within one
@@ -34,6 +35,7 @@ identical configurations reproduce bitwise-identical codebooks whatever the bloc
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -131,8 +133,14 @@ def _draws(cfg: SimConfig, indices):
 
 
 def sample_codebook(cfg: SimConfig, sample_index: int = 0) -> Codebook:
-    """Draw a Bernoulli(alpha) codebook, deterministically in (seed, index)."""
-    return Codebook(cfg.n, cfg.m_size, cfg.l_size, next(_draws(cfg, [sample_index])))
+    """Draw a Bernoulli(alpha) codebook, deterministically in (seed, index), an integer in [0, 2**64)."""
+    try:
+        index = operator.index(sample_index)
+    except TypeError:
+        raise InvalidParameterError(f"sample_index = {sample_index!r} is not an integer") from None
+    if not 0 <= index < 2**64:
+        raise InvalidParameterError(f"sample_index = {index} outside [0, 2**64)")
+    return Codebook(cfg.n, cfg.m_size, cfg.l_size, next(_draws(cfg, [index])))
 
 
 def otp_encode(m: int, m2: int, k: int, cb: Codebook) -> np.ndarray:
@@ -322,17 +330,14 @@ def _mean_distances(route: Route, alpha: float, n: int, blocks) -> np.ndarray:
     return np.concatenate([route.distance(op.mean_word_product(w, route.table) - target) for w in blocks])
 
 
-def _distances(cfg: SimConfig, route: Route, block: int) -> np.ndarray:
-    indices = range(cfg.samples)  # one block's codebooks drawn at a time
-    blocks = (np.array([*_draws(cfg, indices[a : a + block])]) for a in indices[::block])
-    return _mean_distances(route, cfg.alpha, cfg.n, (w.reshape(len(w), -1, cfg.n) for w in blocks))
-
-
 def resolvability_samples(cfg: SimConfig, ch: BinaryCovertChannel) -> np.ndarray:
     """Trace distance of the codebook-average state to the mixed reference,
     for ``cfg.samples`` independently seeded codebooks, a block at a time."""
     route = _warden_route(ch)
-    return _distances(cfg, route, _charge("resolvability_samples", route, cfg.n, cfg.m_size * cfg.l_size, cfg.samples))
+    block = _charge("resolvability_samples", route, cfg.n, cfg.m_size * cfg.l_size, cfg.samples)
+    indices = range(cfg.samples)  # one block's codebooks drawn at a time
+    blocks = (np.array([*_draws(cfg, indices[a : a + block])]) for a in indices[::block])
+    return _mean_distances(route, cfg.alpha, cfg.n, (w.reshape(len(w), -1, cfg.n) for w in blocks))
 
 
 def _resolvability(distances: np.ndarray, rhs: float) -> tuple:
@@ -353,7 +358,10 @@ def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel):
     return _resolvability(resolvability_samples(cfg, ch), resolvability_rhs(cfg, ch))
 
 
-def _covertness(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, route: Route, rhs: float) -> CovertnessReport:
+def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> CovertnessReport:
+    """Covertness metrics of one codebook against the innocent reference."""
+    route = _warden_route(ch)
+    _charge("covertness_report", route, cb.n, cb.m_size * cb.l_size)
     table = route.table
     avg = op.mean_word_product(cb.words.reshape(-1, cb.n), table)
     ref0 = _power(table[0], cb.n)
@@ -369,26 +377,16 @@ def _covertness(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, route: Ro
         traceDistToMixed=trace_dist,
         helstromError=helstrom,
         pinskerLowerBound=pinsker_lb,
-        resolvabilityRhs=rhs,
+        resolvabilityRhs=resolvability_rhs(cfg, ch),
     )
-
-
-def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> CovertnessReport:
-    """Covertness metrics of one codebook against the innocent reference."""
-    route = _warden_route(ch)
-    _charge("covertness_report", route, cb.n, cb.m_size * cb.l_size)
-    return _covertness(cb, ch, cfg, route, resolvability_rhs(cfg, ch))
-
-
-def _secrecy(cb: Codebook, cfg: SimConfig, route: Route, block: int) -> SecrecyReport:
-    dists = _mean_distances(route, cfg.alpha, cb.n, (cb.words[a : a + block] for a in range(0, cb.m_size, block)))
-    return SecrecyReport(perBinDistances=tuple(map(float, dists)), averageLeakage=float(np.mean(dists)))
 
 
 def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> SecrecyReport:
     """Per-bin trace distances to the mixed reference and their mean."""
     route = _warden_route(ch)
-    return _secrecy(cb, cfg, route, _charge("secrecy_report", route, cb.n, cb.l_size, cb.m_size))
+    block = _charge("secrecy_report", route, cb.n, cb.l_size, cb.m_size)
+    dists = _mean_distances(route, cfg.alpha, cb.n, (cb.words[a : a + block] for a in range(0, cb.m_size, block)))
+    return SecrecyReport(perBinDistances=tuple(map(float, dists)), averageLeakage=float(np.mean(dists)))
 
 
 def _srm_weights(sigs, ref, a: float) -> np.ndarray:
@@ -451,7 +449,16 @@ def povm_on_route(words, route: Route, a_threshold: float):
     return elements, np.eye(len(elements[0])) - sum(elements)
 
 
-def _decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, route: Route) -> DecoderReport:
+def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> DecoderReport:
+    """Error probabilities of the square-root measurement on Bob's outputs.
+
+    When sigma0 and sigma1 commute, every operator of the measurement is
+    diagonal in their shared eigenbasis: the pinching is the identity, Pi_c
+    is the indicator of sigma_c - e^a sigma0^{(x)n} >= -DEFAULT_TOL.cluster, and
+    S^{-1/2} vanishes where S <= DEFAULT_TOL.support, as in :func:`square_root_povm`.
+    """
+    route = _bob_route(ch)
+    _charge("sqrt_measurement_decoder", route, cb.n, cb.m_size * cb.l_size)
     a = cfg.a_threshold
     if a is None:
         a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0)
@@ -466,37 +473,24 @@ def _decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig, route: Route
     return DecoderReport(perMessageError=per_message, averageError=float(errors.mean()), maxError=float(errors.max()))
 
 
-def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> DecoderReport:
-    """Error probabilities of the square-root measurement on Bob's outputs.
-
-    When sigma0 and sigma1 commute, every operator of the measurement is
-    diagonal in their shared eigenbasis: the pinching is the identity, Pi_c
-    is the indicator of sigma_c - e^a sigma0^{(x)n} >= -DEFAULT_TOL.cluster, and
-    S^{-1/2} vanishes where S <= DEFAULT_TOL.support, as in :func:`square_root_povm`.
-    """
-    route = _bob_route(ch)
-    _charge("sqrt_measurement_decoder", route, cb.n, cb.m_size * cb.l_size)
-    return _decoder(cb, ch, cfg, route)
-
-
 def simulate(cfg: SimConfig, ch: BinaryCovertChannel):
-    """One campaign on one codebook: covertness, secrecy, resolvability and, for
-    at most 64 words, the decoder.  Every stage's charge is checked before the
-    codebook is drawn.  Returns
+    """One campaign on one codebook: the public stages covertness, secrecy, resolvability
+    (with the covertness stage's bound) and, for at most 64 words, the decoder, in turn.
+    Every stage's charge is checked before the codebook is drawn.  Returns
     ``(covertness, secrecy, (mean, rhs, holds), decoder or None, route names)``."""
     warden, bob = _warden_route(ch), _bob_route(ch)
     k_size = cfg.m_size * cfg.l_size
     _charge("covertness_report", warden, cfg.n, k_size)
-    bins = _charge("secrecy_report", warden, cfg.n, cfg.l_size, cfg.m_size)
-    samples = _charge("resolvability_samples", warden, cfg.n, k_size, cfg.samples)
+    _charge("secrecy_report", warden, cfg.n, cfg.l_size, cfg.m_size)
+    _charge("resolvability_samples", warden, cfg.n, k_size, cfg.samples)
     if k_size <= 64:
         _charge("sqrt_measurement_decoder", bob, cfg.n, k_size)
     cb = sample_codebook(cfg)
-    rhs = resolvability_rhs(cfg, ch)
+    cov = covertness_report(cb, ch, cfg)
     return (
-        _covertness(cb, ch, cfg, warden, rhs), _secrecy(cb, cfg, warden, bins),
-        _resolvability(_distances(cfg, warden, samples), rhs),
-        _decoder(cb, ch, cfg, bob) if k_size <= 64 else None,
+        cov, secrecy_report(cb, ch, cfg),
+        _resolvability(resolvability_samples(cfg, ch), cov.resolvabilityRhs),
+        sqrt_measurement_decoder(cb, ch, cfg) if k_size <= 64 else None,
         {"warden": warden.name, "decoder": bob.name},
     )
 

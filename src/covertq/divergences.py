@@ -3,8 +3,8 @@
 Implements the Umegaki relative entropy, the chi-square divergence evaluated
 from the spectral decomposition of the reference state, the hockey-stick
 divergence, Petz-Renyi relative entropies, the cumulant-like functional phi
-over classical-quantum ensembles, and binary-discrimination quantities
-(Helstrom error, Pinsker bound).  All logarithms are natural; values are in
+over classical-quantum ensembles, and the Helstrom error of binary
+discrimination.  All logarithms are natural; values are in
 nats.  Support violations yield ``math.inf`` rather than a sentinel number.
 
 Stack contract: ``qre``, ``chi_square``, ``hockey_stick``, ``petz_renyi``
@@ -101,9 +101,8 @@ def chi_square(rho, sigma):
     s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
     vals, vecs = op.eigh(s)
-    # the rule of operators.eigenvalue_clusters on a stack: a chain of ascending
-    # eigenvalues with gaps below the tolerance, each at its cluster's mean
-    label = np.cumsum(np.diff(vals, axis=-1, prepend=-np.inf) >= DEFAULT_TOL.cluster, axis=-1)
+    # each ascending eigenvalue at the mean of its cluster, labelled by the package's one rule
+    label = np.cumsum(op._cluster_starts(vals), axis=-1)
     same = label[..., :, None] == label[..., None, :]
     means = np.sum(np.where(same, vals[..., None, :], 0.0), axis=-1) / np.sum(same, axis=-1)
     failed = op.first_failure(np.min(means, axis=-1, initial=np.inf) <= DEFAULT_TOL.support)
@@ -258,21 +257,6 @@ def helstrom_error(rho, sigma):
     return 0.5 * (1.0 - 0.5 * op.trace_norm(r - s))
 
 
-def pinsker_check(rho, sigma):
-    """Evaluate both sides of the quantum Pinsker inequality.
-
-    Returns
-    -------
-    (lhs, rhs, holds) : tuple
-        lhs = ||rho - sigma||_1 / 2, rhs = sqrt(qre(rho, sigma)/2), and
-        ``holds`` is True when lhs <= rhs + DEFAULT_TOL.roundoff.
-    """
-    lhs = 0.5 * op.trace_norm(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex))
-    d = qre(rho, sigma)
-    rhs = math.sqrt(0.5 * d) if math.isfinite(d) else math.inf
-    return lhs, rhs, lhs <= rhs + DEFAULT_TOL.roundoff
-
-
 def distinct_eigenvalue_count(omega, n: int) -> int:
     """Number of distinct eigenvalues of the n-fold tensor power of ``omega``.
 
@@ -281,6 +265,5 @@ def distinct_eigenvalue_count(omega, n: int) -> int:
     (n + 1)^dim.
     """
     values = [lam for lam, _ in op.eigenvalue_clusters(op.eigvalsh(op.check_hermitian(omega)))]
-    products = sorted(math.prod(combo) for combo in combinations_with_replacement(values, n))
-    # a new cluster starts wherever the ascending products step by the tolerance
-    return 1 + int(np.sum(np.diff(products) >= DEFAULT_TOL.cluster))
+    products = [math.prod(combo) for combo in combinations_with_replacement(values, n)]
+    return len(op.eigenvalue_clusters(products))

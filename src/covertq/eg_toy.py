@@ -36,10 +36,11 @@ message, so no Gamma^m is ever formed (``decoupling_decoder`` applies the
 same factors to every R slice, as it returns the whole block).  Its
 ``decouplerIsometryDefect`` is measured on that input: the largest
 max|Y_m^dag Y_m - X_m^dag X_m| relative to max|X_m^dag X_m|, with Y_m the
-decoupled slice.  The SVD itself sees the same K bit for bit as before:
-Gamma^m is not unique off the support of K, and the completion LAPACK
-returns there sets the reported fidelity, so a cheaper or differently
-completed SVD would move the pinned fidelities.
+decoupled slice.  The SVD must see the full K = theta^dag psi_m, theta's
+zero padding included, and return LAPACK's completion: Gamma^m is not
+unique off the support of K, and that completion sets the reported
+fidelity, so a cheaper or differently completed SVD would move the pinned
+fidelities.
 """
 
 from __future__ import annotations

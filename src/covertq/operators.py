@@ -186,16 +186,22 @@ def check_density(rho) -> np.ndarray:
     return m
 
 
+def _cluster_starts(sorted_vals) -> np.ndarray:
+    """The package's one clustering rule, on the last axis of sorted (ascending or descending)
+    eigenvalues: a new cluster starts at the first value and wherever sorted neighbours
+    differ by at least ``DEFAULT_TOL.cluster``.  True where one starts."""
+    return np.abs(np.diff(sorted_vals, axis=-1, prepend=np.inf)) >= DEFAULT_TOL.cluster
+
+
 def eigenvalue_clusters(vals) -> list[tuple[float, np.ndarray]]:
-    """The package's one clustering rule for the eigenvalues ``vals`` of one matrix: sorted
-    decreasing, a chain of steps below ``DEFAULT_TOL.cluster`` is one cluster.  Returns each
-    cluster, largest first, as its mean and the indices into ``vals`` of its members."""
+    """The clusters of the eigenvalues ``vals`` of one matrix, largest first, by the rule of
+    :func:`_cluster_starts`.  Returns each as its mean and the indices into ``vals`` of its members."""
     vals = np.asarray(vals)
     if vals.ndim != 1:
         raise DimMismatchError(f"expected the spectrum of one matrix, got shape {vals.shape}")
     order = np.argsort(vals)[::-1]
-    steps = np.flatnonzero(np.abs(np.diff(vals[order])) >= DEFAULT_TOL.cluster) + 1
-    return [(float(np.mean(vals[idx])), idx) for idx in np.split(order, steps) if idx.size]
+    starts = np.flatnonzero(_cluster_starts(vals[order]))[1:]
+    return [(float(np.mean(vals[idx])), idx) for idx in np.split(order, starts) if idx.size]
 
 
 def spectral_decompose(h) -> SpectralDecomposition:
@@ -206,14 +212,6 @@ def spectral_decompose(h) -> SpectralDecomposition:
         tuple(lam for lam, _ in clusters),
         tuple(vecs[:, idx] @ vecs[:, idx].conj().T for _, idx in clusters),
     )
-
-
-def tensor(*ops) -> np.ndarray:
-    """Kronecker product of one or more operators, left to right."""
-    out = _single(as_operator(ops[0]))
-    for op in ops[1:]:
-        out = np.kron(out, _single(as_operator(op)))
-    return out
 
 
 def tensor_power(op, n: int) -> np.ndarray:
@@ -239,9 +237,9 @@ def word_products(words, table) -> np.ndarray:
     alphabets) gives a ``(..., d**n)`` result, a ``(2, r, c)`` pair of
     matrices, square or not, gives ``(..., r**n, c**n)``.  Entry ``[...]``
     is table[w_1] (x) ... (x) table[w_n], built left to right with one
-    broadcast product per position, so it equals ``reduce(np.kron, ...)``
-    entry for entry; for n = 0 it is the all-ones ``(..., 1)`` or
-    ``(..., 1, 1)`` array.
+    broadcast product per position, so it equals the left-to-right chain of
+    Kronecker products entry for entry; for n = 0 it is the all-ones
+    ``(..., 1)`` or ``(..., 1, 1)`` array.  It is the package's one kron chain.
     """
     words = np.asarray(words)
     table = np.asarray(table)
@@ -294,44 +292,6 @@ def mean_word_product(words, table) -> np.ndarray:
     out = out.reshape((groups,) + (d,) * (2 * n))
     out = out.transpose((0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2)))
     return out.reshape(batch + (d**n, d**n))
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out all tensor factors except those in ``keep``.
-
-    ``dims`` lists the factor dimensions in tensor order; ``keep`` is an
-    iterable of factor indices to retain (order preserved as given).
-    """
-    m = _single(as_operator(rho))
-    dims = list(dims)
-    if int(np.prod(dims)) != m.shape[0]:
-        raise DimMismatchError(f"product of dims {dims} != operator dim {m.shape[0]}")
-    keep = list(keep)
-    n = len(dims)
-    traced = [i for i in range(n) if i not in keep]
-    t = m.reshape(dims + dims)
-    # contract each traced factor's row index with its column index
-    for k, idx in enumerate(sorted(traced, reverse=True)):
-        cur = t.ndim // 2
-        t = np.trace(t, axis1=idx, axis2=idx + cur)
-    d_keep = int(np.prod([dims[i] for i in range(n) if i in keep]))
-    out = t.reshape(d_keep, d_keep)
-    if keep != sorted(keep):
-        perm_dims = [dims[i] for i in sorted(keep)]
-        order = [sorted(keep).index(i) for i in keep]
-        out = permute_operator(out, perm_dims, order)
-    return out
-
-
-def permute_operator(op, dims, order) -> np.ndarray:
-    """Reorder the tensor factors of an operator according to ``order``."""
-    m = _single(as_operator(op))
-    dims = list(dims)
-    n = len(dims)
-    t = m.reshape(dims + dims)
-    t = np.transpose(t, list(order) + [n + i for i in order])
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
 
 
 def partial_trace_vector(vec, dims, keep) -> np.ndarray:
@@ -463,7 +423,7 @@ def canonical_purification(rho) -> np.ndarray:
         vals = np.clip(vals, 0.0, None)
         out = np.zeros(m.shape, dtype=complex)
         term = np.empty(m.shape, dtype=complex)
-        # the entries of kron(vec, conj(vec)), scaled and summed in the same order
+        # the entries of vec (x) conj(vec), scaled and summed in the same order
         for lam, vec in zip(vals, vecs.T):
             if lam > 0.0:
                 np.multiply.outer(vec, vec.conj(), out=term)

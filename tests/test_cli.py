@@ -195,8 +195,9 @@ def test_simulate_refuses_before_any_stage(exc_spec, tmp_path, capsys, monkeypat
     def entered(*args, **kwargs):
         raise AssertionError("stage run before every charge was checked")
 
-    for body in ("sample_codebook", "_covertness", "_secrecy", "_distances", "_decoder"):
-        monkeypatch.setattr(cs, body, entered)
+    for stage in ("sample_codebook", "covertness_report", "secrecy_report", "resolvability_samples",
+                  "sqrt_measurement_decoder"):
+        monkeypatch.setattr(cs, stage, entered)
     monkeypatch.setenv("COVERTQ_MAX_BYTES", budget)
     out = tmp_path / "sim.json"
     tracemalloc.start()

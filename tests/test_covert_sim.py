@@ -690,3 +690,29 @@ def test_cached_route_and_bound_ignore_writes_to_the_arrays_passed_in():
     assert np.array_equal(quad.omega0, fresh.omega0)
     assert cs._warden_route(quad) is route and np.array_equal(route.table, table)
     assert float.hex(cs.resolvability_rhs(cfg, quad)) == float.hex(rhs) == float.hex(cs.resolvability_rhs(cfg, fresh))
+
+
+@pytest.mark.parametrize("index, valid", [(1.5, False), (-1, False), (2**64, False), (np.int64(3), True), (2**64 - 1, True)])
+def test_sample_codebook_index_is_an_integer_below_2_to_the_64(index, valid):
+    cfg = cs.SimConfig(n=4, gamma=0.5, m_size=2, l_size=2, seed=3)
+    if valid:
+        want = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, index], dtype=np.uint64)))
+        bits = (want.random((cfg.m_size, cfg.l_size, cfg.n)) < cfg.alpha).astype(np.uint8)
+        assert np.array_equal(cs.sample_codebook(cfg, index).words, bits)
+    else:
+        with pytest.raises(InvalidParameterError, match="sample_index"):
+            cs.sample_codebook(cfg, index)
+
+
+@pytest.mark.parametrize("make_quad, route", [(excitation_quadruple, "commuting"), (rotated_damping_quadruple, "dense")])
+@pytest.mark.parametrize("m, l", [(4, 2), (8, 16)])  # K = 8 is decoded, K = 128 is not
+def test_simulate_is_the_public_stages(make_quad, route, m, l):
+    cfg = cs.SimConfig(n=4, gamma=0.6, m_size=m, l_size=l, seed=11, samples=3)
+    cov, sec, res, dec, routes = cs.simulate(cfg, make_quad())
+    quad = make_quad()
+    cb = cs.sample_codebook(cfg)
+    assert cov == cs.covertness_report(cb, quad, cfg)
+    assert sec == cs.secrecy_report(cb, quad, cfg)
+    assert res == cs.resolvability_experiment(cfg, quad)
+    assert dec == (cs.sqrt_measurement_decoder(cb, quad, cfg) if m * l <= 64 else None)
+    assert routes == {"warden": route, "decoder": route}

@@ -70,19 +70,6 @@ def test_spectral_not_hermitian():
         op.spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_tensor():
-    np.testing.assert_allclose(op.tensor(np.eye(2), np.eye(2)), np.eye(4))
-    np.testing.assert_allclose(
-        op.tensor(np.diag([2.0, 3.0]), np.diag([5.0, 7.0])),
-        np.diag([10.0, 14.0, 15.0, 21.0]),
-    )
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    expected = np.zeros((4, 4))
-    expected[1, 1] = 1.0
-    np.testing.assert_allclose(op.tensor(p0, p1), expected)
-
-
 def test_tensor_power():
     m = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
     empty = op.tensor_power(m, 0)
@@ -91,34 +78,6 @@ def test_tensor_power():
     assert np.array_equal(op.tensor_power(m, 3), np.kron(np.kron(m, m), m))
     with pytest.raises(InvalidParameterError):
         op.tensor_power(m, -1)
-
-
-def test_partial_trace_product():
-    rng = np.random.default_rng(4)
-    a = random_density(rng, 2)
-    b = random_density(rng, 3)
-    joint = op.tensor(a, b)
-    np.testing.assert_allclose(op.partial_trace(joint, [2, 3], [0]), a, atol=1e-12)
-    np.testing.assert_allclose(op.partial_trace(joint, [2, 3], [1]), b, atol=1e-12)
-
-
-def test_partial_trace_entangled():
-    phi = np.zeros(4)
-    phi[0] = phi[3] = 1 / np.sqrt(2)
-    rho = np.outer(phi, phi)
-    np.testing.assert_allclose(op.partial_trace(rho, [2, 2], [0]), np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_basis():
-    v = np.zeros(4)
-    v[1] = 1.0  # |01>
-    rho = np.outer(v, v)
-    np.testing.assert_allclose(op.partial_trace(rho, [2, 2], [1]), np.diag([0.0, 1.0]), atol=1e-12)
-
-
-def test_partial_trace_dim_mismatch():
-    with pytest.raises(DimMismatchError):
-        op.partial_trace(np.eye(4) / 4, [2, 3], [0])
 
 
 def test_trace_norm():
@@ -217,14 +176,6 @@ def test_canonical_purification():
     np.testing.assert_allclose(op.partial_trace_vector(pur, [3, 3], [0]), rho, atol=1e-9)
 
 
-def test_permute_operator_roundtrip():
-    rng = np.random.default_rng(12)
-    a, b = random_density(rng, 2), random_density(rng, 3)
-    joint = op.tensor(a, b)
-    swapped = op.permute_operator(joint, [2, 3], [1, 0])
-    np.testing.assert_allclose(swapped, op.tensor(b, a), atol=1e-12)
-
-
 def test_json_roundtrip():
     rng = np.random.default_rng(13)
     m = random_density(rng, 3)
@@ -233,11 +184,9 @@ def test_json_roundtrip():
 
 def test_single_matrix_functions_reject_stacks():
     stack = np.array([np.eye(2), np.eye(2)]) / 2
-    for fn in (op.tensor, op.sqrtm_psd, op.check_density, op.spectral_decompose, op.matrix_to_json):
+    for fn in (op.sqrtm_psd, op.check_density, op.spectral_decompose, op.matrix_to_json):
         with pytest.raises(DimMismatchError):
             fn(stack)
-    with pytest.raises(DimMismatchError):
-        op.partial_trace(stack, [2], [0])
     # the stack-aware primitives take it
     assert op.trace_norm(stack).tolist() == [1.0, 1.0]
     assert op.support_contained(stack, stack).tolist() == [True, True]
@@ -420,3 +369,13 @@ def test_one_eigensolver_entry_point():
     sources = sorted(Path(covertq.__file__).parent.glob("*.py"))
     assert len(sources) > 5
     assert [p.name for p in sources if p.name != "operators.py" and direct.search(p.read_text())] == []
+
+
+def test_one_kron_chain_helper():
+    # every n-fold product goes through op.word_products; the one other kron is
+    # eg_toy.ghz_to_epr's two-factor phase correction
+    chain = re.compile(r"np\.kron|\bkron\(|\breduce\(")
+    found = {p.name: len(chain.findall(p.read_text())) for p in Path(covertq.__file__).parent.glob("*.py")}
+    assert {name: count for name, count in found.items() if count} == {"eg_toy.py": 1}
+    source = inspect.getsource(importlib.import_module("covertq.eg_toy").ghz_to_epr)
+    assert len(chain.findall(source)) == 1
