@@ -5,18 +5,19 @@ sqrt(chi^2(omega1||omega0)/2), where the chi-square divergence is the
 curvature of the warden's detection statistic.  All values are in nats.
 
 One kernel computes them all: it takes a quadruple whose four states are
-2-D matrices or equal-shape stacks ``(..., d, d)`` and evaluates both
-relative entropies and the chi-square divergence once for the whole stack.
-:func:`capacity_reports` runs it on many isometries of one shape, giving one
-``CapacityReport`` per isometry; :func:`capacity_report`,
-:func:`capacity_report_from_quadruple` and the five single-rate functions
-are its one-element case and return floats.
+2-D matrices or equal-shape stacks ``(..., d, d)``, evaluates both relative
+entropies and the chi-square divergence once for the whole stack, and
+returns each rate as one array over the stack (``covertq sweep`` writes its
+CSV from these columns).  :func:`capacity_reports` runs it on many
+isometries of one shape, giving one ``CapacityReport`` per isometry;
+:func:`capacity_report`, :func:`capacity_report_from_quadruple` and the five
+single-rate functions are its one-element case and return floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,15 +46,19 @@ class CapacityReport:
         return asdict(self)
 
 
+_RATE_FIELDS = tuple(f.name for f in fields(CapacityReport))[:-1]  # all but antiDegradedFlag (cS == 0)
+
+
 def _positive_gap(a, b):
     """Positive part of a - b, snapping roundoff-scale gaps to exact zero."""
     gap = a - b
     return np.where(gap <= op.DEFAULT_TOL.roundoff * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))), 0.0, gap)
 
 
-def _reports(ch: BinaryCovertChannel) -> list[CapacityReport]:
-    """Every rate of a quadruple, or of a stack of quadruples, in one pass:
-    two batched ``qre`` calls and one batched ``chi_square`` call."""
+def _rate_columns(ch: BinaryCovertChannel) -> dict[str, np.ndarray]:
+    """Every rate of a quadruple, or of a stack of quadruples, in one pass: two
+    batched ``qre`` calls and one batched ``chi_square`` call.  One flat array
+    per ``CapacityReport`` field up to antiDegradedFlag, in field order."""
     d_bob = dv.qre(ch.sigma1, ch.sigma0)
     d_willie = dv.qre(ch.omega1, ch.omega0)
     chi2 = dv.chi_square(ch.omega1, ch.omega0)
@@ -62,11 +67,16 @@ def _reports(ch: BinaryCovertChannel) -> list[CapacityReport]:
         raise SingularReferenceError(f"{failed[1]}chi-square of warden outputs vanished")
     denom = np.sqrt(0.5 * chi2)
     c_s = _positive_gap(d_bob, d_willie) / denom
-    # in CapacityReport's field order, up to antiDegradedFlag (cS == 0)
     columns = (d_bob, d_willie, chi2, denom, d_bob / denom, c_s, c_s, d_willie / denom,
                _positive_gap(d_willie, d_bob) / denom)
+    return {field: np.ravel(column) for field, column in zip(_RATE_FIELDS, columns)}
+
+
+def _reports(ch: BinaryCovertChannel) -> list[CapacityReport]:
+    """One ``CapacityReport`` per quadruple of the stack, from :func:`_rate_columns`."""
+    columns = _rate_columns(ch)
     return [CapacityReport(*row, antiDegradedFlag=row[5] == 0.0)
-            for row in zip(*(np.ravel(column).tolist() for column in columns))]
+            for row in zip(*(column.tolist() for column in columns.values()))]
 
 
 def capacity_reports(isometries) -> list[CapacityReport]:

@@ -99,10 +99,9 @@ def cmd_sweep(args) -> int:
     if not 0.0 < args.gamma_from < args.gamma_to < 1.0:
         raise SystemExit2("need 0 < gamma-from < gamma-to < 1")
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.steps)
-    reports = cap.capacity_reports([chn.stinespring_from_kraus(chn.excitation_channel(gammas))])
+    rates = cap._rate_columns(chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(gammas))))
     fields = ("dBob", "dWillie", "chi2Willie", "cSKey", "cS", "cEG", "lKeyMin")
-    columns = [gammas.tolist()]
-    columns += [[float(getattr(r, f)) for r in reports] for f in fields]
+    columns = [gammas.tolist()] + [rates[f].tolist() for f in fields]
     columns.append([cap.excitation_capacity_closed_form(g) for g in columns[0]])
     with open(args.out, "w", newline="\n") as fh:
         fh.write("gamma,d_bob,d_willie,chi2,c_s_key,c_s,c_eg,l_key_min,c_eg_closed_form\n")

@@ -51,9 +51,22 @@ from .operators import DEFAULT_TOL
 _BLOCK_BYTES = 1 << 20  #: bytes a block of codebooks may be charged, or the budget if smaller; fixed
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int through ``operator.index``; a bool, a float or any other non-integer raises."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} = {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Parameters of one simulation campaign.
+
+    ``n``, ``m_size``, ``l_size``, ``samples`` and ``seed`` are integers (any
+    type with ``__index__`` but bool, such as ``np.int64``), stored as int.
 
     ``alpha`` is derived as gamma / sqrt(n) unless given explicitly; it is the
     Bernoulli weight of the non-innocent symbol.  ``a_threshold`` tunes the
@@ -73,6 +86,8 @@ class SimConfig:
     a_threshold: float | None = None
 
     def __post_init__(self):
+        for name in ("n", "m_size", "l_size", "samples", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if min(self.n, self.m_size, self.l_size, self.samples) < 1:
             raise InvalidParameterError("n, m_size, l_size and samples must be positive")
         if not 0 <= self.seed < 2**64:
@@ -134,10 +149,7 @@ def _draws(cfg: SimConfig, indices):
 
 def sample_codebook(cfg: SimConfig, sample_index: int = 0) -> Codebook:
     """Draw a Bernoulli(alpha) codebook, deterministically in (seed, index), an integer in [0, 2**64)."""
-    try:
-        index = operator.index(sample_index)
-    except TypeError:
-        raise InvalidParameterError(f"sample_index = {sample_index!r} is not an integer") from None
+    index = _integer("sample_index", sample_index)
     if not 0 <= index < 2**64:
         raise InvalidParameterError(f"sample_index = {index} outside [0, 2**64)")
     return Codebook(cfg.n, cfg.m_size, cfg.l_size, next(_draws(cfg, [index])))

@@ -36,11 +36,15 @@ message, so no Gamma^m is ever formed (``decoupling_decoder`` applies the
 same factors to every R slice, as it returns the whole block).  Its
 ``decouplerIsometryDefect`` is measured on that input: the largest
 max|Y_m^dag Y_m - X_m^dag X_m| relative to max|X_m^dag X_m|, with Y_m the
-decoupled slice.  The SVD must see the full K = theta^dag psi_m, theta's
-zero padding included, and return LAPACK's completion: Gamma^m is not
-unique off the support of K, and that completion sets the reported
-fidelity, so a cheaper or differently completed SVD would move the pinned
-fidelities.
+decoupled slice.  K = theta^dag psi_m is formed from theta's dW^n columns
+and padded with zero rows to dC, and the SVD sees all of it and returns
+LAPACK's completion: Gamma^m is not unique off the support of K, and that
+completion sets the reported fidelity, so a cheaper or differently completed
+SVD would move the pinned fidelities.  The products after the SVD run on the
+rows and columns of X_m that hold a non-zero entry (on a sparse decoded
+state, a few dozen of each), as do the Gram matrices of the defect and the
+warden's Gram sum of the POVM roots (on the B^n rows the outputs reach); the
+zero rows and columns add nothing to any of these sums.
 """
 
 from __future__ import annotations
@@ -191,11 +195,13 @@ class _Decoded:
 
     def warden_state(self) -> np.ndarray:
         """Trace out everything but W^n: sum_m outputs[m]^T conj(G) conj(outputs[m])
-        with G = sum_k sqrt(Lam^k)^dag sqrt(Lam^k), which is not assumed to be I."""
+        with G = sum_k sqrt(Lam^k)^dag sqrt(Lam^k), which is not assumed to be I.
+        G is formed only on the B^n rows where some output is non-zero."""
         T, dBn, dWn = self.outputs.shape
-        roots = self.roots.reshape(-1, dBn)
-        mixed = np.matmul(roots.T @ roots.conj(), self.outputs.conj())  # conj(G) conj(outputs[m])
-        return self.outputs.reshape(T * dBn, dWn).T @ mixed.reshape(T * dBn, dWn)
+        rows = np.flatnonzero(np.any(self.outputs != 0, axis=(0, 2)))
+        roots, outputs = self.roots.reshape(-1, dBn)[:, rows], self.outputs[:, rows]
+        mixed = np.matmul(roots.T @ roots.conj(), outputs.conj())  # conj(G) conj(outputs[m])
+        return outputs.reshape(-1, dWn).T @ mixed.reshape(-1, dWn)
 
 
 def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, held: int = 0) -> _Decoded:
@@ -271,10 +277,12 @@ def align_phases(code: EGToyCode, V: StinespringIsometry, povm, abstain=None):
 
 
 def _uhlmann_factors(psi_mat: np.ndarray, theta_mat: np.ndarray):
-    """SVD factors (u, vh) of the cross-overlap K = theta^dag psi; the Uhlmann
+    """SVD factors (u, vh) of the cross-overlap K = theta^dag psi, padded with
+    zero rows to dC = max(theta's columns, psi's columns); the Uhlmann
     isometry is conj(u @ vh)."""
     # the optimum sum_{c,b} K[c,b] W[c,b] over isometries W is ||K||_1
-    K = theta_mat.conj().T @ psi_mat
+    K = np.zeros((max(theta_mat.shape[1], psi_mat.shape[1]), psi_mat.shape[1]), dtype=complex)
+    K[: theta_mat.shape[1]] = theta_mat.conj().T @ psi_mat
     u, _, vh = np.linalg.svd(K, full_matrices=False)
     return u, vh
 
@@ -300,8 +308,9 @@ def uhlmann_isometry(psi, dims_psi, theta, dims_theta) -> np.ndarray:
 
 
 def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha, mode: str):
-    """Per message m: m, the target theta (a dW^n x dC matrix) and the SVD
-    factors (u, vh) of the Uhlmann isometry Gamma^m = conj(u @ vh) : B^n Lhat -> Wbreve.
+    """Per message m: m, the target theta (a dW^n x dW^n matrix, its zero
+    padding to dC left to the SVD's input) and the SVD factors (u, vh) of the
+    Uhlmann isometry Gamma^m = conj(u @ vh) : B^n Lhat -> Wbreve.
 
     ``branches`` holds the channel outputs chi_{m,l} as (dB^n x dW^n) matrices.
     A generator, so that one message's factors are held at a time; it yields
@@ -310,14 +319,11 @@ def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha,
     """
     T, L, n = code.T, code.l_size, code.n
     dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
-    dC = _wbreve_dim(dBn, dWn, L)
     if mode == "paper-target":
         _, omega0 = marginal_outputs(V, 0)
         _, omega1 = marginal_outputs(V, 1)
         omega_alpha = (1.0 - alpha) * omega0 + alpha * omega1
-        pur = op.canonical_purification(op.tensor_power(omega_alpha, n))
-        theta = np.zeros((dWn, dC), dtype=complex)
-        theta[:, :dWn] = pur.reshape(dWn, dWn)
+        theta = op.canonical_purification(op.tensor_power(omega_alpha, n)).reshape(dWn, dWn)
     elif mode != "self-target":
         raise ValueError(f"unknown decoupling mode {mode!r}")
     for m in range(T):
@@ -329,10 +335,19 @@ def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha,
         psi = psi.reshape(dWn, dBn * L)
         psi /= np.linalg.norm(psi)
         if mode == "self-target":
-            pur = op.canonical_purification(psi @ psi.conj().T)
-            theta = np.zeros((dWn, dC), dtype=complex)
-            theta[:, :dWn] = pur.reshape(dWn, dWn)
+            theta = op.canonical_purification(psi @ psi.conj().T).reshape(dWn, dWn)
         yield m, theta, _uhlmann_factors(psi, theta)
+
+
+def _decoupled(u: np.ndarray, vh: np.ndarray, x: np.ndarray):
+    """Gamma = conj(u vh) applied to a stack x of (dB^n L x dW^n) slices as
+    conj(u (vh conj(x))), on the rows and columns where some slice of x is
+    non-zero.  Returns those columns, x on those rows and columns, and Gamma x
+    on those columns; its other columns are zero."""
+    nonzero = (x != 0).reshape(-1, *x.shape[-2:]).any(axis=0)
+    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    x = x[..., rows[:, None], cols]
+    return cols, x, np.conj(u @ (vh[:, rows] @ x.conj()))
 
 
 def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, block=None):
@@ -341,13 +356,15 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     Only the r = m = Mhat slices of the decoupled block meet the GHZ state.
     Slice m is X_m = sqrt(Lam^{(m,l)}) outputs[m] with row b*L + l, a
     (dB^n L x dW^n) matrix, and Gamma^m = conj(u vh) acts on it in factored
-    form, Y_m = conj(u (vh conj(X_m))).  With s = sum_m Y_m the EPR fidelity
-    is ||s||^2 / T and the overlap with GHZ (x) theta_ref is
+    form, Y_m = conj(u (vh conj(X_m))), on X_m's non-zero rows and columns
+    only (:func:`_decoupled`).  With s = sum_m Y_m the EPR fidelity is
+    ||s||^2 / T and the overlap with GHZ (x) theta_ref is
     |<theta_ref, s^T>| / sqrt(T).  ``decouplerIsometryDefect`` is the largest
     max|Y_m^dag Y_m - X_m^dag X_m| / max|X_m^dag X_m| (the unscaled deviation
-    for a zero slice): how far the decoupler fails to preserve the inner
-    products of the input it is applied to, which bounds the error of the
-    reported fidelity.
+    for a zero slice), both Gram matrices taken on X_m's non-zero columns,
+    where the rest of them is zero: how far the decoupler fails to preserve
+    the inner products of the input it is applied to, which bounds the error
+    of the reported fidelity.
 
     With ``block`` (the decoded R = M diagonal, axes (R, B^n, W^n, Mhat,
     Lhat)) the same factored Gamma^m is also applied to every R slice of its
@@ -357,27 +374,29 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     T, L, dBn, dWn = decoded.branches.shape
     dC = _wbreve_dim(dBn, dWn, L)
     roots = decoded.roots.reshape(T, L, dBn, dBn)
-    out = None if block is None else np.empty(block.shape[:1] + (dWn, T, dC), dtype=complex)
+    out = None if block is None else np.zeros(block.shape[:1] + (dWn, T, dC), dtype=complex)
     s = np.zeros((dC, dWn), dtype=complex)
     theta_ref = None
     defect = 0.0
     for m, theta, (u, vh) in _decoupler_factors(code, V, decoded.branches, alpha, mode):
         if theta_ref is None:
             theta_ref = theta
-        x = np.swapaxes(np.matmul(roots[m], decoded.outputs[m]), 0, 1).reshape(dBn * L, dWn)
-        y = np.conj(u @ (vh @ x.conj()))
-        s += y
+        reached = np.flatnonzero(np.any(decoded.outputs[m] != 0, axis=1))  # B^n rows of outputs[m]
+        x = np.matmul(roots[m][..., reached], decoded.outputs[m][reached])
+        x = np.swapaxes(x, 0, 1).reshape(dBn * L, dWn)
+        cols, x, y = _decoupled(u, vh, x)
+        s[:, cols] += y
         gram = x.conj().T @ x
-        scale = float(np.max(np.abs(gram)))
-        deviation = float(np.max(np.abs(y.conj().T @ y - gram)))
+        scale = float(np.max(np.abs(gram), initial=0.0))
+        deviation = float(np.max(np.abs(y.conj().T @ y - gram), initial=0.0))
         defect = max(defect, deviation / scale if scale > 0.0 else deviation)
         if block is not None:
             # every R slice of Mhat = m, as (R, dB^n L, dW^n) matrices like x
-            xs = np.swapaxes(block[..., m, :], -2, -1).reshape(-1, dBn * L, dWn)
-            out[:, :, m, :] = np.swapaxes(np.conj(u @ (vh @ xs.conj())), -2, -1)
+            cols, _, y = _decoupled(u, vh, np.swapaxes(block[..., m, :], -2, -1).reshape(-1, dBn * L, dWn))
+            out[:, cols, m, :] = np.swapaxes(y, -2, -1)
         del u, vh, x, y  # one message's factors at a time
     fidelity = float(np.vdot(s, s).real) / T
-    overlap = min(abs(np.vdot(theta_ref.T, s)) / math.sqrt(T), 1.0)
+    overlap = min(abs(np.vdot(theta_ref.T, s[:dWn])) / math.sqrt(T), 1.0)
     trace_dist = 2.0 * math.sqrt(max(1.0 - overlap**2, 0.0))
     diagnostics = {
         "traceDistanceGHZ": trace_dist,

@@ -139,6 +139,21 @@ def test_sweep_pinned_rows(tmp_path):
             assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), index
 
 
+def test_sweep_csv_is_the_capacity_reports_formatted(tmp_path):
+    # the CSV is written from the rate kernel's columns; formatting one
+    # CapacityReport per step gives the same bytes
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--gamma-from", "0.01", "--gamma-to", "0.99",
+                 "--steps", "2000", "--out", str(out)]) == 0
+    gammas = np.linspace(0.01, 0.99, 2000)
+    reports = cap.capacity_reports([chn.stinespring_from_kraus(chn.excitation_channel(gammas))])
+    fields = ("dBob", "dWillie", "chi2Willie", "cSKey", "cS", "cEG", "lKeyMin")
+    rows = [[g, *(getattr(r, f) for f in fields), cap.excitation_capacity_closed_form(g)]
+            for g, r in zip(gammas.tolist(), reports)]
+    header = "gamma,d_bob,d_willie,chi2,c_s_key,c_s,c_eg,l_key_min,c_eg_closed_form\n"
+    assert out.read_bytes() == (header + "".join(",".join(map(repr, row)) + "\n" for row in rows)).encode()
+
+
 def test_sweep_bad_range(tmp_path, capsys):
     assert main(["sweep", "--gamma-from", "0.9", "--gamma-to", "0.1",
                  "--steps", "5", "--out", str(tmp_path / "x.csv")]) == 2

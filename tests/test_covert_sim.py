@@ -505,6 +505,26 @@ def test_sim_config_rejects_seed_outside_uint64():
     assert cs.SimConfig(n=6, gamma=0.5, m_size=2, l_size=2, seed=2**64 - 1).seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", np.float64(2.0)), ("seed", True), ("n", 2.5), ("n", np.float64(4.0)),
+    ("m_size", 2.0), ("l_size", np.True_), ("samples", False), ("samples", "3"),
+])
+def test_sim_config_rejects_non_integers(field, value):
+    # seed = 1.5 used to draw seed 1's codebook
+    with pytest.raises(InvalidParameterError, match=f"^{field} = .* is not an integer"):
+        cs.SimConfig(**{"n": 4, "gamma": 0.5, "m_size": 2, "l_size": 2, field: value})
+
+
+def test_sim_config_takes_numpy_integers_as_ints():
+    fields = {"n": 4, "m_size": 2, "l_size": 3, "samples": 2, "seed": 2**63 + 5}
+    cfg = cs.SimConfig(gamma=0.5, **{k: np.uint64(v) if k == "seed" else np.int64(v) for k, v in fields.items()})
+    assert {k: getattr(cfg, k) for k in fields} == fields
+    assert all(type(getattr(cfg, k)) is int for k in fields)
+    plain = cs.SimConfig(gamma=0.5, **fields)
+    assert cfg == plain
+    assert np.array_equal(cs.sample_codebook(cfg, 1).words, cs.sample_codebook(plain, 1).words)
+
+
 def rotated_damping_isometry(gamma=0.3, theta=0.7, phi=0.4):
     """Amplitude damping after an input rotation: neither output pair commutes."""
     a0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
@@ -692,7 +712,7 @@ def test_cached_route_and_bound_ignore_writes_to_the_arrays_passed_in():
     assert float.hex(cs.resolvability_rhs(cfg, quad)) == float.hex(rhs) == float.hex(cs.resolvability_rhs(cfg, fresh))
 
 
-@pytest.mark.parametrize("index, valid", [(1.5, False), (-1, False), (2**64, False), (np.int64(3), True), (2**64 - 1, True)])
+@pytest.mark.parametrize("index, valid", [(1.5, False), (-1, False), (2**64, False), (np.int64(3), True), (2**64 - 1, True), (True, False)])
 def test_sample_codebook_index_is_an_integer_below_2_to_the_64(index, valid):
     cfg = cs.SimConfig(n=4, gamma=0.5, m_size=2, l_size=2, seed=3)
     if valid:

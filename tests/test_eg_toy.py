@@ -465,12 +465,14 @@ def ref_warden_state(code, V, povm, abstain):
     return np.einsum("rmbwkl,rmbvkl->wv", tau, tau.conj())
 
 
-def ref_decoupled(code, V, povm, abstain, alpha, mode):
+def ref_uhlmann_inputs(code, V, alpha, mode):
+    """Per message m, the ideal branch psi_m (dW^n x dB^n L) and its target theta_m
+    zero-padded to dW^n x dC, built entry by entry as the decoupler builds them,
+    so that products of them see the same bits as the decoupler's SVD."""
     T, L, n = code.T, code.l_size, code.n
     chi = ref_branches(code, V)
     dBn, dWn = chi.shape[2:]
     dC = max(dBn * L, dWn)
-    # entry by entry, so the SVD inside uhlmann_isometry sees the same bits
     psi = np.zeros((T, dWn, dBn, L), dtype=complex)
     for m in range(T):
         for l in range(L):
@@ -478,14 +480,21 @@ def ref_decoupled(code, V, povm, abstain, alpha, mode):
             psi[m, :, :, l] = phase * chi[m, l].T / math.sqrt(L)
     psi = psi.reshape(T, dWn, dBn * L)
     omega_alpha = (1 - alpha) * chn.marginal_outputs(V, 0)[1] + alpha * chn.marginal_outputs(V, 1)[1]
-    gammas, thetas = [], []
+    thetas = []
     for m in range(T):
         psi[m] /= np.linalg.norm(psi[m])
         rho = op.tensor_power(omega_alpha, n) if mode == "paper-target" else psi[m] @ psi[m].conj().T
         theta = np.zeros((dWn, dC), dtype=complex)
         theta[:, :dWn] = op.canonical_purification(rho).reshape(dWn, dWn)
         thetas.append(theta)
-        gammas.append(eg.uhlmann_isometry(psi[m].ravel(), (dWn, dBn * L), theta.ravel(), (dWn, dC)))
+    return psi, thetas
+
+
+def ref_decoupled(code, V, povm, abstain, alpha, mode):
+    T, L = code.T, code.l_size
+    psi, thetas = ref_uhlmann_inputs(code, V, alpha, mode)
+    (dWn, dC), dBn = thetas[0].shape, psi.shape[2] // L
+    gammas = [eg.uhlmann_isometry(p.ravel(), (dWn, dBn * L), theta.ravel(), (dWn, dC)) for p, theta in zip(psi, thetas)]
     tau = ref_protocol_state(code, V, povm, abstain)
     out = np.einsum("rmbwkl,kcbl->rmwkc", tau, np.array(gammas).reshape(T, dC, dBn, L))
     overlap = min(abs(sum(np.vdot(thetas[0], out[m, m, :, m, :]) for m in range(T))) / math.sqrt(T), 1.0)
@@ -696,3 +705,82 @@ def test_eg_report_memory_bound(mode):
     finally:
         tracemalloc.stop()
     assert peak < 26 * 2**20
+
+
+@pytest.mark.parametrize("mode", ["paper-target", "self-target"])
+@pytest.mark.parametrize("case", ["bench", "rotated"])
+def test_decoupler_svd_sees_the_full_padded_product(monkeypatch, case, mode):
+    # LAPACK's completion off the support of K sets the fidelity, so each SVD must
+    # get all of K = theta^dag psi_m, zero rows included, bit for bit: on the sparse
+    # bench input and on the dense rotated amplitude-damping one
+    code, V, povm, abstain, alpha = bench_eg_setup() if case == "bench" else pinned_rotated_setup()
+    inputs, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+    monkeypatch.undo()
+    psi, thetas = ref_uhlmann_inputs(eg_report_phases(code, V, povm, abstain), V, alpha, mode)
+    assert len(inputs) == code.T
+    for K, p, theta in zip(inputs, psi, thetas):
+        assert K.shape == (theta.shape[1], p.shape[1])  # dC x dB^n L
+        assert np.array_equal(K, theta.conj().T @ p)
+
+
+def ref_dense_report(code, V, povm, abstain, alpha, mode):
+    """eg_report's fidelity, target overlap, decoupler defect and warden state with
+    every product around the SVD dense: the library's factors (u, vh) applied to the
+    whole X_m, both Gram matrices in full, and the full Gram sum of the POVM roots."""
+    T, L = code.T, code.l_size
+    decoded = eg._decode(eg.EGToyCode.from_words(code.words), V, povm, abstain, "reference")
+    dBn, dWn = decoded.branches.shape[2:]
+    roots = decoded.roots.reshape(T, L, dBn, dBn)
+    s, defect, theta_ref = 0.0, 0.0, None
+    aligned = eg_report_phases(code, V, povm, abstain)
+    for m, theta, (u, vh) in eg._decoupler_factors(aligned, V, decoded.branches, alpha, mode):
+        theta_ref = theta if theta_ref is None else theta_ref
+        x = np.swapaxes(np.matmul(roots[m], decoded.outputs[m]), 0, 1).reshape(dBn * L, dWn)
+        y = np.conj(u @ (vh @ x.conj()))
+        s = s + y
+        gram = x.conj().T @ x
+        defect = max(defect, float(np.max(np.abs(y.conj().T @ y - gram)) / np.max(np.abs(gram))))
+    overlap = min(abs(np.vdot(theta_ref.T, s[: theta_ref.shape[1]])) / math.sqrt(T), 1.0)
+    gram_roots = sum(r.conj().T @ r for r in decoded.roots)
+    tau = sum(o.T @ gram_roots.conj() @ o.conj() for o in decoded.outputs)
+    return float(np.vdot(s, s).real) / T, overlap, defect, tau, decoded.overlaps
+
+
+@pytest.mark.parametrize("seed, mode", [(42, "paper-target"), (42, "self-target"), (7, "paper-target"),
+                                        (1, "paper-target"), (2, "paper-target"), (3, "paper-target")])
+def test_eg_report_on_the_support_matches_dense_products(seed, mode):
+    code, V, povm, abstain, alpha = bench_eg_setup(seed)
+    rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+    fidelity, overlap, defect, tau, overlaps = ref_dense_report(code, V, povm, abstain, alpha, mode)
+    assert rep.fidelity == fidelity
+    diag = rep.perStepDiagnostics
+    assert diag["targetOverlap"] == pytest.approx(overlap, abs=1e-12)
+    assert rep.traceDistanceGHZ == diag["traceDistanceGHZ"] == 2.0 * math.sqrt(max(1.0 - diag["targetOverlap"] ** 2, 0.0))
+    assert diag["decouplerIsometryDefect"] == pytest.approx(defect, abs=1e-12)
+    assert diag["alignedOverlapSum"] == pytest.approx(np.sum(np.abs(overlaps)), abs=1e-12)
+    assert diag["zeroPhaseOverlapSum"] == pytest.approx(np.sum(overlaps).real, abs=1e-12)
+    np.testing.assert_allclose(eg.willie_marginal(code, V, povm, abstain), tau, rtol=0, atol=1e-12)
+    omega0, omega1 = chn.marginal_outputs(V, 0)[1], chn.marginal_outputs(V, 1)[1]
+    assert rep.covertDivergence == pytest.approx(dv.qre(tau, op.tensor_power(omega0, code.n)), abs=1e-12)
+    classical = op.mean_word_product(code.words.reshape(-1, code.n), np.stack([omega0, omega1]))
+    assert diag["willieClassicalGap"] == pytest.approx(op.trace_norm(tau - classical), abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["paper-target", "self-target"])
+def test_decoupling_decoder_on_the_support_matches_dense_products(mode):
+    code, V, povm, abstain, alpha = bench_eg_setup()
+    state, _ = eg.decoupling_decoder(code, V, povm, abstain, alpha, mode)
+    decoded = eg._decode(code, V, povm, abstain, "reference")
+    T, L, dBn, dWn = decoded.branches.shape
+    block, want = decoded.diag, np.zeros_like(state)
+    for m, _, (u, vh) in eg._decoupler_factors(code, V, decoded.branches, alpha, mode):
+        xs = np.swapaxes(block[..., m, :], -2, -1).reshape(-1, dBn * L, dWn)
+        want[np.arange(T), np.arange(T), :, m, :] = np.swapaxes(np.conj(u @ (vh @ xs.conj())), -2, -1)
+    np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
