@@ -477,7 +477,9 @@ def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConf
     words = cb.words.reshape(-1, cb.n)
     if route.basis is not None:
         sigs = op.word_products(words, route.table)
-        p_ok = np.sum(sigs * _srm_weights(sigs, _power(route.table[0], cb.n), a), axis=1)
+        weighted = _srm_weights(sigs, _power(route.table[0], cb.n), a)
+        weighted *= sigs  # in place, the same products as sigs * weights
+        p_ok = np.sum(weighted, axis=1)
     else:
         p_ok = [np.trace(e @ op.word_products(w, route.table)).real for e, w in zip(_povm(words, route, a), words)]
     errors = np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0)

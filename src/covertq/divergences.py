@@ -11,7 +11,9 @@ Stack contract: ``qre``, ``chi_square``, ``hockey_stick``, ``petz_renyi``
 and ``helstrom_error`` take a pair of density operators or two equal-shape
 stacks of them, shape ``(..., d, d)``, and evaluate every pair at once with
 batched eigendecompositions.  A 2-D pair gives a ``float``, stacks give an
-array of shape ``(...)``.  ``phi`` takes a scalar or an array of orders
+array of shape ``(...)``.  In ``qre`` and ``chi_square`` an eigenbasis that
+``operators.eigh`` read off a diagonal input is applied as a gather, which
+is the matrix product bit for bit.  ``phi`` takes a scalar or an array of orders
 ``s`` and answers in kind.  The remaining functions take single states.
 """
 
@@ -59,14 +61,16 @@ def qre(rho, sigma):
     r = op.check_hermitian(rho)
     s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
-    rvals, rvecs = op.eigh(r)
-    svals, svecs = op.eigh(s)
+    rvals, rvecs, rorder = op._eigh(r)
+    svals, svecs, sorder = op._eigh(s)
     # eigenvalues of rho at or below the support tolerance drop out
     on_r = rvals > DEFAULT_TOL.support
     on_s = svals > DEFAULT_TOL.support
     lam = np.where(on_r, rvals, 0.0)
     # weight[i, j] = lam_i |<u_i|v_j>|^2 between eigenvectors of rho and sigma
-    weight = lam[..., :, None] * np.abs(op.dagger(rvecs) @ svecs) ** 2
+    overlap = (op._basis_product(op.dagger(rvecs), svecs, sorder, -1) if rorder is None
+               else op._basis_product(svecs, rvecs, rorder, -2))
+    weight = lam[..., :, None] * np.abs(overlap) ** 2
     escapes = np.any((weight > DEFAULT_TOL.support) & ~on_s[..., None, :], axis=(-2, -1))
     # summed left to right, each rho eigenvalue's entropy term then its cross
     # terms, so a 2-D input gives the bits of the plain per-eigenvalue sum
@@ -100,7 +104,7 @@ def chi_square(rho, sigma):
     r = op.check_hermitian(rho)
     s = op.check_hermitian(sigma)
     _require_same_dim(r, s)
-    vals, vecs = op.eigh(s)
+    vals, vecs, order = op._eigh(s)
     # each ascending eigenvalue at the mean of its cluster, labelled by the package's one rule
     label = np.cumsum(op._cluster_starts(vals), axis=-1)
     same = label[..., :, None] == label[..., None, :]
@@ -109,7 +113,7 @@ def chi_square(rho, sigma):
     if failed:
         raise SingularReferenceError(f"{failed[1]}chi-square reference must be full rank")
     # tr[D Pi_i D Pi_j] is the sum of |<v_a|D|v_b>|^2 over the eigenvectors of both clusters
-    weight = np.abs(op.dagger(vecs) @ (r - s) @ vecs) ** 2
+    weight = np.abs(op._basis_product(op._basis_product(r - s, vecs, order, -2), vecs, order, -1)) ** 2
     li, lj = means[..., :, None], means[..., None, :]
     close = np.abs(li - lj) < DEFAULT_TOL.cluster
     quotient = np.where(close, 1.0 / li, (np.log(li) - np.log(lj)) / np.where(close, 1.0, li - lj))

@@ -44,7 +44,11 @@ SVD would move the pinned fidelities.  The products after the SVD run on the
 rows and columns of X_m that hold a non-zero entry (on a sparse decoded
 state, a few dozen of each), as do the Gram matrices of the defect and the
 warden's Gram sum of the POVM roots (on the B^n rows the outputs reach); the
-zero rows and columns add nothing to any of these sums.
+zero rows and columns add nothing to any of these sums.  Exactly diagonal
+operands (``operators._real_diagonal``) skip their dense products, bit for
+bit: if every completed POVM element is diagonal, the roots are a (T L, dB^n)
+stack of diagonals that scale rows (the Gram sum's GEMM operand is built from
+them), and a real diagonal theta forms K's rows as theta_cc psi_m[c].
 """
 
 from __future__ import annotations
@@ -181,7 +185,7 @@ class _Decoded:
     reads only the k = (m, l) slices and the warden state.
     """
 
-    roots: np.ndarray  # (T*L, dB^n, dB^n): sqrt(Lam^k), k = (m', l') row-major
+    roots: np.ndarray  # sqrt(Lam^k), k = (m', l') row-major: (T*L, dB^n) diagonals or (T*L, dB^n, dB^n)
     branches: np.ndarray  # (T, L, dB^n, dW^n): chi_{m,l}, channel output of each word
     overlaps: np.ndarray  # (T, L): <chi_{m,l}| sqrt(Lam^{(m,l)}) |chi_{m,l}>
     outputs: np.ndarray  # (T, dB^n, dW^n): channel output of |phi_m>, weighted by 1/sqrt(T)
@@ -190,16 +194,19 @@ class _Decoded:
     def diag(self) -> np.ndarray:
         """The R = M diagonal of the protocol state, axes (R, B^n, W^n, Mhat, Lhat)."""
         T, L, dBn, dWn = self.branches.shape
-        decoded = np.matmul(self.roots[None], self.outputs[:, None])
+        decoded = (self.roots[:, :, None] * self.outputs[:, None] if self.roots.ndim == 2
+                   else np.matmul(self.roots[None], self.outputs[:, None]))
         return np.moveaxis(decoded.reshape(T, T, L, dBn, dWn), (1, 2), (3, 4))
 
     def warden_state(self) -> np.ndarray:
         """Trace out everything but W^n: sum_m outputs[m]^T conj(G) conj(outputs[m])
         with G = sum_k sqrt(Lam^k)^dag sqrt(Lam^k), which is not assumed to be I.
-        G is formed only on the B^n rows where some output is non-zero."""
+        G is formed by one GEMM on the B^n rows where some output is non-zero,
+        its operand built from the diagonals when the roots are kept as such."""
         T, dBn, dWn = self.outputs.shape
         rows = np.flatnonzero(np.any(self.outputs != 0, axis=(0, 2)))
-        roots, outputs = self.roots.reshape(-1, dBn)[:, rows], self.outputs[:, rows]
+        roots = self.roots[:, :, None] * np.eye(dBn, dtype=complex)[:, rows] if self.roots.ndim == 2 else self.roots[..., rows]
+        roots, outputs = roots.reshape(-1, len(rows)), self.outputs[:, rows]
         mixed = np.matmul(roots.T @ roots.conj(), outputs.conj())  # conj(G) conj(outputs[m])
         return outputs.reshape(-1, dWn).T @ mixed.reshape(-1, dWn)
 
@@ -219,12 +226,18 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, h
     elements, defect = _completed_povm(povm, abstain)
     if defect > DEFAULT_TOL.herm:
         raise DimMismatchError(f"POVM completion defect {defect:.3e}; supply the abstain remainder")
-    sqrts = np.empty((len(elements),) + elements[0].shape, dtype=complex)
-    for k, e in enumerate(elements):
-        sqrts[k] = op.sqrtm_psd(e)
+    # exactly diagonal elements keep their roots as diagonals, applied as row scalings
+    diagonals = [op._real_diagonal(op.check_hermitian(e)) for e in elements]
+    if any(d is None for d in diagonals):
+        sqrts = np.empty((len(elements),) + elements[0].shape, dtype=complex)
+        for k, e in enumerate(elements):
+            sqrts[k] = op.sqrtm_psd(e)
+    else:
+        sqrts = np.sqrt(np.clip(diagonals, 0.0, None))
     # chi_k = V^{(x)n}|x^n> as a (dB^n x dW^n) matrix, B^n the row index
     chis = op.word_products(code.words.reshape(T * L, n), V.V.T.reshape(V.in_dim, V.out_dim_b, V.out_dim_w))
-    overlaps = np.array([np.vdot(chi, root @ chi) for root, chi in zip(sqrts, chis)]).reshape(T, L)
+    overlaps = np.array([np.vdot(chi, r[:, None] * chi if r.ndim == 1 else r @ chi) for r, chi in zip(sqrts, chis)])
+    overlaps = overlaps.reshape(T, L)
     branches = chis.reshape(T, L, dBn, dWn)
     amp = np.exp(1j * code.encode_phases) / math.sqrt(T * L)
     return _Decoded(sqrts, branches, overlaps, np.einsum("ml,mlbw->mbw", amp, branches))
@@ -282,7 +295,11 @@ def _uhlmann_factors(psi_mat: np.ndarray, theta_mat: np.ndarray):
     isometry is conj(u @ vh)."""
     # the optimum sum_{c,b} K[c,b] W[c,b] over isometries W is ||K||_1
     K = np.zeros((max(theta_mat.shape[1], psi_mat.shape[1]), psi_mat.shape[1]), dtype=complex)
-    K[: theta_mat.shape[1]] = theta_mat.conj().T @ psi_mat
+    real = op._real_diagonal(theta_mat)
+    if real is None or theta_mat.imag.any():
+        K[: theta_mat.shape[1]] = theta_mat.conj().T @ psi_mat
+    else:  # a real diagonal theta scales the rows of psi
+        K[: len(real)] = real[:, None] * psi_mat
     u, _, vh = np.linalg.svd(K, full_matrices=False)
     return u, vh
 
@@ -328,11 +345,8 @@ def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha,
         raise ValueError(f"unknown decoupling mode {mode!r}")
     for m in range(T):
         # ideal per-message branch on (W^n; B^n Lhat), decode phases applied
-        psi = np.zeros((dWn, dBn, L), dtype=complex)
-        for l in range(L):
-            phase = np.exp(1j * (code.encode_phases[m, l] + code.decode_phases[m, l]))
-            psi[:, :, l] = phase * branches[m, l].T / math.sqrt(L)
-        psi = psi.reshape(dWn, dBn * L)
+        phases = np.exp(1j * (code.encode_phases[m] + code.decode_phases[m]))
+        psi = (phases * branches[m].T / math.sqrt(L)).reshape(dWn, dBn * L)  # (W^n, B^n, Lhat) axes
         psi /= np.linalg.norm(psi)
         if mode == "self-target":
             theta = op.canonical_purification(psi @ psi.conj().T).reshape(dWn, dWn)
@@ -373,7 +387,7 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     """
     T, L, dBn, dWn = decoded.branches.shape
     dC = _wbreve_dim(dBn, dWn, L)
-    roots = decoded.roots.reshape(T, L, dBn, dBn)
+    roots = decoded.roots.reshape(T, L, dBn, -1)  # a diagonal as a (dB^n, 1) column
     out = None if block is None else np.zeros(block.shape[:1] + (dWn, T, dC), dtype=complex)
     s = np.zeros((dC, dWn), dtype=complex)
     theta_ref = None
@@ -381,8 +395,12 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     for m, theta, (u, vh) in _decoupler_factors(code, V, decoded.branches, alpha, mode):
         if theta_ref is None:
             theta_ref = theta
-        reached = np.flatnonzero(np.any(decoded.outputs[m] != 0, axis=1))  # B^n rows of outputs[m]
-        x = np.matmul(roots[m][..., reached], decoded.outputs[m][reached])
+        x = decoded.outputs[m]
+        if decoded.roots.ndim == 2:  # diagonal roots scale its rows
+            x = roots[m] * x
+        else:
+            reached = np.flatnonzero(np.any(x != 0, axis=1))  # B^n rows of outputs[m]
+            x = np.matmul(roots[m][..., reached], x[reached])
         x = np.swapaxes(x, 0, 1).reshape(dBn * L, dWn)
         cols, x, y = _decoupled(u, vh, x)
         s[:, cols] += y

@@ -10,8 +10,11 @@ point to LAPACK's Hermitian eigensolver; no other module calls
 entries are all exactly zero is read off its diagonal (sorted values, a
 permutation matrix of eigenvectors) and any other goes to LAPACK whole.
 :func:`sqrtm_psd` and :func:`canonical_purification` write the square root
-of an exactly diagonal input onto its diagonal.  The decoupler's SVDs in
-``eg_toy`` are not eigendecompositions and stay on ``np.linalg.svd``.
+of an exactly diagonal input onto its diagonal, and products with a read-off
+basis are gathers (:func:`_basis_product`); ``eg_toy`` scales rows by diagonal
+POVM roots and theta.  Each equals the dense product bit for bit, and
+:func:`_real_diagonal` is the one test for such input.  The decoupler's SVDs
+in ``eg_toy`` are not eigendecompositions and stay on ``np.linalg.svd``.
 
 Stack contract: :func:`as_operator`, :func:`check_hermitian`, :func:`eigh`,
 :func:`eigvalsh`, :func:`trace_norm`, :func:`support_projector` and
@@ -137,6 +140,28 @@ def _real_diagonal(m: np.ndarray):
     return diag.real if diag.dtype.kind in "fc" else diag.astype(float)
 
 
+def _eigh(h):
+    """:func:`eigh` plus the ``(..., d)`` sort order of an input read off its diagonal,
+    whose eigenbasis P has P[..., order[j], j] = 1, or None when LAPACK ran."""
+    m = np.asarray(h)
+    real = _real_diagonal(m)
+    if real is None:
+        return (*np.linalg.eigh(m), None)
+    order = np.argsort(real, axis=-1, kind="stable")
+    basis = np.eye(m.shape[-1], dtype=np.result_type(m.dtype, real.dtype))
+    return np.sort(real, axis=-1, kind="stable"), basis[order].swapaxes(-1, -2), order
+
+
+def _basis_product(a, vecs, order, axis: int):
+    """vecs^dag a (``axis = -2``) or a vecs (``axis = -1``) for ``vecs, order`` from :func:`_eigh`;
+    a read-off basis gathers the rows or columns of ``a`` in ``order``, the product bit for bit."""
+    if order is None:
+        return dagger(vecs) @ a if axis == -2 else a @ vecs
+    if order.ndim == 1:
+        return a[order] if axis == -2 else a[:, order]
+    return np.take_along_axis(a, order[..., :, None] if axis == -2 else order[..., None, :], axis=axis)
+
+
 def eigh(h):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian ``(..., d, d)`` stack.
 
@@ -150,13 +175,7 @@ def eigh(h):
     whose largest entry lies below about 1e-146 or above about 1e146: LAPACK
     rescales it and rounds its eigenvalues, while the diagonal read is exact.
     """
-    m = np.asarray(h)
-    real = _real_diagonal(m)
-    if real is None:
-        return np.linalg.eigh(m)
-    order = np.argsort(real, axis=-1, kind="stable")
-    basis = np.eye(m.shape[-1], dtype=np.result_type(m.dtype, real.dtype))
-    return np.sort(real, axis=-1, kind="stable"), basis[order].swapaxes(-1, -2)
+    return _eigh(h)[:2]
 
 
 def eigvalsh(h):
@@ -371,9 +390,12 @@ def pinching(q, p) -> np.ndarray:
 
 def support_projector(a) -> np.ndarray:
     """Projector onto the span of eigenvectors with eigenvalue > ``DEFAULT_TOL.support``."""
-    vals, vecs = eigh(check_hermitian(a))
+    vals, vecs, order = _eigh(check_hermitian(a))
     cols = vecs * (vals > DEFAULT_TOL.support)[..., None, :]
-    return cols @ dagger(cols)
+    if order is None:
+        return cols @ dagger(cols)
+    # P diag(mask) P^dag is diagonal, and each row of cols = P diag(mask) holds its one entry
+    return np.eye(cols.shape[-1]) * cols.sum(axis=-1)[..., None, :]
 
 
 def support_contained(inner, outer):
@@ -384,8 +406,8 @@ def support_contained(inner, outer):
     of ``outer``.
     """
     proj = support_projector(outer)
-    vals, vecs = eigh(check_hermitian(inner))
-    residual = np.linalg.norm(vecs - proj @ vecs, axis=-2)
+    vals, vecs, order = _eigh(check_hermitian(inner))
+    residual = np.linalg.norm(vecs - _basis_product(proj, vecs, order, -1), axis=-2)
     escapes = (vals > DEFAULT_TOL.support) & (residual >= np.sqrt(DEFAULT_TOL.support))
     return scalar_or_stack(~np.any(escapes, axis=-1), bool)
 

@@ -736,3 +736,25 @@ def test_simulate_is_the_public_stages(make_quad, route, m, l):
     assert res == cs.resolvability_experiment(cfg, quad)
     assert dec == (cs.sqrt_measurement_decoder(cb, quad, cfg) if m * l <= 64 else None)
     assert routes == {"warden": route, "decoder": route}
+
+
+def test_commuting_decoder_scales_its_weights_in_place():
+    # the success probabilities are the row sums of sigs * weights, bit for bit, and
+    # the peak holds the (K, d^n) distributions and weights with one temporary: about
+    # 2.35 of those arrays at n = 14, K = 16
+    quad = excitation_quadruple()
+    cfg = cs.SimConfig(n=14, gamma=1.0, m_size=4, l_size=4, seed=3)
+    cb = cs.sample_codebook(cfg)
+    tracemalloc.start()
+    try:
+        rep = cs.sqrt_measurement_decoder(cb, quad, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * 16 * 2**14
+    route = cs.pair_route(quad.sigma0, quad.sigma1)
+    a = 0.5 * cfg.alpha * cfg.n * dv.qre(quad.sigma1, quad.sigma0)
+    sigs = op.word_products(cb.words.reshape(-1, cfg.n), route.table)
+    ref = op.word_products(np.zeros(cfg.n, dtype=np.uint8), route.table[:1])
+    errors = np.clip(1.0 - np.sum(sigs * cs._srm_weights(sigs, ref, a), axis=1), 0.0, 1.0)
+    assert list(rep.perMessageError.values()) == errors.tolist()

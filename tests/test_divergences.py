@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from covertq import channels as chn
 from covertq import divergences as dv
 from covertq import operators as op
 from covertq.errors import InvalidGammaError, NotHermitianError, SingularReferenceError
@@ -433,3 +434,27 @@ def test_stacked_errors_name_the_element():
         dv.chi_square(good, np.diag([1.0, 0.0]))
     with pytest.raises(NotHermitianError, match="stack element 2"):
         op.check_hermitian(np.array([good, good, [[0.5, 1.0], [0.0, 0.5]]]))
+
+
+def test_read_off_eigenbases_are_gathered_exactly(monkeypatch):
+    # on the 2000-step sweep stack every state is exactly diagonal and op.eigh reads a
+    # permutation eigenbasis off it; the kernels gather by its order instead of
+    # multiplying by it, and must give the arrays the products give, bit for bit:
+    # on the stack, with a rotated (LAPACK) partner on either side, and in 2-D
+    quad = chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(np.linspace(0.01, 0.99, 2000))))
+    assert all(op._eigh(m)[2] is not None for m in (quad.sigma0, quad.sigma1, quad.omega0, quad.omega1))
+    rng = np.random.default_rng(8)
+    rotated = np.stack([random_density(rng, 2, full_rank=False) for _ in range(2000)])
+
+    def kernels():
+        pairs = [(quad.sigma1, quad.sigma0), (quad.omega1, quad.omega0), (rotated, quad.omega0), (quad.omega1, rotated)]
+        pairs += [(a[i], b[i]) for a, b in pairs[:3] for i in (0, 999)]
+        out = [dv.qre(a, b) for a, b in pairs] + [op.support_contained(a, b) for a, b in pairs]
+        out += [dv.chi_square(a, b) for a, b in pairs if b is not rotated]
+        return out + [op.support_projector(m) for m in (quad.sigma0, quad.sigma1, quad.omega1, quad.omega1[5])]
+
+    got = kernels()
+    eigh = op._eigh
+    monkeypatch.setattr(op, "_eigh", lambda h: (*eigh(h)[:2], None))
+    for g, w in zip(got, kernels(), strict=True):
+        assert np.array_equal(g, w)

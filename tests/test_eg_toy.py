@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+from contextlib import contextmanager, nullcontext
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,6 +138,15 @@ def test_uhlmann_handmade_fidelity():
     assert ov**2 == pytest.approx(f_target, abs=1e-9)
 
 
+def assert_uhlmann_optimal(psi, theta, dA, dB, dC):
+    W = eg.uhlmann_isometry(psi, (dA, dB), theta, (dA, dC))
+    np.testing.assert_allclose(W.conj().T @ W, np.eye(dB), atol=1e-9)
+    ov = abs(np.vdot(theta.reshape(dA, dC), psi.reshape(dA, dB) @ W.T))
+    rho = psi.reshape(dA, dB) @ psi.reshape(dA, dB).conj().T
+    sig = theta.reshape(dA, dC) @ theta.reshape(dA, dC).conj().T
+    assert ov**2 == pytest.approx(op.fidelity(rho, sig), abs=1e-9)
+
+
 def test_uhlmann_random_optimality():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -144,12 +155,18 @@ def test_uhlmann_random_optimality():
         psi /= np.linalg.norm(psi)
         theta = rng.normal(size=dA * dC) + 1j * rng.normal(size=dA * dC)
         theta /= np.linalg.norm(theta)
-        W = eg.uhlmann_isometry(psi, (dA, dB), theta, (dA, dC))
-        np.testing.assert_allclose(W.conj().T @ W, np.eye(dB), atol=1e-9)
-        ov = abs(np.vdot(theta.reshape(dA, dC), psi.reshape(dA, dB) @ W.T))
-        rho = psi.reshape(dA, dB) @ psi.reshape(dA, dB).conj().T
-        sig = theta.reshape(dA, dC) @ theta.reshape(dA, dC).conj().T
-        assert ov**2 == pytest.approx(op.fidelity(rho, sig), abs=1e-9)
+        assert_uhlmann_optimal(psi, theta, dA, dB, dC)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_uhlmann_diagonal_target_optimality(kind):
+    # an exactly diagonal real theta scales the rows of psi; a complex one is multiplied
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        diagonal = rng.normal(size=4) + 1j * rng.normal(size=4)
+        theta = np.diag(np.abs(diagonal) if kind == "real" else diagonal).ravel()
+        assert_uhlmann_optimal(psi / np.linalg.norm(psi), theta / np.linalg.norm(theta), 4, 4, 4)
 
 
 def test_uhlmann_dim_errors():
@@ -583,7 +600,8 @@ def test_eg_report_reads_only_the_matched_slices(monkeypatch, case, mode):
 
 def test_eg_report_diagonal_roots_and_purification_skip_lapack(monkeypatch):
     # on the excitation channel every POVM element and omega_alpha^(x)n are exactly
-    # diagonal, so their square roots and the purification never reach np.linalg.eigh
+    # diagonal: the roots are read off the diagonals without sqrtm_psd, and the
+    # purification never reaches np.linalg.eigh
     inside, calls, lapack_inside = [], {}, []
     lapack = np.linalg.eigh
 
@@ -608,7 +626,7 @@ def test_eg_report_diagonal_roots_and_purification_skip_lapack(monkeypatch):
     for name in ("sqrtm_psd", "canonical_purification"):
         monkeypatch.setattr(op, name, tracked(name))
     eg.eg_report(code, V, povm, abstain, alpha=alpha, mode="paper-target")
-    assert calls == {"sqrtm_psd": len(povm), "canonical_purification": 1}
+    assert calls == {"canonical_purification": 1}
     assert lapack_inside == []
 
 
@@ -682,9 +700,9 @@ def test_decoupler_defect_is_live(monkeypatch, case, mode):
     assert rep.perStepDiagnostics["decouplerIsometryDefect"] > 1e-7
 
 
-def bench_eg_setup(seed=42):
-    """The benchmark's eg input: excitation 0.1, T = 4, L = 3, n = 7, distinct words."""
-    T, L, n = 4, 3, 7
+def bench_eg_setup(seed=42, T=4, L=3, n=7):
+    """The benchmark's eg input: excitation 0.1, T = 4, L = 3, n = 7, distinct words
+    (other code shapes by keyword)."""
     V = chn.stinespring_from_kraus(chn.excitation_channel(0.1))
     index = np.random.default_rng(seed).choice(2**n, T * L, replace=False)
     words = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
@@ -737,7 +755,8 @@ def ref_dense_report(code, V, povm, abstain, alpha, mode):
     T, L = code.T, code.l_size
     decoded = eg._decode(eg.EGToyCode.from_words(code.words), V, povm, abstain, "reference")
     dBn, dWn = decoded.branches.shape[2:]
-    roots = decoded.roots.reshape(T, L, dBn, dBn)
+    dense_roots = ref_roots(povm, abstain)
+    roots = dense_roots.reshape(T, L, dBn, dBn)
     s, defect, theta_ref = 0.0, 0.0, None
     aligned = eg_report_phases(code, V, povm, abstain)
     for m, theta, (u, vh) in eg._decoupler_factors(aligned, V, decoded.branches, alpha, mode):
@@ -748,7 +767,7 @@ def ref_dense_report(code, V, povm, abstain, alpha, mode):
         gram = x.conj().T @ x
         defect = max(defect, float(np.max(np.abs(y.conj().T @ y - gram)) / np.max(np.abs(gram))))
     overlap = min(abs(np.vdot(theta_ref.T, s[: theta_ref.shape[1]])) / math.sqrt(T), 1.0)
-    gram_roots = sum(r.conj().T @ r for r in decoded.roots)
+    gram_roots = sum(r.conj().T @ r for r in dense_roots)
     tau = sum(o.T @ gram_roots.conj() @ o.conj() for o in decoded.outputs)
     return float(np.vdot(s, s).real) / T, overlap, defect, tau, decoded.overlaps
 
@@ -784,3 +803,76 @@ def test_decoupling_decoder_on_the_support_matches_dense_products(mode):
         xs = np.swapaxes(block[..., m, :], -2, -1).reshape(-1, dBn * L, dWn)
         want[np.arange(T), np.arange(T), :, m, :] = np.swapaxes(np.conj(u @ (vh @ xs.conj())), -2, -1)
     np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+
+
+# ---- exactly diagonal operands: row scalings against eg_toy's dense products
+
+
+@contextmanager
+def dense_products():
+    """eg_toy with the diagonal rule off: its POVM roots are dense matrices and K is
+    the product theta^dag psi.  Only eg_toy's view of operators is patched, so
+    sqrtm_psd and canonical_purification keep their own diagonal reads and the
+    dense roots and theta are the bits they were before the row scalings."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eg, "op", SimpleNamespace(**{**vars(op), "_real_diagonal": lambda m: None}))
+        yield
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1, 2, 3])
+def test_eg_report_diagonal_operands_equal_dense_products(seed):
+    # every field and diagnostic, bit for bit: the row scalings feed the pinned SVDs
+    # exactly what the dense products fed them
+    code, V, povm, abstain, alpha = bench_eg_setup(seed)
+    assert eg._decode(code, V, povm, abstain, "test").roots.shape == (code.T * code.l_size, 2**code.n)
+    for mode in ("paper-target", "self-target"):
+        rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+        with dense_products():
+            want = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+        assert rep == want
+
+
+@pytest.mark.parametrize("setup", [demo_setup, lambda: bench_eg_setup(11, T=3, L=2, n=5)])
+def test_wrappers_with_diagonal_roots_match_dense_products(setup):
+    code, V, povm, abstain, alpha = setup()
+    code = eg.EGToyCode.from_words(code.words, decode_phases=np.linspace(-1.0, 2.0, code.T * code.l_size).reshape(code.T, -1))
+    got = [eg.protocol_state(code, V, povm, abstain), eg.willie_marginal(code, V, povm, abstain)]
+    got += [eg.decoupling_decoder(code, V, povm, abstain, alpha, mode)[0] for mode in ("paper-target", "self-target")]
+    with dense_products():
+        assert eg._decode(code, V, povm, abstain, "test").roots.ndim == 3
+        want = [eg.protocol_state(code, V, povm, abstain), eg.willie_marginal(code, V, povm, abstain)]
+        want += [eg.decoupling_decoder(code, V, povm, abstain, alpha, mode)[0] for mode in ("paper-target", "self-target")]
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def test_one_off_diagonal_entry_takes_the_dense_path():
+    code, V, povm, abstain, alpha = demo_setup()
+    nudged = [np.array(e) for e in povm]
+    nudged[1][0, 1] = nudged[1][1, 0] = 1e-300
+    assert eg._decode(code, V, povm, abstain, "test").roots.ndim == 2
+    assert eg._decode(code, V, nudged, abstain, "test").roots.ndim == 3
+    np.testing.assert_allclose(eg.protocol_state(code, V, nudged, abstain), eg.protocol_state(code, V, povm, abstain), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(eg.willie_marginal(code, V, nudged, abstain), eg.willie_marginal(code, V, povm, abstain), rtol=0, atol=1e-12)
+    _, h_nudged, diag_nudged = eg.align_phases(code, V, nudged, abstain)
+    _, h, diag = eg.align_phases(code, V, povm, abstain)
+    np.testing.assert_allclose(h_nudged, h, rtol=0, atol=1e-12)
+    assert diag_nudged == pytest.approx(diag, abs=1e-12)
+
+
+def test_diagonal_roots_lower_the_eg_report_peak():
+    # the dense (T L, dB^n, dB^n) root stack must not come back: the peak falls by
+    # its size less the (T L, dB^n) diagonals held instead, within 32 KiB of other
+    # allocations (about 3 KiB seen)
+    code, V, povm, abstain, alpha = bench_eg_setup()
+    peaks = []
+    for context in (nullcontext(), dense_products()):
+        with context:
+            tracemalloc.start()
+            try:
+                eg.eg_report(code, V, povm, abstain, alpha=alpha)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    K, dBn = code.T * code.l_size, 2**code.n
+    assert peaks[0] + 16 * K * dBn**2 - 8 * K * dBn - 2**15 <= peaks[1]

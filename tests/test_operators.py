@@ -371,6 +371,16 @@ def test_one_eigensolver_entry_point():
     assert [p.name for p in sources if p.name != "operators.py" and direct.search(p.read_text())] == []
 
 
+def test_one_diagonal_detector():
+    # op._real_diagonal alone decides that an operand is exactly diagonal
+    detector = re.compile(r"count_nonzero|\bdiagonal\(")
+    rule = inspect.getsource(op._real_diagonal)
+    sources = {p.name: p.read_text() for p in Path(covertq.__file__).parent.glob("*.py")}
+    sources["operators.py"] = sources["operators.py"].replace(rule, "")
+    assert [name for name, text in sources.items() if detector.search(text)] == []
+    assert len(detector.findall(rule)) == 3
+
+
 def test_one_kron_chain_helper():
     # every n-fold product goes through op.word_products; the one other kron is
     # eg_toy.ghz_to_epr's two-factor phase correction
