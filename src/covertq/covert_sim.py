@@ -49,6 +49,7 @@ from .errors import IndexOutOfRangeError, InvalidParameterError
 from .operators import DEFAULT_TOL
 
 _BLOCK_BYTES = 1 << 20  #: bytes a block of codebooks may be charged, or the budget if smaller; fixed
+_S_GRID = (-1.0, -0.5, -0.25, -0.1, -0.05)  #: the s grid of the resolvability bound
 
 
 def _integer(name: str, value) -> int:
@@ -70,8 +71,8 @@ class SimConfig:
 
     ``alpha`` is derived as gamma / sqrt(n) unless given explicitly; it is the
     Bernoulli weight of the non-innocent symbol.  ``a_threshold`` tunes the
-    decoder's pinched-threshold projectors and defaults to
-    alpha * n * D(sigma1||sigma0) / 2 when left as None.
+    decoder's pinched-threshold projectors and defaults to alpha * n *
+    D(sigma1||sigma0) / 2 when left as None.  The bound's grid is fixed.
     """
 
     n: int
@@ -81,8 +82,6 @@ class SimConfig:
     seed: int = 0
     samples: int = 1
     alpha: float | None = None
-    s_grid: tuple[float, ...] = (-1.0, -0.5, -0.25, -0.1, -0.05)
-    beta_grid: tuple[float, ...] | None = None
     a_threshold: float | None = None
 
     def __post_init__(self):
@@ -181,11 +180,11 @@ def shared_eigenbasis(a, b):
     (U, pa, pb) : (ndarray, ndarray, ndarray) or None
         ``a = U diag(pa) U^dag`` and ``b = U diag(pb) U^dag``.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = op.check_hermitian(np.asarray(a, dtype=complex))
+    b = op.check_hermitian(np.asarray(b, dtype=complex))
     if np.max(np.abs(a @ b - b @ a)) > DEFAULT_TOL.herm:
         return None
-    vals, vecs = op.eigh(op.check_hermitian(a))
+    vals, vecs = op.eigh(a)
     cols, pa, pb = [], [], []
     for lam, idx in op.eigenvalue_clusters(vals):
         block = vecs[:, idx]
@@ -226,7 +225,6 @@ class Route:
 
 def pair_route(state0, state1) -> Route:
     """The one choice of route for a pair of single-copy outputs, both Hermitian."""
-    op.check_hermitian(state1)  # shared_eigenbasis checks only state0
     basis = shared_eigenbasis(state0, state1)
     if basis is None:
         table = np.stack([state0, state1]).astype(complex)
@@ -272,16 +270,23 @@ def _charge(stage: str, route: Route, n: int, k_size: int, items: int = 1) -> in
     return block
 
 
+def _lift(basis, weights, n: int) -> list:
+    """Un diag(w) Un^dag for each row w of ``weights``, Un = basis^(x)n; a permutation Un
+    moves w[k] to row rows[k], read without a product."""
+    Un = op.tensor_power(basis, n)
+    rows = np.argmax(Un.real, axis=0)
+    if np.array_equal(Un, np.eye(len(Un))[:, rows]):
+        return [np.diag(w) for w in weights[:, np.argsort(rows)].astype(complex)]
+    return [(Un * w) @ Un.conj().T for w in weights]
+
+
 def _average_state(words, ch: BinaryCovertChannel) -> np.ndarray:
     """Dense warden state averaged uniformly over the (K, n) ``words``."""
     n = words.shape[1]
     route = _warden_route(ch)
     _charge("warden average state", route, n, len(words))
     avg = op.mean_word_product(words, route.table)
-    if route.basis is None:
-        return avg
-    Un = op.tensor_power(route.basis, n)
-    return (Un * avg) @ Un.conj().T
+    return avg if route.basis is None else _lift(route.basis, avg[None], n)[0]
 
 
 def willie_average_state(cb: Codebook, ch: BinaryCovertChannel) -> np.ndarray:
@@ -316,8 +321,8 @@ def _rhs_terms(cfg: SimConfig, ch: BinaryCovertChannel):
         np.array([1.0 - cfg.alpha, cfg.alpha]), (ch.omega0, ch.omega1)
     )
     nu = dv.distinct_eigenvalue_count(mixed_output(ch, cfg.alpha), cfg.n)
-    betas = np.asarray(cfg.beta_grid) if cfg.beta_grid is not None else _default_beta_grid(cfg, ch)
-    s = np.asarray(cfg.s_grid, dtype=float)[:, None]
+    betas = _default_beta_grid(cfg, ch)
+    s = np.asarray(_S_GRID)[:, None]
     phis = dv.phi(s, ensemble)
     with np.errstate(over="ignore"):  # an overflowing grid point is a vacuous (inf) bound
         return 2.0 * np.sqrt(np.exp(betas * s + cfg.n * phis)), np.exp(betas) * nu
@@ -329,10 +334,9 @@ def resolvability_rhs(cfg: SimConfig, ch: BinaryCovertChannel) -> float:
     min over (s, beta) of 2 sqrt(exp(beta s + n phi(s, alpha))) +
     sqrt(e^beta nu / K) with nu the distinct-eigenvalue count of the n-fold
     reference and K the number of codewords.  The K-free terms are computed
-    once per channel object and (alpha, n, s grid, beta grid).
+    once per channel object and (alpha, n).
     """
-    grids = (None if g is None else tuple(np.ravel(g).tolist()) for g in (cfg.s_grid, cfg.beta_grid))
-    first, scaled_nu = ch.cached(("rhs", cfg.alpha, cfg.n, *grids), lambda: _rhs_terms(cfg, ch))
+    first, scaled_nu = ch.cached(("rhs", cfg.alpha, cfg.n), lambda: _rhs_terms(cfg, ch))
     return float(np.min(first + np.sqrt(scaled_nu / (cfg.m_size * cfg.l_size))))
 
 
@@ -420,12 +424,7 @@ def _povm(words, route: Route, a: float) -> list:
     n, table = len(words[0]), route.table
     ref = _power(table[0], n)
     if route.basis is not None:
-        weights = _srm_weights(op.word_products(words, table), ref, a)
-        Un = op.tensor_power(route.basis, n)
-        rows = np.argmax(Un.real, axis=0)
-        if np.array_equal(Un, np.eye(len(Un))[:, rows]):  # a permutation: Un diag(w) Un^dag moves w[k] to rows[k]
-            return [np.diag(w) for w in weights[:, np.argsort(rows)].astype(complex)]
-        return [(Un * w) @ Un.conj().T for w in weights]
+        return _lift(route.basis, _srm_weights(op.word_products(words, table), ref, a), n)
     projectors = []
     for w in words:
         pinched = op.pinching(op.word_products(w, table), ref)

@@ -24,10 +24,11 @@ Alice's preparation ties R to M, so every block with R != M is zero.
 forms only what it reads.  The decoupler acts on the Mhat = R slices alone,
 which give both the EPR fidelity and the GHZ overlap; every Fourier branch
 of step 6 has that fidelity, as its phases are 1 on the entries read.  The
-warden's state comes from the codeword outputs and the Gram sum of the POVM
-square roots.  The public per-step functions are thin wrappers over the same
-construction; ``protocol_state`` and ``decoupling_decoder`` form the full
-block because they return it.
+warden's state comes from the codeword outputs and G = sum_k Lam^k, the
+completed POVM's sum, on the B^n rows the outputs reach.  The public
+per-step functions are thin wrappers over the same construction;
+``protocol_state`` and ``decoupling_decoder`` form the full block because
+they return it.
 
 The decoupler runs one message at a time in factored form: Gamma^m =
 conj(u vh) from the SVD of K = theta^dag psi_m is applied to the decoded
@@ -42,13 +43,13 @@ LAPACK's completion: Gamma^m is not unique off the support of K, and that
 completion sets the reported fidelity, so a cheaper or differently completed
 SVD would move the pinned fidelities.  The products after the SVD run on the
 rows and columns of X_m that hold a non-zero entry (on a sparse decoded
-state, a few dozen of each), as do the Gram matrices of the defect and the
-warden's Gram sum of the POVM roots (on the B^n rows the outputs reach); the
-zero rows and columns add nothing to any of these sums.  Exactly diagonal
-operands (``operators._real_diagonal``) skip their dense products, bit for
-bit: if every completed POVM element is diagonal, the roots are a (T L, dB^n)
-stack of diagonals that scale rows (the Gram sum's GEMM operand is built from
-them), and a real diagonal theta forms K's rows as theta_cc psi_m[c].
+state, a few dozen of each), as do the Gram matrices of the defect; the zero
+rows and columns add nothing to any of these sums.  The POVM roots meet the
+outputs in one place, ``_Decoded.slices``.  Exactly diagonal operands
+(``operators._real_diagonal``) skip their dense products, bit for bit: if
+every completed POVM element is diagonal, the roots are a (T L, dB^n) stack
+of diagonals that scale rows, else dense roots act on all rows; a real
+diagonal theta forms K's rows as theta_cc psi_m[c].
 """
 
 from __future__ import annotations
@@ -181,39 +182,39 @@ class _Decoded:
 
     The full state has a zero block wherever R != M, and its R = M diagonal
     is sqrt(Lam^k) applied to ``outputs[m]`` for every outcome k = (m', l')
-    in row-major order.  ``diag`` forms that product for every k; ``eg_report``
-    reads only the k = (m, l) slices and the warden state.
+    in row-major order.  ``slices`` forms its Mhat = m part; ``eg_report``
+    reads only the R = m slices and the warden state.
     """
 
     roots: np.ndarray  # sqrt(Lam^k), k = (m', l') row-major: (T*L, dB^n) diagonals or (T*L, dB^n, dB^n)
     branches: np.ndarray  # (T, L, dB^n, dW^n): chi_{m,l}, channel output of each word
     overlaps: np.ndarray  # (T, L): <chi_{m,l}| sqrt(Lam^{(m,l)}) |chi_{m,l}>
     outputs: np.ndarray  # (T, dB^n, dW^n): channel output of |phi_m>, weighted by 1/sqrt(T)
+    rows: np.ndarray  # the B^n rows where some output is non-zero
+    gram: np.ndarray  # G = sum_k Lam^k on those rows and columns, not assumed to be I
 
-    @property
-    def diag(self) -> np.ndarray:
-        """The R = M diagonal of the protocol state, axes (R, B^n, W^n, Mhat, Lhat)."""
+    def slices(self, m: int, every_r: bool = False) -> np.ndarray:
+        """sqrt(Lam^{(m,l)}) outputs[r] for every l, one (dB^n L x dW^n) matrix with
+        row b*L + l: for r = m, or stacked over every r."""
         T, L, dBn, dWn = self.branches.shape
-        decoded = (self.roots[:, :, None] * self.outputs[:, None] if self.roots.ndim == 2
-                   else np.matmul(self.roots[None], self.outputs[:, None]))
-        return np.moveaxis(decoded.reshape(T, T, L, dBn, dWn), (1, 2), (3, 4))
+        roots = self.roots.reshape(T, L, dBn, -1)[m]  # a diagonal as a (dB^n, 1) column
+        x = (self.outputs if every_r else self.outputs[m])[..., None, :, :]
+        x = roots * x if self.roots.ndim == 2 else np.matmul(roots, x)
+        return np.swapaxes(x, -3, -2).reshape(*x.shape[:-3], dBn * L, dWn)
 
     def warden_state(self) -> np.ndarray:
-        """Trace out everything but W^n: sum_m outputs[m]^T conj(G) conj(outputs[m])
-        with G = sum_k sqrt(Lam^k)^dag sqrt(Lam^k), which is not assumed to be I.
-        G is formed by one GEMM on the B^n rows where some output is non-zero,
-        its operand built from the diagonals when the roots are kept as such."""
-        T, dBn, dWn = self.outputs.shape
-        rows = np.flatnonzero(np.any(self.outputs != 0, axis=(0, 2)))
-        roots = self.roots[:, :, None] * np.eye(dBn, dtype=complex)[:, rows] if self.roots.ndim == 2 else self.roots[..., rows]
-        roots, outputs = roots.reshape(-1, len(rows)), self.outputs[:, rows]
-        mixed = np.matmul(roots.T @ roots.conj(), outputs.conj())  # conj(G) conj(outputs[m])
+        """Trace out everything but W^n: sum_m outputs[m]^T conj(G) conj(outputs[m])."""
+        dWn = self.outputs.shape[-1]
+        outputs = self.outputs[:, self.rows]
+        mixed = np.matmul(self.gram.conj(), outputs.conj())  # conj(G) conj(outputs[m])
         return outputs.reshape(-1, dWn).T @ mixed.reshape(-1, dWn)
 
 
 def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, held: int = 0) -> _Decoded:
     """Budget and POVM checks, then every decoded branch from one square root
-    per POVM element and one channel-output matrix per word.  The charge, as
+    per POVM element and one channel-output matrix per word.  The completed
+    elements must sum to I and be PSD within ``DEFAULT_TOL`` (the roots clip
+    the roundoff, as ``check_density`` does).  The charge, as
     measured on ``eg_report``, covers the roots, the channel outputs and a
     conjugate copy, the decoupler's K (dC x dB^n L) and its SVD factors, a
     dozen single-system n-fold matrices, and ``held`` bytes of the caller's
@@ -228,7 +229,11 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, h
         raise DimMismatchError(f"POVM completion defect {defect:.3e}; supply the abstain remainder")
     # exactly diagonal elements keep their roots as diagonals, applied as row scalings
     diagonals = [op._real_diagonal(op.check_hermitian(e)) for e in elements]
-    if any(d is None for d in diagonals):
+    dense = any(d is None for d in diagonals)
+    low = min(op.eigvalsh(e)[0] for e in elements) if dense else np.min(diagonals)
+    if low < -DEFAULT_TOL.psd:
+        raise DimMismatchError(f"POVM element eigenvalue {low:.3e} below zero beyond tolerance")
+    if dense:
         sqrts = np.empty((len(elements),) + elements[0].shape, dtype=complex)
         for k, e in enumerate(elements):
             sqrts[k] = op.sqrtm_psd(e)
@@ -240,7 +245,10 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, h
     overlaps = overlaps.reshape(T, L)
     branches = chis.reshape(T, L, dBn, dWn)
     amp = np.exp(1j * code.encode_phases) / math.sqrt(T * L)
-    return _Decoded(sqrts, branches, overlaps, np.einsum("ml,mlbw->mbw", amp, branches))
+    outputs = np.einsum("ml,mlbw->mbw", amp, branches)
+    rows = np.flatnonzero(np.any(outputs != 0, axis=(0, 2)))
+    gram = sum(e[rows[:, None], rows] for e in elements)
+    return _Decoded(sqrts, branches, overlaps, outputs, rows, gram)
 
 
 def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None) -> np.ndarray:
@@ -255,11 +263,13 @@ def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None) 
     ndarray of shape (T, T, dB^n, dW^n, T, L)
         The normalized state tensor over (R, M, B^n, W^n, Mhat, Lhat).
     """
-    T, block = code.T, 16 * code.T**2 * code.l_size * (V.out_dim_b * V.out_dim_w) ** code.n
-    # the R = M diagonal and the returned state
-    diag = _decode(code, V, povm, abstain, "protocol_state", (T + 1) * block).diag
-    out = np.zeros((T,) + diag.shape, dtype=complex)
-    out[np.arange(T), np.arange(T)] = diag
+    block = 16 * code.T**2 * code.l_size * (V.out_dim_b * V.out_dim_w) ** code.n
+    # the decoded slices (at most the R = M diagonal) and the returned state
+    decoded = _decode(code, V, povm, abstain, "protocol_state", (code.T + 1) * block)
+    T, L, dBn, dWn = decoded.branches.shape
+    out = np.zeros((T, T, dBn, dWn, T, L), dtype=complex)
+    for m in range(T):  # one message's slices alive at a time
+        out[np.arange(T), np.arange(T), ..., m, :] = np.swapaxes(decoded.slices(m, every_r=True).reshape(T, dBn, L, dWn), -2, -1)
     return out
 
 
@@ -364,54 +374,47 @@ def _decoupled(u: np.ndarray, vh: np.ndarray, x: np.ndarray):
     return cols, x, np.conj(u @ (vh[:, rows] @ x.conj()))
 
 
-def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, block=None):
+def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, every_r: bool = False):
     """The EPR fidelity and the decoupling diagnostics, one message at a time.
 
     Only the r = m = Mhat slices of the decoupled block meet the GHZ state.
     Slice m is X_m = sqrt(Lam^{(m,l)}) outputs[m] with row b*L + l, a
-    (dB^n L x dW^n) matrix, and Gamma^m = conj(u vh) acts on it in factored
-    form, Y_m = conj(u (vh conj(X_m))), on X_m's non-zero rows and columns
-    only (:func:`_decoupled`).  With s = sum_m Y_m the EPR fidelity is
-    ||s||^2 / T and the overlap with GHZ (x) theta_ref is
+    (dB^n L x dW^n) matrix (``_Decoded.slices``), and Gamma^m = conj(u vh)
+    acts on it in factored form, Y_m = conj(u (vh conj(X_m))), on X_m's
+    non-zero rows and columns only (:func:`_decoupled`).  With s = sum_m Y_m
+    the EPR fidelity is ||s||^2 / T and the overlap with GHZ (x) theta_ref is
     |<theta_ref, s^T>| / sqrt(T).  ``decouplerIsometryDefect`` is the largest
     max|Y_m^dag Y_m - X_m^dag X_m| / max|X_m^dag X_m| (the unscaled deviation
     for a zero slice), both Gram matrices taken on X_m's non-zero columns,
     where the rest of them is zero: how far the decoupler fails to preserve
     the inner products of the input it is applied to, which bounds the error
-    of the reported fidelity.
+    of the reported fidelity.  ``alpha`` defaults to the code's fraction of ones.
 
-    With ``block`` (the decoded R = M diagonal, axes (R, B^n, W^n, Mhat,
-    Lhat)) the same factored Gamma^m is also applied to every R slice of its
-    Mhat = m part; the third result is then the decoupled block, axes (R,
-    W^n, Mhat, Wbreve), else None.
+    With ``every_r`` the same factored Gamma^m acts on the Mhat = m slices of
+    every R at once, on the rows and columns where any of them is non-zero,
+    and X_m, Y_m are the R = m ones of that stack; the third result is then
+    the decoupled R = M block, axes (R, W^n, Mhat, Wbreve), else None.
     """
+    if alpha is None:
+        alpha = float(np.mean(code.words))
     T, L, dBn, dWn = decoded.branches.shape
     dC = _wbreve_dim(dBn, dWn, L)
-    roots = decoded.roots.reshape(T, L, dBn, -1)  # a diagonal as a (dB^n, 1) column
-    out = None if block is None else np.zeros(block.shape[:1] + (dWn, T, dC), dtype=complex)
+    out = np.zeros((T, dWn, T, dC), dtype=complex) if every_r else None
     s = np.zeros((dC, dWn), dtype=complex)
     theta_ref = None
     defect = 0.0
     for m, theta, (u, vh) in _decoupler_factors(code, V, decoded.branches, alpha, mode):
         if theta_ref is None:
             theta_ref = theta
-        x = decoded.outputs[m]
-        if decoded.roots.ndim == 2:  # diagonal roots scale its rows
-            x = roots[m] * x
-        else:
-            reached = np.flatnonzero(np.any(x != 0, axis=1))  # B^n rows of outputs[m]
-            x = np.matmul(roots[m][..., reached], x[reached])
-        x = np.swapaxes(x, 0, 1).reshape(dBn * L, dWn)
-        cols, x, y = _decoupled(u, vh, x)
+        cols, x, y = _decoupled(u, vh, decoded.slices(m, every_r))
+        if every_r:
+            out[:, cols, m, :] = np.swapaxes(y, -2, -1)
+            x, y = x[m], y[m]
         s[:, cols] += y
         gram = x.conj().T @ x
         scale = float(np.max(np.abs(gram), initial=0.0))
         deviation = float(np.max(np.abs(y.conj().T @ y - gram), initial=0.0))
         defect = max(defect, deviation / scale if scale > 0.0 else deviation)
-        if block is not None:
-            # every R slice of Mhat = m, as (R, dB^n L, dW^n) matrices like x
-            cols, _, y = _decoupled(u, vh, np.swapaxes(block[..., m, :], -2, -1).reshape(-1, dBn * L, dWn))
-            out[:, cols, m, :] = np.swapaxes(y, -2, -1)
         del u, vh, x, y  # one message's factors at a time
     fidelity = float(np.vdot(s, s).real) / T
     overlap = min(abs(np.vdot(theta_ref.T, s[:dWn])) / math.sqrt(T), 1.0)
@@ -435,14 +438,12 @@ def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=No
         ``state`` has axes (R, M, W^n, Mhat, Wbreve); diagnostics include the
         trace distance to GHZ (x) reference purification and isometry defects.
     """
-    if alpha is None:
-        alpha = float(np.mean(code.words))
     T, L, n = code.T, code.l_size, code.n
     dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
-    # the R = M diagonal, the decoupled block and the returned state
+    # the decoded slices (at most the R = M diagonal), the decoupled block and the returned state
     held = 16 * T**2 * (L * dBn * dWn + (T + 1) * dWn * _wbreve_dim(dBn, dWn, L))
     decoded = _decode(code, V, povm, abstain, "decoupling_decoder", held)
-    _, diagnostics, out = _decouple(code, V, decoded, alpha, mode, block=decoded.diag)
+    _, diagnostics, out = _decouple(code, V, decoded, alpha, mode, every_r=True)
     state = np.zeros((T,) + out.shape, dtype=complex)
     state[np.arange(T), np.arange(T)] = out
     return state, diagnostics
@@ -479,8 +480,6 @@ def eliminate_assistance(code: EGToyCode, V: StinespringIsometry, povm, abstain=
     of the (R, Mhat) state is 1 on the k = r entries the EPR fidelity reads,
     so all T fidelities are one number, computed once.  Returns (0, fidelities).
     """
-    if alpha is None:
-        alpha = float(np.mean(code.words))
     fidelity, _, _ = _decouple(code, V, _decode(code, V, povm, abstain, "eliminate_assistance"), alpha, mode)
     return 0, [fidelity] * code.T
 
@@ -493,8 +492,6 @@ def willie_marginal(code: EGToyCode, V: StinespringIsometry, povm, abstain=None)
 def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target") -> EGReport:
     """Full pipeline: phase alignment, decoupling, assistance elimination,
     and exact covertness accounting, all from one decoded state."""
-    if alpha is None:
-        alpha = float(np.mean(code.words))
     unphased = replace(code, encode_phases=np.zeros((code.T, code.l_size)))
     decoded = _decode(unphased, V, povm, abstain, "eg_report")
     _, h, phase_diag = _phase_alignment(decoded.overlaps)

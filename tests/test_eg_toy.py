@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from contextlib import contextmanager, nullcontext
-from functools import reduce
+from functools import lru_cache, reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -591,7 +591,14 @@ def test_eg_report_reads_only_the_matched_slices(monkeypatch, case, mode):
     def forbidden(*args, **kwargs):
         raise AssertionError("eg_report formed the full decoupled block")
 
-    monkeypatch.setattr(eg._Decoded, "diag", property(forbidden))
+    slices = eg._Decoded.slices
+
+    def matched_only(decoded, m, every_r=False):
+        if every_r:
+            forbidden()
+        return slices(decoded, m)
+
+    monkeypatch.setattr(eg._Decoded, "slices", matched_only)
     monkeypatch.setattr(op, "partial_trace_vector", forbidden)
     code, V, povm, abstain, alpha = demo_setup() if case == "demo" else pinned_rotated_setup()
     rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
@@ -685,6 +692,35 @@ def test_warden_state_keeps_povm_completion_defect():
     np.testing.assert_allclose(eg.willie_marginal(aligned, V, povm, abstain), exact, rtol=0, atol=1e-13)
 
 
+def one_letter_povm(low, dense):
+    """The noiseless one-letter code with words 0 and 1, and elements diag(1 - low, 0)
+    and diag(low, 1), which sum to I; rotated off the diagonal when ``dense``."""
+    code = eg.EGToyCode.from_words(np.array([[[0]], [[1]]], dtype=np.uint8))
+    povm = [np.diag([1.0 - low, 0.0]).astype(complex), np.diag([low, 1.0]).astype(complex)]
+    if dense:
+        c, s = math.cos(0.3), math.sin(0.3)
+        u = np.array([[c, -s], [s, c]], dtype=complex)
+        povm = [u @ e @ u.T for e in povm]
+    return code, eg.noiseless_isometry(), povm
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_negative_povm_element_raises(dense):
+    # unchecked, the clipped roots gave fidelity 1.0977 and a warden state [[1.1]]
+    code, V, povm = one_letter_povm(-0.2, dense)
+    for run in (lambda: eg.eg_report(code, V, povm), lambda: eg.willie_marginal(code, V, povm)):
+        with pytest.raises(DimMismatchError, match="below zero"):
+            run()
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_povm_negative_within_tolerance_runs(dense):
+    code, V, povm = one_letter_povm(-1e-10, dense)
+    rep = eg.eg_report(code, V, povm, mode="self-target")
+    assert 0.0 <= rep.fidelity <= 1.0 + 1e-9
+    assert np.trace(eg.willie_marginal(code, V, povm)).real == pytest.approx(1.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("case, mode", sorted(PINNED_REPORTS))
 def test_decoupler_defect_is_live(monkeypatch, case, mode):
     # a decoupler that stretches its input by 1e-6 must show in the defect
@@ -772,11 +808,19 @@ def ref_dense_report(code, V, povm, abstain, alpha, mode):
     return float(np.vdot(s, s).real) / T, overlap, defect, tau, decoded.overlaps
 
 
+@lru_cache(maxsize=None)
+def bench_eg_report(seed, mode):
+    """eg_report on the benchmark's eg input at ``seed``, once per (seed, mode) for the
+    tests that share it; first called outside dense_products(), so it is the fast pass."""
+    code, V, povm, abstain, alpha = bench_eg_setup(seed)
+    return eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+
+
 @pytest.mark.parametrize("seed, mode", [(42, "paper-target"), (42, "self-target"), (7, "paper-target"),
                                         (1, "paper-target"), (2, "paper-target"), (3, "paper-target")])
 def test_eg_report_on_the_support_matches_dense_products(seed, mode):
     code, V, povm, abstain, alpha = bench_eg_setup(seed)
-    rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+    rep = bench_eg_report(seed, mode)
     fidelity, overlap, defect, tau, overlaps = ref_dense_report(code, V, povm, abstain, alpha, mode)
     assert rep.fidelity == fidelity
     diag = rep.perStepDiagnostics
@@ -798,7 +842,7 @@ def test_decoupling_decoder_on_the_support_matches_dense_products(mode):
     state, _ = eg.decoupling_decoder(code, V, povm, abstain, alpha, mode)
     decoded = eg._decode(code, V, povm, abstain, "reference")
     T, L, dBn, dWn = decoded.branches.shape
-    block, want = decoded.diag, np.zeros_like(state)
+    block, want = eg.protocol_state(code, V, povm, abstain)[np.arange(T), np.arange(T)], np.zeros_like(state)
     for m, _, (u, vh) in eg._decoupler_factors(code, V, decoded.branches, alpha, mode):
         xs = np.swapaxes(block[..., m, :], -2, -1).reshape(-1, dBn * L, dWn)
         want[np.arange(T), np.arange(T), :, m, :] = np.swapaxes(np.conj(u @ (vh @ xs.conj())), -2, -1)
@@ -826,7 +870,7 @@ def test_eg_report_diagonal_operands_equal_dense_products(seed):
     code, V, povm, abstain, alpha = bench_eg_setup(seed)
     assert eg._decode(code, V, povm, abstain, "test").roots.shape == (code.T * code.l_size, 2**code.n)
     for mode in ("paper-target", "self-target"):
-        rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+        rep = bench_eg_report(seed, mode)
         with dense_products():
             want = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
         assert rep == want
