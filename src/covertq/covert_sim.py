@@ -425,9 +425,9 @@ def _povm(words, route: Route, a: float) -> list:
     ref = _power(table[0], n)
     if route.basis is not None:
         return _lift(route.basis, _srm_weights(op.word_products(words, table), ref, a), n)
-    projectors = []
+    eigenprojectors, projectors = op.spectral_decompose(ref).projectors, []
     for w in words:
-        pinched = op.pinching(op.word_products(w, table), ref)
+        pinched = op._pinch(op.word_products(w, table), eigenprojectors)
         projectors.append(op.nonneg_eigenspace_projector(pinched - math.exp(a) * ref))
     vals, vecs = op.eigh(sum(projectors))
     inv_sqrt = np.where(vals > DEFAULT_TOL.support, 1.0 / np.sqrt(np.where(vals > DEFAULT_TOL.support, vals, 1.0)), 0.0)

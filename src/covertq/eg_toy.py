@@ -30,22 +30,21 @@ per-step functions are thin wrappers over the same construction;
 ``protocol_state`` and ``decoupling_decoder`` form the full block because
 they return it.
 
-The decoupler runs one message at a time in factored form: Gamma^m =
-conj(u vh) from the SVD of K = theta^dag psi_m is applied to the decoded
-slice X_m as conj(u (vh conj(X_m))), and u, vh are dropped before the next
-message, so no Gamma^m is ever formed (``decoupling_decoder`` applies the
-same factors to every R slice, as it returns the whole block).  Its
-``decouplerIsometryDefect`` is measured on that input: the largest
-max|Y_m^dag Y_m - X_m^dag X_m| relative to max|X_m^dag X_m|, with Y_m the
-decoupled slice.  K = theta^dag psi_m is formed from theta's dW^n columns
+The decoupler is one loop over the messages (``_decouple``): iteration m
+forms the ideal branch psi_m, its target theta and the SVD factors u, vh
+of K = theta^dag psi_m, applies Gamma^m = conj(u vh) to the decoded slice
+X_m as conj(u (vh conj(X_m))) and drops u, vh, so no Gamma^m is ever
+formed (``decoupling_decoder`` applies the same factors to every R slice,
+as it returns the whole block).  K is formed from theta's dW^n columns
 and padded with zero rows to dC, and the SVD sees all of it and returns
 LAPACK's completion: Gamma^m is not unique off the support of K, and that
 completion sets the reported fidelity, so a cheaper or differently completed
 SVD would move the pinned fidelities.  The products after the SVD run on the
 rows and columns of X_m that hold a non-zero entry (on a sparse decoded
-state, a few dozen of each), as do the Gram matrices of the defect; the zero
-rows and columns add nothing to any of these sums.  The POVM roots meet the
-outputs in one place, ``_Decoded.slices``.  Exactly diagonal operands
+state, a few dozen of each), as do the Gram matrices of the decoupler's
+defect (``decouplerIsometryDefect``); the zero rows and columns add nothing
+to any of these sums.  The POVM roots meet the outputs in one place,
+``_Decoded.slices``.  Exactly diagonal operands
 (``operators._real_diagonal``) skip their dense products, bit for bit: if
 every completed POVM element is diagonal, the roots are a (T L, dB^n) stack
 of diagonals that scale rows, else dense roots act on all rows; a real
@@ -229,16 +228,15 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, h
         raise DimMismatchError(f"POVM completion defect {defect:.3e}; supply the abstain remainder")
     # exactly diagonal elements keep their roots as diagonals, applied as row scalings
     diagonals = [op._real_diagonal(op.check_hermitian(e)) for e in elements]
-    dense = any(d is None for d in diagonals)
-    low = min(op.eigvalsh(e)[0] for e in elements) if dense else np.min(diagonals)
+    if all(d is not None for d in diagonals):
+        low, sqrts = np.min(diagonals), np.sqrt(np.clip(diagonals, 0.0, None))
+    else:  # sqrtm_psd's roots, each from the one spectrum that also gives the element's lowest eigenvalue
+        low, sqrts = np.inf, np.empty((len(elements),) + elements[0].shape, dtype=complex)
+        for k, e in enumerate(elements):
+            sqrts[k], lowest = op._sqrtm_and_low(e)
+            low = min(low, lowest)
     if low < -DEFAULT_TOL.psd:
         raise DimMismatchError(f"POVM element eigenvalue {low:.3e} below zero beyond tolerance")
-    if dense:
-        sqrts = np.empty((len(elements),) + elements[0].shape, dtype=complex)
-        for k, e in enumerate(elements):
-            sqrts[k] = op.sqrtm_psd(e)
-    else:
-        sqrts = np.sqrt(np.clip(diagonals, 0.0, None))
     # chi_k = V^{(x)n}|x^n> as a (dB^n x dW^n) matrix, B^n the row index
     chis = op.word_products(code.words.reshape(T * L, n), V.V.T.reshape(V.in_dim, V.out_dim_b, V.out_dim_w))
     overlaps = np.array([np.vdot(chi, r[:, None] * chi if r.ndim == 1 else r @ chi) for r, chi in zip(sqrts, chis)])
@@ -334,35 +332,6 @@ def uhlmann_isometry(psi, dims_psi, theta, dims_theta) -> np.ndarray:
     return np.conj(u @ vh)
 
 
-def _decoupler_factors(code: EGToyCode, V: StinespringIsometry, branches, alpha, mode: str):
-    """Per message m: m, the target theta (a dW^n x dW^n matrix, its zero
-    padding to dC left to the SVD's input) and the SVD factors (u, vh) of the
-    Uhlmann isometry Gamma^m = conj(u @ vh) : B^n Lhat -> Wbreve.
-
-    ``branches`` holds the channel outputs chi_{m,l} as (dB^n x dW^n) matrices.
-    A generator, so that one message's factors are held at a time; it yields
-    m itself because ``enumerate`` would keep the previous factors alive in
-    the result tuple it reuses.
-    """
-    T, L, n = code.T, code.l_size, code.n
-    dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
-    if mode == "paper-target":
-        _, omega0 = marginal_outputs(V, 0)
-        _, omega1 = marginal_outputs(V, 1)
-        omega_alpha = (1.0 - alpha) * omega0 + alpha * omega1
-        theta = op.canonical_purification(op.tensor_power(omega_alpha, n)).reshape(dWn, dWn)
-    elif mode != "self-target":
-        raise ValueError(f"unknown decoupling mode {mode!r}")
-    for m in range(T):
-        # ideal per-message branch on (W^n; B^n Lhat), decode phases applied
-        phases = np.exp(1j * (code.encode_phases[m] + code.decode_phases[m]))
-        psi = (phases * branches[m].T / math.sqrt(L)).reshape(dWn, dBn * L)  # (W^n, B^n, Lhat) axes
-        psi /= np.linalg.norm(psi)
-        if mode == "self-target":
-            theta = op.canonical_purification(psi @ psi.conj().T).reshape(dWn, dWn)
-        yield m, theta, _uhlmann_factors(psi, theta)
-
-
 def _decoupled(u: np.ndarray, vh: np.ndarray, x: np.ndarray):
     """Gamma = conj(u vh) applied to a stack x of (dB^n L x dW^n) slices as
     conj(u (vh conj(x))), on the rows and columns where some slice of x is
@@ -375,14 +344,18 @@ def _decoupled(u: np.ndarray, vh: np.ndarray, x: np.ndarray):
 
 
 def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha, mode: str, every_r: bool = False):
-    """The EPR fidelity and the decoupling diagnostics, one message at a time.
+    """The EPR fidelity and the decoupling diagnostics, in one loop over the messages.
 
-    Only the r = m = Mhat slices of the decoupled block meet the GHZ state.
-    Slice m is X_m = sqrt(Lam^{(m,l)}) outputs[m] with row b*L + l, a
-    (dB^n L x dW^n) matrix (``_Decoded.slices``), and Gamma^m = conj(u vh)
-    acts on it in factored form, Y_m = conj(u (vh conj(X_m))), on X_m's
-    non-zero rows and columns only (:func:`_decoupled`).  With s = sum_m Y_m
-    the EPR fidelity is ||s||^2 / T and the overlap with GHZ (x) theta_ref is
+    Iteration m forms the ideal branch psi_m on (W^n; B^n Lhat) with the decode
+    phases, its target theta (omega_alpha^(x)n purified once before the loop,
+    or psi_m's W^n marginal purified in self-target mode), the factors (u, vh)
+    of Gamma^m = conj(u vh) from :func:`_uhlmann_factors` and the decoupled
+    slice, and drops u, vh before the next message.  Only the r = m = Mhat
+    slices meet the GHZ state.  Slice m is X_m = sqrt(Lam^{(m,l)}) outputs[m]
+    with row b*L + l, a (dB^n L x dW^n) matrix (``_Decoded.slices``), and
+    Gamma^m acts on it as Y_m = conj(u (vh conj(X_m))), on X_m's non-zero rows
+    and columns only (:func:`_decoupled`).  With s = sum_m Y_m the EPR fidelity
+    is ||s||^2 / T and the overlap with GHZ (x) theta_ref, message 0's theta, is
     |<theta_ref, s^T>| / sqrt(T).  ``decouplerIsometryDefect`` is the largest
     max|Y_m^dag Y_m - X_m^dag X_m| / max|X_m^dag X_m| (the unscaled deviation
     for a zero slice), both Gram matrices taken on X_m's non-zero columns,
@@ -401,11 +374,23 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     dC = _wbreve_dim(dBn, dWn, L)
     out = np.zeros((T, dWn, T, dC), dtype=complex) if every_r else None
     s = np.zeros((dC, dWn), dtype=complex)
-    theta_ref = None
     defect = 0.0
-    for m, theta, (u, vh) in _decoupler_factors(code, V, decoded.branches, alpha, mode):
-        if theta_ref is None:
+    if mode == "paper-target":
+        _, omega0 = marginal_outputs(V, 0)
+        _, omega1 = marginal_outputs(V, 1)
+        omega_alpha = (1.0 - alpha) * omega0 + alpha * omega1
+        theta = op.canonical_purification(op.tensor_power(omega_alpha, code.n)).reshape(dWn, dWn)
+    elif mode != "self-target":
+        raise ValueError(f"unknown decoupling mode {mode!r}")
+    for m in range(T):
+        phases = np.exp(1j * (code.encode_phases[m] + code.decode_phases[m]))
+        psi = (phases * decoded.branches[m].T / math.sqrt(L)).reshape(dWn, dBn * L)  # (W^n, B^n, Lhat) axes
+        psi /= np.linalg.norm(psi)
+        if mode == "self-target":
+            theta = op.canonical_purification(psi @ psi.conj().T).reshape(dWn, dWn)
+        if m == 0:
             theta_ref = theta
+        u, vh = _uhlmann_factors(psi, theta)
         cols, x, y = _decoupled(u, vh, decoded.slices(m, every_r))
         if every_r:
             out[:, cols, m, :] = np.swapaxes(y, -2, -1)

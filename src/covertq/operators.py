@@ -342,16 +342,19 @@ def _diagonal_sqrt(real: np.ndarray) -> np.ndarray:
     return np.diag(np.sqrt(np.clip(real, 0.0, None))).astype(complex)
 
 
+def _sqrtm_and_low(m: np.ndarray):
+    """:func:`sqrtm_psd` of a checked Hermitian matrix and its lowest eigenvalue, from one spectrum."""
+    real = _real_diagonal(m)
+    if real is not None:
+        return _diagonal_sqrt(real), np.min(real)
+    vals, vecs = eigh(m)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T, vals[0]
+
+
 def sqrtm_psd(a) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix, spectrally; an exactly
     diagonal one is read off its diagonal without a matrix product."""
-    m = _single(check_hermitian(a))
-    real = _real_diagonal(m)
-    if real is not None:
-        return _diagonal_sqrt(real)
-    vals, vecs = eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return _sqrtm_and_low(_single(check_hermitian(a)))[0]
 
 
 def fidelity(rho, sigma) -> float:
@@ -376,16 +379,21 @@ def nonneg_eigenspace_projector(p) -> np.ndarray:
     return cols @ cols.conj().T
 
 
+def _pinch(m: np.ndarray, projectors) -> np.ndarray:
+    """sum_P P m P over the eigenprojectors of a pinching's reference, in their order."""
+    out = np.zeros_like(m)
+    for proj in projectors:
+        out += proj @ m @ proj
+    return out
+
+
 def pinching(q, p) -> np.ndarray:
     """Block-diagonal part of ``q`` with respect to the eigenspaces of ``p``."""
     m = _single(as_operator(q))
     sd = spectral_decompose(p)
     if sd.projectors[0].shape != m.shape:
         raise DimMismatchError("pinching reference dim mismatch")
-    out = np.zeros_like(m)
-    for proj in sd.projectors:
-        out += proj @ m @ proj
-    return out
+    return _pinch(m, sd.projectors)
 
 
 def support_projector(a) -> np.ndarray:

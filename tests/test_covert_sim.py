@@ -765,3 +765,46 @@ def test_commuting_decoder_scales_its_weights_in_place():
     ref = op.word_products(np.zeros(cfg.n, dtype=np.uint8), route.table[:1])
     errors = np.clip(1.0 - np.sum(sigs * cs._srm_weights(sigs, ref, a), axis=1), 0.0, 1.0)
     assert list(rep.perMessageError.values()) == errors.tolist()
+
+
+def per_word_pinched_povm(words, route, a):
+    """The dense-route square-root measurement with one op.pinching call, and so one
+    decomposition of the n-fold reference, per word."""
+    ref = op.word_products(np.zeros(len(words[0]), dtype=np.uint8), route.table[:1])
+    projectors = [
+        op.nonneg_eigenspace_projector(op.pinching(op.word_products(w, route.table), ref) - math.exp(a) * ref)
+        for w in words
+    ]
+    vals, vecs = op.eigh(sum(projectors))
+    inv_sqrt = np.where(vals > op.DEFAULT_TOL.support, 1.0 / np.sqrt(np.where(vals > op.DEFAULT_TOL.support, vals, 1.0)), 0.0)
+    s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
+    return [s_inv_half @ p @ s_inv_half for p in projectors]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_dense_povm_decomposes_its_reference_once(monkeypatch, n):
+    # K = 16 words on a non-commuting Bob pair: the pinching's eigenprojectors of
+    # sigma0^(x)n come from one spectral_decompose, and every output keeps its bits
+    quad = rotated_damping_quadruple()
+    cfg = cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4, seed=n, a_threshold=0.3)
+    cb = cs.sample_codebook(cfg)
+    words = list(cb.words.reshape(-1, n))
+    route = cs.pair_route(quad.sigma0, quad.sigma1)
+    assert route.name == "dense"
+    want = per_word_pinched_povm(words, route, cfg.a_threshold)
+    p_ok = [np.trace(e @ op.word_products(w, route.table)).real for e, w in zip(want, words)]
+    want_errors = np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0).tolist()
+    decompose, calls = op.spectral_decompose, []
+
+    def counted(h):
+        calls.append(h)
+        return decompose(h)
+
+    monkeypatch.setattr(op, "spectral_decompose", counted)
+    elements, abstain = cs.square_root_povm(words, quad.sigma0, quad.sigma1, cfg.a_threshold)
+    assert len(calls) == 1
+    rep = cs.sqrt_measurement_decoder(cb, quad, cfg)
+    assert len(calls) == 2
+    assert all(e.tobytes() == w.tobytes() for e, w in zip(elements, want)) and len(elements) == len(want)
+    assert abstain.tobytes() == (np.eye(2**n) - sum(want)).tobytes()
+    assert list(rep.perMessageError.values()) == want_errors

@@ -721,6 +721,49 @@ def test_povm_negative_within_tolerance_runs(dense):
     assert np.trace(eg.willie_marginal(code, V, povm)).real == pytest.approx(1.0, abs=1e-9)
 
 
+def with_diagonal_element(code, V, povm, abstain, alpha):
+    """The POVM with element (0, 1) the exact diagonal D = diag(0, ..., 1), every other
+    element conjugated by sqrt(I - D) and the old element (0, 1) moved into the
+    abstain remainder, so the rest stay dense and the sum stays I."""
+    d = np.linspace(0.0, 1.0, len(abstain))
+    scale = np.sqrt(1.0 - d)
+
+    def squeeze(e):
+        return scale[:, None] * e * scale
+
+    moved = squeeze(abstain + povm[1])
+    povm = [np.diag(d).astype(complex) if k == 1 else squeeze(e) for k, e in enumerate(povm)]
+    return code, V, povm, moved, alpha
+
+
+@pytest.mark.parametrize("with_diagonal", [False, True])
+def test_dense_povm_roots_take_one_eigh_per_element(monkeypatch, with_diagonal):
+    # one spectrum per dense element gives both its positivity check and its root,
+    # the bits of sqrtm_psd; an exactly diagonal element keeps its read-off root
+    setup = random_rotated_setup(2, 2, 6)
+    code, V, povm, abstain, _ = with_diagonal_element(*setup) if with_diagonal else setup
+    elements, _ = eg._completed_povm(povm, abstain)
+    dense = [op._real_diagonal(e) is None for e in elements]
+    assert not all(dense) if with_diagonal else all(dense)
+    want = np.array([op.sqrtm_psd(e) for e in elements])
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        lapack = getattr(np.linalg, name)
+
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return lapack(*args, **kwargs)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    decoded = eg._decode(code, V, povm, abstain, "test")
+    monkeypatch.undo()
+    assert calls == {"eigh": sum(dense), "eigvalsh": 0}
+    assert decoded.roots.dtype == want.dtype and decoded.roots.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("case, mode", sorted(PINNED_REPORTS))
 def test_decoupler_defect_is_live(monkeypatch, case, mode):
     # a decoupler that stretches its input by 1e-6 must show in the defect
@@ -794,8 +837,10 @@ def ref_dense_report(code, V, povm, abstain, alpha, mode):
     dense_roots = ref_roots(povm, abstain)
     roots = dense_roots.reshape(T, L, dBn, dBn)
     s, defect, theta_ref = 0.0, 0.0, None
-    aligned = eg_report_phases(code, V, povm, abstain)
-    for m, theta, (u, vh) in eg._decoupler_factors(aligned, V, decoded.branches, alpha, mode):
+    psi, thetas = ref_uhlmann_inputs(eg_report_phases(code, V, povm, abstain), V, alpha, mode)
+    for m, (p, theta) in enumerate(zip(psi, thetas)):
+        theta = theta[:, :dWn]
+        u, vh = eg._uhlmann_factors(p, theta)
         theta_ref = theta if theta_ref is None else theta_ref
         x = np.swapaxes(np.matmul(roots[m], decoded.outputs[m]), 0, 1).reshape(dBn * L, dWn)
         y = np.conj(u @ (vh @ x.conj()))
@@ -843,7 +888,9 @@ def test_decoupling_decoder_on_the_support_matches_dense_products(mode):
     decoded = eg._decode(code, V, povm, abstain, "reference")
     T, L, dBn, dWn = decoded.branches.shape
     block, want = eg.protocol_state(code, V, povm, abstain)[np.arange(T), np.arange(T)], np.zeros_like(state)
-    for m, _, (u, vh) in eg._decoupler_factors(code, V, decoded.branches, alpha, mode):
+    psi, thetas = ref_uhlmann_inputs(code, V, alpha, mode)
+    for m, (p, theta) in enumerate(zip(psi, thetas)):
+        u, vh = eg._uhlmann_factors(p, theta[:, :dWn])
         xs = np.swapaxes(block[..., m, :], -2, -1).reshape(-1, dBn * L, dWn)
         want[np.arange(T), np.arange(T), :, m, :] = np.swapaxes(np.conj(u @ (vh @ xs.conj())), -2, -1)
     np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
