@@ -45,7 +45,7 @@ from . import budget
 from . import divergences as dv
 from . import operators as op
 from .channels import BinaryCovertChannel, mixed_output
-from .errors import IndexOutOfRangeError, InvalidParameterError
+from .errors import DimMismatchError, IndexOutOfRangeError, InvalidParameterError
 from .operators import DEFAULT_TOL
 
 _BLOCK_BYTES = 1 << 20  #: bytes a block of codebooks may be charged, or the budget if smaller; fixed
@@ -105,6 +105,10 @@ class Codebook:
     m_size: int
     l_size: int
     words: np.ndarray  # uint8 array of shape (m_size, l_size, n)
+
+    def __post_init__(self):
+        if np.shape(self.words) != (self.m_size, self.l_size, self.n):
+            raise DimMismatchError(f"words of shape {np.shape(self.words)} for (m_size, l_size, n) = {(self.m_size, self.l_size, self.n)}")
 
     def word(self, m: int, l: int) -> np.ndarray:
         if not (0 <= m < self.m_size and 0 <= l < self.l_size):

@@ -11,10 +11,11 @@ Stack contract: ``qre``, ``chi_square``, ``hockey_stick``, ``petz_renyi``
 and ``helstrom_error`` take a pair of density operators or two equal-shape
 stacks of them, shape ``(..., d, d)``, and evaluate every pair at once with
 batched eigendecompositions.  A 2-D pair gives a ``float``, stacks give an
-array of shape ``(...)``.  In ``qre`` and ``chi_square`` an eigenbasis that
-``operators.eigh`` read off a diagonal input is applied as a gather, which
-is the matrix product bit for bit.  ``phi`` takes a scalar or an array of orders
-``s`` and answers in kind.  The remaining functions take single states.
+array of shape ``(...)``.  Every kernel that applies an eigenbasis (``qre``,
+``chi_square``, and through ``operators._overlap`` ``petz_renyi`` and ``phi``)
+gathers by one that ``operators.eigh`` read off a diagonal input, the matrix
+product bit for bit.  ``phi`` takes a scalar or an array of orders ``s`` and
+answers in kind.  The remaining functions take single states.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ from .errors import DimMismatchError, InvalidGammaError, SingularReferenceError
 from .operators import DEFAULT_TOL
 
 
-def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
+def _checked_pair(rho, sigma):
+    """``rho`` and ``sigma`` as Hermitian arrays of one dimension and stack shape."""
+    a, b = op.check_hermitian(rho), op.check_hermitian(sigma)
     if a.shape[-1] != b.shape[-1]:
         raise DimMismatchError(f"dims {a.shape[-1]} vs {b.shape[-1]}")
     if a.shape != b.shape:
         raise DimMismatchError(f"stack shapes {a.shape[:-2]} vs {b.shape[:-2]}")
+    return a, b
 
 
 def _log_where(mask, x):
@@ -58,19 +62,14 @@ def qre(rho, sigma):
     float or ndarray
         Nonnegative divergence value, possibly ``inf``; one per stack element.
     """
-    r = op.check_hermitian(rho)
-    s = op.check_hermitian(sigma)
-    _require_same_dim(r, s)
-    rvals, rvecs, rorder = op._eigh(r)
-    svals, svecs, sorder = op._eigh(s)
+    r, s = _checked_pair(rho, sigma)
+    rvals, svals, overlap = op._overlap(r, s)
     # eigenvalues of rho at or below the support tolerance drop out
     on_r = rvals > DEFAULT_TOL.support
     on_s = svals > DEFAULT_TOL.support
     lam = np.where(on_r, rvals, 0.0)
     # weight[i, j] = lam_i |<u_i|v_j>|^2 between eigenvectors of rho and sigma
-    overlap = (op._basis_product(op.dagger(rvecs), svecs, sorder, -1) if rorder is None
-               else op._basis_product(svecs, rvecs, rorder, -2))
-    weight = lam[..., :, None] * np.abs(overlap) ** 2
+    weight = lam[..., :, None] * overlap
     escapes = np.any((weight > DEFAULT_TOL.support) & ~on_s[..., None, :], axis=(-2, -1))
     # summed left to right, each rho eigenvalue's entropy term then its cross
     # terms, so a 2-D input gives the bits of the plain per-eigenvalue sum
@@ -101,9 +100,7 @@ def chi_square(rho, sigma):
         If ``sigma`` (the lowest such stack element) is not full rank within
         the support tolerance.
     """
-    r = op.check_hermitian(rho)
-    s = op.check_hermitian(sigma)
-    _require_same_dim(r, s)
+    r, s = _checked_pair(rho, sigma)
     vals, vecs, order = op._eigh(s)
     # each ascending eigenvalue at the mean of its cluster, labelled by the package's one rule
     label = np.cumsum(op._cluster_starts(vals), axis=-1)
@@ -164,36 +161,34 @@ def hockey_stick(rho, sigma, gamma: float):
     """
     if not (math.isfinite(gamma) and gamma >= 1.0):
         raise InvalidGammaError(f"gamma must be finite and >= 1, got {gamma}")
-    r = op.check_hermitian(rho)
-    s = op.check_hermitian(sigma)
-    _require_same_dim(r, s)
+    r, s = _checked_pair(rho, sigma)
     vals = op.eigvalsh(r - gamma * s)
     return op.scalar_or_stack(np.sum(np.where(vals > 0.0, vals, 0.0), axis=-1))
 
 
-def petz_renyi(rho, sigma, s: float):
-    """Petz-Renyi relative entropy (1/(s-1)) log tr[rho^s sigma^{1-s}].
+def _trace_powers(rho, sigma, p, q):
+    """tr[rho^p sigma^q] of checked Hermitian stacks for exponent arrays ``p``, ``q``, each power
+    on its state's support (a power 0 is its projector): sum_ij a_i^p |<u_i|v_j>|^2 b_j^q."""
+    a, b, overlap = op._overlap(rho, sigma)
+    on_a, on_b = a > DEFAULT_TOL.support, b > DEFAULT_TOL.support
+    a_pow = np.where(on_a, a, 1.0) ** np.asarray(p)[..., None] * on_a
+    b_pow = np.where(on_b, b, 1.0) ** np.asarray(q)[..., None] * on_b
+    return np.einsum("...i,...ij,...j->...", a_pow, overlap, b_pow)
 
-    Powers are taken spectrally on the respective supports.  For s > 1 a
-    support violation of rho against sigma yields ``inf``.
+
+def petz_renyi(rho, sigma, s: float):
+    """Petz-Renyi relative entropy (1/(s-1)) log tr[rho^s sigma^{1-s}] of an order s >= 0, s != 1.
+
+    Powers are taken spectrally on the respective supports, so order 0 gives
+    -log tr[Pi_rho sigma], its s -> 0+ limit.  For s > 1 a support violation
+    of rho against sigma yields ``inf``.
     """
-    if not math.isfinite(s):
-        raise ValueError(f"order s must be finite, got {s}")
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ValueError(f"order s must be finite and >= 0, got {s}")
     if s == 1.0:
         raise ValueError("order s = 1 is the qre limit; call qre instead")
-    r = op.check_hermitian(rho)
-    sig = op.check_hermitian(sigma)
-    _require_same_dim(r, sig)
-    rvals, rvecs = op.eigh(r)
-    svals, svecs = op.eigh(sig)
-    rvals = np.clip(rvals, 0.0, None)
-    svals = np.clip(svals, 0.0, None)
-    overlap = np.abs(op.dagger(rvecs) @ svecs) ** 2
-    rp = np.where(rvals > DEFAULT_TOL.support, rvals, 0.0) ** s if s != 0 else np.ones_like(rvals)
-    with np.errstate(divide="ignore"):
-        sp = np.where(svals > DEFAULT_TOL.support, svals, np.nan) ** (1.0 - s)
-    sp = np.nan_to_num(sp, nan=0.0, posinf=0.0)
-    trace = np.einsum("...i,...ij,...j->...", rp, overlap, sp)
+    r, sig = _checked_pair(rho, sigma)
+    trace = _trace_powers(r, sig, s, 1.0 - s)
     infinite = trace <= 0.0
     if s > 1.0:
         infinite = infinite | np.logical_not(op.support_contained(r, sig))
@@ -220,44 +215,30 @@ class CqEnsemble:
         return sum(p * np.asarray(w, dtype=complex) for p, w in zip(self.probs, self.states))
 
 
-def _spectrum_on_support(h):
-    """Eigenvalues (1 off the support), support mask and eigenvectors of ``h``."""
-    vals, vecs = op.eigh(op.check_hermitian(h))
-    support = vals > DEFAULT_TOL.support
-    return np.where(support, vals, 1.0), support, vecs
-
-
 def phi(s, ensemble: CqEnsemble):
     """Cumulant functional log sum_x p(x) tr[w_x^{1-s} w_p^s] for s <= 0.
 
     ``s`` is a scalar, giving a ``float``, or an array, giving an array of
-    its shape; each state is eigendecomposed once for all values of ``s``,
-    and the trace is sum_ij a_i^{1-s} b_j^s |<u_i|v_j>|^2 over the supports
-    of w_x = sum a_i |u_i><u_i| and w_p = sum b_j |v_j><v_j|.  The average
-    state w_p is formed internally; phi(0, .) = 0 exactly.
+    its shape; each pair (w_x, w_p) is eigendecomposed once for all values of
+    ``s``, and the trace is sum_ij a_i^{1-s} b_j^s |<u_i|v_j>|^2 over the
+    supports of w_x = sum a_i |u_i><u_i| and w_p = sum b_j |v_j><v_j|.  The
+    average state w_p is formed internally; phi(0, .) = 0 exactly.
     """
     s_arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s_arr) & (s_arr <= 0.0)):
         raise ValueError(f"phi is defined for finite s <= 0, got s = {s}")
-    exps = s_arr[..., None]
-    b, b_support, v = _spectrum_on_support(ensemble.average_state())
-    wp_s = b**exps * b_support
+    w_p = op.check_hermitian(ensemble.average_state())
     total = np.zeros(s_arr.shape)
     for p, w in zip(ensemble.probs, ensemble.states):
         if p == 0.0:
             continue
-        a, a_support, u = _spectrum_on_support(w)
-        overlap = np.abs(u.conj().T @ v) ** 2
-        w_pow = a ** (1.0 - exps) * a_support
-        total = total + p * np.einsum("...i,ij,...j->...", w_pow, overlap, wp_s)
+        total = total + p * _trace_powers(op.check_hermitian(w), w_p, 1.0 - s_arr, s_arr)
     return op.scalar_or_stack(np.where(s_arr == 0.0, 0.0, np.log(total)))
 
 
 def helstrom_error(rho, sigma):
     """Minimal binary-discrimination error (1/2)(1 - ||rho - sigma||_1 / 2)."""
-    r = op.check_hermitian(rho)
-    s = op.check_hermitian(sigma)
-    _require_same_dim(r, s)
+    r, s = _checked_pair(rho, sigma)
     return 0.5 * (1.0 - 0.5 * op.trace_norm(r - s))
 
 

@@ -63,7 +63,7 @@ from . import covert_sim as cs
 from . import divergences as dv
 from . import operators as op
 from .channels import KrausChannel, StinespringIsometry, build_covert_channel, marginal_outputs, stinespring_from_kraus
-from .errors import AssumptionViolationError, DimMismatchError, DuplicateWordError, TrivialTestError
+from .errors import AssumptionViolationError, DimMismatchError, DuplicateWordError, InvalidParameterError, TrivialTestError
 from .operators import DEFAULT_TOL
 
 
@@ -77,6 +77,11 @@ class EGToyCode:
     words: np.ndarray  # uint8, shape (T, l_size, n)
     encode_phases: np.ndarray  # float, shape (T, l_size)
     decode_phases: np.ndarray  # float, shape (T, l_size)
+
+    def __post_init__(self):
+        shapes = (np.shape(self.words), np.shape(self.encode_phases), np.shape(self.decode_phases))
+        if shapes != ((self.T, self.l_size, self.n),) + ((self.T, self.l_size),) * 2:
+            raise DimMismatchError(f"words and phases of shapes {shapes} for (T, l_size, n) = {(self.T, self.l_size, self.n)}")
 
     @staticmethod
     def from_words(words, encode_phases=None, decode_phases=None) -> "EGToyCode":
@@ -361,7 +366,8 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     for a zero slice), both Gram matrices taken on X_m's non-zero columns,
     where the rest of them is zero: how far the decoupler fails to preserve
     the inner products of the input it is applied to, which bounds the error
-    of the reported fidelity.  ``alpha`` defaults to the code's fraction of ones.
+    of the reported fidelity.  ``alpha``, which must lie in [0, 1], defaults to
+    the code's fraction of ones.
 
     With ``every_r`` the same factored Gamma^m acts on the Mhat = m slices of
     every R at once, on the rows and columns where any of them is non-zero,
@@ -370,6 +376,8 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     """
     if alpha is None:
         alpha = float(np.mean(code.words))
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidParameterError(f"alpha = {alpha} outside [0, 1]")
     T, L, dBn, dWn = decoded.branches.shape
     dC = _wbreve_dim(dBn, dWn, L)
     out = np.zeros((T, dWn, T, dC), dtype=complex) if every_r else None

@@ -11,15 +11,16 @@ entries are all exactly zero is read off its diagonal (sorted values, a
 permutation matrix of eigenvectors) and any other goes to LAPACK whole.
 :func:`sqrtm_psd` and :func:`canonical_purification` write the square root
 of an exactly diagonal input onto its diagonal, and products with a read-off
-basis are gathers (:func:`_basis_product`); ``eg_toy`` scales rows by diagonal
-POVM roots and theta.  Each equals the dense product bit for bit, and
+basis are gathers (:func:`_basis_product`, and :func:`_overlap` between two
+eigenbases); ``eg_toy`` scales rows by diagonal POVM roots and theta.  Each
+equals the dense product bit for bit, and
 :func:`_real_diagonal` is the one test for such input.  The decoupler's SVDs
 in ``eg_toy`` are not eigendecompositions and stay on ``np.linalg.svd``.
 
 Stack contract: :func:`as_operator`, :func:`check_hermitian`, :func:`eigh`,
-:func:`eigvalsh`, :func:`trace_norm`, :func:`support_projector` and
-:func:`support_contained` take a stack of square matrices of shape
-``(..., d, d)`` and work on every element at once.  :func:`trace_norm` takes Hermitian input only (the trace
+:func:`eigvalsh`, :func:`trace_norm` and :func:`support_contained` take a
+stack of square matrices of shape ``(..., d, d)`` and work on every element
+at once.  :func:`trace_norm` takes Hermitian input only (the trace
 distance of two states): it sums the absolute eigenvalues from ``eigvalsh``
 and raises ``NotHermitianError`` on anything else.  A 2-D input gives a ``float`` (``bool`` for
 ``support_contained``), a stacked input an array of shape ``(...)``.  A check
@@ -160,6 +161,19 @@ def _basis_product(a, vecs, order, axis: int):
     if order.ndim == 1:
         return a[order] if axis == -2 else a[:, order]
     return np.take_along_axis(a, order[..., :, None] if axis == -2 else order[..., None, :], axis=axis)
+
+
+def _overlap(a, b):
+    """Ascending spectra of checked Hermitian stacks ``a``, ``b`` and the weights |<u_i|v_j>|^2 of
+    their eigenvectors, a read-off basis gathered: the package's one product of two eigenbases."""
+    if a.shape[-1] != b.shape[-1]:
+        raise DimMismatchError(f"dims {a.shape[-1]} vs {b.shape[-1]}")
+    avals, avecs, aorder = _eigh(a)
+    bvals, bvecs, border = _eigh(b)
+    product = (_basis_product(dagger(avecs), bvecs, border, -1) if aorder is None
+               else _basis_product(bvecs, avecs, aorder, -2))
+    # C order, as a product returns it: einsum's summation order follows the layout
+    return avals, bvals, np.ascontiguousarray(np.abs(product) ** 2)
 
 
 def eigh(h):
@@ -396,27 +410,15 @@ def pinching(q, p) -> np.ndarray:
     return _pinch(m, sd.projectors)
 
 
-def support_projector(a) -> np.ndarray:
-    """Projector onto the span of eigenvectors with eigenvalue > ``DEFAULT_TOL.support``."""
-    vals, vecs, order = _eigh(check_hermitian(a))
-    cols = vecs * (vals > DEFAULT_TOL.support)[..., None, :]
-    if order is None:
-        return cols @ dagger(cols)
-    # P diag(mask) P^dag is diagonal, and each row of cols = P diag(mask) holds its one entry
-    return np.eye(cols.shape[-1]) * cols.sum(axis=-1)[..., None, :]
-
-
 def support_contained(inner, outer):
     """Test supp(inner) subseteq supp(outer) numerically.
 
-    Every eigenvector of ``inner`` with eigenvalue above the support tolerance
-    must have residual norm below its square root after projecting onto the support
-    of ``outer``.
+    Every eigenvector of ``inner`` with eigenvalue above the support tolerance must put less
+    than that tolerance of squared norm on the eigenvectors of ``outer`` at or below it.
     """
-    proj = support_projector(outer)
-    vals, vecs, order = _eigh(check_hermitian(inner))
-    residual = np.linalg.norm(vecs - _basis_product(proj, vecs, order, -1), axis=-2)
-    escapes = (vals > DEFAULT_TOL.support) & (residual >= np.sqrt(DEFAULT_TOL.support))
+    vals, outer_vals, weight = _overlap(check_hermitian(inner), check_hermitian(outer))
+    residual = np.sum(np.where(outer_vals[..., None, :] > DEFAULT_TOL.support, 0.0, weight), axis=-1)
+    escapes = (vals > DEFAULT_TOL.support) & (residual >= DEFAULT_TOL.support)
     return scalar_or_stack(~np.any(escapes, axis=-1), bool)
 
 

@@ -12,7 +12,7 @@ from covertq import channels as chn
 from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
-from covertq.errors import BudgetExceededError, IndexOutOfRangeError, InvalidParameterError, NotHermitianError
+from covertq.errors import BudgetExceededError, DimMismatchError, IndexOutOfRangeError, InvalidParameterError, NotHermitianError
 
 
 def excitation_quadruple(gamma=0.25):
@@ -87,6 +87,15 @@ def test_willie_average_trivial_cases():
         np.kron(quad.omega0, quad.omega0) + np.kron(quad.omega1, quad.omega1)
     )
     np.testing.assert_allclose(cs.willie_average_state(cb2, quad), expected, atol=1e-12)
+
+
+def test_codebook_shape_fields_must_match_words():
+    with pytest.raises(DimMismatchError, match="shape"):
+        cs.Codebook(4, 1, 1, np.zeros((2, 2, 4), dtype=np.uint8))
+    with pytest.raises(DimMismatchError, match="shape"):
+        cs.Codebook(4, 2, 2, np.zeros((2, 2, 3), dtype=np.uint8))
+    cfg = cs.SimConfig(n=5, gamma=0.6, m_size=3, l_size=2, seed=1)
+    assert cs.sample_codebook(cfg).words.shape == (3, 2, 5)
 
 
 def test_willie_average_full_population():

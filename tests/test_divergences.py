@@ -169,6 +169,22 @@ def test_petz_renyi():
     assert dv.petz_renyi(p, q, 1.0 - 1e-5) == pytest.approx(dv.qre(p, q), abs=1e-4)
 
 
+def test_petz_renyi_order_zero_is_the_support_projector():
+    # rho^0 is Pi_rho, so order 0 is -log tr[Pi_rho sigma], the limit s -> 0+
+    rho, sigma = np.diag([1.0, 0.0]), np.eye(2) / 2
+    assert dv.petz_renyi(rho, sigma, 0.0) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert dv.petz_renyi(rho, sigma, 0.0) == pytest.approx(dv.petz_renyi(rho, sigma, 1e-9), abs=1e-8)
+    rng = np.random.default_rng(3)
+    u = random_unitary(rng, 3)
+    pure = rotated(u, np.array([0.0, 0.0, 1.0]))
+    full = random_density(rng, 3)
+    want = -math.log(np.trace(pure @ full).real)
+    assert dv.petz_renyi(pure, full, 0.0) == pytest.approx(want, abs=1e-12)
+    assert dv.petz_renyi(pure, full, 0.0) == pytest.approx(dv.petz_renyi(pure, full, 1e-9), abs=1e-8)
+    # a full-rank rho has Pi_rho = I
+    assert dv.petz_renyi(random_density(rng, 3), full, 0.0) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_phi():
     rng = np.random.default_rng(9)
     ens = dv.CqEnsemble(np.array([0.5, 0.5]), (random_density(rng, 2), random_density(rng, 2)))
@@ -216,10 +232,11 @@ def test_phi_array_matches_scalar_calls():
     (lambda r, s, e: dv.petz_renyi(r, s, math.nan), ValueError),
     (lambda r, s, e: dv.petz_renyi(r, s, math.inf), ValueError),
     (lambda r, s, e: dv.petz_renyi(r, s, -math.inf), ValueError),
+    (lambda r, s, e: dv.petz_renyi(r, s, -0.5), ValueError),
     (lambda r, s, e: dv.phi(math.nan, e), ValueError),
     (lambda r, s, e: dv.phi(-math.inf, e), ValueError),
     (lambda r, s, e: dv.phi(np.array([-0.5, math.nan]), e), ValueError),
-], ids=["hockey-nan", "hockey-inf", "petz-nan", "petz-inf", "petz-minus-inf",
+], ids=["hockey-nan", "hockey-inf", "petz-nan", "petz-inf", "petz-minus-inf", "petz-negative",
         "phi-nan", "phi-minus-inf", "phi-array-nan"])
 def test_non_finite_parameters_raise(call, error):
     # NaN fails every range comparison, so a check written as "x < bound" lets it through
@@ -451,7 +468,10 @@ def test_read_off_eigenbases_are_gathered_exactly(monkeypatch):
         pairs += [(a[i], b[i]) for a, b in pairs[:3] for i in (0, 999)]
         out = [dv.qre(a, b) for a, b in pairs] + [op.support_contained(a, b) for a, b in pairs]
         out += [dv.chi_square(a, b) for a, b in pairs if b is not rotated]
-        return out + [op.support_projector(m) for m in (quad.sigma0, quad.sigma1, quad.omega1, quad.omega1[5])]
+        out += [dv.petz_renyi(a, b, order) for a, b in pairs for order in (0.5, 2.0)]
+        ensembles = [(quad.omega0[i], quad.omega1[i]) for i in (0, 999)] + [(quad.omega1[i], rotated[i]) for i in (0, 999)]
+        grid = np.array([-1.0, -0.5, -0.25, -0.1, -0.05])[:, None]  # the shape of the resolvability bound's s grid
+        return out + [dv.phi(grid, dv.CqEnsemble(np.array([0.25, 0.75]), states)) for states in ensembles]
 
     got = kernels()
     eigh = op._eigh

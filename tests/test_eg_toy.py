@@ -11,7 +11,7 @@ from covertq import channels as chn
 from covertq import divergences as dv
 from covertq import eg_toy as eg
 from covertq import operators as op
-from covertq.errors import BudgetExceededError, DimMismatchError, DuplicateWordError
+from covertq.errors import BudgetExceededError, DimMismatchError, DuplicateWordError, InvalidParameterError
 
 
 def demo_setup(gamma=0.1):
@@ -54,6 +54,26 @@ def test_duplicate_word():
         eg.build_quantum_codewords(code)
     with pytest.raises(DuplicateWordError):
         eg.exact_string_povm([[0, 1], [0, 1]])
+
+
+def test_code_shape_fields_must_match_words():
+    # six words of shape (2, 3, 4) are two messages of three, never three of two
+    words = np.arange(24).reshape(2, 3, 4) % 2
+    with pytest.raises(DimMismatchError, match="shapes"):
+        eg.EGToyCode(T=3, l_size=2, n=4, words=words, encode_phases=np.zeros((3, 2)), decode_phases=np.zeros((3, 2)))
+    with pytest.raises(DimMismatchError, match="shapes"):
+        eg.EGToyCode(T=2, l_size=3, n=4, words=words, encode_phases=np.zeros((2, 3)), decode_phases=np.zeros((3, 2)))
+    code = eg.EGToyCode.from_words(words)
+    assert (code.T, code.l_size, code.n) == (2, 3, 4)
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.5, math.nan])
+def test_decoupler_alpha_outside_unit_interval_raises(alpha):
+    # alpha = 1.5 would purify (1.5 omega1 - 0.5 omega0)^(x)n, which is not a state
+    code, V, povm, abstain, _ = demo_setup()
+    for run in (eg.eg_report, eg.decoupling_decoder, eg.eliminate_assistance):
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            run(code, V, povm, abstain, alpha=alpha)
 
 
 def test_protocol_state_normalized_and_isometric():
