@@ -23,8 +23,8 @@ directly was timed no faster for any K at d = 2 and 3.  Resolvability samples
 and secrecy bins are averaged and charged in blocks of as many codebooks as
 fit in min(``_BLOCK_BYTES``, budget), at least one.  The decoder and
 ``square_root_povm`` keep two algorithms, as the pinched threshold projectors
-of a non-commuting pair are not diagonal in any product basis; their dense
-route builds one word's product state at a time.
+of a non-commuting pair are not diagonal in any product basis (the dense one
+builds one word's product state at a time), and one rule, ``op._threshold_kept``.
 
 Randomness uses the counter-based Philox generator keyed by
 ``(seed, sample_index)``, one generator per block set to each key in turn; within one
@@ -70,9 +70,9 @@ class SimConfig:
     type with ``__index__`` but bool, such as ``np.int64``), stored as int.
 
     ``alpha`` is derived as gamma / sqrt(n) unless given explicitly; it is the
-    Bernoulli weight of the non-innocent symbol.  ``a_threshold`` tunes the
-    decoder's pinched-threshold projectors and defaults to alpha * n *
-    D(sigma1||sigma0) / 2 when left as None.  The bound's grid is fixed.
+    Bernoulli weight of the non-innocent symbol.  ``a_threshold``, finite, is
+    the decoder's threshold a (see ``operators._threshold_kept``) and defaults
+    to alpha * n * D(sigma1||sigma0) / 2 when left as None.  The bound's grid is fixed.
     """
 
     n: int
@@ -95,6 +95,8 @@ class SimConfig:
             object.__setattr__(self, "alpha", self.gamma / math.sqrt(self.n))
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidParameterError(f"alpha = {self.alpha} outside [0, 1]")
+        if self.a_threshold is not None and not math.isfinite(self.a_threshold):
+            raise InvalidParameterError(f"a_threshold = {self.a_threshold} is not finite")
 
 
 @dataclass(frozen=True)
@@ -409,69 +411,53 @@ def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> Sec
     return SecrecyReport(perBinDistances=tuple(map(float, dists)), averageLeakage=float(np.mean(dists)))
 
 
-def _srm_weights(sigs, ref, a: float) -> np.ndarray:
-    """Square-root-measurement elements as diagonals in a shared eigenbasis.
-
-    ``sigs`` holds the (K, D) eigenvalue distributions of the codeword states
-    and ``ref`` the n-fold reference's.  Pi_c is the indicator of
-    sigma_c - e^a ref >= -DEFAULT_TOL.cluster, S = sum Pi_c counts the words at each
-    entry, and Upsilon_c = Pi_c / S with 1/S set to 0 where S <= DEFAULT_TOL.support.
-    """
-    projectors = sigs - math.exp(a) * ref >= -DEFAULT_TOL.cluster
+def _srm_weights(words, table, a: float):
+    """The (K, D) distributions sigma_c of the (K, n) ``words`` on a commuting route's ``table``, and the
+    diagonals Upsilon_c = Pi_c / S of its square-root measurement, S = sum Pi_c and 1/0 read as 0."""
+    rule, scale = op._threshold_reference(table[0], len(words[0]), a)
+    sigs = op.word_products(words, table)
+    projectors = op._threshold_kept(sigs - scale * rule[0], rule, scale)
     counts = projectors.sum(axis=0)
     inv = np.divide(1.0, counts, out=np.zeros(counts.shape), where=counts > DEFAULT_TOL.support)
-    return projectors * inv
-
-
-def _povm(words, route: Route, a: float) -> list:
-    """The square-root measurement's elements for the (K, n) ``words`` on Bob's ``route``."""
-    n, table = len(words[0]), route.table
-    ref = _power(table[0], n)
-    if route.basis is not None:
-        return _lift(route.basis, _srm_weights(op.word_products(words, table), ref, a), n)
-    eigenprojectors, projectors = op.spectral_decompose(ref).projectors, []
-    for w in words:
-        pinched = op._pinch(op.word_products(w, table), eigenprojectors)
-        projectors.append(op.nonneg_eigenspace_projector(pinched - math.exp(a) * ref))
-    vals, vecs = op.eigh(sum(projectors))
-    inv_sqrt = np.where(vals > DEFAULT_TOL.support, 1.0 / np.sqrt(np.where(vals > DEFAULT_TOL.support, vals, 1.0)), 0.0)
-    s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
-    return [s_inv_half @ p @ s_inv_half for p in projectors]
+    return sigs, projectors * inv
 
 
 def square_root_povm(words, sigma0, sigma1, a_threshold: float):
     """Square-root measurement from pinched-threshold codeword projectors.
 
-    For each classical word c the projector Pi_c is the nonnegative eigenspace
-    of pinch(sigma_c; sigma0^{(x)n}) - e^a sigma0^{(x)n}.  With S = sum Pi_c,
-    the POVM elements are Upsilon_c = S^{-1/2} Pi_c S^{-1/2} using the
-    pseudo-inverse square root on the support of S; the remainder I - sum
-    Upsilon is the abstain outcome.  When sigma0 and sigma1 commute, every
-    one of these operators is diagonal in the n-fold shared eigenbasis and
-    is built from its diagonal, as in :func:`sqrt_measurement_decoder`.
-
-    Returns
-    -------
-    (elements, abstain) : (list of ndarray, ndarray)
+    For each classical word c the projector Pi_c spans the eigenvectors of
+    pinch(sigma_c; sigma0^{(x)n}) - e^a sigma0^{(x)n} that
+    ``operators._threshold_kept`` keeps.  The elements are Upsilon_c = S^{-1/2}
+    Pi_c S^{-1/2}, S = sum Pi_c, and I - sum Upsilon is the abstain outcome.
+    When sigma0 and sigma1 commute, each is built from its diagonal in the
+    n-fold shared eigenbasis.  A threshold that is not finite raises.  Returns
+    ``(elements, abstain)``.
     """
     return povm_on_route([np.asarray(w) for w in words], pair_route(sigma0, sigma1), a_threshold)
 
 
 def povm_on_route(words, route: Route, a_threshold: float):
     """:func:`square_root_povm` on a :func:`pair_route` its caller built and reports."""
-    _charge("square_root_povm", route, len(words[0]), len(words))
-    elements = _povm(words, route, a_threshold)
+    n, table = len(words[0]), route.table
+    _charge("square_root_povm", route, n, len(words))
+    if route.basis is not None:
+        elements = _lift(route.basis, _srm_weights(words, table, a_threshold)[1], n)
+    else:
+        letters, letter_basis = op.eigh(table[0])  # an eigenvector's weights are its overlaps with sigma0^(x)n's eigenbasis
+        rule, scale = op._threshold_reference(letters, n, a_threshold)
+        ref, basis = _power(table[0], n), op.dagger(_power(letter_basis, n))
+        eigenprojectors, projectors = op.spectral_decompose(ref).projectors, []
+        for w in words:
+            vals, vecs = op.eigh(op._pinch(op.word_products(w, table), eigenprojectors) - scale * ref)
+            cols = vecs[:, op._threshold_kept(vals, rule @ np.abs(basis @ vecs) ** 2, scale)]
+            projectors.append(cols @ cols.conj().T)
+        elements = op._square_root_measurement(projectors)
     return elements, np.eye(len(elements[0])) - sum(elements)
 
 
 def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> DecoderReport:
-    """Error probabilities of the square-root measurement on Bob's outputs.
-
-    When sigma0 and sigma1 commute, every operator of the measurement is
-    diagonal in their shared eigenbasis: the pinching is the identity, Pi_c
-    is the indicator of sigma_c - e^a sigma0^{(x)n} >= -DEFAULT_TOL.cluster, and
-    S^{-1/2} vanishes where S <= DEFAULT_TOL.support, as in :func:`square_root_povm`.
-    """
+    """Error probabilities of :func:`square_root_povm` on Bob's outputs, on
+    diagonals in the shared eigenbasis when sigma0 and sigma1 commute."""
     route = _bob_route(ch)
     _charge("sqrt_measurement_decoder", route, cb.n, cb.m_size * cb.l_size)
     a = cfg.a_threshold
@@ -479,12 +465,11 @@ def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConf
         a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0)
     words = cb.words.reshape(-1, cb.n)
     if route.basis is not None:
-        sigs = op.word_products(words, route.table)
-        weighted = _srm_weights(sigs, _power(route.table[0], cb.n), a)
+        sigs, weighted = _srm_weights(words, route.table, a)
         weighted *= sigs  # in place, the same products as sigs * weights
         p_ok = np.sum(weighted, axis=1)
     else:
-        p_ok = [np.trace(e @ op.word_products(w, route.table)).real for e, w in zip(_povm(words, route, a), words)]
+        p_ok = [np.trace(e @ op.word_products(w, route.table)).real for e, w in zip(povm_on_route(words, route, a)[0], words)]
     errors = np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0)
     per_message = {ml: float(e) for ml, e in zip(np.ndindex(cb.m_size, cb.l_size), errors)}
     return DecoderReport(perMessageError=per_message, averageError=float(errors.mean()), maxError=float(errors.max()))

@@ -63,7 +63,7 @@ def qre(rho, sigma):
         Nonnegative divergence value, possibly ``inf``; one per stack element.
     """
     r, s = _checked_pair(rho, sigma)
-    rvals, svals, overlap = op._overlap(r, s)
+    rvals, svals, overlap = op._overlap(op._eigh(r), op._eigh(s))
     # eigenvalues of rho at or below the support tolerance drop out
     on_r = rvals > DEFAULT_TOL.support
     on_s = svals > DEFAULT_TOL.support
@@ -166,14 +166,14 @@ def hockey_stick(rho, sigma, gamma: float):
     return op.scalar_or_stack(np.sum(np.where(vals > 0.0, vals, 0.0), axis=-1))
 
 
-def _trace_powers(rho, sigma, p, q):
-    """tr[rho^p sigma^q] of checked Hermitian stacks for exponent arrays ``p``, ``q``, each power
+def _trace_powers(overlap, p, q):
+    """tr[rho^p sigma^q] for exponent arrays ``p``, ``q`` from ``op._overlap(rho, sigma)``, each power
     on its state's support (a power 0 is its projector): sum_ij a_i^p |<u_i|v_j>|^2 b_j^q."""
-    a, b, overlap = op._overlap(rho, sigma)
+    a, b, weight = overlap
     on_a, on_b = a > DEFAULT_TOL.support, b > DEFAULT_TOL.support
     a_pow = np.where(on_a, a, 1.0) ** np.asarray(p)[..., None] * on_a
     b_pow = np.where(on_b, b, 1.0) ** np.asarray(q)[..., None] * on_b
-    return np.einsum("...i,...ij,...j->...", a_pow, overlap, b_pow)
+    return np.einsum("...i,...ij,...j->...", a_pow, weight, b_pow)
 
 
 def petz_renyi(rho, sigma, s: float):
@@ -187,11 +187,11 @@ def petz_renyi(rho, sigma, s: float):
         raise ValueError(f"order s must be finite and >= 0, got {s}")
     if s == 1.0:
         raise ValueError("order s = 1 is the qre limit; call qre instead")
-    r, sig = _checked_pair(rho, sigma)
-    trace = _trace_powers(r, sig, s, 1.0 - s)
+    overlap = op._overlap(*map(op._eigh, _checked_pair(rho, sigma)))
+    trace = _trace_powers(overlap, s, 1.0 - s)
     infinite = trace <= 0.0
     if s > 1.0:
-        infinite = infinite | np.logical_not(op.support_contained(r, sig))
+        infinite = infinite | ~op._contained(*overlap)
     value = _log_where(~infinite, trace) / (s - 1.0)
     return op.scalar_or_stack(np.where(infinite, math.inf, value))
 
@@ -227,12 +227,12 @@ def phi(s, ensemble: CqEnsemble):
     s_arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s_arr) & (s_arr <= 0.0)):
         raise ValueError(f"phi is defined for finite s <= 0, got s = {s}")
-    w_p = op.check_hermitian(ensemble.average_state())
+    w_p = op._eigh(op.check_hermitian(ensemble.average_state()))
     total = np.zeros(s_arr.shape)
     for p, w in zip(ensemble.probs, ensemble.states):
         if p == 0.0:
             continue
-        total = total + p * _trace_powers(op.check_hermitian(w), w_p, 1.0 - s_arr, s_arr)
+        total = total + p * _trace_powers(op._overlap(op._eigh(op.check_hermitian(w)), w_p), 1.0 - s_arr, s_arr)
     return op.scalar_or_stack(np.where(s_arr == 0.0, 0.0, np.log(total)))
 
 

@@ -32,6 +32,7 @@ function here takes single matrices only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,12 +165,11 @@ def _basis_product(a, vecs, order, axis: int):
 
 
 def _overlap(a, b):
-    """Ascending spectra of checked Hermitian stacks ``a``, ``b`` and the weights |<u_i|v_j>|^2 of
-    their eigenvectors, a read-off basis gathered: the package's one product of two eigenbases."""
-    if a.shape[-1] != b.shape[-1]:
-        raise DimMismatchError(f"dims {a.shape[-1]} vs {b.shape[-1]}")
-    avals, avecs, aorder = _eigh(a)
-    bvals, bvecs, border = _eigh(b)
+    """Ascending spectra of two :func:`_eigh` results ``a``, ``b`` and the weights |<u_i|v_j>|^2 of their
+    eigenvectors, a read-off basis gathered: the package's one product of two eigenbases."""
+    (avals, avecs, aorder), (bvals, bvecs, border) = a, b
+    if avals.shape[-1] != bvals.shape[-1]:
+        raise DimMismatchError(f"dims {avals.shape[-1]} vs {bvals.shape[-1]}")
     product = (_basis_product(dagger(avecs), bvecs, border, -1) if aorder is None
                else _basis_product(bvecs, avecs, aorder, -2))
     # C order, as a product returns it: einsum's summation order follows the layout
@@ -393,6 +393,31 @@ def nonneg_eigenspace_projector(p) -> np.ndarray:
     return cols @ cols.conj().T
 
 
+def _threshold_kept(values, reference, scale: float) -> np.ndarray:
+    """The square-root measurement's one threshold rule: Pi_c keeps an entry, or an eigenvector, of
+    sigma_c - scale ref whose value is at least -cluster scale w, w its reference weight (so sigma_c >=
+    scale ref (1 - cluster): ties are kept, zero-probability entries never), or that lies at most half
+    in supp(ref), outside which every sigma_c vanishes; ``reference`` stacks the w and those shares."""
+    weights, inside = reference
+    return values >= np.where(inside > 0.5, -DEFAULT_TOL.cluster * scale * weights, -np.inf)
+
+
+def _threshold_reference(letters, n: int, a: float):
+    """:func:`_threshold_kept`'s reference for sigma0's single-letter eigenvalues ``letters``: the n-fold
+    powers of them and of their support's indicator, stacked; and e^a of a finite threshold ``a``."""
+    if not math.isfinite(a):
+        raise InvalidParameterError(f"decoder threshold a = {a} is not finite")
+    return word_products([[0] * n, [1] * n], np.stack([letters, letters > DEFAULT_TOL.support])), math.exp(a)
+
+
+def _square_root_measurement(projectors) -> list:
+    """S^{-1/2} Pi S^{-1/2} for each Pi of ``projectors``, S = sum Pi, 1/sqrt on S's support only."""
+    vals, vecs = eigh(sum(projectors))
+    inv_sqrt = np.where(vals > DEFAULT_TOL.support, 1.0 / np.sqrt(np.where(vals > DEFAULT_TOL.support, vals, 1.0)), 0.0)
+    s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
+    return [s_inv_half @ p @ s_inv_half for p in projectors]
+
+
 def _pinch(m: np.ndarray, projectors) -> np.ndarray:
     """sum_P P m P over the eigenprojectors of a pinching's reference, in their order."""
     out = np.zeros_like(m)
@@ -411,15 +436,15 @@ def pinching(q, p) -> np.ndarray:
 
 
 def support_contained(inner, outer):
-    """Test supp(inner) subseteq supp(outer) numerically.
+    """Test supp(inner) subseteq supp(outer) numerically, by the rule of :func:`_contained`."""
+    return scalar_or_stack(_contained(*_overlap(_eigh(check_hermitian(inner)), _eigh(check_hermitian(outer)))), bool)
 
-    Every eigenvector of ``inner`` with eigenvalue above the support tolerance must put less
-    than that tolerance of squared norm on the eigenvectors of ``outer`` at or below it.
-    """
-    vals, outer_vals, weight = _overlap(check_hermitian(inner), check_hermitian(outer))
+
+def _contained(vals, outer_vals, weight) -> np.ndarray:
+    """:func:`support_contained` per stack element from :func:`_overlap`'s spectra and weights: every eigenvector
+    of inner above the support tolerance puts less than that tolerance of squared norm on outer's at or below it."""
     residual = np.sum(np.where(outer_vals[..., None, :] > DEFAULT_TOL.support, 0.0, weight), axis=-1)
-    escapes = (vals > DEFAULT_TOL.support) & (residual >= DEFAULT_TOL.support)
-    return scalar_or_stack(~np.any(escapes, axis=-1), bool)
+    return ~np.any((vals > DEFAULT_TOL.support) & (residual >= DEFAULT_TOL.support), axis=-1)
 
 
 def matrix_to_json(a) -> list:

@@ -287,14 +287,24 @@ def dense_trace_norm(a):
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
+def threshold_projector(pinched, ref, sigma0, n, a):
+    """Pi_c of the scale-free rule: the eigenvectors v of pinched - e^a ref with eigenvalue at least
+    -cluster e^a <v|ref|v>, and those at most half inside supp(sigma0)^(x)n, as Rayleigh quotients."""
+    vals, vecs = op.eigh(pinched - math.exp(a) * ref)
+    vals0, vecs0 = np.linalg.eigh(sigma0)
+    support = vecs0[:, vals0 > op.DEFAULT_TOL.support]
+    support_n = dense_word_state([0] * n, support @ support.conj().T, None)
+    weight, inside = (np.einsum("ij,ik,kj->j", vecs.conj(), m, vecs).real for m in (ref, support_n))
+    cols = vecs[:, (vals >= -op.DEFAULT_TOL.cluster * math.exp(a) * weight) | (inside <= 0.5)]
+    return cols @ cols.conj().T
+
+
 def dense_square_root_povm(words, sigma0, sigma1, a):
     """The square-root measurement on dense n-fold operators: pinched-threshold
     projectors Pi_c, S = sum Pi_c, Upsilon_c = S^{-1/2} Pi_c S^{-1/2}."""
-    ref = dense_word_state([0] * len(words[0]), sigma0, None)
-    projectors = [
-        op.nonneg_eigenspace_projector(op.pinching(dense_word_state(w, sigma0, sigma1), ref) - math.exp(a) * ref)
-        for w in words
-    ]
+    n = len(words[0])
+    ref = dense_word_state([0] * n, sigma0, None)
+    projectors = [threshold_projector(op.pinching(dense_word_state(w, sigma0, sigma1), ref), ref, sigma0, n, a) for w in words]
     vals, vecs = np.linalg.eigh(sum(projectors))
     inv_sqrt = np.where(vals > 1e-10, 1.0 / np.sqrt(np.where(vals > 1e-10, vals, 1.0)), 0.0)
     s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
@@ -459,7 +469,7 @@ def test_permutation_basis_povm_equals_the_product(case):
         assert np.array_equal(route.basis, np.eye(2)[::-1] if case == "diagonal" else np.eye(2))
     words = np.array([[0, 1, 1], [1, 0, 0], [0, 0, 1], [1, 1, 1]], dtype=np.uint8)
     elements, _ = cs.povm_on_route(list(words), route, 0.3)
-    weights = cs._srm_weights(op.word_products(words, route.table), cs._power(route.table[0], 3), 0.3)
+    weights = cs._srm_weights(words, route.table, 0.3)[1]
     Un = op.tensor_power(route.basis, 3)
     assert np.any(weights)
     for got, w in zip(elements, weights):
@@ -770,20 +780,17 @@ def test_commuting_decoder_scales_its_weights_in_place():
     assert peak < 2.5 * 8 * 16 * 2**14
     route = cs.pair_route(quad.sigma0, quad.sigma1)
     a = 0.5 * cfg.alpha * cfg.n * dv.qre(quad.sigma1, quad.sigma0)
-    sigs = op.word_products(cb.words.reshape(-1, cfg.n), route.table)
-    ref = op.word_products(np.zeros(cfg.n, dtype=np.uint8), route.table[:1])
-    errors = np.clip(1.0 - np.sum(sigs * cs._srm_weights(sigs, ref, a), axis=1), 0.0, 1.0)
+    sigs, weights = cs._srm_weights(cb.words.reshape(-1, cfg.n), route.table, a)
+    errors = np.clip(1.0 - np.sum(sigs * weights, axis=1), 0.0, 1.0)
     assert list(rep.perMessageError.values()) == errors.tolist()
 
 
 def per_word_pinched_povm(words, route, a):
     """The dense-route square-root measurement with one op.pinching call, and so one
     decomposition of the n-fold reference, per word."""
-    ref = op.word_products(np.zeros(len(words[0]), dtype=np.uint8), route.table[:1])
-    projectors = [
-        op.nonneg_eigenspace_projector(op.pinching(op.word_products(w, route.table), ref) - math.exp(a) * ref)
-        for w in words
-    ]
+    n = len(words[0])
+    ref = op.word_products(np.zeros(n, dtype=np.uint8), route.table[:1])
+    projectors = [threshold_projector(op.pinching(op.word_products(w, route.table), ref), ref, route.table[0], n, a) for w in words]
     vals, vecs = op.eigh(sum(projectors))
     inv_sqrt = np.where(vals > op.DEFAULT_TOL.support, 1.0 / np.sqrt(np.where(vals > op.DEFAULT_TOL.support, vals, 1.0)), 0.0)
     s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
@@ -817,3 +824,139 @@ def test_dense_povm_decomposes_its_reference_once(monkeypatch, n):
     assert all(e.tobytes() == w.tobytes() for e, w in zip(elements, want)) and len(elements) == len(want)
     assert abstain.tobytes() == (np.eye(2**n) - sum(want)).tobytes()
     assert list(rep.perMessageError.values()) == want_errors
+
+
+def excitation_decoder_inputs(n, a=None):
+    """The (K, n) words, Bob's route and the default or given threshold a of the excitation(0.1) decoder."""
+    quad = excitation_quadruple(0.1)
+    cfg = cs.SimConfig(n=n, gamma=1.0, m_size=4, l_size=4, seed=1, a_threshold=a)
+    words = cs.sample_codebook(cfg).words.reshape(-1, n)
+    return words, cs.pair_route(quad.sigma0, quad.sigma1), 0.5 * cfg.alpha * n * dv.qre(quad.sigma1, quad.sigma0) if a is None else a
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_commuting_rule_keeps_no_zero_probability_entry(n):
+    # sigma1 = |1><1| gives each word zero probability on most strings; once e^a ref fell below
+    # an absolute 1e-10, such strings entered Pi_c and drew weight from the right word
+    words, route, a = excitation_decoder_inputs(n)
+    sigs, weights = cs._srm_weights(words, route.table, a)
+    assert np.any(weights) and not np.any(weights[sigs == 0.0])
+
+
+def test_commuting_rule_keeps_tied_entries():
+    # every string x in the support of sigma_c has likelihood ratio 10^|c|, so at a = log 100 the
+    # words of weight 2 tie with e^a on all their mass; e^a rounds above 100, so most ties read negative
+    n = 16
+    words, route, a = excitation_decoder_inputs(n, math.log(100.0))
+    tied = words.sum(axis=1) == 2
+    assert np.count_nonzero(tied) == 3
+    sigs, weights = cs._srm_weights(words, route.table, a)
+    ref = op.word_products(np.zeros(n, dtype=np.uint8), route.table[:1])
+    on = sigs[tied] > 0.0
+    assert np.any((sigs[tied] - math.exp(a) * ref)[on] < 0.0)
+    assert np.all(weights[tied][on] > 0.0)
+
+
+@pytest.mark.parametrize("n, want", [
+    (8, 0.5298778810611267), (12, 0.2801189801984605), (16, 0.23582990164530393), (20, 0.16180670537465225),
+])
+def test_commuting_decoder_errors_under_the_scale_free_rule(n, want):
+    quad = excitation_quadruple(0.1)
+    cfg = cs.SimConfig(n=n, gamma=1.0, m_size=4, l_size=4, seed=1)
+    assert cs.sqrt_measurement_decoder(cs.sample_codebook(cfg), quad, cfg).averageError == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, want", [
+    (4, 0.8912959432173053), (5, 0.8945990709838247), (6, 0.8388589226839883), (7, 0.7401764163031201),
+])
+def test_dense_decoder_errors_under_the_scale_free_rule(n, want):
+    quad = rotated_damping_quadruple()
+    cfg = cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4, seed=n)
+    assert cs.sqrt_measurement_decoder(cs.sample_codebook(cfg), quad, cfg).averageError == pytest.approx(want, abs=1e-12)
+
+
+def captured_projectors(monkeypatch):
+    """The list that every later dense square-root measurement appends its Pi_c to."""
+    captured, srm = [], op._square_root_measurement
+    monkeypatch.setattr(op, "_square_root_measurement", lambda projectors: captured.extend(projectors) or srm(projectors))
+    return captured
+
+
+def test_dense_rule_keeps_no_eigenvector_below_the_scaled_reference(monkeypatch):
+    # sigma0's eigenvalue 0.0029 puts e^a lambda_P below 1e-10 on the blocks where it repeats, and
+    # the absolute slack kept their eigenvectors at n = 5 whatever sigma_c put there
+    n, quad = 5, rotated_damping_quadruple()
+    cfg = cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4, seed=n)
+    words = list(cs.sample_codebook(cfg).words.reshape(-1, n))
+    a = 0.5 * cfg.alpha * n * dv.qre(quad.sigma1, quad.sigma0)
+    captured = captured_projectors(monkeypatch)
+    cs.square_root_povm(words, quad.sigma0, quad.sigma1, a)
+    route = cs.pair_route(quad.sigma0, quad.sigma1)
+    ref = op.word_products(np.zeros(n, dtype=np.uint8), route.table[:1])
+    assert len(captured) == len(words)
+    for w, projector in zip(words, captured):
+        pinched = op.pinching(op.word_products(w, route.table), ref)
+        vecs = op.eigh(pinched - math.exp(a) * ref)[1]
+        kept, value, weight = (np.einsum("ij,ik,kj->j", vecs.conj(), m, vecs).real for m in (projector, pinched, ref))
+        assert np.all(np.abs(kept - np.round(kept)) < 1e-12)
+        kept = kept > 0.5
+        assert np.all(value[kept] >= math.exp(a) * weight[kept] * (1.0 - op.DEFAULT_TOL.cluster))
+
+
+def rank_two_qutrit_pair():
+    """sigma0 of rank 2 on three levels and sigma1 inside its support, the two not commuting."""
+    unitary = random_unitary(np.random.default_rng(11), 3)
+    block = np.zeros((3, 3), dtype=complex)
+    block[:2, :2] = [[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]
+    return tuple(unitary @ m @ unitary.conj().T for m in (np.diag([0.6, 0.4, 0.0]).astype(complex), block))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a", [-0.5, 0.3, 1.0])
+def test_dense_rule_keeps_eigenvectors_outside_the_reference_support(monkeypatch, n, a):
+    # every sigma_c vanishes outside supp(sigma0)^(x)n; the eigenvectors there are kept as the
+    # absolute slack kept them, decided from sigma0's single-letter support, so the elements
+    # keep the bits of the old rule on this pair
+    sigma0, sigma1 = rank_two_qutrit_pair()
+    route = cs.pair_route(sigma0, sigma1)
+    assert route.name == "dense"
+    words = [np.array(w, dtype=np.uint8) for w in itertools.product((0, 1), repeat=n)]
+    ref = op.word_products(np.zeros(n, dtype=np.uint8), route.table[:1])
+    old = [op.nonneg_eigenspace_projector(op.pinching(op.word_products(w, route.table), ref) - math.exp(a) * ref) for w in words]
+    captured = captured_projectors(monkeypatch)
+    elements, abstain = cs.square_root_povm(words, sigma0, sigma1, a)
+    assert [p.tobytes() for p in captured] == [p.tobytes() for p in old]
+    assert [e.tobytes() for e in elements] == [e.tobytes() for e in op._square_root_measurement(old)]
+    vals, vecs = np.linalg.eigh(sigma0)
+    outside = np.eye(3**n) - dense_word_state([0] * n, vecs[:, 1:] @ vecs[:, 1:].conj().T, None)
+    for projector in captured:  # Pi_c contains the whole complement of the support
+        np.testing.assert_allclose(projector @ outside, outside, atol=1e-9)
+
+
+def test_commuting_route_on_the_lattice_matches_dense():
+    # at a = log 100 the excitation(0.1) words of weight 2 tie with e^a on all their mass
+    quad = excitation_quadruple(0.1)
+    for n in (4, 6):
+        cfg = cs.SimConfig(n=n, gamma=1.0, m_size=4, l_size=4, seed=2, a_threshold=math.log(100.0))
+        cb = cs.sample_codebook(cfg)
+        words = cb.words.reshape(-1, n)
+        assert np.any(words.sum(axis=1) == 2)
+        elements, _ = dense_square_root_povm(words, quad.sigma0, quad.sigma1, cfg.a_threshold)
+        want = [1.0 - np.trace(e @ dense_word_state(w, quad.sigma0, quad.sigma1)).real for e, w in zip(elements, words)]
+        got = cs.sqrt_measurement_decoder(cb, quad, cfg).perMessageError.values()
+        np.testing.assert_allclose(list(got), np.clip(want, 0.0, 1.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_non_finite_decoder_threshold_raises(a):
+    # nan read as averageError 1.0 and gave all-zero elements, silently
+    with pytest.raises(InvalidParameterError, match="a_threshold"):
+        cs.SimConfig(n=4, gamma=0.5, m_size=2, l_size=2, a_threshold=a)
+    words = [np.array([0, 1, 1], dtype=np.uint8), np.array([1, 0, 0], dtype=np.uint8)]
+    for quad in (excitation_quadruple(), rotated_damping_quadruple()):
+        with pytest.raises(InvalidParameterError, match="threshold"):
+            cs.square_root_povm(words, quad.sigma0, quad.sigma1, a)
+        cfg = cs.SimConfig(n=3, gamma=0.5, m_size=2, l_size=1)
+        object.__setattr__(cfg, "a_threshold", a)  # past the dataclass's own check
+        with pytest.raises(InvalidParameterError, match="threshold"):
+            cs.sqrt_measurement_decoder(cs.sample_codebook(cfg), quad, cfg)

@@ -226,6 +226,22 @@ def test_phi_array_matches_scalar_calls():
         dv.phi(np.array([-0.5, 0.5]), ens)
 
 
+def test_petz_renyi_and_phi_decompose_each_state_once(monkeypatch):
+    # petz_renyi's support test at s > 1 reads the overlap its trace formed, and phi
+    # decomposes the average state once per call, not once per ensemble state
+    rng = np.random.default_rng(6)
+    states = (random_density(rng, 3), random_density(rng, 3, full_rank=False), random_density(rng, 3))
+    eigh, calls = op._eigh, []
+    monkeypatch.setattr(op, "_eigh", lambda h: calls.append(h) or eigh(h))
+    for s in (0.5, 2.0):
+        calls.clear()
+        dv.petz_renyi(states[1], states[0], s)
+        assert len(calls) == 2
+    calls.clear()
+    dv.phi(np.array([-1.0, -0.5]), dv.CqEnsemble(np.array([0.2, 0.5, 0.3]), states))
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda r, s, e: dv.hockey_stick(r, s, math.nan), InvalidGammaError),
     (lambda r, s, e: dv.hockey_stick(r, s, math.inf), InvalidGammaError),
