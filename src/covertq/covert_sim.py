@@ -22,9 +22,10 @@ any number of words K (d**(2n) on the dense route); forming the K products
 directly was timed no faster for any K at d = 2 and 3.  Resolvability samples
 and secrecy bins are averaged and charged in blocks of as many codebooks as
 fit in min(``_BLOCK_BYTES``, budget), at least one.  The decoder and
-``square_root_povm`` keep two algorithms, as the pinched threshold projectors
-of a non-commuting pair are not diagonal in any product basis (the dense one
-builds one word's product state at a time), and one rule, ``op._threshold_kept``.
+``square_root_povm`` keep one rule, ``op._threshold_kept``, and two algorithms, as
+a non-commuting pair's pinched threshold projectors are not diagonal in any product
+basis: the dense one works a word at a time in sigma0's product eigenbasis, where
+its pinching is the mask ``op._pinching_mask``, and lifts the elements back once.
 
 Randomness uses the counter-based Philox generator keyed by
 ``(seed, sample_index)``, one generator per block set to each key in turn; within one
@@ -70,9 +71,9 @@ class SimConfig:
     type with ``__index__`` but bool, such as ``np.int64``), stored as int.
 
     ``alpha`` is derived as gamma / sqrt(n) unless given explicitly; it is the
-    Bernoulli weight of the non-innocent symbol.  ``a_threshold``, finite, is
-    the decoder's threshold a (see ``operators._threshold_kept``) and defaults
-    to alpha * n * D(sigma1||sigma0) / 2 when left as None.  The bound's grid is fixed.
+    Bernoulli weight of the non-innocent symbol.  ``a_threshold``, with e^a a
+    positive finite float, is the decoder's threshold a (see ``operators._threshold_kept``)
+    and defaults to alpha * n * D(sigma1||sigma0) / 2 when left as None.  The bound's grid is fixed.
     """
 
     n: int
@@ -95,8 +96,8 @@ class SimConfig:
             object.__setattr__(self, "alpha", self.gamma / math.sqrt(self.n))
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidParameterError(f"alpha = {self.alpha} outside [0, 1]")
-        if self.a_threshold is not None and not math.isfinite(self.a_threshold):
-            raise InvalidParameterError(f"a_threshold = {self.a_threshold} is not finite")
+        if self.a_threshold is not None:
+            op._threshold_scale(self.a_threshold)
 
 
 @dataclass(frozen=True)
@@ -258,10 +259,8 @@ def _charge(stage: str, route: Route, n: int, k_size: int, items: int = 1) -> in
     warden, count = (matrix if dense else vector), 24 * k_size * n  # count: the words' counting copies
     per_item = 6 * warden + count
     block = min(items, max(1, min(_BLOCK_BYTES, budget.max_bytes()) // per_item))
-    # the K elements and a few n-fold matrices (commuting); the K projectors, the K
-    # elements and the pinching's eigenprojectors of the reference, at most one per
-    # multiset of n eigenvalues (dense)
-    povm = (2 * k_size + min(math.comb(n + d - 1, n), d**n) + 8 if dense else k_size + 6) * matrix
+    # the K elements and a few n-fold matrices (commuting); the K projectors and the K elements (dense)
+    povm = (2 * k_size + 8 if dense else k_size + 6) * matrix
     nbytes = {
         "square_root_povm": povm,
         # the (K, d**n) distributions, weights and their product
@@ -277,9 +276,11 @@ def _charge(stage: str, route: Route, n: int, k_size: int, items: int = 1) -> in
 
 
 def _lift(basis, weights, n: int) -> list:
-    """Un diag(w) Un^dag for each row w of ``weights``, Un = basis^(x)n; a permutation Un
-    moves w[k] to row rows[k], read without a product."""
+    """Un diag(w) Un^dag for each row w of (K, D) ``weights``, Un = basis^(x)n, a permutation Un moving
+    w[k] to row rows[k] without a product; or Un e Un^dag in place for each matrix e of (K, D, D) ones."""
     Un = op.tensor_power(basis, n)
+    if np.ndim(weights[0]) == 2:
+        return [np.matmul(Un @ e, Un.conj().T, out=e) for e in weights]
     rows = np.argmax(Un.real, axis=0)
     if np.array_equal(Un, np.eye(len(Un))[:, rows]):
         return [np.diag(w) for w in weights[:, np.argsort(rows)].astype(complex)]
@@ -427,11 +428,13 @@ def square_root_povm(words, sigma0, sigma1, a_threshold: float):
 
     For each classical word c the projector Pi_c spans the eigenvectors of
     pinch(sigma_c; sigma0^{(x)n}) - e^a sigma0^{(x)n} that
-    ``operators._threshold_kept`` keeps.  The elements are Upsilon_c = S^{-1/2}
-    Pi_c S^{-1/2}, S = sum Pi_c, and I - sum Upsilon is the abstain outcome.
-    When sigma0 and sigma1 commute, each is built from its diagonal in the
-    n-fold shared eigenbasis.  A threshold that is not finite raises.  Returns
-    ``(elements, abstain)``.
+    ``operators._threshold_kept`` keeps, the pinching's blocks being the classes
+    of n-fold eigenvalues of ``operators._pinching_mask``.  The elements are
+    Upsilon_c = S^{-1/2} Pi_c S^{-1/2}, S = sum Pi_c, and I - sum Upsilon is the
+    abstain outcome.  Both are built on diagonals in the n-fold shared eigenbasis
+    when sigma0 and sigma1 commute, else on matrices in sigma0's product
+    eigenbasis.  A threshold whose e^a is not a positive finite float raises.
+    Returns ``(elements, abstain)``.
     """
     return povm_on_route([np.asarray(w) for w in words], pair_route(sigma0, sigma1), a_threshold)
 
@@ -442,16 +445,15 @@ def povm_on_route(words, route: Route, a_threshold: float):
     _charge("square_root_povm", route, n, len(words))
     if route.basis is not None:
         elements = _lift(route.basis, _srm_weights(words, table, a_threshold)[1], n)
-    else:
-        letters, letter_basis = op.eigh(table[0])  # an eigenvector's weights are its overlaps with sigma0^(x)n's eigenbasis
+    else:  # in sigma0's product eigenbasis U^(x)n, where sigma0^(x)n is diag(rule[0])
+        letters, U = op.eigh(table[0])
         rule, scale = op._threshold_reference(letters, n, a_threshold)
-        ref, basis = _power(table[0], n), op.dagger(_power(letter_basis, n))
-        eigenprojectors, projectors = op.spectral_decompose(ref).projectors, []
+        frame, blocks, ref, projectors = op.dagger(U) @ table @ U, op._pinching_mask(rule), np.diag(scale * rule[0]), []
         for w in words:
-            vals, vecs = op.eigh(op._pinch(op.word_products(w, table), eigenprojectors) - scale * ref)
-            cols = vecs[:, op._threshold_kept(vals, rule @ np.abs(basis @ vecs) ** 2, scale)]
+            vals, vecs = op.eigh(op.word_products(w, frame) * blocks - ref)
+            cols = vecs[:, op._threshold_kept(vals, rule @ np.abs(vecs) ** 2, scale)]
             projectors.append(cols @ cols.conj().T)
-        elements = op._square_root_measurement(projectors)
+        elements = _lift(U, op._square_root_measurement(projectors), n)
     return elements, np.eye(len(elements[0])) - sum(elements)
 
 
@@ -460,9 +462,7 @@ def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConf
     diagonals in the shared eigenbasis when sigma0 and sigma1 commute."""
     route = _bob_route(ch)
     _charge("sqrt_measurement_decoder", route, cb.n, cb.m_size * cb.l_size)
-    a = cfg.a_threshold
-    if a is None:
-        a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0)
+    a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0) if cfg.a_threshold is None else cfg.a_threshold
     words = cb.words.reshape(-1, cb.n)
     if route.basis is not None:
         sigs, weighted = _srm_weights(words, route.table, a)
@@ -506,8 +506,4 @@ def covertness_scaling(ch: BinaryCovertChannel, gamma: float, ns):
     (values, target) : (list of (n, value), float)
     """
     target = 0.5 * gamma**2 * dv.chi_square(ch.omega1, ch.omega0)
-    values = []
-    for n in ns:
-        alpha = gamma / math.sqrt(n)
-        values.append((int(n), n * dv.qre(mixed_output(ch, alpha), ch.omega0)))
-    return values, target
+    return [(int(n), n * dv.qre(mixed_output(ch, gamma / math.sqrt(n)), ch.omega0)) for n in ns], target

@@ -69,11 +69,7 @@ class SpectralDecomposition:
     projectors: tuple[np.ndarray, ...]
 
     def reconstruct(self) -> np.ndarray:
-        dim = self.projectors[0].shape[0]
-        out = np.zeros((dim, dim), dtype=complex)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out += lam * proj
-        return out
+        return sum(lam * proj for lam, proj in zip(self.eigenvalues, self.projectors))
 
 
 def as_operator(a) -> np.ndarray:
@@ -329,14 +325,9 @@ def mean_word_product(words, table) -> np.ndarray:
 
 def partial_trace_vector(vec, dims, keep) -> np.ndarray:
     """Reduced density operator of a pure state, keeping factors in ``keep``."""
-    v = np.asarray(vec, dtype=complex).ravel()
-    dims = list(dims)
-    keep = list(keep)
-    traced = [i for i in range(len(dims)) if i not in keep]
-    t = v.reshape(dims)
-    t = np.transpose(t, keep + traced)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    mat = t.reshape(d_keep, -1)
+    dims, keep = list(dims), list(keep)
+    t = np.asarray(vec, dtype=complex).reshape(dims).transpose(keep + [i for i in range(len(dims)) if i not in keep])
+    mat = t.reshape(math.prod(dims[i] for i in keep), -1)
     return mat @ mat.conj().T
 
 
@@ -404,10 +395,29 @@ def _threshold_kept(values, reference, scale: float) -> np.ndarray:
 
 def _threshold_reference(letters, n: int, a: float):
     """:func:`_threshold_kept`'s reference for sigma0's single-letter eigenvalues ``letters``: the n-fold
-    powers of them and of their support's indicator, stacked; and e^a of a finite threshold ``a``."""
-    if not math.isfinite(a):
-        raise InvalidParameterError(f"decoder threshold a = {a} is not finite")
-    return word_products([[0] * n, [1] * n], np.stack([letters, letters > DEFAULT_TOL.support])), math.exp(a)
+    powers of them and of their support's indicator, stacked; and e^a, which must be a positive finite float."""
+    return word_products([[0] * n, [1] * n], np.stack([letters, letters > DEFAULT_TOL.support])), _threshold_scale(a)
+
+
+def _threshold_scale(a: float) -> float:
+    """e^a of a decoder threshold ``a``; one whose e^a is not a positive finite float raises."""
+    try:
+        scale = math.exp(a)
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise InvalidParameterError(f"decoder threshold a_threshold = {a}: e^a = {scale} is not a positive finite float")
+    return scale
+
+
+def _pinching_mask(reference) -> np.ndarray:
+    """Whether two strings share a block of sigma0^(x)n's pinching, from :func:`_threshold_reference`'s ``reference``:
+    the logs of their n-fold eigenvalues fall in one :func:`eigenvalue_clusters` cluster, or both lie outside the support."""
+    support = np.flatnonzero(reference[1])
+    labels = np.zeros(len(reference[1]), dtype=np.intp)  # 0: a string with a letter at or below the support tolerance
+    for label, (_, idx) in enumerate(eigenvalue_clusters(np.log(reference[0][support])), 1):
+        labels[support[idx]] = label
+    return labels[:, None] == labels[None, :]
 
 
 def _square_root_measurement(projectors) -> list:
@@ -418,21 +428,13 @@ def _square_root_measurement(projectors) -> list:
     return [s_inv_half @ p @ s_inv_half for p in projectors]
 
 
-def _pinch(m: np.ndarray, projectors) -> np.ndarray:
-    """sum_P P m P over the eigenprojectors of a pinching's reference, in their order."""
-    out = np.zeros_like(m)
-    for proj in projectors:
-        out += proj @ m @ proj
-    return out
-
-
 def pinching(q, p) -> np.ndarray:
-    """Block-diagonal part of ``q`` with respect to the eigenspaces of ``p``."""
+    """Block-diagonal part of ``q`` with respect to the eigenspaces of ``p``: sum_P P q P over them."""
     m = _single(as_operator(q))
     sd = spectral_decompose(p)
     if sd.projectors[0].shape != m.shape:
         raise DimMismatchError("pinching reference dim mismatch")
-    return _pinch(m, sd.projectors)
+    return sum(proj @ m @ proj for proj in sd.projectors)
 
 
 def support_contained(inner, outer):

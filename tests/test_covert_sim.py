@@ -299,12 +299,33 @@ def threshold_projector(pinched, ref, sigma0, n, a):
     return cols @ cols.conj().T
 
 
+def exact_classes(sigma0, n):
+    """The eigenvalue class of each of the d**n strings of sigma0's single-letter eigenbasis, whose
+    n-fold product Un is returned too: strings whose products of eigenvalues agree to 1e-9 relative
+    share a label, and so do all strings with an eigenvalue at or below 1e-10."""
+    vals, vecs = np.linalg.eigh(sigma0)
+    products = np.diag(dense_word_state([0] * n, np.diag(np.where(vals > 1e-10, vals, 0.0)), None)).real
+    order = np.argsort(products)
+    labels = np.empty(len(products), dtype=int)
+    labels[order] = np.cumsum(np.diff(products[order], prepend=-1.0) > 1e-9 * products[order])
+    return labels, dense_word_state([0] * n, vecs, None)
+
+
+def exact_eigenprojectors(sigma0, n):
+    """The eigenprojectors of sigma0^(x)n, one per class of :func:`exact_classes`."""
+    labels, basis = exact_classes(sigma0, n)
+    return [basis[:, labels == c] @ basis[:, labels == c].conj().T for c in np.unique(labels)]
+
+
 def dense_square_root_povm(words, sigma0, sigma1, a):
-    """The square-root measurement on dense n-fold operators: pinched-threshold
-    projectors Pi_c, S = sum Pi_c, Upsilon_c = S^{-1/2} Pi_c S^{-1/2}."""
+    """The square-root measurement on dense n-fold operators: pinched-threshold projectors Pi_c,
+    sigma_c pinched by the exact eigenprojectors of sigma0^(x)n, S = sum Pi_c and
+    Upsilon_c = S^{-1/2} Pi_c S^{-1/2}."""
     n = len(words[0])
     ref = dense_word_state([0] * n, sigma0, None)
-    projectors = [threshold_projector(op.pinching(dense_word_state(w, sigma0, sigma1), ref), ref, sigma0, n, a) for w in words]
+    blocks = exact_eigenprojectors(sigma0, n)
+    pinched = (sum(p @ dense_word_state(w, sigma0, sigma1) @ p for p in blocks) for w in words)
+    projectors = [threshold_projector(m, ref, sigma0, n, a) for m in pinched]
     vals, vecs = np.linalg.eigh(sum(projectors))
     inv_sqrt = np.where(vals > 1e-10, 1.0 / np.sqrt(np.where(vals > 1e-10, vals, 1.0)), 0.0)
     s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
@@ -785,45 +806,65 @@ def test_commuting_decoder_scales_its_weights_in_place():
     assert list(rep.perMessageError.values()) == errors.tolist()
 
 
-def per_word_pinched_povm(words, route, a):
-    """The dense-route square-root measurement with one op.pinching call, and so one
-    decomposition of the n-fold reference, per word."""
-    n = len(words[0])
-    ref = op.word_products(np.zeros(n, dtype=np.uint8), route.table[:1])
-    projectors = [threshold_projector(op.pinching(op.word_products(w, route.table), ref), ref, route.table[0], n, a) for w in words]
-    vals, vecs = op.eigh(sum(projectors))
-    inv_sqrt = np.where(vals > op.DEFAULT_TOL.support, 1.0 / np.sqrt(np.where(vals > op.DEFAULT_TOL.support, vals, 1.0)), 0.0)
-    s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
-    return [s_inv_half @ p @ s_inv_half for p in projectors]
+def dense_decoder_errors(elements, words, table):
+    """1 - tr(E_c sigma_c) of each element and its word, clipped to [0, 1] as the decoder clips them."""
+    p_ok = [np.trace(e @ op.word_products(w, table)).real for e, w in zip(elements, words)]
+    return np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_dense_povm_decomposes_its_reference_once(monkeypatch, n):
-    # K = 16 words on a non-commuting Bob pair: the pinching's eigenprojectors of
-    # sigma0^(x)n come from one spectral_decompose, and every output keeps its bits
+    # K = 16 words on a non-commuting Bob pair: one eigh of the single-letter sigma0 gives the
+    # frame and the pinching's blocks, then one per word and one of S; no n-fold spectral_decompose
     quad = rotated_damping_quadruple()
     cfg = cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4, seed=n, a_threshold=0.3)
     cb = cs.sample_codebook(cfg)
     words = list(cb.words.reshape(-1, n))
     route = cs.pair_route(quad.sigma0, quad.sigma1)
     assert route.name == "dense"
-    want = per_word_pinched_povm(words, route, cfg.a_threshold)
-    p_ok = [np.trace(e @ op.word_products(w, route.table)).real for e, w in zip(want, words)]
-    want_errors = np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0).tolist()
-    decompose, calls = op.spectral_decompose, []
-
-    def counted(h):
-        calls.append(h)
-        return decompose(h)
-
-    monkeypatch.setattr(op, "spectral_decompose", counted)
+    calls = {"eigh": 0, "spectral_decompose": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(op, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(op, name, counted)
     elements, abstain = cs.square_root_povm(words, quad.sigma0, quad.sigma1, cfg.a_threshold)
-    assert len(calls) == 1
+    assert calls == {"eigh": len(words) + 2, "spectral_decompose": 0}
     rep = cs.sqrt_measurement_decoder(cb, quad, cfg)
-    assert len(calls) == 2
-    assert all(e.tobytes() == w.tobytes() for e, w in zip(elements, want)) and len(elements) == len(want)
-    assert abstain.tobytes() == (np.eye(2**n) - sum(want)).tobytes()
-    assert list(rep.perMessageError.values()) == want_errors
+    assert calls == {"eigh": 2 * len(words) + 4, "spectral_decompose": 0}
+    assert abstain.tobytes() == (np.eye(2**n) - sum(elements)).tobytes()
+    assert list(rep.perMessageError.values()) == dense_decoder_errors(elements, words, route.table).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("a", [-0.5, 0.3, 1.0])
+def test_dense_povm_matches_the_exact_class_oracle(n, a):
+    quad = rotated_damping_quadruple()
+    cfg = cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4, seed=n, a_threshold=a)
+    cb = cs.sample_codebook(cfg)
+    words = list(cb.words.reshape(-1, n))
+    elements, abstain = cs.square_root_povm(words, quad.sigma0, quad.sigma1, a)
+    want, want_abstain = dense_square_root_povm(words, quad.sigma0, quad.sigma1, a)
+    np.testing.assert_allclose(elements, want, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(abstain, want_abstain, rtol=0, atol=1e-10)
+    table = cs.pair_route(quad.sigma0, quad.sigma1).table
+    got = list(cs.sqrt_measurement_decoder(cb, quad, cfg).perMessageError.values())
+    np.testing.assert_allclose(got, dense_decoder_errors(want, words, table), rtol=0, atol=1e-10)
+
+
+def test_dense_elements_commute_with_the_reference_eigenprojectors():
+    # an absolute 1e-10 clustering of sigma0^(x)n merged the blocks 0.0029^5 and 0.0029^4 0.997,
+    # and the elements then missed commuting with sigma0^(x)n's eigenprojectors by 6.1e-4
+    n, quad = 5, rotated_damping_quadruple()
+    cfg = cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4, seed=n)
+    words = list(cs.sample_codebook(cfg).words.reshape(-1, n))
+    a = 0.5 * cfg.alpha * n * dv.qre(quad.sigma1, quad.sigma0)
+    elements, _ = cs.square_root_povm(words, quad.sigma0, quad.sigma1, a)
+    blocks = exact_eigenprojectors(quad.sigma0, n)
+    assert len(words) == 16 and len(blocks) == n + 1  # one per letter count
+    for e in elements:
+        for p in blocks:
+            assert np.max(np.abs(e @ p - p @ e)) <= 1e-12
 
 
 def excitation_decoder_inputs(n, a=None):
@@ -867,7 +908,7 @@ def test_commuting_decoder_errors_under_the_scale_free_rule(n, want):
 
 
 @pytest.mark.parametrize("n, want", [
-    (4, 0.8912959432173053), (5, 0.8945990709838247), (6, 0.8388589226839883), (7, 0.7401764163031201),
+    (4, 0.8912959432173053), (5, 0.8945990705495875), (6, 0.8388589267739246), (7, 0.7401882173258653),
 ])
 def test_dense_decoder_errors_under_the_scale_free_rule(n, want):
     quad = rotated_damping_quadruple()
@@ -884,18 +925,22 @@ def captured_projectors(monkeypatch):
 
 def test_dense_rule_keeps_no_eigenvector_below_the_scaled_reference(monkeypatch):
     # sigma0's eigenvalue 0.0029 puts e^a lambda_P below 1e-10 on the blocks where it repeats, and
-    # the absolute slack kept their eigenvectors at n = 5 whatever sigma_c put there
+    # the absolute slack kept their eigenvectors at n = 5 whatever sigma_c put there; Pi_c is
+    # formed in sigma0's product eigenbasis, where sigma0^(x)n is diagonal
     n, quad = 5, rotated_damping_quadruple()
     cfg = cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4, seed=n)
     words = list(cs.sample_codebook(cfg).words.reshape(-1, n))
     a = 0.5 * cfg.alpha * n * dv.qre(quad.sigma1, quad.sigma0)
     captured = captured_projectors(monkeypatch)
     cs.square_root_povm(words, quad.sigma0, quad.sigma1, a)
-    route = cs.pair_route(quad.sigma0, quad.sigma1)
-    ref = op.word_products(np.zeros(n, dtype=np.uint8), route.table[:1])
+    table = cs.pair_route(quad.sigma0, quad.sigma1).table
+    letters, U = op.eigh(table[0])
+    frame = U.conj().T @ table @ U
+    ref = np.diag(op.word_products(np.zeros(n, dtype=np.uint8), letters[None]))
+    labels = exact_classes(quad.sigma0, n)[0]
     assert len(captured) == len(words)
     for w, projector in zip(words, captured):
-        pinched = op.pinching(op.word_products(w, route.table), ref)
+        pinched = op.word_products(w, frame) * (labels[:, None] == labels[None, :])
         vecs = op.eigh(pinched - math.exp(a) * ref)[1]
         kept, value, weight = (np.einsum("ij,ik,kj->j", vecs.conj(), m, vecs).real for m in (projector, pinched, ref))
         assert np.all(np.abs(kept - np.round(kept)) < 1e-12)
@@ -911,26 +956,28 @@ def rank_two_qutrit_pair():
     return tuple(unitary @ m @ unitary.conj().T for m in (np.diag([0.6, 0.4, 0.0]).astype(complex), block))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("a", [-0.5, 0.3, 1.0])
 def test_dense_rule_keeps_eigenvectors_outside_the_reference_support(monkeypatch, n, a):
     # every sigma_c vanishes outside supp(sigma0)^(x)n; the eigenvectors there are kept as the
-    # absolute slack kept them, decided from sigma0's single-letter support, so the elements
-    # keep the bits of the old rule on this pair
+    # absolute slack kept them, decided from sigma0's single-letter support, and the strings with
+    # a zero letter form one block of the pinching
     sigma0, sigma1 = rank_two_qutrit_pair()
     route = cs.pair_route(sigma0, sigma1)
     assert route.name == "dense"
     words = [np.array(w, dtype=np.uint8) for w in itertools.product((0, 1), repeat=n)]
-    ref = op.word_products(np.zeros(n, dtype=np.uint8), route.table[:1])
-    old = [op.nonneg_eigenspace_projector(op.pinching(op.word_products(w, route.table), ref) - math.exp(a) * ref) for w in words]
     captured = captured_projectors(monkeypatch)
     elements, abstain = cs.square_root_povm(words, sigma0, sigma1, a)
-    assert [p.tobytes() for p in captured] == [p.tobytes() for p in old]
-    assert [e.tobytes() for e in elements] == [e.tobytes() for e in op._square_root_measurement(old)]
+    want, want_abstain = dense_square_root_povm(words, sigma0, sigma1, a)
+    np.testing.assert_allclose(elements, want, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(abstain, want_abstain, rtol=0, atol=1e-10)
+    errors = dense_decoder_errors(elements, words, route.table)
+    np.testing.assert_allclose(errors, dense_decoder_errors(want, words, route.table), rtol=0, atol=1e-10)
     vals, vecs = np.linalg.eigh(sigma0)
     outside = np.eye(3**n) - dense_word_state([0] * n, vecs[:, 1:] @ vecs[:, 1:].conj().T, None)
+    Un = op.tensor_power(op.eigh(route.table[0])[1], n)  # Pi_c is formed in sigma0's product eigenbasis
     for projector in captured:  # Pi_c contains the whole complement of the support
-        np.testing.assert_allclose(projector @ outside, outside, atol=1e-9)
+        np.testing.assert_allclose(Un @ projector @ Un.conj().T @ outside, outside, atol=1e-9)
 
 
 def test_commuting_route_on_the_lattice_matches_dense():
@@ -947,9 +994,10 @@ def test_commuting_route_on_the_lattice_matches_dense():
         np.testing.assert_allclose(list(got), np.clip(want, 0.0, 1.0), atol=1e-12)
 
 
-@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, -800.0, 800.0])
 def test_non_finite_decoder_threshold_raises(a):
-    # nan read as averageError 1.0 and gave all-zero elements, silently
+    # nan read as averageError 1.0 and gave all-zero elements, silently; e^-800 underflowed to 0 and
+    # kept every string, and e^800 raised a bare OverflowError
     with pytest.raises(InvalidParameterError, match="a_threshold"):
         cs.SimConfig(n=4, gamma=0.5, m_size=2, l_size=2, a_threshold=a)
     words = [np.array([0, 1, 1], dtype=np.uint8), np.array([1, 0, 0], dtype=np.uint8)]

@@ -389,39 +389,39 @@ PINNED_REPORTS = {
         },
     },
     ("rotated", "paper-target"): {
-        "fidelity": 0.33553091156606385,
+        "fidelity": 0.33518592688254367,
         "covertDivergence": 1.5703062890722934,
-        "traceDistanceGHZ": 1.6941330238169519,
+        "traceDistanceGHZ": 1.6941330234866332,
         "bestJ": 0,
         "perStepDiagnostics": {
-            "alignedOverlapSum": 3.3606523681184255,
-            "zeroPhaseOverlapSum": 3.3606523681184255,
-            "traceDistanceGHZ": 1.6941330238169519,
-            "targetOverlap": 0.5314868995593475,
-            "decouplerIsometryDefect": 1.1102230246251565e-15,
+            "alignedOverlapSum": 3.36065236990337,
+            "zeroPhaseOverlapSum": 3.36065236990337,
+            "traceDistanceGHZ": 1.6941330234866332,
+            "targetOverlap": 0.5314868998225728,
+            "decouplerIsometryDefect": 3.716726240231423e-16,
             "mode": "paper-target",
             "alpha": 0.4444444444444444,
             "willieClassicalGap": 0.21407469048674838,
-            "branchFidelities": [0.33553091156606385, 0.33553091156606385, 0.33553091156606385],
-            "meanBranchFidelity": 0.33553091156606385,
+            "branchFidelities": [0.33518592688254367, 0.33518592688254367, 0.33518592688254367],
+            "meanBranchFidelity": 0.33518592688254367,
         },
     },
     ("rotated", "self-target"): {
-        "fidelity": 0.3292565916943008,
+        "fidelity": 0.33012316410961606,
         "covertDivergence": 1.5703062890722934,
-        "traceDistanceGHZ": 1.7062551257717133,
+        "traceDistanceGHZ": 1.7062551257434635,
         "bestJ": 0,
         "perStepDiagnostics": {
-            "alignedOverlapSum": 3.3606523681184255,
-            "zeroPhaseOverlapSum": 3.3606523681184255,
-            "traceDistanceGHZ": 1.7062551257717133,
-            "targetOverlap": 0.5217023686398583,
-            "decouplerIsometryDefect": 1.1102230246251565e-15,
+            "alignedOverlapSum": 3.36065236990337,
+            "zeroPhaseOverlapSum": 3.36065236990337,
+            "traceDistanceGHZ": 1.7062551257434635,
+            "targetOverlap": 0.5217023686629565,
+            "decouplerIsometryDefect": 7.970712644361531e-16,
             "mode": "self-target",
             "alpha": 0.4444444444444444,
             "willieClassicalGap": 0.21407469048674838,
-            "branchFidelities": [0.3292565916943008, 0.3292565916943008, 0.3292565916943008],
-            "meanBranchFidelity": 0.3292565916943008,
+            "branchFidelities": [0.33012316410961606, 0.33012316410961606, 0.33012316410961606],
+            "meanBranchFidelity": 0.33012316410961606,
         },
     },
 }
