@@ -30,6 +30,12 @@ per-step functions are thin wrappers over the same construction;
 ``protocol_state`` and ``decoupling_decoder`` form the full block because
 they return it.
 
+The pass holds one message's channel words chi_{m,l} = V^(x)n |x^n(m,l)>
+at a time, an (L, dB^n, dW^n) stack (``_words``): decoding reads message
+m's overlaps and output from its words and drops them, and the decoupler
+forms them again for the branch psi_m, so no array of all T L words is
+ever held.
+
 The decoupler is one loop over the messages (``_decouple``): iteration m
 forms the ideal branch psi_m, its target theta and the SVD factors u, vh
 of K = theta^dag psi_m, applies Gamma^m = conj(u vh) to the decoded slice
@@ -87,8 +93,7 @@ class EGToyCode:
     def from_words(words, encode_phases=None, decode_phases=None) -> "EGToyCode":
         w = np.asarray(words, dtype=np.uint8)
         T, l_size, n = w.shape
-        t = np.zeros((T, l_size)) if encode_phases is None else np.asarray(encode_phases, dtype=float)
-        h = np.zeros((T, l_size)) if decode_phases is None else np.asarray(decode_phases, dtype=float)
+        t, h = (np.zeros((T, l_size)) if p is None else np.asarray(p, dtype=float) for p in (encode_phases, decode_phases))
         return EGToyCode(T=T, l_size=l_size, n=n, words=w, encode_phases=t, decode_phases=h)
 
 
@@ -180,6 +185,12 @@ def _wbreve_dim(dBn: int, dWn: int, L: int) -> int:
     return max(dBn * L, dWn)
 
 
+def _words(code: EGToyCode, V: StinespringIsometry, m: int) -> np.ndarray:
+    """chi_{m,l} = V^{(x)n}|x^n(m,l)> for every l of message m, an (L, dB^n, dW^n)
+    stack with B^n the row index."""
+    return op.word_products(code.words[m], V.V.T.reshape(V.in_dim, V.out_dim_b, V.out_dim_w))
+
+
 @dataclass(frozen=True)
 class _Decoded:
     """The protocol after encoding, channel and coherent decoding, in factored form.
@@ -187,20 +198,25 @@ class _Decoded:
     The full state has a zero block wherever R != M, and its R = M diagonal
     is sqrt(Lam^k) applied to ``outputs[m]`` for every outcome k = (m', l')
     in row-major order.  ``slices`` forms its Mhat = m part; ``eg_report``
-    reads only the R = m slices and the warden state.
+    reads only the R = m slices and the warden state.  No channel word is
+    kept: whoever needs message m's words forms them with ``_words``.
     """
 
     roots: np.ndarray  # sqrt(Lam^k), k = (m', l') row-major: (T*L, dB^n) diagonals or (T*L, dB^n, dB^n)
-    branches: np.ndarray  # (T, L, dB^n, dW^n): chi_{m,l}, channel output of each word
     overlaps: np.ndarray  # (T, L): <chi_{m,l}| sqrt(Lam^{(m,l)}) |chi_{m,l}>
     outputs: np.ndarray  # (T, dB^n, dW^n): channel output of |phi_m>, weighted by 1/sqrt(T)
     rows: np.ndarray  # the B^n rows where some output is non-zero
     gram: np.ndarray  # G = sum_k Lam^k on those rows and columns, not assumed to be I
 
+    @property
+    def shape(self) -> tuple:
+        """(T, L, dB^n, dW^n)."""
+        return (*self.overlaps.shape, *self.outputs.shape[1:])
+
     def slices(self, m: int, every_r: bool = False) -> np.ndarray:
         """sqrt(Lam^{(m,l)}) outputs[r] for every l, one (dB^n L x dW^n) matrix with
         row b*L + l: for r = m, or stacked over every r."""
-        T, L, dBn, dWn = self.branches.shape
+        T, L, dBn, dWn = self.shape
         roots = self.roots.reshape(T, L, dBn, -1)[m]  # a diagonal as a (dB^n, 1) column
         x = (self.outputs if every_r else self.outputs[m])[..., None, :, :]
         x = roots * x if self.roots.ndim == 2 else np.matmul(roots, x)
@@ -215,18 +231,20 @@ class _Decoded:
 
 
 def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, held: int = 0) -> _Decoded:
-    """Budget and POVM checks, then every decoded branch from one square root
-    per POVM element and one channel-output matrix per word.  The completed
-    elements must sum to I and be PSD within ``DEFAULT_TOL`` (the roots clip
-    the roundoff, as ``check_density`` does).  The charge, as
-    measured on ``eg_report``, covers the roots, the channel outputs and a
-    conjugate copy, the decoupler's K (dC x dB^n L) and its SVD factors, a
-    dozen single-system n-fold matrices, and ``held`` bytes of the caller's
-    full blocks."""
+    """Budget and POVM checks, then the decoded protocol from one square root
+    per POVM element and, one message at a time, that message's L channel
+    words (``_words``), dropped once its overlaps and output are read.  The
+    completed elements must sum to I and be PSD within ``DEFAULT_TOL`` (the
+    roots clip the roundoff, as ``check_density`` does).  The charge, as
+    measured on ``eg_report``, covers the roots, the T message outputs, three
+    arrays the size of one message's words (the words, the decoupler's branch
+    psi_m and the decoded slice X_m), the decoupler's K (dC x dB^n L) and its
+    SVD factors, a dozen single-system n-fold matrices, and ``held`` bytes of
+    the caller's full blocks."""
     T, L, n = code.T, code.l_size, code.n
     dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
     side = max(dBn, dWn)
-    nbytes = 16 * (3 * T * L * dBn * side + 4 * _wbreve_dim(dBn, dWn, L) * dBn * L + 12 * side**2)
+    nbytes = 16 * (((T + 3) * L + T) * dBn * side + 4 * _wbreve_dim(dBn, dWn, L) * dBn * L + 12 * side**2)
     budget.check(nbytes + held, f"{what} at n = {n}, T = {T}, L = {L}")
     elements, defect = _completed_povm(povm, abstain)
     if defect > DEFAULT_TOL.herm:
@@ -242,16 +260,16 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, h
             low = min(low, lowest)
     if low < -DEFAULT_TOL.psd:
         raise DimMismatchError(f"POVM element eigenvalue {low:.3e} below zero beyond tolerance")
-    # chi_k = V^{(x)n}|x^n> as a (dB^n x dW^n) matrix, B^n the row index
-    chis = op.word_products(code.words.reshape(T * L, n), V.V.T.reshape(V.in_dim, V.out_dim_b, V.out_dim_w))
-    overlaps = np.array([np.vdot(chi, r[:, None] * chi if r.ndim == 1 else r @ chi) for r, chi in zip(sqrts, chis)])
-    overlaps = overlaps.reshape(T, L)
-    branches = chis.reshape(T, L, dBn, dWn)
     amp = np.exp(1j * code.encode_phases) / math.sqrt(T * L)
-    outputs = np.einsum("ml,mlbw->mbw", amp, branches)
+    overlaps = np.empty((T, L), dtype=complex)
+    outputs = np.empty((T, dBn, dWn), dtype=complex)
+    for m in range(T):  # one message's channel words alive at a time
+        chis = _words(code, V, m)
+        overlaps[m] = [np.vdot(chi, r[:, None] * chi if r.ndim == 1 else r @ chi) for r, chi in zip(sqrts[m * L :], chis)]
+        outputs[m] = np.einsum("l,lbw->bw", amp[m], chis)
     rows = np.flatnonzero(np.any(outputs != 0, axis=(0, 2)))
     gram = sum(e[rows[:, None], rows] for e in elements)
-    return _Decoded(sqrts, branches, overlaps, outputs, rows, gram)
+    return _Decoded(sqrts, overlaps, outputs, rows, gram)
 
 
 def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None) -> np.ndarray:
@@ -269,7 +287,7 @@ def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None) 
     block = 16 * code.T**2 * code.l_size * (V.out_dim_b * V.out_dim_w) ** code.n
     # the decoded slices (at most the R = M diagonal) and the returned state
     decoded = _decode(code, V, povm, abstain, "protocol_state", (code.T + 1) * block)
-    T, L, dBn, dWn = decoded.branches.shape
+    T, L, dBn, dWn = decoded.shape
     out = np.zeros((T, T, dBn, dWn, T, L), dtype=complex)
     for m in range(T):  # one message's slices alive at a time
         out[np.arange(T), np.arange(T), ..., m, :] = np.swapaxes(decoded.slices(m, every_r=True).reshape(T, dBn, L, dWn), -2, -1)
@@ -378,7 +396,7 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
         alpha = float(np.mean(code.words))
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParameterError(f"alpha = {alpha} outside [0, 1]")
-    T, L, dBn, dWn = decoded.branches.shape
+    T, L, dBn, dWn = decoded.shape
     dC = _wbreve_dim(dBn, dWn, L)
     out = np.zeros((T, dWn, T, dC), dtype=complex) if every_r else None
     s = np.zeros((dC, dWn), dtype=complex)
@@ -392,7 +410,7 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
         raise ValueError(f"unknown decoupling mode {mode!r}")
     for m in range(T):
         phases = np.exp(1j * (code.encode_phases[m] + code.decode_phases[m]))
-        psi = (phases * decoded.branches[m].T / math.sqrt(L)).reshape(dWn, dBn * L)  # (W^n, B^n, Lhat) axes
+        psi = (phases * _words(code, V, m).T / math.sqrt(L)).reshape(dWn, dBn * L)  # (W^n, B^n, Lhat) axes
         psi /= np.linalg.norm(psi)
         if mode == "self-target":
             theta = op.canonical_purification(psi @ psi.conj().T).reshape(dWn, dWn)
@@ -452,7 +470,8 @@ def ghz_to_epr(state_rmmhat, T: int, j: int):
     rho = np.asarray(state_rmmhat, dtype=complex)
     if rho.shape[0] != T**3:
         raise DimMismatchError(f"expected dim {T**3}, got {rho.shape[0]}")
-    f_j = np.exp(2j * np.pi * j * np.arange(T) / T) / math.sqrt(T)
+    phases = np.exp(2j * np.pi * j * np.arange(T) / T)
+    f_j = phases / math.sqrt(T)
     t = rho.reshape(T, T, T, T, T, T)
     reduced = np.einsum("m,rmkspq,p->rksq", f_j.conj(), t, f_j)
     reduced = reduced.reshape(T * T, T * T)
@@ -460,7 +479,7 @@ def ghz_to_epr(state_rmmhat, T: int, j: int):
     if prob <= 0.0:
         raise DimMismatchError(f"measurement outcome {j} has zero probability")
     reduced /= prob
-    corr = np.kron(np.eye(T), np.diag(np.exp(2j * np.pi * j * np.arange(T) / T)))
+    corr = np.kron(np.eye(T), np.diag(phases))
     return corr @ reduced @ corr.conj().T
 
 
@@ -496,8 +515,7 @@ def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha
     covert_div = dv.qre(tau_w, op.tensor_power(omega0, code.n))
     # distance to the incoherent classical-codebook average, as a diagnostic
     classical = op.mean_word_product(code.words.reshape(-1, code.n), np.stack([omega0, omega1]))
-    diagnostics = dict(phase_diag)
-    diagnostics.update(dec_diag)
+    diagnostics = {**phase_diag, **dec_diag}
     diagnostics["willieClassicalGap"] = op.trace_norm(tau_w - classical)
     # every Fourier branch has the same fidelity (see eliminate_assistance)
     diagnostics["branchFidelities"] = [fidelity] * code.T
@@ -505,7 +523,7 @@ def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha
     return EGReport(
         fidelity=fidelity,
         covertDivergence=float(covert_div),
-        traceDistanceGHZ=float(dec_diag["traceDistanceGHZ"]),
+        traceDistanceGHZ=dec_diag["traceDistanceGHZ"],
         bestJ=0,
         perStepDiagnostics=diagnostics,
     )

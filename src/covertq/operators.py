@@ -253,8 +253,11 @@ def tensor_power(op, n: int) -> np.ndarray:
 
 def word_index(words, base: int = 2) -> np.ndarray:
     """Index of each ``(..., n)`` word in the product basis of ``base``-level
-    letters, first letter most significant."""
+    letters, first letter most significant.  A letter outside [0, base) raises
+    rather than alias another word's index."""
     words = np.asarray(words).astype(np.intp)
+    if words.size and not 0 <= words.min() <= words.max() < base:
+        raise InvalidParameterError(f"a letter lies outside [0, {base})")
     return words @ (base ** np.arange(words.shape[-1] - 1, -1, -1, dtype=np.intp))
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_covert_sim import rotated_damping_isometry
+from support import rotated_damping_isometry
 
 from covertq import budget
 from covertq import channels as chn

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from support import excitation_quadruple
 
 from covertq import capacities as cap
 from covertq import channels as chn
@@ -11,12 +12,6 @@ from covertq.errors import (
     InvalidParameterError,
     TrivialTestError,
 )
-
-
-def excitation_quadruple(gamma):
-    return chn.build_covert_channel(
-        chn.stinespring_from_kraus(chn.excitation_channel(gamma))
-    )
 
 
 def test_keyed_capacity_gamma_quarter():

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from support import random_density
 
 from covertq import channels as chn
 from covertq import divergences as dv
@@ -15,12 +16,6 @@ from covertq.errors import (
     NotTracePreservingError,
     TrivialTestError,
 )
-
-
-def random_density(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def random_kraus_channel(rng, d_in, d_out, n_kraus):
@@ -43,7 +38,7 @@ def test_excitation_kraus():
 def test_excitation_gamma_one():
     ch = chn.excitation_channel(1.0)
     rng = np.random.default_rng(0)
-    out = ch.apply(random_density(rng, 2))
+    out = ch.apply(random_density(rng, 2, full_rank=False))
     np.testing.assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
 
@@ -82,7 +77,7 @@ def test_channel_stacks_match_single_channels():
             assert np.array_equal(stacked[i], k)
         assert np.array_equal(V.V[i], loop_stinespring(single.kraus))
         assert np.array_equal(V.V[i], chn.stinespring_from_kraus(single).V)
-    rho = random_density(np.random.default_rng(4), 2)
+    rho = random_density(np.random.default_rng(4), 2, full_rank=False)
     np.testing.assert_allclose(ch.apply(rho)[3], chn.excitation_channel(float(gammas[3])).apply(rho), atol=1e-15)
     # a non-square channel with three Kraus operators
     kraus = random_kraus_channel(np.random.default_rng(8), 2, 3, 3).kraus
@@ -136,7 +131,7 @@ def test_stinespring_kraus_equivalence():
     for _ in range(10):
         ch = random_kraus_channel(rng, 3, 2, 3)
         V = chn.stinespring_from_kraus(ch)
-        rho = random_density(rng, 3)
+        rho = random_density(rng, 3, full_rank=False)
         joint = V.V @ rho @ V.V.conj().T
         dB, dW = V.out_dim_b, V.out_dim_w
         reduced = np.einsum("ikjk->ij", joint.reshape(dB, dW, dB, dW))  # trace out W

@@ -7,18 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from support import excitation_quadruple, random_unitary, rotated_damping_isometry
 
 from covertq import channels as chn
 from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
 from covertq.errors import BudgetExceededError, DimMismatchError, IndexOutOfRangeError, InvalidParameterError, NotHermitianError
-
-
-def excitation_quadruple(gamma=0.25):
-    return chn.build_covert_channel(
-        chn.stinespring_from_kraus(chn.excitation_channel(gamma))
-    )
 
 
 def dense_average(cb, quad):
@@ -87,6 +82,13 @@ def test_willie_average_trivial_cases():
         np.kron(quad.omega0, quad.omega0) + np.kron(quad.omega1, quad.omega1)
     )
     np.testing.assert_allclose(cs.willie_average_state(cb2, quad), expected, atol=1e-12)
+
+
+def test_willie_average_refuses_a_letter_outside_the_bits():
+    # before, "03" was counted as the string "11"
+    cb = cs.Codebook(2, 1, 1, np.array([[[0, 3]]], dtype=np.uint8))
+    with pytest.raises(InvalidParameterError, match=r"outside \[0, 2\)"):
+        cs.willie_average_state(cb, excitation_quadruple())
 
 
 def test_codebook_shape_fields_must_match_words():
@@ -269,11 +271,6 @@ def test_covertness_scaling():
 def commuting_pair(unitary, d0, d1):
     """U diag(d0) U^dag and U diag(d1) U^dag."""
     return tuple((unitary * np.asarray(d, dtype=float)) @ unitary.conj().T for d in (d0, d1))
-
-
-def random_unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def dense_word_state(word, state0, state1):
@@ -571,15 +568,6 @@ def test_sim_config_takes_numpy_integers_as_ints():
     plain = cs.SimConfig(gamma=0.5, **fields)
     assert cfg == plain
     assert np.array_equal(cs.sample_codebook(cfg, 1).words, cs.sample_codebook(plain, 1).words)
-
-
-def rotated_damping_isometry(gamma=0.3, theta=0.7, phi=0.4):
-    """Amplitude damping after an input rotation: neither output pair commutes."""
-    a0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
-    a1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    u = np.array([[c, -s * np.exp(-1j * phi)], [s * np.exp(1j * phi), c]], dtype=complex)
-    return chn.stinespring_from_kraus(chn.KrausChannel((a0 @ u, a1 @ u)))
 
 
 def rotated_damping_quadruple(gamma=0.3, theta=0.7, phi=0.4):

@@ -5,21 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from support import random_density, random_unitary
 
 from covertq import channels as chn
 from covertq import divergences as dv
 from covertq import operators as op
 from covertq.errors import InvalidGammaError, NotHermitianError, SingularReferenceError
 from covertq.operators import DEFAULT_TOL
-
-
-def random_density(rng, d, full_rank=True):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    if full_rank:
-        rho = 0.9 * rho + 0.1 * np.eye(d) / d
-    return rho
 
 
 def scalar_kl(p, q):
@@ -344,12 +336,26 @@ def loop_qre(rho, sigma, tol=DEFAULT_TOL):
     return max(total, 0.0)
 
 
+def loop_eigenprojectors(h, tol=DEFAULT_TOL):
+    """h's eigenvalues and eigenprojectors from numpy's eigh, with ascending neighbours
+    closer than ``tol.cluster`` merged into one projector at their mean: the package's
+    clustering rule, restated here so that the oracle calls no package code."""
+    vals, vecs = np.linalg.eigh(h)
+    clusters = []
+    for k in range(len(vals)):
+        if clusters and vals[k] - vals[k - 1] < tol.cluster:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    return [(float(np.mean(vals[idx])), vecs[:, idx] @ vecs[:, idx].conj().T) for idx in clusters]
+
+
 def loop_chi_square(rho, sigma, tol=DEFAULT_TOL):
-    sd = op.spectral_decompose(sigma)
+    spectrum = loop_eigenprojectors(sigma, tol)
     delta = rho - sigma
     total = 0.0
-    for i, (li, pi) in enumerate(zip(sd.eigenvalues, sd.projectors)):
-        for j, (lj, pj) in enumerate(zip(sd.eigenvalues, sd.projectors)):
+    for i, (li, pi) in enumerate(spectrum):
+        for j, (lj, pj) in enumerate(spectrum):
             weight = np.trace(delta @ pi @ delta @ pj).real
             if i == j or abs(li - lj) < tol.cluster:
                 total += weight / li
@@ -371,11 +377,6 @@ def loop_support_contained(inner, outer, tol=DEFAULT_TOL):
         if lam > tol.support and np.linalg.norm(vec - proj @ vec) >= np.sqrt(tol.support):
             return False
     return True
-
-
-def random_unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def rotated(unitary, spectrum):

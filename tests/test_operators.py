@@ -10,19 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from support import random_density
 
 import covertq
 from covertq import operators as op
 from covertq.errors import DimMismatchError, InvalidParameterError, NotHermitianError
-
-
-def random_density(rng, d, full_rank=True):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    if full_rank:
-        rho = 0.9 * rho + 0.1 * np.eye(d) / d
-    return rho
 
 
 def test_spectral_decompose_identity():
@@ -266,6 +258,13 @@ def test_word_index_first_letter_most_significant():
     assert op.word_index(words[:2]).tolist() == [1, 4]
     assert op.word_index(words, 3).tolist() == [1, 9, 21]
     assert op.word_index(np.zeros((2, 0), dtype=np.uint8)).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("words, base", [([[0, 2]], 2), ([[0, 3]], 2), ([[1, 3], [0, 0]], 3), ([[0, -1]], 2)])
+def test_word_index_refuses_letters_outside_the_alphabet(words, base):
+    # "03" read in base 2 would alias "11": 0 * 2 + 3 == 1 * 2 + 1
+    with pytest.raises(InvalidParameterError, match=rf"outside \[0, {base}\)"):
+        op.word_index(np.array(words), base)
 
 
 def kron_loop_purification(rho):
