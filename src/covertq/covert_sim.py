@@ -24,8 +24,9 @@ and secrecy bins are averaged and charged in blocks of as many codebooks as
 fit in min(``_BLOCK_BYTES``, budget), at least one.  The decoder and
 ``square_root_povm`` keep one rule, ``op._threshold_kept``, and two algorithms, as
 a non-commuting pair's pinched threshold projectors are not diagonal in any product
-basis: the dense one works a word at a time in sigma0's product eigenbasis, where
-its pinching is the mask ``op._pinching_mask``, and lifts the elements back once.
+basis: the dense one, ``op._square_root_blocks``, solves a block of the pinching at a
+time in sigma0's product eigenbasis, where the decoder sums tr(Lam_c sigma_c) over the
+blocks and ``square_root_povm`` writes them into its elements, lifted back once.
 
 Randomness uses the counter-based Philox generator keyed by
 ``(seed, sample_index)``, one generator per block set to each key in turn; within one
@@ -252,25 +253,30 @@ def _bob_route(ch: BinaryCovertChannel) -> Route:
 
 def _charge(stage: str, route: Route, n: int, k_size: int, items: int = 1) -> int:
     """Check against the budget the bytes ``stage`` holds at once on ``route`` for ``items`` codebooks
-    of ``k_size`` words of n letters, counted from measured tracemalloc peaks in d**n x d**n complex
-    matrices or max(d, 2)**n float vectors (2**n word counts when d = 1); return the block size."""
+    of ``k_size`` words of n letters, counted from measured tracemalloc peaks in d**n x d**n complex matrices,
+    (K, b, b) ones of a pinching block or max(d, 2)**n float vectors (2**n word counts when d = 1); return the block size."""
     d, dense = route.table.shape[1], route.basis is None
     vector, matrix = 8 * max(d, 2) ** n, 16 * d ** (2 * n)
     warden, count = (matrix if dense else vector), 24 * k_size * n  # count: the words' counting copies
     per_item = 6 * warden + count
     block = min(items, max(1, min(_BLOCK_BYTES, budget.max_bytes()) // per_item))
-    # the K elements and a few n-fold matrices (commuting); the K projectors and the K elements (dense)
-    povm = (2 * k_size + 8 if dense else k_size + 6) * matrix
     nbytes = {
-        "square_root_povm": povm,
+        # the K elements and a few n-fold matrices
+        "square_root_povm": (k_size + 6) * matrix,
         # the (K, d**n) distributions, weights and their product
-        "sqrt_measurement_decoder": povm if dense else (3 * k_size + 4) * vector,
+        "sqrt_measurement_decoder": (3 * k_size + 4) * vector,
         # on the commuting route, plus the lift: U^(x)n, its scaled copy and adjoint, the result
         "warden average state": 3 * warden + count + (0 if dense else 5 * matrix),
         "covertness_report": (9 if dense else 6) * warden + count,
         "secrecy_report": block * per_item,
         "resolvability_samples": block * per_item,
     }[stage]
+    if dense and stage in ("square_root_povm", "sqrt_measurement_decoder"):
+        # the pinching blocks' vectors, checked before they are formed, and the POVM's K elements and four
+        # n-fold matrices (the lift and the abstain outcome); then a dozen (K, b, b) stacks of the largest block
+        nbytes = 16 * vector + (stage == "square_root_povm") * (k_size + 4) * matrix
+        budget.check(nbytes, f"{stage} at n = {n}")
+        nbytes += 192 * k_size * max(map(len, op._pinching_blocks(op.eigvalsh(route.table[0]), n))) ** 2
     budget.check(nbytes, f"{stage} at n = {n}")
     return block
 
@@ -429,10 +435,10 @@ def square_root_povm(words, sigma0, sigma1, a_threshold: float):
     For each classical word c the projector Pi_c spans the eigenvectors of
     pinch(sigma_c; sigma0^{(x)n}) - e^a sigma0^{(x)n} that
     ``operators._threshold_kept`` keeps, the pinching's blocks being the classes
-    of n-fold eigenvalues of ``operators._pinching_mask``.  The elements are
+    of n-fold eigenvalues of ``operators._pinching_blocks``.  The elements are
     Upsilon_c = S^{-1/2} Pi_c S^{-1/2}, S = sum Pi_c, and I - sum Upsilon is the
     abstain outcome.  Both are built on diagonals in the n-fold shared eigenbasis
-    when sigma0 and sigma1 commute, else on matrices in sigma0's product
+    when sigma0 and sigma1 commute, else block by block in sigma0's product
     eigenbasis.  A threshold whose e^a is not a positive finite float raises.
     Returns ``(elements, abstain)``.
     """
@@ -445,15 +451,12 @@ def povm_on_route(words, route: Route, a_threshold: float):
     _charge("square_root_povm", route, n, len(words))
     if route.basis is not None:
         elements = _lift(route.basis, _srm_weights(words, table, a_threshold)[1], n)
-    else:  # in sigma0's product eigenbasis U^(x)n, where sigma0^(x)n is diag(rule[0])
-        letters, U = op.eigh(table[0])
-        rule, scale = op._threshold_reference(letters, n, a_threshold)
-        frame, blocks, ref, projectors = op.dagger(U) @ table @ U, op._pinching_mask(rule), np.diag(scale * rule[0]), []
-        for w in words:
-            vals, vecs = op.eigh(op.word_products(w, frame) * blocks - ref)
-            cols = vecs[:, op._threshold_kept(vals, rule @ np.abs(vecs) ** 2, scale)]
-            projectors.append(cols @ cols.conj().T)
-        elements = _lift(U, op._square_root_measurement(projectors), n)
+    else:  # each block written into sigma0's product eigenbasis U^(x)n, then lifted once
+        basis = op.eigh(table[0])
+        elements = np.zeros((len(words),) + (len(table[0]) ** n,) * 2, dtype=complex)
+        for strings, _, _, block in op._square_root_blocks(words, table, basis, a_threshold):
+            elements[:, strings[:, None], strings] = block
+        elements = _lift(basis[1], elements, n)
     return elements, np.eye(len(elements[0])) - sum(elements)
 
 
@@ -469,8 +472,9 @@ def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConf
         weighted *= sigs  # in place, the same products as sigs * weights
         p_ok = np.sum(weighted, axis=1)
     else:
-        p_ok = [np.trace(e @ op.word_products(w, route.table)).real for e, w in zip(povm_on_route(words, route, a)[0], words)]
-    errors = np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0)
+        blocks = op._square_root_blocks(words, route.table, op.eigh(route.table[0]), a)
+        p_ok = sum(np.einsum("kij,kji->k", e, s).real for _, s, _, e in blocks)  # tr(Lam_c sigma_c), block by block
+    errors = np.clip(1.0 - p_ok, 0.0, 1.0)
     per_message = {ml: float(e) for ml, e in zip(np.ndindex(cb.m_size, cb.l_size), errors)}
     return DecoderReport(perMessageError=per_message, averageError=float(errors.mean()), maxError=float(errors.max()))
 

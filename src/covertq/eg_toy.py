@@ -91,7 +91,7 @@ class EGToyCode:
 
     @staticmethod
     def from_words(words, encode_phases=None, decode_phases=None) -> "EGToyCode":
-        w = np.asarray(words, dtype=np.uint8)
+        w = op._letters(words, 256).astype(np.uint8)  # a letter outside the uint8 range would wrap
         T, l_size, n = w.shape
         t, h = (np.zeros((T, l_size)) if p is None else np.asarray(p, dtype=float) for p in (encode_phases, decode_phases))
         return EGToyCode(T=T, l_size=l_size, n=n, words=w, encode_phases=t, decode_phases=h)

@@ -251,13 +251,19 @@ def tensor_power(op, n: int) -> np.ndarray:
     return word_products(np.zeros(n, dtype=np.uint8), m[None])
 
 
+def _letters(words, rows: int) -> np.ndarray:
+    """``words`` as an array; a letter outside [0, rows) would alias another word (numpy reads -1 as the last row), so it raises."""
+    words = np.asarray(words)
+    if words.size and not 0 <= words.min() <= words.max() < rows:
+        raise InvalidParameterError(f"a letter lies outside [0, {rows})")
+    return words
+
+
 def word_index(words, base: int = 2) -> np.ndarray:
     """Index of each ``(..., n)`` word in the product basis of ``base``-level
     letters, first letter most significant.  A letter outside [0, base) raises
     rather than alias another word's index."""
-    words = np.asarray(words).astype(np.intp)
-    if words.size and not 0 <= words.min() <= words.max() < base:
-        raise InvalidParameterError(f"a letter lies outside [0, {base})")
+    words = _letters(words, base).astype(np.intp)
     return words @ (base ** np.arange(words.shape[-1] - 1, -1, -1, dtype=np.intp))
 
 
@@ -271,10 +277,10 @@ def word_products(words, table) -> np.ndarray:
     is table[w_1] (x) ... (x) table[w_n], built left to right with one
     broadcast product per position, so it equals the left-to-right chain of
     Kronecker products entry for entry; for n = 0 it is the all-ones
-    ``(..., 1)`` or ``(..., 1, 1)`` array.  It is the package's one kron chain.
+    ``(..., 1)`` or ``(..., 1, 1)`` array.  It is the package's one kron chain; a letter outside [0, len(table)) raises.
     """
-    words = np.asarray(words)
     table = np.asarray(table)
+    words = _letters(words, len(table))
     rows, n = words.shape[:-1], words.shape[-1]
     if n == 0:
         return np.ones(rows + (1,) * (table.ndim - 1), dtype=table.dtype)
@@ -413,22 +419,32 @@ def _threshold_scale(a: float) -> float:
     return scale
 
 
-def _pinching_mask(reference) -> np.ndarray:
-    """Whether two strings share a block of sigma0^(x)n's pinching, from :func:`_threshold_reference`'s ``reference``:
-    the logs of their n-fold eigenvalues fall in one :func:`eigenvalue_clusters` cluster, or both lie outside the support."""
-    support = np.flatnonzero(reference[1])
-    labels = np.zeros(len(reference[1]), dtype=np.intp)  # 0: a string with a letter at or below the support tolerance
-    for label, (_, idx) in enumerate(eigenvalue_clusters(np.log(reference[0][support])), 1):
-        labels[support[idx]] = label
-    return labels[:, None] == labels[None, :]
+def _pinching_blocks(letters, n: int) -> list:
+    """sigma0^(x)n's pinching from sigma0's single-letter eigenvalues ``letters``: the sorted strings whose n-fold eigenvalues'
+    logs fall in one :func:`eigenvalue_clusters` cluster, block by block, then those with a letter at or below the support tolerance."""
+    logs = np.zeros(1)
+    for _ in range(n):
+        logs = np.add.outer(logs, np.log(letters, out=np.full(len(letters), -np.inf), where=letters > DEFAULT_TOL.support)).ravel()
+    support, outside = np.flatnonzero(logs > -np.inf), np.flatnonzero(logs == -np.inf)
+    return [np.sort(support[idx]) for _, idx in eigenvalue_clusters(logs[support])] + [outside] * bool(outside.size)
 
 
-def _square_root_measurement(projectors) -> list:
-    """S^{-1/2} Pi S^{-1/2} for each Pi of ``projectors``, S = sum Pi, 1/sqrt on S's support only."""
-    vals, vecs = eigh(sum(projectors))
-    inv_sqrt = np.where(vals > DEFAULT_TOL.support, 1.0 / np.sqrt(np.where(vals > DEFAULT_TOL.support, vals, 1.0)), 0.0)
-    s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
-    return [s_inv_half @ p @ s_inv_half for p in projectors]
+def _square_root_blocks(words, table, basis, a: float):
+    """The dense square-root measurement of (K, n) ``words`` on a (2, d, d) ``table`` in sigma0's product eigenbasis, ``basis =
+    eigh(table[0])``, one :func:`_pinching_blocks` block at a time: yields its strings and (K, b, b) sigma_c, Pi_c and elements."""
+    (letters, U), words = basis, _letters(words, len(table))
+    frame, (rule, scale) = dagger(U) @ table @ U, _threshold_reference(letters, words.shape[1], a)
+    for strings in _pinching_blocks(letters, words.shape[1]):
+        sigs = np.ones((len(words),) + strings.shape * 2, dtype=complex)
+        for w, r in zip(words.T, np.unravel_index(strings, letters.shape * words.shape[1])):  # one gather per position,
+            sigs *= frame[w[:, None, None], r[:, None], r]  # multiplied left to right as in word_products
+        # Pi_c keeps eigenvectors of sigma_c - e^a sigma0^(x)n; S^{-1/2} Pi_c S^{-1/2}, S = sum Pi_c inverted on its support
+        vals, vecs = eigh(sigs - np.diag(scale * rule[0][strings]))
+        kept = _threshold_kept(vals, np.moveaxis(rule[:, strings] @ np.abs(vecs) ** 2, 1, 0), scale)
+        projectors = (vecs * kept[:, None, :]) @ dagger(vecs)
+        vals, vecs = eigh(projectors.sum(axis=0))
+        s_inv_half = (vecs * np.divide(1.0, np.sqrt(np.abs(vals)), out=np.zeros_like(vals), where=vals > DEFAULT_TOL.support)) @ dagger(vecs)
+        yield strings, sigs, projectors, s_inv_half @ projectors @ s_inv_half
 
 
 def pinching(q, p) -> np.ndarray:

@@ -114,6 +114,22 @@ def test_entry_points_charge_before_allocating(monkeypatch, name, route):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("name", ["sqrt_measurement_decoder", "square_root_povm"])
+def test_dense_charge_checks_the_vectors_before_listing_the_pinching_blocks(monkeypatch, name):
+    """The dense charge reads the largest pinching block off d**n-long vectors of the strings'
+    eigenvalues: at an n where those vectors alone exceed the budget it exits before forming them."""
+    call = sim_call(name, rotated_damping_isometry(), 16)
+    monkeypatch.setenv("COVERTQ_MAX_BYTES", str(2**20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="COVERTQ_MAX_BYTES"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**16  # one float vector of the 2**16 strings
+
+
 # Three sizes per entry point and route, where the n-fold arrays outweigh
 # numpy's fixed ufunc buffers (8192 elements per operand), which no charge counts.
 SIM_SIZES = {

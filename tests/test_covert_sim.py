@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from support import excitation_quadruple, random_unitary, rotated_damping_isometry
+from support import (
+    dense_decoder_errors, dense_square_root_povm, dense_word_state, exact_classes, exact_eigenprojectors,
+    excitation_quadruple, random_density, random_unitary, rank_two_qutrit_pair, rotated_damping_isometry,
+)
 
 from covertq import channels as chn
 from covertq import covert_sim as cs
@@ -273,61 +276,8 @@ def commuting_pair(unitary, d0, d1):
     return tuple((unitary * np.asarray(d, dtype=float)) @ unitary.conj().T for d in (d0, d1))
 
 
-def dense_word_state(word, state0, state1):
-    out = np.eye(1)
-    for b in word:
-        out = np.kron(out, (state0, state1)[int(b)])
-    return out
-
-
 def dense_trace_norm(a):
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def threshold_projector(pinched, ref, sigma0, n, a):
-    """Pi_c of the scale-free rule: the eigenvectors v of pinched - e^a ref with eigenvalue at least
-    -cluster e^a <v|ref|v>, and those at most half inside supp(sigma0)^(x)n, as Rayleigh quotients."""
-    vals, vecs = op.eigh(pinched - math.exp(a) * ref)
-    vals0, vecs0 = np.linalg.eigh(sigma0)
-    support = vecs0[:, vals0 > op.DEFAULT_TOL.support]
-    support_n = dense_word_state([0] * n, support @ support.conj().T, None)
-    weight, inside = (np.einsum("ij,ik,kj->j", vecs.conj(), m, vecs).real for m in (ref, support_n))
-    cols = vecs[:, (vals >= -op.DEFAULT_TOL.cluster * math.exp(a) * weight) | (inside <= 0.5)]
-    return cols @ cols.conj().T
-
-
-def exact_classes(sigma0, n):
-    """The eigenvalue class of each of the d**n strings of sigma0's single-letter eigenbasis, whose
-    n-fold product Un is returned too: strings whose products of eigenvalues agree to 1e-9 relative
-    share a label, and so do all strings with an eigenvalue at or below 1e-10."""
-    vals, vecs = np.linalg.eigh(sigma0)
-    products = np.diag(dense_word_state([0] * n, np.diag(np.where(vals > 1e-10, vals, 0.0)), None)).real
-    order = np.argsort(products)
-    labels = np.empty(len(products), dtype=int)
-    labels[order] = np.cumsum(np.diff(products[order], prepend=-1.0) > 1e-9 * products[order])
-    return labels, dense_word_state([0] * n, vecs, None)
-
-
-def exact_eigenprojectors(sigma0, n):
-    """The eigenprojectors of sigma0^(x)n, one per class of :func:`exact_classes`."""
-    labels, basis = exact_classes(sigma0, n)
-    return [basis[:, labels == c] @ basis[:, labels == c].conj().T for c in np.unique(labels)]
-
-
-def dense_square_root_povm(words, sigma0, sigma1, a):
-    """The square-root measurement on dense n-fold operators: pinched-threshold projectors Pi_c,
-    sigma_c pinched by the exact eigenprojectors of sigma0^(x)n, S = sum Pi_c and
-    Upsilon_c = S^{-1/2} Pi_c S^{-1/2}."""
-    n = len(words[0])
-    ref = dense_word_state([0] * n, sigma0, None)
-    blocks = exact_eigenprojectors(sigma0, n)
-    pinched = (sum(p @ dense_word_state(w, sigma0, sigma1) @ p for p in blocks) for w in words)
-    projectors = [threshold_projector(m, ref, sigma0, n, a) for m in pinched]
-    vals, vecs = np.linalg.eigh(sum(projectors))
-    inv_sqrt = np.where(vals > 1e-10, 1.0 / np.sqrt(np.where(vals > 1e-10, vals, 1.0)), 0.0)
-    s_inv_half = (vecs * inv_sqrt) @ vecs.conj().T
-    elements = [s_inv_half @ p @ s_inv_half for p in projectors]
-    return elements, np.eye(ref.shape[0]) - sum(elements)
 
 
 def dense_resolvability(cfg, quad):
@@ -794,34 +744,34 @@ def test_commuting_decoder_scales_its_weights_in_place():
     assert list(rep.perMessageError.values()) == errors.tolist()
 
 
-def dense_decoder_errors(elements, words, table):
-    """1 - tr(E_c sigma_c) of each element and its word, clipped to [0, 1] as the decoder clips them."""
-    p_ok = [np.trace(e @ op.word_products(w, table)).real for e, w in zip(elements, words)]
-    return np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0)
-
-
 @pytest.mark.parametrize("n", [5, 6])
 def test_dense_povm_decomposes_its_reference_once(monkeypatch, n):
     # K = 16 words on a non-commuting Bob pair: one eigh of the single-letter sigma0 gives the
-    # frame and the pinching's blocks, then one per word and one of S; no n-fold spectral_decompose
+    # frame and the pinching's blocks, then per block one batched eigh of the K words' blocks
+    # and one of S; none sees a D x D matrix, and no n-fold spectral_decompose runs
     quad = rotated_damping_quadruple()
     cfg = cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4, seed=n, a_threshold=0.3)
     cb = cs.sample_codebook(cfg)
     words = list(cb.words.reshape(-1, n))
     route = cs.pair_route(quad.sigma0, quad.sigma1)
     assert route.name == "dense"
-    calls = {"eigh": 0, "spectral_decompose": 0}
+    blocks = op._pinching_blocks(op.eigh(route.table[0])[0], n)
+    assert len(blocks) == n + 1 and max(map(len, blocks)) < 2**n
+    calls, sides = {"eigh": 0, "spectral_decompose": 0}, []
     for name in calls:
         def counted(*args, _fn=getattr(op, name), _name=name):
             calls[_name] += 1
+            sides.append(np.shape(args[0])[-1])
             return _fn(*args)
         monkeypatch.setattr(op, name, counted)
     elements, abstain = cs.square_root_povm(words, quad.sigma0, quad.sigma1, cfg.a_threshold)
-    assert calls == {"eigh": len(words) + 2, "spectral_decompose": 0}
+    assert calls == {"eigh": 1 + 2 * len(blocks), "spectral_decompose": 0}
     rep = cs.sqrt_measurement_decoder(cb, quad, cfg)
-    assert calls == {"eigh": 2 * len(words) + 4, "spectral_decompose": 0}
+    assert calls == {"eigh": 2 + 4 * len(blocks), "spectral_decompose": 0}
+    assert max(sides) < 2**n
     assert abstain.tobytes() == (np.eye(2**n) - sum(elements)).tobytes()
-    assert list(rep.perMessageError.values()) == dense_decoder_errors(elements, words, route.table).tolist()
+    got = list(rep.perMessageError.values())
+    np.testing.assert_allclose(got, dense_decoder_errors(elements, words, route.table), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -897,6 +847,7 @@ def test_commuting_decoder_errors_under_the_scale_free_rule(n, want):
 
 @pytest.mark.parametrize("n, want", [
     (4, 0.8912959432173053), (5, 0.8945990705495875), (6, 0.8388589267739246), (7, 0.7401882173258653),
+    (8, 0.7295496018634764),
 ])
 def test_dense_decoder_errors_under_the_scale_free_rule(n, want):
     quad = rotated_damping_quadruple()
@@ -904,14 +855,66 @@ def test_dense_decoder_errors_under_the_scale_free_rule(n, want):
     assert cs.sqrt_measurement_decoder(cs.sample_codebook(cfg), quad, cfg).averageError == pytest.approx(want, abs=1e-12)
 
 
-def captured_projectors(monkeypatch):
-    """The list that every later dense square-root measurement appends its Pi_c to."""
-    captured, srm = [], op._square_root_measurement
-    monkeypatch.setattr(op, "_square_root_measurement", lambda projectors: captured.extend(projectors) or srm(projectors))
-    return captured
+def test_dense_decoder_holds_one_pinching_block_at_a_time():
+    # the decoder sums tr(Lam_c sigma_c) block by block in sigma0's product eigenbasis: at n = 8,
+    # K = 16 its peak stays below one (K, D, D) complex stack; lifting every element and
+    # retracing it against a D x D sigma_c peaked at 37.1 MiB
+    quad = rotated_damping_quadruple()
+    cfg = cs.SimConfig(n=8, gamma=0.6, m_size=4, l_size=4, seed=8)
+    cb = cs.sample_codebook(cfg)
+    tracemalloc.start()
+    try:
+        cs.sqrt_measurement_decoder(cb, quad, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 16 * 2**16
 
 
-def test_dense_rule_keeps_no_eigenvector_below_the_scaled_reference(monkeypatch):
+@st.composite
+def rotated_decoder_cases(draw):
+    """A non-commuting pair of random full-rank d x d states on Bob's side, d in {2, 3}, and a
+    codebook of words of at most 3 letters to decode; the warden's pair is excitation(0.25)'s."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([2, 3]))
+    sigma0, sigma1 = random_density(rng, d), random_density(rng, d)
+    exc = excitation_quadruple()
+    cfg = cs.SimConfig(
+        n=draw(st.integers(1, 3)), gamma=0.0, alpha=draw(st.floats(0.1, 0.9)),
+        m_size=draw(st.integers(1, 3)), l_size=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)),
+        # irrational e^a keeps every threshold entry far from a tie
+        a_threshold=draw(st.sampled_from([-0.5, 0.3, 1.0])),
+    )
+    return chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1), cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(rotated_decoder_cases())
+def test_dense_decoder_errors_match_the_dense_oracle(case):
+    quad, cfg = case
+    route = cs.pair_route(quad.sigma0, quad.sigma1)
+    assert route.name == "dense"
+    cb = cs.sample_codebook(cfg)
+    words = cb.words.reshape(-1, cfg.n)
+    want = dense_decoder_errors(dense_square_root_povm(words, quad.sigma0, quad.sigma1, cfg.a_threshold)[0], words, route.table)
+    got = list(cs.sqrt_measurement_decoder(cb, quad, cfg).perMessageError.values())
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def loop_projectors(words, table, a):
+    """Each word's Pi_c in sigma0's product eigenbasis, a D x D matrix assembled from the blocks
+    of ``op._square_root_blocks``, and the blocks' strings."""
+    words = np.asarray(words)
+    out = np.zeros((len(words),) + (len(table[0]) ** words.shape[1],) * 2, dtype=complex)
+    strings = []
+    for block, _, projectors, _ in op._square_root_blocks(words, table, op.eigh(table[0]), a):
+        assert projectors.shape == (len(words), len(block), len(block))
+        out[:, block[:, None], block] = projectors
+        strings.append(block)
+    return list(out), strings
+
+
+def test_dense_rule_keeps_no_eigenvector_below_the_scaled_reference():
     # sigma0's eigenvalue 0.0029 puts e^a lambda_P below 1e-10 on the blocks where it repeats, and
     # the absolute slack kept their eigenvectors at n = 5 whatever sigma_c put there; Pi_c is
     # formed in sigma0's product eigenbasis, where sigma0^(x)n is diagonal
@@ -919,13 +922,14 @@ def test_dense_rule_keeps_no_eigenvector_below_the_scaled_reference(monkeypatch)
     cfg = cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4, seed=n)
     words = list(cs.sample_codebook(cfg).words.reshape(-1, n))
     a = 0.5 * cfg.alpha * n * dv.qre(quad.sigma1, quad.sigma0)
-    captured = captured_projectors(monkeypatch)
-    cs.square_root_povm(words, quad.sigma0, quad.sigma1, a)
     table = cs.pair_route(quad.sigma0, quad.sigma1).table
+    captured, strings = loop_projectors(words, table, a)
     letters, U = op.eigh(table[0])
     frame = U.conj().T @ table @ U
     ref = np.diag(op.word_products(np.zeros(n, dtype=np.uint8), letters[None]))
     labels = exact_classes(quad.sigma0, n)[0]
+    # the loop's blocks are the exact classes of sigma0^(x)n's eigenvalues
+    assert sorted(map(tuple, strings)) == sorted(tuple(np.flatnonzero(labels == c)) for c in np.unique(labels))
     assert len(captured) == len(words)
     for w, projector in zip(words, captured):
         pinched = op.word_products(w, frame) * (labels[:, None] == labels[None, :])
@@ -936,17 +940,9 @@ def test_dense_rule_keeps_no_eigenvector_below_the_scaled_reference(monkeypatch)
         assert np.all(value[kept] >= math.exp(a) * weight[kept] * (1.0 - op.DEFAULT_TOL.cluster))
 
 
-def rank_two_qutrit_pair():
-    """sigma0 of rank 2 on three levels and sigma1 inside its support, the two not commuting."""
-    unitary = random_unitary(np.random.default_rng(11), 3)
-    block = np.zeros((3, 3), dtype=complex)
-    block[:2, :2] = [[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]
-    return tuple(unitary @ m @ unitary.conj().T for m in (np.diag([0.6, 0.4, 0.0]).astype(complex), block))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("a", [-0.5, 0.3, 1.0])
-def test_dense_rule_keeps_eigenvectors_outside_the_reference_support(monkeypatch, n, a):
+def test_dense_rule_keeps_eigenvectors_outside_the_reference_support(n, a):
     # every sigma_c vanishes outside supp(sigma0)^(x)n; the eigenvectors there are kept as the
     # absolute slack kept them, decided from sigma0's single-letter support, and the strings with
     # a zero letter form one block of the pinching
@@ -954,13 +950,18 @@ def test_dense_rule_keeps_eigenvectors_outside_the_reference_support(monkeypatch
     route = cs.pair_route(sigma0, sigma1)
     assert route.name == "dense"
     words = [np.array(w, dtype=np.uint8) for w in itertools.product((0, 1), repeat=n)]
-    captured = captured_projectors(monkeypatch)
+    captured = loop_projectors(words, route.table, a)[0]
     elements, abstain = cs.square_root_povm(words, sigma0, sigma1, a)
     want, want_abstain = dense_square_root_povm(words, sigma0, sigma1, a)
     np.testing.assert_allclose(elements, want, rtol=0, atol=1e-10)
     np.testing.assert_allclose(abstain, want_abstain, rtol=0, atol=1e-10)
     errors = dense_decoder_errors(elements, words, route.table)
     np.testing.assert_allclose(errors, dense_decoder_errors(want, words, route.table), rtol=0, atol=1e-10)
+    # the decoder, which sums over the blocks and lifts nothing, reads the oracle's errors too
+    exc = excitation_quadruple()
+    cb, cfg = cs.Codebook(n, len(words), 1, np.array(words)[:, None]), cs.SimConfig(n, 0.0, len(words), 1, a_threshold=a)
+    decoded = cs.sqrt_measurement_decoder(cb, chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1), cfg)
+    np.testing.assert_allclose(list(decoded.perMessageError.values()), errors, rtol=0, atol=1e-10)
     vals, vecs = np.linalg.eigh(sigma0)
     outside = np.eye(3**n) - dense_word_state([0] * n, vecs[:, 1:] @ vecs[:, 1:].conj().T, None)
     Un = op.tensor_power(op.eigh(route.table[0])[1], n)  # Pi_c is formed in sigma0's product eigenbasis

@@ -65,6 +65,14 @@ def test_letters_outside_the_bits_raise():
         eg.build_quantum_codewords(eg.EGToyCode.from_words([[[0, 2]]]))
 
 
+@pytest.mark.parametrize("words", [np.array([[[0, 256]]]), np.array([[[0, -1]]]), [[[1, 257]]], [[[-1, 0]]]])
+def test_from_words_refuses_letters_a_uint8_would_wrap(words):
+    # an integer array's 256 was cast to the letter 0 and -1 to 255, aliasing other words
+    with pytest.raises(InvalidParameterError, match=r"outside \[0, 256\)"):
+        eg.EGToyCode.from_words(words)
+    assert eg.EGToyCode.from_words(np.array([[[0, 255]]])).words.tolist() == [[[0, 255]]]
+
+
 def test_code_shape_fields_must_match_words():
     # six words of shape (2, 3, 4) are two messages of three, never three of two
     words = np.arange(24).reshape(2, 3, 4) % 2
@@ -389,39 +397,39 @@ PINNED_REPORTS = {
         },
     },
     ("rotated", "paper-target"): {
-        "fidelity": 0.33518592688254367,
+        "fidelity": 0.33516792337262435,
         "covertDivergence": 1.5703062890722934,
-        "traceDistanceGHZ": 1.6941330234866332,
+        "traceDistanceGHZ": 1.694133023888776,
         "bestJ": 0,
         "perStepDiagnostics": {
-            "alignedOverlapSum": 3.36065236990337,
-            "zeroPhaseOverlapSum": 3.36065236990337,
-            "traceDistanceGHZ": 1.6941330234866332,
-            "targetOverlap": 0.5314868998225728,
+            "alignedOverlapSum": 3.3606523678329645,
+            "zeroPhaseOverlapSum": 3.360652367832964,
+            "traceDistanceGHZ": 1.694133023888776,
+            "targetOverlap": 0.531486899502112,
             "decouplerIsometryDefect": 3.716726240231423e-16,
             "mode": "paper-target",
             "alpha": 0.4444444444444444,
             "willieClassicalGap": 0.21407469048674838,
-            "branchFidelities": [0.33518592688254367, 0.33518592688254367, 0.33518592688254367],
-            "meanBranchFidelity": 0.33518592688254367,
+            "branchFidelities": [0.33516792337262435, 0.33516792337262435, 0.33516792337262435],
+            "meanBranchFidelity": 0.33516792337262435,
         },
     },
     ("rotated", "self-target"): {
-        "fidelity": 0.33012316410961606,
+        "fidelity": 0.3307265636858697,
         "covertDivergence": 1.5703062890722934,
         "traceDistanceGHZ": 1.7062551257434635,
         "bestJ": 0,
         "perStepDiagnostics": {
-            "alignedOverlapSum": 3.36065236990337,
-            "zeroPhaseOverlapSum": 3.36065236990337,
+            "alignedOverlapSum": 3.3606523678329645,
+            "zeroPhaseOverlapSum": 3.360652367832964,
             "traceDistanceGHZ": 1.7062551257434635,
             "targetOverlap": 0.5217023686629565,
             "decouplerIsometryDefect": 7.970712644361531e-16,
             "mode": "self-target",
             "alpha": 0.4444444444444444,
             "willieClassicalGap": 0.21407469048674838,
-            "branchFidelities": [0.33012316410961606, 0.33012316410961606, 0.33012316410961606],
-            "meanBranchFidelity": 0.33012316410961606,
+            "branchFidelities": [0.3307265636858697, 0.3307265636858697, 0.3307265636858697],
+            "meanBranchFidelity": 0.3307265636858697,
         },
     },
 }

@@ -267,6 +267,18 @@ def test_word_index_refuses_letters_outside_the_alphabet(words, base):
         op.word_index(np.array(words), base)
 
 
+@pytest.mark.parametrize("words, rows", [([[0, -1]], 2), ([[0, 2]], 2), ([[3, 0], [0, 0]], 3), ([[-3]], 3)])
+def test_word_products_refuse_letters_outside_the_table(words, rows):
+    # -1 read the table's last row, so [[0, -1]] gave the "01" vector; a letter past the rows
+    # raised a bare IndexError
+    table = np.eye(rows)
+    with pytest.raises(InvalidParameterError, match=rf"outside \[0, {rows}\)"):
+        op.word_products(np.array(words), table)
+    with pytest.raises(InvalidParameterError, match=rf"outside \[0, {rows}\)"):
+        op.word_index(np.array(words), rows)
+    assert np.array_equal(op.word_products([[0, rows - 1]], table)[0], np.kron(table[0], table[rows - 1]))
+
+
 def kron_loop_purification(rho):
     """canonical_purification as one np.kron per eigenvector."""
     vals, vecs = np.linalg.eigh(rho)
