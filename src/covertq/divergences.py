@@ -243,12 +243,17 @@ def helstrom_error(rho, sigma):
 
 
 def distinct_eigenvalue_count(omega, n: int) -> int:
-    """Number of distinct eigenvalues of the n-fold tensor power of ``omega``.
+    """Number of distinct eigenvalues of the n-fold tensor power of ``omega``,
+    counted as the classes of :func:`operators._pinching_blocks`.
 
-    Products of n single-copy eigenvalues are enumerated over multisets and
-    clustered by the clustering tolerance.  The count never exceeds
+    The logs of products of n single-copy eigenvalues are enumerated over
+    multisets and clustered by the clustering tolerance, so the count does not
+    depend on the products' scale; the products with an eigenvalue at or below
+    the support tolerance form one more class.  The count never exceeds
     (n + 1)^dim.
     """
-    values = [lam for lam, _ in op.eigenvalue_clusters(op.eigvalsh(op.check_hermitian(omega)))]
-    products = [math.prod(combo) for combo in combinations_with_replacement(values, n)]
-    return len(op.eigenvalue_clusters(products))
+    letters = op.eigvalsh(op.check_hermitian(omega))
+    logs = np.log(letters, out=np.full(len(letters), -np.inf), where=letters > DEFAULT_TOL.support)
+    sums = np.array([sum(combo, 0.0) for combo in combinations_with_replacement(logs, n)])
+    support = sums[sums > -np.inf]
+    return len(op.eigenvalue_clusters(support)) + int(support.size < sums.size)

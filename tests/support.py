@@ -1,23 +1,53 @@
-"""Channels, random states and dense oracles shared by the unit-test modules.
+"""Channels, random states, codes and dense oracles shared by the unit-test modules.
 
-Each helper had identical copies in several test files, or is an oracle that
-several files check against; they live here once and the test files import
-them.  The acceptance suite keeps its own copies, so that it stays
-independent of the unit tests.
+Every helper that more than one unit-test module defines or needs lives here
+once, and the test files import it (``test_support.py`` fails if a unit-test
+module defines a top-level function of the same name again):
+
+- :func:`traced`, the tracemalloc peak of a block;
+- random inputs: :func:`random_density`, :func:`random_unitary`,
+  :func:`rotated` and :func:`distinct_words`, the words of an EG code;
+- channels: :func:`excitation_isometry` and :func:`excitation_quadruple`, and
+  :func:`rotated_damping_isometry` and :func:`rotated_damping_quadruple`,
+  whose output pairs do not commute; :func:`rank_two_qutrit_pair`;
+- dense oracles: the kron chains :func:`kron_chain` and
+  :func:`kron_chain_mean`, the SVD trace norm :func:`dense_trace_norm`, and
+  the dense square-root measurement.
 
 The dense square-root oracle (:func:`dense_square_root_povm`) builds every
 n-fold operator with ``np.kron`` in the computational basis and pinches by
 the exact eigenprojectors of sigma0^(x)n; of the package it calls only the
 eigensolver ``operators.eigh``.  :func:`dense_decoder_errors` retraces its
-elements against the kron chain ``operators.word_products``.
+elements against :func:`kron_chain`.
+
+The acceptance suite (``test_acceptance.py``) imports none of these: it keeps
+its own oracles, so that a fault in a shared helper cannot hide the same
+fault in the package from both suites at once.
 """
 
 import math
+import tracemalloc
+from contextlib import contextmanager
+from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
 from covertq import channels as chn
 from covertq import operators as op
+
+
+@contextmanager
+def traced():
+    """Trace the allocations of the block: the namespace it yields gets their tracemalloc ``peak``
+    in bytes when the block ends without an exception."""
+    trace = SimpleNamespace(peak=None)
+    tracemalloc.start()
+    try:
+        yield trace
+        trace.peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_density(rng, d, full_rank=True):
@@ -36,8 +66,24 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def rotated(unitary, spectrum):
+    """U diag(spectrum) U^dag."""
+    return (unitary * spectrum) @ unitary.conj().T
+
+
+def distinct_words(rng, T, L, n):
+    """T*L distinct words of n letters drawn by ``rng``, as a (T, L, n) uint8 array."""
+    index = rng.choice(2**n, T * L, replace=False)
+    return ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8).reshape(T, L, n)
+
+
+def excitation_isometry(gamma):
+    """The Stinespring isometry of the excitation channel, stacked when ``gamma`` is an array."""
+    return chn.stinespring_from_kraus(chn.excitation_channel(gamma))
+
+
 def excitation_quadruple(gamma=0.25):
-    return chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(gamma)))
+    return chn.build_covert_channel(excitation_isometry(gamma))
 
 
 def rotated_damping_isometry(gamma=0.3, theta=0.7, phi=0.4):
@@ -49,11 +95,26 @@ def rotated_damping_isometry(gamma=0.3, theta=0.7, phi=0.4):
     return chn.stinespring_from_kraus(chn.KrausChannel((a0 @ u, a1 @ u)))
 
 
-def dense_word_state(word, state0, state1):
-    out = np.eye(1)
-    for b in word:
-        out = np.kron(out, (state0, state1)[int(b)])
-    return out
+def rotated_damping_quadruple(gamma=0.3, theta=0.7, phi=0.4):
+    return chn.build_covert_channel(rotated_damping_isometry(gamma, theta, phi))
+
+
+def kron_chain(word, table):
+    """table[w_1] (x) ... (x) table[w_n], one ``np.kron`` at a time from the left; ones of length 1
+    (a vector table) or the 1 x 1 identity (a matrix table) for the empty word."""
+    table = np.asarray(table)
+    letters = [table[b] for b in word]
+    return reduce(np.kron, letters) if letters else np.ones((1,) * (table.ndim - 1))
+
+
+def kron_chain_mean(words, table):
+    """The mean of the words' :func:`kron_chain`."""
+    return np.mean([kron_chain(word, table) for word in words], axis=0)
+
+
+def dense_trace_norm(a):
+    """||a||_1 as the sum of a's singular values."""
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
 def threshold_projector(pinched, ref, sigma0, n, a):
@@ -62,7 +123,7 @@ def threshold_projector(pinched, ref, sigma0, n, a):
     vals, vecs = op.eigh(pinched - math.exp(a) * ref)
     vals0, vecs0 = np.linalg.eigh(sigma0)
     support = vecs0[:, vals0 > op.DEFAULT_TOL.support]
-    support_n = dense_word_state([0] * n, support @ support.conj().T, None)
+    support_n = kron_chain([0] * n, [support @ support.conj().T])
     weight, inside = (np.einsum("ij,ik,kj->j", vecs.conj(), m, vecs).real for m in (ref, support_n))
     cols = vecs[:, (vals >= -op.DEFAULT_TOL.cluster * math.exp(a) * weight) | (inside <= 0.5)]
     return cols @ cols.conj().T
@@ -73,11 +134,11 @@ def exact_classes(sigma0, n):
     n-fold product Un is returned too: strings whose products of eigenvalues agree to 1e-9 relative
     share a label, and so do all strings with an eigenvalue at or below 1e-10."""
     vals, vecs = np.linalg.eigh(sigma0)
-    products = np.diag(dense_word_state([0] * n, np.diag(np.where(vals > 1e-10, vals, 0.0)), None)).real
+    products = kron_chain([0] * n, [np.where(vals > 1e-10, vals, 0.0)])
     order = np.argsort(products)
     labels = np.empty(len(products), dtype=int)
     labels[order] = np.cumsum(np.diff(products[order], prepend=-1.0) > 1e-9 * products[order])
-    return labels, dense_word_state([0] * n, vecs, None)
+    return labels, kron_chain([0] * n, [vecs])
 
 
 def exact_eigenprojectors(sigma0, n):
@@ -91,9 +152,9 @@ def dense_square_root_povm(words, sigma0, sigma1, a):
     sigma_c pinched by the exact eigenprojectors of sigma0^(x)n, S = sum Pi_c and
     Upsilon_c = S^{-1/2} Pi_c S^{-1/2}."""
     n = len(words[0])
-    ref = dense_word_state([0] * n, sigma0, None)
+    ref = kron_chain([0] * n, [sigma0])
     blocks = exact_eigenprojectors(sigma0, n)
-    pinched = (sum(p @ dense_word_state(w, sigma0, sigma1) @ p for p in blocks) for w in words)
+    pinched = (sum(p @ kron_chain(w, (sigma0, sigma1)) @ p for p in blocks) for w in words)
     projectors = [threshold_projector(m, ref, sigma0, n, a) for m in pinched]
     vals, vecs = np.linalg.eigh(sum(projectors))
     inv_sqrt = np.where(vals > 1e-10, 1.0 / np.sqrt(np.where(vals > 1e-10, vals, 1.0)), 0.0)
@@ -103,8 +164,9 @@ def dense_square_root_povm(words, sigma0, sigma1, a):
 
 
 def dense_decoder_errors(elements, words, table):
-    """1 - tr(E_c sigma_c) of each element and its word, clipped to [0, 1] as the decoder clips them."""
-    p_ok = [np.trace(e @ op.word_products(w, table)).real for e, w in zip(elements, words)]
+    """1 - tr(E_c sigma_c) of each element and its word, sigma_c the :func:`kron_chain` of the word
+    on ``table = (sigma0, sigma1)``, clipped to [0, 1] as the decoder clips them."""
+    p_ok = [np.trace(e @ kron_chain(w, table)).real for e, w in zip(elements, words)]
     return np.clip(1.0 - np.asarray(p_ok), 0.0, 1.0)
 
 

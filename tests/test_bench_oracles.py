@@ -3,7 +3,8 @@
 `bench/workloads.py` is imported as it is.  Its `eg` and `simulate` oracles
 compare with `bench/references.json` at seeds 42 and 7, and its `resolve`
 oracle recomputes each commuting-route distance densely, so a change that
-moves those numbers fails here and not only in the benchmark.
+moves those numbers fails here and not only in the benchmark.  The `eg`
+study's own copy of the decoder threshold must give `eg.decoding_povm`'s POVM.
 `bench/spans.py` must find every function it traces.
 """
 
@@ -12,6 +13,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from covertq import covert_sim as cs
+from covertq import eg_toy as eg
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -44,6 +48,17 @@ def test_eg_study(workloads, seed, tmp_path):
     assert workloads.recorded_reference("eg", seed) is not None
     _, errors = run_study(workloads.EG(), seed, tmp_path)
     assert errors == []
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_eg_study_decodes_with_the_decoders_threshold(workloads, seed, tmp_path):
+    # the study keeps its own copy of decoding_povm's threshold a: its POVM must be the decoder's, bit for bit
+    inp = workloads.EG().setup(seed, str(tmp_path))
+    quad = inp["quad"]
+    elements, abstain = cs.square_root_povm(inp["flat"], quad.sigma0, quad.sigma1, inp["a"])
+    want, want_abstain, _ = eg.decoding_povm(inp["code"], inp["V"])
+    for got, ref in zip([*elements, abstain], [*want, want_abstain], strict=True):
+        assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("seed", [42, 7])

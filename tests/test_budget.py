@@ -1,22 +1,21 @@
 """The byte budget: one variable, checked before anything n-fold is allocated,
 with charges that bound what each entry point holds at once."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
-from support import rotated_damping_isometry
+from support import distinct_words, excitation_isometry, excitation_quadruple, rotated_damping_isometry, traced
 
 from covertq import budget
 from covertq import channels as chn
 from covertq import covert_sim as cs
 from covertq import eg_toy as eg
 from covertq import operators as op
+from covertq.cli import main
 from covertq.errors import BudgetExceededError
 
 CHECK = budget.check
 ISOMETRIES = {
-    "commuting": lambda: chn.stinespring_from_kraus(chn.excitation_channel(0.3)),
+    "commuting": lambda: excitation_isometry(0.3),
     "dense": rotated_damping_isometry,
 }
 SIM_ENTRY_POINTS = (
@@ -49,11 +48,9 @@ def sim_call(name, V, n, samples=2):
     return lambda: getattr(cs, name)(*args)
 
 
-def eg_code(n, T=2, L=2):
-    """A code of T*L distinct words of n letters."""
-    index = np.random.default_rng(n).choice(2**n, T * L, replace=False)
-    bits = (index[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return eg.EGToyCode.from_words(bits.astype(np.uint8).reshape(T, L, n))
+def eg_code(n):
+    """A code of 2 x 2 distinct words of n letters."""
+    return eg.EGToyCode.from_words(distinct_words(np.random.default_rng(n), 2, 2, n))
 
 
 def eg_call(name, V, code, povm):
@@ -67,14 +64,10 @@ def peak_and_charge(call, monkeypatch):
     """Tracemalloc peak of ``call()`` and the largest charge it passed to budget.check."""
     charges = []
     monkeypatch.setattr(budget, "check", lambda nbytes, what: charges.append(nbytes) or CHECK(nbytes, what))
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert charges, "no budget check"
-    return peak, max(charges)
+    return trace.peak, max(charges)
 
 
 def test_check_message_names_bytes_and_variable(monkeypatch):
@@ -104,14 +97,9 @@ def test_entry_points_charge_before_allocating(monkeypatch, name, route):
     for fn in ("word_products", "mean_word_product", "tensor_power"):
         monkeypatch.setattr(op, fn, built)
     monkeypatch.setenv("COVERTQ_MAX_BYTES", str(64 * 2**10))
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError, match="COVERTQ_MAX_BYTES"):
-            call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    with traced() as trace, pytest.raises(BudgetExceededError, match="COVERTQ_MAX_BYTES"):
+        call()
+    assert trace.peak < 2**20
 
 
 @pytest.mark.parametrize("name", ["sqrt_measurement_decoder", "square_root_povm"])
@@ -120,14 +108,9 @@ def test_dense_charge_checks_the_vectors_before_listing_the_pinching_blocks(monk
     eigenvalues: at an n where those vectors alone exceed the budget it exits before forming them."""
     call = sim_call(name, rotated_damping_isometry(), 16)
     monkeypatch.setenv("COVERTQ_MAX_BYTES", str(2**20))
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError, match="COVERTQ_MAX_BYTES"):
-            call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**16  # one float vector of the 2**16 strings
+    with traced() as trace, pytest.raises(BudgetExceededError, match="COVERTQ_MAX_BYTES"):
+        call()
+    assert trace.peak < 8 * 2**16  # one float vector of the 2**16 strings
 
 
 # Three sizes per entry point and route, where the n-fold arrays outweigh
@@ -168,7 +151,7 @@ def test_sim_charges_bound_peaks(monkeypatch, name, route):
 def test_small_budget_shrinks_blocks_not_runs(monkeypatch):
     """A budget that fits one codebook's charge still runs 25 samples and 4 bins, one
     codebook per block, with the results of the default blocks."""
-    quad = chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(0.25)))
+    quad = excitation_quadruple(0.25)
     cfg = cs.SimConfig(n=12, gamma=1.0, m_size=4, l_size=4, seed=3, samples=25)
     cb = cs.sample_codebook(cfg)
     route = cs.pair_route(quad.omega0, quad.omega1)
@@ -193,11 +176,26 @@ def test_eg_charges_bound_peaks(monkeypatch, name, route):
 
 def test_exact_string_povm_refuses_oversize_word_list():
     words = np.eye(4, 16, dtype=np.uint8)  # 4 distinct words of 16 letters: 4 GiB per projector
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError, match="exact_string_povm"):
-            eg.exact_string_povm(words)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    with traced() as trace, pytest.raises(BudgetExceededError, match="exact_string_povm"):
+        eg.exact_string_povm(words)
+    assert trace.peak < 2**20
+
+
+def sweep_argv(steps, out):
+    return ["sweep", "--gamma-from", "0.01", "--gamma-to", "0.99", "--steps", str(steps), "--out", str(out)]
+
+
+@pytest.mark.parametrize("steps", [2000, 20000])
+def test_sweep_charge_bounds_its_peak(monkeypatch, tmp_path, steps):
+    out = tmp_path / "sweep.csv"
+    peak, charge = peak_and_charge(lambda: main(sweep_argv(steps, out)), monkeypatch)
+    assert out.exists()
+    assert peak <= charge, f"{steps} steps: peak {peak} above charge {charge}"
+
+
+def test_oversize_sweep_exits_before_writing(monkeypatch, tmp_path, capsys):
+    # unchecked, the sweep ran at any size: about 940 bytes a step, so 2.3 million steps exceeded the default budget
+    monkeypatch.setenv("COVERTQ_MAX_BYTES", str(2**20))
+    assert main(sweep_argv(2000, tmp_path / "sweep.csv")) == 3
+    assert "budget error: sweep of 2000 steps needs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from support import excitation_quadruple
+from support import excitation_isometry, excitation_quadruple, random_unitary
 
 from covertq import capacities as cap
 from covertq import channels as chn
@@ -36,11 +36,11 @@ def test_unassisted_capacity():
 
 
 def test_eg_capacity():
-    V = chn.stinespring_from_kraus(chn.excitation_channel(0.25))
+    V = excitation_isometry(0.25)
     assert cap.covert_eg_capacity(V) == pytest.approx(math.log(3.0) * math.sqrt(6.0), abs=1e-9)
-    V6 = chn.stinespring_from_kraus(chn.excitation_channel(0.6))
+    V6 = excitation_isometry(0.6)
     assert cap.covert_eg_capacity(V6) == 0.0
-    V1 = chn.stinespring_from_kraus(chn.excitation_channel(0.1))
+    V1 = excitation_isometry(0.1)
     assert cap.covert_eg_capacity(V1) == pytest.approx(math.log(9.0) * math.sqrt(18.0), abs=1e-9)
 
 
@@ -81,14 +81,14 @@ def test_closed_form():
 
 def test_pipeline_matches_closed_form():
     for gamma in np.linspace(0.02, 0.98, 50):
-        V = chn.stinespring_from_kraus(chn.excitation_channel(float(gamma)))
+        V = excitation_isometry(float(gamma))
         assert cap.covert_eg_capacity(V) == pytest.approx(
             cap.excitation_capacity_closed_form(float(gamma)), abs=1e-9
         )
 
 
 def test_capacity_report_quarter():
-    V = chn.stinespring_from_kraus(chn.excitation_channel(0.25))
+    V = excitation_isometry(0.25)
     r = cap.capacity_report(V)
     assert r.dBob == pytest.approx(math.log(4.0), abs=1e-12)
     assert r.dWillie == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
@@ -102,7 +102,7 @@ def test_capacity_report_quarter():
 
 
 def test_capacity_report_anti_degraded():
-    r = cap.capacity_report(chn.stinespring_from_kraus(chn.excitation_channel(0.75)))
+    r = cap.capacity_report(excitation_isometry(0.75))
     assert r.antiDegradedFlag
     assert r.cEG == 0.0
     assert r.dBob == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
@@ -110,14 +110,14 @@ def test_capacity_report_anti_degraded():
 
 
 def test_capacity_report_half():
-    r = cap.capacity_report(chn.stinespring_from_kraus(chn.excitation_channel(0.5)))
+    r = cap.capacity_report(excitation_isometry(0.5))
     assert r.cS == 0.0 and r.cEG == 0.0
     assert r.cSKey > 0.0
 
 
 def test_report_invariants_sweep():
     for gamma in np.linspace(0.05, 0.95, 19):
-        r = cap.capacity_report(chn.stinespring_from_kraus(chn.excitation_channel(float(gamma))))
+        r = cap.capacity_report(excitation_isometry(float(gamma)))
         assert r.cS == r.cEG
         assert r.cS <= r.cSKey + 1e-12
         assert min(r.cSKey, r.cS, r.cEG, r.lKeyMin, r.lKeyNoSecrecy) >= 0.0
@@ -127,18 +127,12 @@ def test_report_invariants_sweep():
 
 def test_report_dilation_invariance():
     rng = np.random.default_rng(4)
-    V = chn.stinespring_from_kraus(chn.excitation_channel(0.3))
+    V = excitation_isometry(0.3)
     r1 = cap.capacity_report(V)
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    u, _ = np.linalg.qr(g)
-    V2 = chn.StinespringIsometry(np.kron(np.eye(2), u) @ V.V, 2, 2)
+    V2 = chn.StinespringIsometry(np.kron(np.eye(2), random_unitary(rng, 2)) @ V.V, 2, 2)
     r2 = cap.capacity_report(V2)
     for field in ("dBob", "dWillie", "chi2Willie", "cSKey", "cS", "cEG", "lKeyMin"):
         assert getattr(r1, field) == pytest.approx(getattr(r2, field), abs=1e-9)
-
-
-def excitation_isometry(gamma):
-    return chn.stinespring_from_kraus(chn.excitation_channel(gamma))
 
 
 def coinciding_warden_isometry():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from support import random_density
+from support import excitation_isometry, excitation_quadruple, random_density, random_unitary
 
 from covertq import channels as chn
 from covertq import divergences as dv
@@ -94,7 +94,7 @@ def test_channel_stacks_name_the_failing_element():
         chn.KrausChannel((half[1],))
     with pytest.raises(NotTracePreservingError, match=r"^stack element 1: sum K\^dag K"):
         chn.KrausChannel((half,))
-    v = chn.stinespring_from_kraus(chn.excitation_channel(np.array([0.2, 0.3, 0.4]))).V.copy()
+    v = excitation_isometry(np.array([0.2, 0.3, 0.4])).V.copy()
     v[2, 0, 0] = 2.0
     with pytest.raises(NotTracePreservingError, match=r"^stack element 2: V\^dag V differs from identity$"):
         chn.StinespringIsometry(v, 2, 2)
@@ -109,7 +109,7 @@ def test_kraus_built_isometry_is_checked_once(monkeypatch):
     check = chn._check_isometry
     monkeypatch.setattr(chn, "_check_isometry", lambda v, message: calls.append(message) or check(v, message))
     gammas = np.linspace(0.1, 0.9, 5)
-    V = chn.stinespring_from_kraus(chn.excitation_channel(gammas))
+    V = excitation_isometry(gammas)
     assert calls == ["V^dag V differs from identity"]
     assert V.V.shape == (5, 4, 2)
 
@@ -121,7 +121,7 @@ def test_stinespring_identity():
 
 
 def test_stinespring_excitation_isometry():
-    V = chn.stinespring_from_kraus(chn.excitation_channel(0.25))
+    V = excitation_isometry(0.25)
     assert V.V.shape == (4, 2)
     np.testing.assert_allclose(V.V.conj().T @ V.V, np.eye(2), atol=1e-12)
 
@@ -140,7 +140,7 @@ def test_stinespring_kraus_equivalence():
 
 def test_marginal_outputs_excitation():
     gamma = 0.25
-    V = chn.stinespring_from_kraus(chn.excitation_channel(gamma))
+    V = excitation_isometry(gamma)
     s0, w0 = chn.marginal_outputs(V, 0)
     s1, w1 = chn.marginal_outputs(V, 1)
     np.testing.assert_allclose(s0, np.diag([1 - gamma, gamma]), atol=1e-12)
@@ -160,13 +160,13 @@ def test_marginal_outputs_identity():
 
 
 def test_build_covert_channel():
-    V = chn.stinespring_from_kraus(chn.excitation_channel(0.25))
+    V = excitation_isometry(0.25)
     quad = chn.build_covert_channel(V)
     assert np.linalg.eigvalsh(quad.omega0).min() > 0
 
 
 def test_build_covert_channel_violation():
-    V = chn.stinespring_from_kraus(chn.excitation_channel(1.0))
+    V = excitation_isometry(1.0)
     with pytest.raises(AssumptionViolationError):
         chn.build_covert_channel(V)
 
@@ -178,7 +178,7 @@ def test_build_covert_channel_trivial():
 
 
 def test_mixed_output():
-    quad = chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(0.25)))
+    quad = excitation_quadruple(0.25)
     np.testing.assert_allclose(chn.mixed_output(quad, 0.0), quad.omega0, atol=1e-12)
     np.testing.assert_allclose(chn.mixed_output(quad, 1.0), quad.omega1, atol=1e-12)
     np.testing.assert_allclose(chn.mixed_output(quad, 0.2), np.diag([0.8, 0.2]), atol=1e-12)
@@ -188,11 +188,9 @@ def test_mixed_output():
 
 def test_dilation_invariance():
     rng = np.random.default_rng(3)
-    V = chn.stinespring_from_kraus(chn.excitation_channel(0.25))
+    V = excitation_isometry(0.25)
     quad = chn.build_covert_channel(V)
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    u, _ = np.linalg.qr(g)
-    V2 = chn.StinespringIsometry(np.kron(np.eye(2), u) @ V.V, 2, 2)
+    V2 = chn.StinespringIsometry(np.kron(np.eye(2), random_unitary(rng, 2)) @ V.V, 2, 2)
     quad2 = chn.build_covert_channel(V2)
     np.testing.assert_allclose(quad2.sigma0, quad.sigma0, atol=1e-9)
     np.testing.assert_allclose(quad2.sigma1, quad.sigma1, atol=1e-9)
@@ -249,7 +247,7 @@ def test_channel_spec_cq_pair_violation():
 
 
 def test_quadruple_fields_read_only_and_replace_starts_empty():
-    quad = chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(0.25)))
+    quad = excitation_quadruple(0.25)
     for name in ("sigma0", "sigma1", "omega0", "omega1"):
         with pytest.raises(ValueError):
             getattr(quad, name)[0, 0] = 0.5

@@ -1,10 +1,10 @@
 import csv
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from support import excitation_isometry, traced
 
 from covertq import capacities as cap
 from covertq import channels as chn
@@ -100,7 +100,7 @@ def test_sweep_matches_capacity_report(tmp_path):
     rows = read_sweep(out)
     assert [r["gamma"] for r in rows] == np.linspace(0.01, 0.99, 200).tolist()
     for row in rows:
-        report = cap.capacity_report(chn.stinespring_from_kraus(chn.excitation_channel(row["gamma"])))
+        report = cap.capacity_report(excitation_isometry(row["gamma"]))
         for column, field in SWEEP_FIELDS.items():
             want = getattr(report, field)
             assert (row[column] == 0.0) == (want == 0.0), (row["gamma"], column)
@@ -146,7 +146,7 @@ def test_sweep_csv_is_the_capacity_reports_formatted(tmp_path):
     assert main(["sweep", "--gamma-from", "0.01", "--gamma-to", "0.99",
                  "--steps", "2000", "--out", str(out)]) == 0
     gammas = np.linspace(0.01, 0.99, 2000)
-    reports = cap.capacity_reports([chn.stinespring_from_kraus(chn.excitation_channel(gammas))])
+    reports = cap.capacity_reports([excitation_isometry(gammas)])
     fields = ("dBob", "dWillie", "chi2Willie", "cSKey", "cS", "cEG", "lKeyMin")
     rows = [[g, *(getattr(r, f) for f in fields), cap.excitation_capacity_closed_form(g)]
             for g, r in zip(gammas.tolist(), reports)]
@@ -215,17 +215,13 @@ def test_simulate_refuses_before_any_stage(exc_spec, tmp_path, capsys, monkeypat
         monkeypatch.setattr(cs, stage, entered)
     monkeypatch.setenv("COVERTQ_MAX_BYTES", budget)
     out = tmp_path / "sim.json"
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         code = main(["simulate", exc_spec, "--n", str(n), "--gamma", "0.5", "--m", "4", "--l", "4",
                      "--samples", "2", "-o", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 3
     assert f"sqrt_measurement_decoder at n = {n} needs" in capsys.readouterr().err
     assert not out.exists()
-    assert peak < 2**20
+    assert trace.peak < 2**20
 
 
 def test_egdemo_byte_budget(exc_spec, tmp_path, capsys, monkeypatch):

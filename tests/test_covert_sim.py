@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
-    dense_decoder_errors, dense_square_root_povm, dense_word_state, exact_classes, exact_eigenprojectors,
-    excitation_quadruple, random_density, random_unitary, rank_two_qutrit_pair, rotated_damping_isometry,
+    dense_decoder_errors, dense_square_root_povm, dense_trace_norm, exact_classes, exact_eigenprojectors,
+    excitation_quadruple, kron_chain, kron_chain_mean, random_density, random_unitary, rank_two_qutrit_pair,
+    rotated, rotated_damping_quadruple, traced,
 )
 
 from covertq import channels as chn
@@ -17,20 +17,6 @@ from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
 from covertq.errors import BudgetExceededError, DimMismatchError, IndexOutOfRangeError, InvalidParameterError, NotHermitianError
-
-
-def dense_average(cb, quad):
-    """Straightforward dense reference for the warden's average state."""
-    states = [quad.omega0, quad.omega1]
-    dim = 2**cb.n
-    out = np.zeros((dim, dim), dtype=complex)
-    for m in range(cb.m_size):
-        for l in range(cb.l_size):
-            prod = states[cb.words[m, l, 0]]
-            for b in cb.words[m, l, 1:]:
-                prod = np.kron(prod, states[b])
-            out += prod
-    return out / (cb.m_size * cb.l_size)
 
 
 def test_sample_codebook_determinism():
@@ -120,9 +106,8 @@ def test_commuting_fast_path_matches_dense():
     for seed in range(5):
         cfg = cs.SimConfig(n=6, gamma=0.6, m_size=4, l_size=2, seed=seed)
         cb = cs.sample_codebook(cfg)
-        np.testing.assert_allclose(
-            cs.willie_average_state(cb, quad), dense_average(cb, quad), atol=1e-10
-        )
+        want = kron_chain_mean(cb.words.reshape(-1, cb.n), (quad.omega0, quad.omega1))
+        np.testing.assert_allclose(cs.willie_average_state(cb, quad), want, atol=1e-10)
 
 
 def test_willie_average_is_density():
@@ -273,20 +258,15 @@ def test_covertness_scaling():
 
 def commuting_pair(unitary, d0, d1):
     """U diag(d0) U^dag and U diag(d1) U^dag."""
-    return tuple((unitary * np.asarray(d, dtype=float)) @ unitary.conj().T for d in (d0, d1))
-
-
-def dense_trace_norm(a):
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    return tuple(rotated(unitary, np.asarray(d, dtype=float)) for d in (d0, d1))
 
 
 def dense_resolvability(cfg, quad):
-    mixed = dense_word_state([0] * cfg.n, chn.mixed_output(quad, cfg.alpha), None)
+    mixed = kron_chain([0] * cfg.n, [chn.mixed_output(quad, cfg.alpha)])
     out = []
     for i in range(cfg.samples):
         words = cs.sample_codebook(cfg, sample_index=i).words.reshape(-1, cfg.n)
-        avg = sum(dense_word_state(w, quad.omega0, quad.omega1) for w in words) / len(words)
-        out.append(dense_trace_norm(avg - mixed))
+        out.append(dense_trace_norm(kron_chain_mean(words, (quad.omega0, quad.omega1)) - mixed))
     return np.array(out)
 
 
@@ -332,7 +312,7 @@ def test_degenerate_pair_regression():
             cs.resolvability_samples(cfg, quad), dense_resolvability(cfg, quad), atol=1e-9
         )
         cb = cs.sample_codebook(cfg)
-        dense = sum(dense_word_state(w, quad.omega0, quad.omega1) for w in cb.words.reshape(-1, 4)) / k
+        dense = kron_chain_mean(cb.words.reshape(-1, 4), (quad.omega0, quad.omega1))
         np.testing.assert_allclose(cs.willie_average_state(cb, quad), dense, atol=1e-9)
 
 
@@ -371,10 +351,9 @@ def test_commuting_route_matches_dense(campaign):
     n = cfg.n
     cb = cs.sample_codebook(cfg)
     words = cb.words.reshape(-1, n)
-    states = [dense_word_state(w, quad.omega0, quad.omega1) for w in words]
-    avg = sum(states) / len(words)
-    ref0 = dense_word_state([0] * n, quad.omega0, None)
-    mixed = dense_word_state([0] * n, chn.mixed_output(quad, cfg.alpha), None)
+    avg = kron_chain_mean(words, (quad.omega0, quad.omega1))
+    ref0 = kron_chain([0] * n, [quad.omega0])
+    mixed = kron_chain([0] * n, [chn.mixed_output(quad, cfg.alpha)])
 
     np.testing.assert_allclose(cs.willie_average_state(cb, quad), avg, atol=1e-9)
     np.testing.assert_allclose(cs.resolvability_samples(cfg, quad), dense_resolvability(cfg, quad), atol=1e-9)
@@ -385,15 +364,12 @@ def test_commuting_route_matches_dense(campaign):
     assert cov.helstromError == pytest.approx(0.5 * (1.0 - 0.5 * dense_trace_norm(avg - ref0)), abs=1e-9)
 
     sec = cs.secrecy_report(cb, quad, cfg)
-    bins = [sum(states[m * cfg.l_size:(m + 1) * cfg.l_size]) / cfg.l_size for m in range(cfg.m_size)]
+    bins = [kron_chain_mean(cb.words[m], (quad.omega0, quad.omega1)) for m in range(cfg.m_size)]
     np.testing.assert_allclose(sec.perBinDistances, [dense_trace_norm(b - mixed) for b in bins], atol=1e-9)
 
     dec = cs.sqrt_measurement_decoder(cb, quad, cfg)
     elements, _ = dense_square_root_povm(words, quad.sigma0, quad.sigma1, cfg.a_threshold)
-    expected = [
-        min(max(1.0 - np.trace(e @ dense_word_state(w, quad.sigma0, quad.sigma1)).real, 0.0), 1.0)
-        for e, w in zip(elements, words)
-    ]
+    expected = dense_decoder_errors(elements, words, (quad.sigma0, quad.sigma1))
     np.testing.assert_allclose(list(dec.perMessageError.values()), expected, atol=1e-9)
 
 
@@ -479,10 +455,7 @@ def test_sqrt_decoder_dense_route():
     cb = cs.sample_codebook(cfg)
     words = cb.words.reshape(-1, 3)
     elements, _ = cs.square_root_povm(list(words), sigma0, sigma1, 0.2)
-    expected = [
-        min(max(1.0 - np.trace(e @ dense_word_state(w, sigma0, sigma1)).real, 0.0), 1.0)
-        for e, w in zip(elements, words)
-    ]
+    expected = dense_decoder_errors(elements, words, (sigma0, sigma1))
     rep = cs.sqrt_measurement_decoder(cb, quad, cfg)
     np.testing.assert_allclose(list(rep.perMessageError.values()), expected, atol=1e-12)
 
@@ -520,21 +493,15 @@ def test_sim_config_takes_numpy_integers_as_ints():
     assert np.array_equal(cs.sample_codebook(cfg, 1).words, cs.sample_codebook(plain, 1).words)
 
 
-def rotated_damping_quadruple(gamma=0.3, theta=0.7, phi=0.4):
-    return chn.build_covert_channel(rotated_damping_isometry(gamma, theta, phi))
-
-
 @pytest.mark.parametrize("make_quad", [excitation_quadruple, rotated_damping_quadruple])
 def test_codebook_averages_skip_per_word_products(monkeypatch, make_quad):
     quad = make_quad()
     cfg = cs.SimConfig(n=3, gamma=0.8, m_size=2, l_size=4, seed=6, samples=3)  # bins of L > n words
     cb = cs.sample_codebook(cfg)
-    mixed = dense_word_state([0] * cfg.n, chn.mixed_output(quad, cfg.alpha), None)
-    want_avg = dense_average(cb, quad)
-    want_bins = [
-        dense_trace_norm(sum(dense_word_state(w, quad.omega0, quad.omega1) for w in cb.words[m]) / cb.l_size - mixed)
-        for m in range(cb.m_size)
-    ]
+    mixed = kron_chain([0] * cfg.n, [chn.mixed_output(quad, cfg.alpha)])
+    table = (quad.omega0, quad.omega1)
+    want_avg = kron_chain_mean(cb.words.reshape(-1, cfg.n), table)
+    want_bins = [dense_trace_norm(kron_chain_mean(bin_words, table) - mixed) for bin_words in cb.words]
     want_res = dense_resolvability(cfg, quad)
 
     def per_word(*args, **kwargs):
@@ -571,14 +538,10 @@ def test_resolvability_memory_independent_of_codebook_size(monkeypatch):
     monkeypatch.setenv("COVERTQ_MAX_BYTES", str(8 * 2**20))  # the charge fits the peak bound below
     quad = excitation_quadruple()
     cfg = cs.SimConfig(n=16, gamma=1.0, m_size=32, l_size=32, seed=5, samples=2)
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         distances = cs.resolvability_samples(cfg, quad)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # one codebook's 2**16 counts and d**16 average, not K = 1024 rows of them
-    assert peak < 8 * 2**20
+    assert trace.peak < 8 * 2**20
     assert np.all((distances > 0.0) & (distances < 2.0))
 
 
@@ -730,13 +693,9 @@ def test_commuting_decoder_scales_its_weights_in_place():
     quad = excitation_quadruple()
     cfg = cs.SimConfig(n=14, gamma=1.0, m_size=4, l_size=4, seed=3)
     cb = cs.sample_codebook(cfg)
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         rep = cs.sqrt_measurement_decoder(cb, quad, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * 8 * 16 * 2**14
+    assert trace.peak < 2.5 * 8 * 16 * 2**14
     route = cs.pair_route(quad.sigma0, quad.sigma1)
     a = 0.5 * cfg.alpha * cfg.n * dv.qre(quad.sigma1, quad.sigma0)
     sigs, weights = cs._srm_weights(cb.words.reshape(-1, cfg.n), route.table, a)
@@ -862,13 +821,9 @@ def test_dense_decoder_holds_one_pinching_block_at_a_time():
     quad = rotated_damping_quadruple()
     cfg = cs.SimConfig(n=8, gamma=0.6, m_size=4, l_size=4, seed=8)
     cb = cs.sample_codebook(cfg)
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         cs.sqrt_measurement_decoder(cb, quad, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 16 * 2**16
+    assert trace.peak < 16 * 16 * 2**16
 
 
 @st.composite
@@ -963,7 +918,7 @@ def test_dense_rule_keeps_eigenvectors_outside_the_reference_support(n, a):
     decoded = cs.sqrt_measurement_decoder(cb, chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1), cfg)
     np.testing.assert_allclose(list(decoded.perMessageError.values()), errors, rtol=0, atol=1e-10)
     vals, vecs = np.linalg.eigh(sigma0)
-    outside = np.eye(3**n) - dense_word_state([0] * n, vecs[:, 1:] @ vecs[:, 1:].conj().T, None)
+    outside = np.eye(3**n) - kron_chain([0] * n, [vecs[:, 1:] @ vecs[:, 1:].conj().T])
     Un = op.tensor_power(op.eigh(route.table[0])[1], n)  # Pi_c is formed in sigma0's product eigenbasis
     for projector in captured:  # Pi_c contains the whole complement of the support
         np.testing.assert_allclose(Un @ projector @ Un.conj().T @ outside, outside, atol=1e-9)
@@ -978,9 +933,9 @@ def test_commuting_route_on_the_lattice_matches_dense():
         words = cb.words.reshape(-1, n)
         assert np.any(words.sum(axis=1) == 2)
         elements, _ = dense_square_root_povm(words, quad.sigma0, quad.sigma1, cfg.a_threshold)
-        want = [1.0 - np.trace(e @ dense_word_state(w, quad.sigma0, quad.sigma1)).real for e, w in zip(elements, words)]
+        want = dense_decoder_errors(elements, words, (quad.sigma0, quad.sigma1))
         got = cs.sqrt_measurement_decoder(cb, quad, cfg).perMessageError.values()
-        np.testing.assert_allclose(list(got), np.clip(want, 0.0, 1.0), atol=1e-12)
+        np.testing.assert_allclose(list(got), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, -800.0, 800.0])

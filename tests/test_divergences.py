@@ -1,13 +1,13 @@
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from support import random_density, random_unitary
+from support import dense_trace_norm, excitation_quadruple, kron_chain, random_density, random_unitary, rotated
 
 from covertq import channels as chn
+from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
 from covertq.errors import InvalidGammaError, NotHermitianError, SingularReferenceError
@@ -284,31 +284,64 @@ def test_pinsker():
 
 
 _TOL = DEFAULT_TOL.cluster
+_LOG_BELOW, _LOG_ABOVE = (0.3 * math.exp(-f * _TOL) for f in (0.99, 1.01))
 
 
 @pytest.mark.parametrize("spectrum, n, count", [
     pytest.param([0.5, 0.5], 5, 1, id="maximally-mixed"),
     pytest.param([0.8, 0.2], 3, 4, id="qubit"),
-    # a step just below the tolerance merges two eigenvalues, one just above keeps them apart
-    pytest.param([0.45, 0.45 - 0.99 * _TOL, 0.1 + 0.99 * _TOL], 1, 2, id="below"),
+    # absolute steps of 0.99 and 1.01 tolerance below 0.5 are steps of over one tolerance in log: none merges
+    pytest.param([0.45, 0.45 - 0.99 * _TOL, 0.1 + 0.99 * _TOL], 1, 3, id="below"),
     pytest.param([0.45, 0.45 - 1.01 * _TOL, 0.1 + 1.01 * _TOL], 1, 3, id="above"),
-    pytest.param([0.3, 0.3 - 0.99 * _TOL, 0.3 - 2.0 * _TOL, 0.1 + 2.99 * _TOL], 1, 3, id="below-and-above"),
-    # 0.3 times the step above the tolerance is below it
-    pytest.param([0.3, 0.3 - 0.99 * _TOL, 0.3 - 2.0 * _TOL, 0.1 + 2.99 * _TOL], 2, 3, id="below-and-above-n2"),
-    pytest.param([0.99, 0.99 - 1.03 * _TOL, 0.01 + 1.03 * _TOL], 2, 5, id="above-n2"),  # 0.99 times it is not
+    pytest.param([0.3, 0.3 - 0.99 * _TOL, 0.3 - 2.0 * _TOL, 0.1 + 2.99 * _TOL], 1, 4, id="below-and-above"),
+    # but 0.3 (0.3 - 2 tol) and (0.3 - 0.99 tol)^2 are 0.02 tolerance apart in log, and merge
+    pytest.param([0.3, 0.3 - 0.99 * _TOL, 0.3 - 2.0 * _TOL, 0.1 + 2.99 * _TOL], 2, 9, id="below-and-above-n2"),
+    pytest.param([0.99, 0.99 - 1.03 * _TOL, 0.01 + 1.03 * _TOL], 2, 6, id="above-n2"),
+    # a log step of one tolerance to within rounding: omega's computed eigenvalues put it 5e-6 tolerance
+    # below, so the two merge (on the exact diagonal the count is 6)
     pytest.param([0.99, 0.99 - 0.99 * _TOL, 0.01 + 0.99 * _TOL], 2, 3, id="below-n2"),
     pytest.param([0.6, 0.3 - 0.99 * _TOL, 0.1 + 0.99 * _TOL], 3, 10, id="below-n3"),
     pytest.param([0.6, 0.3 - 0.99 * _TOL, 0.1 + 0.99 * _TOL], 4, 15, id="below-n4"),
-    pytest.param([0.5, 0.5 - 1.01 * _TOL, 0.0 + 1.01 * _TOL], 2, 2, id="above-near-zero-n2"),
+    pytest.param([0.5, 0.5 - 1.01 * _TOL, 0.0 + 1.01 * _TOL], 2, 6, id="above-near-zero-n2"),
+    # a log step just below the tolerance merges two eigenvalues, and chains over their products; one
+    # just above keeps them apart
+    pytest.param([0.3, _LOG_BELOW, 0.7 - _LOG_BELOW], 1, 2, id="log-below"),
+    pytest.param([0.3, _LOG_ABOVE, 0.7 - _LOG_ABOVE], 1, 3, id="log-above"),
+    pytest.param([0.3, _LOG_BELOW, 0.7 - _LOG_BELOW], 2, 3, id="log-below-n2"),
+    pytest.param([0.3, _LOG_ABOVE, 0.7 - _LOG_ABOVE], 2, 6, id="log-above-n2"),
 ])
 def test_distinct_eigenvalue_count(spectrum, n, count):
-    # against the n-fold spectrum itself, clustered as a chain of ascending steps below the tolerance
-    values = np.sort(reduce(np.kron, [np.asarray(spectrum)] * n))
-    brute_force = 1 + int(np.sum(np.diff(values) >= _TOL))
+    # against the n-fold spectrum itself, the kron chain of omega's eigenvalues with those at or below the
+    # support tolerance zeroed: the logs of its positive values clustered as a chain of ascending steps
+    # below the tolerance, and its zeros one more class
     omega = rotated(random_unitary(np.random.default_rng(n), len(spectrum)), np.asarray(spectrum))
+    letters = np.linalg.eigvalsh(omega)
+    values = kron_chain([0] * n, [np.where(letters > DEFAULT_TOL.support, letters, 0.0)])
+    logs = np.sort(np.log(values[values > 0.0]))
+    brute_force = 1 + int(np.sum(np.diff(logs) >= _TOL)) + int(np.any(values == 0.0))
     got = dv.distinct_eigenvalue_count(omega, n)
     assert got == brute_force == count
     assert got <= (n + 1) ** len(spectrum)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_distinct_eigenvalue_count_is_the_pinching_block_count(data):
+    # nu in the resolvability bound counts the classes the decoder's pinching has as blocks
+    d, n = data.draw(st.sampled_from([2, 3, 4])), data.draw(st.integers(0, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    spectrum = data.draw(spectra(d, False)) if data.draw(st.booleans()) else rng.dirichlet(np.ones(d))
+    omega = rotated(random_unitary(rng, d), spectrum)
+    assert dv.distinct_eigenvalue_count(omega, n) == len(op._pinching_blocks(op.eigvalsh(omega), n))
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_distinct_eigenvalue_count_is_scale_free(n):
+    # the absolute rule merged every n-fold product below the tolerance: (0.9, 0.1) counted 11 at n = 20,
+    # and the bound's omega_alpha of excitation(0.25) at gamma = 0.6 counted 16 at n = 16 and 15 at n = 20
+    mixed = chn.mixed_output(excitation_quadruple(), cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4).alpha)
+    assert dv.distinct_eigenvalue_count(mixed, n) == len(op._pinching_blocks(op.eigvalsh(mixed), n)) == n + 1
+    assert dv.distinct_eigenvalue_count(np.diag([0.9, 0.1]), n) == n + 1
 
 
 # ---- stacked kernels against the per-element loop formulas they replaced
@@ -364,10 +397,6 @@ def loop_chi_square(rho, sigma, tol=DEFAULT_TOL):
     return max(total, 0.0)
 
 
-def loop_trace_norm(a):
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
 def loop_support_contained(inner, outer, tol=DEFAULT_TOL):
     vals, vecs = np.linalg.eigh(outer)
     cols = vecs[:, vals > tol.support]
@@ -377,10 +406,6 @@ def loop_support_contained(inner, outer, tol=DEFAULT_TOL):
         if lam > tol.support and np.linalg.norm(vec - proj @ vec) >= np.sqrt(tol.support):
             return False
     return True
-
-
-def rotated(unitary, spectrum):
-    return (unitary * spectrum) @ unitary.conj().T
 
 
 @st.composite
@@ -428,7 +453,7 @@ def test_stacked_kernels_match_loop_formulas(states):
     assert_matches(dv.qre(rho, sigma), [loop_qre(r, s) for r, s in zip(rho, sigma)])
     assert_matches(dv.qre(rho, full), [loop_qre(r, s) for r, s in zip(rho, full)])
     assert_matches(dv.chi_square(rho, full), [loop_chi_square(r, s) for r, s in zip(rho, full)])
-    assert_matches(op.trace_norm(rho - sigma), [loop_trace_norm(r - s) for r, s in zip(rho, sigma)])
+    assert_matches(op.trace_norm(rho - sigma), [dense_trace_norm(r - s) for r, s in zip(rho, sigma)])
     contained = op.support_contained(rho, sigma)
     assert contained.tolist() == [loop_support_contained(r, s) for r, s in zip(rho, sigma)]
     # the other two-state divergences: every stack element equals its own 2-D call
@@ -475,7 +500,7 @@ def test_read_off_eigenbases_are_gathered_exactly(monkeypatch):
     # permutation eigenbasis off it; the kernels gather by its order instead of
     # multiplying by it, and must give the arrays the products give, bit for bit:
     # on the stack, with a rotated (LAPACK) partner on either side, and in 2-D
-    quad = chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(np.linspace(0.01, 0.99, 2000))))
+    quad = excitation_quadruple(np.linspace(0.01, 0.99, 2000))
     assert all(op._eigh(m)[2] is not None for m in (quad.sigma0, quad.sigma1, quad.omega0, quad.omega1))
     rng = np.random.default_rng(8)
     rotated = np.stack([random_density(rng, 2, full_rank=False) for _ in range(2000)])

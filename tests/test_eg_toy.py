@@ -1,12 +1,13 @@
 import math
-import tracemalloc
 from contextlib import contextmanager, nullcontext
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from support import rotated_damping_isometry
+from support import (
+    distinct_words, excitation_isometry, kron_chain, random_density, random_unitary, rotated_damping_isometry, traced,
+)
 
 from covertq import channels as chn
 from covertq import divergences as dv
@@ -15,11 +16,14 @@ from covertq import operators as op
 from covertq.errors import BudgetExceededError, DimMismatchError, DuplicateWordError, InvalidParameterError
 
 
-def demo_setup(gamma=0.1):
-    code = eg.default_demo_code()
-    V = chn.stinespring_from_kraus(chn.excitation_channel(gamma))
+def decoded_setup(code, V):
+    """(code, V, povm, abstain, alpha): Bob's decoding POVM for the code on V, and the code's fraction of ones."""
     povm, abstain, _ = eg.decoding_povm(code, V)
     return code, V, povm, abstain, float(np.mean(code.words))
+
+
+def demo_setup():
+    return decoded_setup(eg.default_demo_code(), excitation_isometry(0.1))
 
 
 def noiseless_setup():
@@ -119,7 +123,7 @@ def test_protocol_state_noiseless_matches_ideal():
 
 def test_protocol_state_budget():
     code = eg.EGToyCode.from_words(np.zeros((2, 1, 14), dtype=np.uint8))
-    V = chn.stinespring_from_kraus(chn.excitation_channel(0.1))
+    V = excitation_isometry(0.1)
     # the gate fires before the POVM is read, so a placeholder element will do
     with pytest.raises(BudgetExceededError):
         eg.protocol_state(code, V, [np.eye(1)])
@@ -148,12 +152,8 @@ def test_uhlmann_identity():
 def test_uhlmann_equal_marginals():
     # two purifications of the same state are related by an isometry exactly
     rng = np.random.default_rng(1)
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    psi = op.canonical_purification(rho)
-    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    theta = (psi.reshape(3, 3) @ u.T).ravel()
+    psi = op.canonical_purification(random_density(rng, 3, full_rank=False))
+    theta = (psi.reshape(3, 3) @ random_unitary(rng, 3).T).ravel()
     W = eg.uhlmann_isometry(psi, (3, 3), theta, (3, 3))
     ov = abs(np.vdot(theta.reshape(3, 3), psi.reshape(3, 3) @ W.T))
     assert ov == pytest.approx(1.0, abs=1e-9)
@@ -313,8 +313,7 @@ def test_eg_report_degenerate_single_message():
 
 
 def test_eg_report_generic_bounds():
-    code, V, povm, abstain, alpha = demo_setup()
-    rep = eg.eg_report(code, V, povm, abstain, alpha=alpha)
+    _, rep = pinned_eg_report("demo", "paper-target")
     assert 0.0 <= rep.fidelity <= 1.0
     assert rep.covertDivergence >= 0.0
     assert rep.perStepDiagnostics["meanBranchFidelity"] <= rep.fidelity + 1e-12
@@ -340,10 +339,7 @@ def test_eg_report_environment_wider_than_decoder(mode):
 
 
 def rotated_setup(words, encode_phases, decode_phases):
-    code = eg.EGToyCode.from_words(words, encode_phases, decode_phases)
-    V = rotated_damping_isometry()
-    povm, abstain, _ = eg.decoding_povm(code, V)
-    return code, V, povm, abstain, float(np.mean(code.words))
+    return decoded_setup(eg.EGToyCode.from_words(words, encode_phases, decode_phases), rotated_damping_isometry())
 
 
 def pinned_rotated_setup():
@@ -435,6 +431,16 @@ PINNED_REPORTS = {
 }
 
 
+PINNED_SETUPS = {"demo": demo_setup, "rotated": pinned_rotated_setup}
+
+
+@lru_cache(maxsize=None)
+def pinned_eg_report(case, mode):
+    """The code of a PINNED_REPORTS case and its eg_report, one pass per (case, mode) for the tests that share it."""
+    code, V, povm, abstain, alpha = PINNED_SETUPS[case]()
+    return code, eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+
+
 def assert_pinned(got, want, path=""):
     if isinstance(want, dict):
         assert set(got) == set(want), path
@@ -452,8 +458,7 @@ def assert_pinned(got, want, path=""):
 
 @pytest.mark.parametrize("case, mode", sorted(PINNED_REPORTS))
 def test_eg_report_pinned(case, mode):
-    code, V, povm, abstain, alpha = demo_setup() if case == "demo" else pinned_rotated_setup()
-    rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+    _, rep = pinned_eg_report(case, mode)
     got = {
         "fidelity": rep.fidelity,
         "covertDivergence": rep.covertDivergence,
@@ -467,8 +472,7 @@ def test_eg_report_pinned(case, mode):
 @pytest.mark.parametrize("case, mode", sorted(PINNED_REPORTS))
 def test_branch_fidelities_agree(case, mode):
     # the branch phases are 1 on the (m, m) entries the EPR fidelity reads
-    code, V, povm, abstain, alpha = demo_setup() if case == "demo" else pinned_rotated_setup()
-    rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
+    code, rep = pinned_eg_report(case, mode)
     fidelities = rep.perStepDiagnostics["branchFidelities"]
     assert len(fidelities) == code.T
     assert max(fidelities) - min(fidelities) <= 1e-12
@@ -481,7 +485,7 @@ def test_branch_fidelities_agree(case, mode):
 def ref_branches(code, V):
     """chi[m, l] = V^(x)n |x^n(m, l)> as a (dB^n, dW^n) matrix, from the n-fold isometry."""
     n, dB, dW = code.n, V.out_dim_b, V.out_dim_w
-    Vn = reduce(np.kron, [V.V] * n)
+    Vn = kron_chain([0] * n, [V.V])
     idx = [int("".join(str(int(b)) for b in w), 2) for w in code.words.reshape(-1, n)]
     cols = Vn[:, idx].T.reshape((-1,) + (dB, dW) * n)
     perm = [0] + [1 + 2 * i for i in range(n)] + [2 + 2 * i for i in range(n)]
@@ -575,8 +579,7 @@ def ref_branch_fidelities(out):
 
 def random_rotated_setup(T, L, n):
     rng = np.random.default_rng(T * 100 + L * 10 + n)
-    index = rng.choice(2**n, T * L, replace=False)
-    words = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).reshape(T, L, n)
+    words = distinct_words(rng, T, L, n)
     return rotated_setup(words, rng.uniform(-np.pi, np.pi, (T, L)), rng.uniform(-np.pi, np.pi, (T, L)))
 
 
@@ -628,7 +631,7 @@ def test_eg_report_reads_only_the_matched_slices(monkeypatch, case, mode):
 
     monkeypatch.setattr(eg._Decoded, "slices", matched_only)
     monkeypatch.setattr(op, "partial_trace_vector", forbidden)
-    code, V, povm, abstain, alpha = demo_setup() if case == "demo" else pinned_rotated_setup()
+    code, V, povm, abstain, alpha = PINNED_SETUPS[case]()
     rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
     assert rep.fidelity == pytest.approx(PINNED_REPORTS[case, mode]["fidelity"], abs=1e-10)
 
@@ -802,7 +805,7 @@ def test_decoupler_defect_is_live(monkeypatch, case, mode):
         return u * (1.0 + 1e-6), vh
 
     monkeypatch.setattr(eg, "_uhlmann_factors", stretched)
-    code, V, povm, abstain, alpha = demo_setup() if case == "demo" else pinned_rotated_setup()
+    code, V, povm, abstain, alpha = PINNED_SETUPS[case]()
     rep = eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
     assert rep.perStepDiagnostics["decouplerIsometryDefect"] > 1e-7
 
@@ -810,12 +813,8 @@ def test_decoupler_defect_is_live(monkeypatch, case, mode):
 def bench_eg_setup(seed=42, T=4, L=3, n=7):
     """The benchmark's eg input: excitation 0.1, T = 4, L = 3, n = 7, distinct words
     (other code shapes by keyword)."""
-    V = chn.stinespring_from_kraus(chn.excitation_channel(0.1))
-    index = np.random.default_rng(seed).choice(2**n, T * L, replace=False)
-    words = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    code = eg.EGToyCode.from_words(words.reshape(T, L, n))
-    povm, abstain, _ = eg.decoding_povm(code, V)
-    return code, V, povm, abstain, float(np.mean(code.words))
+    code = eg.EGToyCode.from_words(distinct_words(np.random.default_rng(seed), T, L, n))
+    return decoded_setup(code, excitation_isometry(0.1))
 
 
 @pytest.mark.parametrize("mode", ["paper-target", "self-target"])
@@ -824,13 +823,9 @@ def test_eg_report_memory_bound(mode):
     # concatenation took the peak to 32.5 MiB, and holding all T L = 12 channel
     # words through the decoupler (3 MiB) to 12.9 MiB
     code, V, povm, abstain, alpha = bench_eg_setup()
-    tracemalloc.start()
-    try:
+    with traced() as trace:
         eg.eg_report(code, V, povm, abstain, alpha=alpha, mode=mode)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 11 * 2**20
+    assert trace.peak < 11 * 2**20
 
 
 @pytest.mark.parametrize("mode", ["paper-target", "self-target"])
@@ -987,12 +982,8 @@ def test_diagonal_roots_lower_the_eg_report_peak():
     code, V, povm, abstain, alpha = bench_eg_setup()
     peaks = []
     for context in (nullcontext(), dense_products()):
-        with context:
-            tracemalloc.start()
-            try:
-                eg.eg_report(code, V, povm, abstain, alpha=alpha)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        with context, traced() as trace:
+            eg.eg_report(code, V, povm, abstain, alpha=alpha)
+        peaks.append(trace.peak)
     K, dBn = code.T * code.l_size, 2**code.n
     assert peaks[0] + 16 * K * dBn**2 - 8 * K * dBn - 2**15 <= peaks[1]

@@ -3,14 +3,13 @@ import inspect
 import math
 import pkgutil
 import re
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import random_density
+from support import kron_chain, kron_chain_mean, random_density
 
 import covertq
 from covertq import operators as op
@@ -209,10 +208,6 @@ def word_product_cases(draw):
     return words, table
 
 
-def kron_chain_mean(words, table):
-    return np.mean([reduce(np.kron, [table[b] for b in word]) for word in words], axis=0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(word_product_cases())
 @example((np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8), np.array([[0.2, 0.8], [0.6, 0.4]])))
@@ -232,11 +227,6 @@ def word_product_table(kind, rng):
         return rng.normal(size=(2, 3))
     shape = (2, 2, 2) if kind == "complex-square" else (2, 2, 3)
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def kron_chain(word, table):
-    letters = [table[b] for b in word]
-    return reduce(np.kron, letters) if letters else np.ones((1,) * (table.ndim - 1))
 
 
 @pytest.mark.parametrize("kind", ["real-vector", "complex-square", "complex-rectangular"])

@@ -1,0 +1,23 @@
+"""Each helper the unit tests share is defined once, in ``support.py``.
+
+A unit-test module that defines a top-level function of the same name as one
+in ``support.py`` has brought back a copy.  The acceptance suite keeps its own
+oracles on purpose and is not checked.
+"""
+
+import ast
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+
+
+def top_level_functions(path):
+    return {node.name for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_no_unit_test_module_redefines_a_support_helper():
+    shared = top_level_functions(TESTS / "support.py")
+    modules = {p.name: top_level_functions(p) for p in TESTS.glob("test_*.py") if p.name != "test_acceptance.py"}
+    assert {"kron_chain", "dense_trace_norm", "excitation_isometry", "distinct_words"} <= shared
+    assert {"test_covert_sim.py", "test_eg_toy.py", "test_support.py"} <= set(modules)
+    assert {name: sorted(names & shared) for name, names in modules.items() if names & shared} == {}
