@@ -44,13 +44,18 @@ formed (``decoupling_decoder`` applies the same factors to every R slice,
 as it returns the whole block).  K is formed from theta's dW^n columns
 and padded with zero rows to dC, and the SVD sees all of it and returns
 LAPACK's completion: Gamma^m is not unique off the support of K, and that
-completion sets the reported fidelity, so a cheaper or differently completed
-SVD would move the pinned fidelities.  The products after the SVD run on the
-rows and columns of X_m that hold a non-zero entry (on a sparse decoded
-state, a few dozen of each), as do the Gram matrices of the decoupler's
-defect (``decouplerIsometryDefect``); the zero rows and columns add nothing
-to any of these sums.  The POVM roots meet the outputs in one place,
-``_Decoded.slices``.  Exactly diagonal operands
+completion sets the reported fidelity (ROADMAP item 2 owns it).  An exactly
+real K, as a real code on a real channel such as the excitation channel
+gives, goes to real LAPACK (dgesdd for zgesdd, about half the time): in
+exact arithmetic both run the same bidiagonalization and the same dbdsdc, so
+the completion is the same up to roundoff, and on the demo and benchmark
+codes the reports are bit for bit those of the complex route.  Where the
+completion is itself set by roundoff, the two routes can return different
+ones.  The products after the SVD run on the rows and columns of X_m that
+hold a non-zero entry (on a sparse decoded state, a few dozen of each), as
+do the Gram matrices of the decoupler's defect (``decouplerIsometryDefect``);
+the zero rows and columns add nothing to any of these sums.  The POVM roots
+meet the outputs in one place, ``_Decoded.slices``.  Exactly diagonal operands
 (``operators._real_diagonal``) skip their dense products, bit for bit: if
 every completed POVM element is diagonal, the roots are a (T L, dB^n) stack
 of diagonals that scale rows, else dense roots act on all rows; a real
@@ -239,8 +244,9 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, h
     measured on ``eg_report``, covers the roots, the T message outputs, three
     arrays the size of one message's words (the words, the decoupler's branch
     psi_m and the decoded slice X_m), the decoupler's K (dC x dB^n L) and its
-    SVD factors, a dozen single-system n-fold matrices, and ``held`` bytes of
-    the caller's full blocks."""
+    SVD factors, counted as complex even where they are real (an upper bound),
+    a dozen single-system n-fold matrices, and ``held`` bytes of the caller's
+    full blocks."""
     T, L, n = code.T, code.l_size, code.n
     dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
     side = max(dBn, dWn)
@@ -323,7 +329,9 @@ def align_phases(code: EGToyCode, V: StinespringIsometry, povm, abstain=None):
 def _uhlmann_factors(psi_mat: np.ndarray, theta_mat: np.ndarray):
     """SVD factors (u, vh) of the cross-overlap K = theta^dag psi, padded with
     zero rows to dC = max(theta's columns, psi's columns); the Uhlmann
-    isometry is conj(u @ vh)."""
+    isometry is conj(u @ vh).  A K with no non-zero imaginary entry goes to
+    real LAPACK, which returns LAPACK's completion off K's support up to
+    roundoff, and then u and vh are real."""
     # the optimum sum_{c,b} K[c,b] W[c,b] over isometries W is ||K||_1
     K = np.zeros((max(theta_mat.shape[1], psi_mat.shape[1]), psi_mat.shape[1]), dtype=complex)
     real = op._real_diagonal(theta_mat)
@@ -331,7 +339,7 @@ def _uhlmann_factors(psi_mat: np.ndarray, theta_mat: np.ndarray):
         K[: theta_mat.shape[1]] = theta_mat.conj().T @ psi_mat
     else:  # a real diagonal theta scales the rows of psi
         K[: len(real)] = real[:, None] * psi_mat
-    u, _, vh = np.linalg.svd(K, full_matrices=False)
+    u, _, vh = np.linalg.svd(K if K.imag.any() else K.real, full_matrices=False)
     return u, vh
 
 
@@ -352,7 +360,7 @@ def uhlmann_isometry(psi, dims_psi, theta, dims_theta) -> np.ndarray:
     psi_mat = np.asarray(psi, dtype=complex).reshape(dA, dB)
     theta_mat = np.asarray(theta, dtype=complex).reshape(dA, dC)
     u, vh = _uhlmann_factors(psi_mat, theta_mat)
-    return np.conj(u @ vh)
+    return np.conj(u @ vh).astype(complex)
 
 
 def _decoupled(u: np.ndarray, vh: np.ndarray, x: np.ndarray):

@@ -15,7 +15,8 @@ basis are gathers (:func:`_basis_product`, and :func:`_overlap` between two
 eigenbases); ``eg_toy`` scales rows by diagonal POVM roots and theta.  Each
 equals the dense product bit for bit, and
 :func:`_real_diagonal` is the one test for such input.  The decoupler's SVDs
-in ``eg_toy`` are not eigendecompositions and stay on ``np.linalg.svd``.
+in ``eg_toy`` are not eigendecompositions and stay on ``np.linalg.svd``, in
+real arithmetic when the cross-overlap is exactly real.
 
 Stack contract: :func:`as_operator`, :func:`check_hermitian`, :func:`eigh`,
 :func:`eigvalsh`, :func:`trace_norm` and :func:`support_contained` take a
