@@ -6,7 +6,9 @@ decoder.  When a pair of single-copy outputs commutes, the n-fold quantities
 built from it are diagonal in the product of their shared eigenbasis and are
 computed on probability vectors; otherwise on dense matrices.  Either way the
 bytes each entry point holds at once are charged to :mod:`covertq.budget`
-before anything n-fold is allocated.
+before anything n-fold is allocated.  A ``Codebook`` is its words, its sizes
+read off their shape; a stage checks the letters where it reads them and the
+shape against its ``SimConfig``.
 
 ``pair_route`` makes that choice; its ``Route`` holds the single-letter
 table (eigenvalue vectors or matrices) with the matching distance and
@@ -103,21 +105,24 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Binary codewords indexed by (message m, bin/key index l)."""
+    """Binary codewords indexed by (message m, bin/key index l): ``words``, a 3-D array of shape (m_size,
+    l_size, n) that gives the sizes.  A stage checks the letters it reads, and the shape against its config."""
 
-    n: int
-    m_size: int
-    l_size: int
-    words: np.ndarray  # uint8 array of shape (m_size, l_size, n)
+    words: np.ndarray
+    m_size = property(lambda self: self.words.shape[0])
+    l_size = property(lambda self: self.words.shape[1])
+    n = property(lambda self: self.words.shape[2])
 
     def __post_init__(self):
-        if np.shape(self.words) != (self.m_size, self.l_size, self.n):
-            raise DimMismatchError(f"words of shape {np.shape(self.words)} for (m_size, l_size, n) = {(self.m_size, self.l_size, self.n)}")
+        object.__setattr__(self, "words", np.asarray(self.words))
+        if self.words.ndim != 3:
+            raise DimMismatchError(f"words of shape {self.words.shape}, not (m_size, l_size, n)")
 
-    def word(self, m: int, l: int) -> np.ndarray:
-        if not (0 <= m < self.m_size and 0 <= l < self.l_size):
-            raise IndexOutOfRangeError(f"codeword index ({m}, {l}) out of range")
-        return self.words[m, l]
+
+def _check_shape(cb: Codebook, cfg: SimConfig) -> None:
+    """Refuse a codebook whose shape is not the (m_size, l_size, n) of ``cfg``."""
+    if cb.words.shape != (cfg.m_size, cfg.l_size, cfg.n):
+        raise DimMismatchError(f"codebook of shape {cb.words.shape} for a config of (m_size, l_size, n) = {(cfg.m_size, cfg.l_size, cfg.n)}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ def sample_codebook(cfg: SimConfig, sample_index: int = 0) -> Codebook:
     index = _integer("sample_index", sample_index)
     if not 0 <= index < 2**64:
         raise InvalidParameterError(f"sample_index = {index} outside [0, 2**64)")
-    return Codebook(cfg.n, cfg.m_size, cfg.l_size, next(_draws(cfg, [index])))
+    return Codebook(next(_draws(cfg, [index])))
 
 
 def otp_encode(m: int, m2: int, k: int, cb: Codebook) -> np.ndarray:
@@ -168,7 +173,7 @@ def otp_encode(m: int, m2: int, k: int, cb: Codebook) -> np.ndarray:
         raise IndexOutOfRangeError(f"key index {k} outside [0, {cb.l_size})")
     if not (0 <= m < cb.m_size and 0 <= m2 < cb.l_size):
         raise IndexOutOfRangeError("message index out of range")
-    return cb.word(m, (m2 + k) % cb.l_size)
+    return cb.words[m, (m2 + k) % cb.l_size]
 
 
 def product_state(word, state0, state1) -> np.ndarray:
@@ -389,6 +394,7 @@ def resolvability_experiment(cfg: SimConfig, ch: BinaryCovertChannel):
 
 def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> CovertnessReport:
     """Covertness metrics of one codebook against the innocent reference."""
+    _check_shape(cb, cfg)
     route = _warden_route(ch)
     _charge("covertness_report", route, cb.n, cb.m_size * cb.l_size)
     table = route.table
@@ -412,6 +418,7 @@ def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> 
 
 def secrecy_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> SecrecyReport:
     """Per-bin trace distances to the mixed reference and their mean."""
+    _check_shape(cb, cfg)
     route = _warden_route(ch)
     block = _charge("secrecy_report", route, cb.n, cb.l_size, cb.m_size)
     dists = _mean_distances(route, cfg.alpha, cb.n, (cb.words[a : a + block] for a in range(0, cb.m_size, block)))
@@ -463,6 +470,7 @@ def povm_on_route(words, route: Route, a_threshold: float):
 def sqrt_measurement_decoder(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> DecoderReport:
     """Error probabilities of :func:`square_root_povm` on Bob's outputs, on
     diagonals in the shared eigenbasis when sigma0 and sigma1 commute."""
+    _check_shape(cb, cfg)
     route = _bob_route(ch)
     _charge("sqrt_measurement_decoder", route, cb.n, cb.m_size * cb.l_size)
     a = 0.5 * cfg.alpha * cfg.n * dv.qre(ch.sigma1, ch.sigma0) if cfg.a_threshold is None else cfg.a_threshold

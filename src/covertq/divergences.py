@@ -71,13 +71,12 @@ def qre(rho, sigma):
     # weight[i, j] = lam_i |<u_i|v_j>|^2 between eigenvectors of rho and sigma
     weight = lam[..., :, None] * overlap
     escapes = np.any((weight > DEFAULT_TOL.support) & ~on_s[..., None, :], axis=(-2, -1))
-    # summed left to right, each rho eigenvalue's entropy term then its cross
-    # terms, so a 2-D input gives the bits of the plain per-eigenvalue sum
+    # each rho eigenvalue's entropy term beside its cross terms
     terms = np.concatenate([
         (lam * _log_where(on_r, rvals))[..., :, None],
         -weight * _log_where(on_s, svals)[..., None, :],
     ], axis=-1)
-    total = np.cumsum(terms.reshape(terms.shape[:-2] + (math.prod(terms.shape[-2:]),)), axis=-1)[..., -1]
+    total = np.sum(terms, axis=(-2, -1))
     return op.scalar_or_stack(np.where(escapes, math.inf, np.maximum(total, 0.0)))
 
 

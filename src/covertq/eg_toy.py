@@ -18,6 +18,10 @@ The protocol runs entirely on dense state vectors:
    need for the measurement.
 
 System ordering of the full protocol state: R, M, B^n, W^n, Mhat, Lhat.
+An ``EGToyCode`` is its words: T, L and n are read off their shape, and its
+constructor checks the letters, the phases and that no word repeats within a
+message.  ``_decode`` checks that the POVM has T L elements on B^n, and reads
+the warden's single-letter outputs omega_0, omega_1 once for the whole pass.
 
 Alice's preparation ties R to M, so every block with R != M is zero.
 ``eg_report`` runs the steps above in one pass over the R = M block and
@@ -73,33 +77,39 @@ from . import budget
 from . import covert_sim as cs
 from . import divergences as dv
 from . import operators as op
-from .channels import KrausChannel, StinespringIsometry, build_covert_channel, marginal_outputs, stinespring_from_kraus
+from .channels import KrausChannel, StinespringIsometry, _marginals, build_covert_channel, stinespring_from_kraus
 from .errors import AssumptionViolationError, DimMismatchError, DuplicateWordError, InvalidParameterError, TrivialTestError
 from .operators import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
 class EGToyCode:
-    """A toy quantum codebook: T messages, L strings per message."""
+    """A toy quantum codebook: T messages, L distinct strings per message, |phi_m> superposing them.
+    ``words`` is a (T, L, n) array of letters below 256, kept as uint8, and T, ``l_size`` and n are
+    read off it; phases left out are zeros.  Every construction, ``replace`` too, checks all of this."""
 
-    T: int
-    l_size: int
-    n: int
-    words: np.ndarray  # uint8, shape (T, l_size, n)
-    encode_phases: np.ndarray  # float, shape (T, l_size)
-    decode_phases: np.ndarray  # float, shape (T, l_size)
+    words: np.ndarray
+    encode_phases: np.ndarray | None = None
+    decode_phases: np.ndarray | None = None
+    T = property(lambda self: self.words.shape[0])
+    l_size = property(lambda self: self.words.shape[1])
+    n = property(lambda self: self.words.shape[2])
+    from_words = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))  # the constructor's older name
 
     def __post_init__(self):
-        shapes = (np.shape(self.words), np.shape(self.encode_phases), np.shape(self.decode_phases))
-        if shapes != ((self.T, self.l_size, self.n),) + ((self.T, self.l_size),) * 2:
-            raise DimMismatchError(f"words and phases of shapes {shapes} for (T, l_size, n) = {(self.T, self.l_size, self.n)}")
-
-    @staticmethod
-    def from_words(words, encode_phases=None, decode_phases=None) -> "EGToyCode":
-        w = op._letters(words, 256).astype(np.uint8)  # a letter outside the uint8 range would wrap
-        T, l_size, n = w.shape
-        t, h = (np.zeros((T, l_size)) if p is None else np.asarray(p, dtype=float) for p in (encode_phases, decode_phases))
-        return EGToyCode(T=T, l_size=l_size, n=n, words=w, encode_phases=t, decode_phases=h)
+        words = op._letters(self.words, 256).astype(np.uint8)  # a letter outside the uint8 range would wrap
+        if words.ndim != 3:
+            raise DimMismatchError(f"words of shape {words.shape}, not (T, l_size, n)")
+        object.__setattr__(self, "words", words)
+        for name in ("encode_phases", "decode_phases"):
+            p = getattr(self, name)
+            p = np.zeros(words.shape[:2]) if p is None else np.asarray(p, dtype=float)
+            if p.shape != words.shape[:2]:
+                raise DimMismatchError(f"{name} of shape {p.shape} for (T, l_size) = {words.shape[:2]}")
+            object.__setattr__(self, name, p)
+        for m, message in enumerate(words):
+            if len({word.tobytes() for word in message}) < len(message):
+                raise DuplicateWordError(f"repeated classical word within message {m}")
 
 
 @dataclass(frozen=True)
@@ -168,11 +178,8 @@ def build_quantum_codewords(code: EGToyCode) -> list[np.ndarray]:
     """Codeword superpositions |phi_m> on the n-qubit input space."""
     states = []
     for m in range(code.T):
-        index = op.word_index(code.words[m])
-        if len(np.unique(index)) != len(index):
-            raise DuplicateWordError(f"repeated classical word within message {m}")
         vec = np.zeros(2**code.n, dtype=complex)
-        vec[index] = np.exp(1j * code.encode_phases[m])
+        vec[op.word_index(code.words[m])] = np.exp(1j * code.encode_phases[m])
         states.append(vec / math.sqrt(code.l_size))
     return states
 
@@ -212,6 +219,7 @@ class _Decoded:
     outputs: np.ndarray  # (T, dB^n, dW^n): channel output of |phi_m>, weighted by 1/sqrt(T)
     rows: np.ndarray  # the B^n rows where some output is non-zero
     gram: np.ndarray  # G = sum_k Lam^k on those rows and columns, not assumed to be I
+    omegas: np.ndarray  # (2, dW, dW): the warden's single-letter outputs omega_0, omega_1
 
     @property
     def shape(self) -> tuple:
@@ -247,11 +255,13 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, h
     SVD factors, counted as complex even where they are real (an upper bound),
     a dozen single-system n-fold matrices, and ``held`` bytes of the caller's
     full blocks."""
-    T, L, n = code.T, code.l_size, code.n
+    T, L, n = code.words.shape
     dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
     side = max(dBn, dWn)
     nbytes = 16 * (((T + 3) * L + T) * dBn * side + 4 * _wbreve_dim(dBn, dWn, L) * dBn * L + 12 * side**2)
     budget.check(nbytes + held, f"{what} at n = {n}, T = {T}, L = {L}")
+    if len(povm) != T * L or any(np.shape(e) != (dBn, dBn) for e in (*povm, abstain) if e is not None):
+        raise DimMismatchError(f"{len(povm)} POVM elements for {T * L} words, or not all {dBn} x {dBn}")
     elements, defect = _completed_povm(povm, abstain)
     if defect > DEFAULT_TOL.herm:
         raise DimMismatchError(f"POVM completion defect {defect:.3e}; supply the abstain remainder")
@@ -275,7 +285,7 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, h
         outputs[m] = np.einsum("l,lbw->bw", amp[m], chis)
     rows = np.flatnonzero(np.any(outputs != 0, axis=(0, 2)))
     gram = sum(e[rows[:, None], rows] for e in elements)
-    return _Decoded(sqrts, overlaps, outputs, rows, gram)
+    return _Decoded(sqrts, overlaps, outputs, rows, gram, _marginals(V.V, V.out_dim_b, V.out_dim_w, (0, 1))[1])
 
 
 def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None) -> np.ndarray:
@@ -301,13 +311,11 @@ def protocol_state(code: EGToyCode, V: StinespringIsometry, povm, abstain=None) 
 
 
 def _phase_alignment(overlaps: np.ndarray):
-    t = np.zeros(overlaps.shape)
-    h = np.angle(overlaps)
     diagnostics = {
         "alignedOverlapSum": float(np.sum(np.abs(overlaps))),
         "zeroPhaseOverlapSum": float(np.sum(overlaps).real),
     }
-    return t, h, diagnostics
+    return np.zeros(overlaps.shape), np.angle(overlaps), diagnostics
 
 
 def align_phases(code: EGToyCode, V: StinespringIsometry, povm, abstain=None):
@@ -410,9 +418,7 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     s = np.zeros((dC, dWn), dtype=complex)
     defect = 0.0
     if mode == "paper-target":
-        _, omega0 = marginal_outputs(V, 0)
-        _, omega1 = marginal_outputs(V, 1)
-        omega_alpha = (1.0 - alpha) * omega0 + alpha * omega1
+        omega_alpha = (1.0 - alpha) * decoded.omegas[0] + alpha * decoded.omegas[1]
         theta = op.canonical_purification(op.tensor_power(omega_alpha, code.n)).reshape(dWn, dWn)
     elif mode != "self-target":
         raise ValueError(f"unknown decoupling mode {mode!r}")
@@ -438,13 +444,8 @@ def _decouple(code: EGToyCode, V: StinespringIsometry, decoded: _Decoded, alpha,
     fidelity = float(np.vdot(s, s).real) / T
     overlap = min(abs(np.vdot(theta_ref.T, s[:dWn])) / math.sqrt(T), 1.0)
     trace_dist = 2.0 * math.sqrt(max(1.0 - overlap**2, 0.0))
-    diagnostics = {
-        "traceDistanceGHZ": trace_dist,
-        "targetOverlap": float(overlap),
-        "decouplerIsometryDefect": defect,
-        "mode": mode,
-        "alpha": float(alpha),
-    }
+    diagnostics = {"traceDistanceGHZ": trace_dist, "targetOverlap": float(overlap), "decouplerIsometryDefect": defect,
+                   "mode": mode, "alpha": float(alpha)}
     return fidelity, diagnostics, out
 
 
@@ -457,7 +458,7 @@ def decoupling_decoder(code: EGToyCode, V: StinespringIsometry, povm, abstain=No
         ``state`` has axes (R, M, W^n, Mhat, Wbreve); diagnostics include the
         trace distance to GHZ (x) reference purification and isometry defects.
     """
-    T, L, n = code.T, code.l_size, code.n
+    T, L, n = code.words.shape
     dBn, dWn = V.out_dim_b**n, V.out_dim_w**n
     # the decoded slices (at most the R = M diagonal), the decoupled block and the returned state
     held = 16 * T**2 * (L * dBn * dWn + (T + 1) * dWn * _wbreve_dim(dBn, dWn, L))
@@ -480,9 +481,7 @@ def ghz_to_epr(state_rmmhat, T: int, j: int):
         raise DimMismatchError(f"expected dim {T**3}, got {rho.shape[0]}")
     phases = np.exp(2j * np.pi * j * np.arange(T) / T)
     f_j = phases / math.sqrt(T)
-    t = rho.reshape(T, T, T, T, T, T)
-    reduced = np.einsum("m,rmkspq,p->rksq", f_j.conj(), t, f_j)
-    reduced = reduced.reshape(T * T, T * T)
+    reduced = np.einsum("m,rmkspq,p->rksq", f_j.conj(), rho.reshape((T,) * 6), f_j).reshape(T * T, T * T)
     prob = np.trace(reduced).real
     if prob <= 0.0:
         raise DimMismatchError(f"measurement outcome {j} has zero probability")
@@ -512,26 +511,19 @@ def willie_marginal(code: EGToyCode, V: StinespringIsometry, povm, abstain=None)
 def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha: float | None = None, mode: str = "paper-target") -> EGReport:
     """Full pipeline: phase alignment, decoupling, assistance elimination,
     and exact covertness accounting, all from one decoded state."""
-    unphased = replace(code, encode_phases=np.zeros((code.T, code.l_size)))
+    unphased = replace(code, encode_phases=None)
     decoded = _decode(unphased, V, povm, abstain, "eg_report")
     _, h, phase_diag = _phase_alignment(decoded.overlaps)
     aligned = replace(unphased, decode_phases=h)
     fidelity, dec_diag, _ = _decouple(aligned, V, decoded, alpha, mode)
     tau_w = decoded.warden_state()
-    _, omega0 = marginal_outputs(V, 0)
-    _, omega1 = marginal_outputs(V, 1)
-    covert_div = dv.qre(tau_w, op.tensor_power(omega0, code.n))
+    covert_div = dv.qre(tau_w, op.tensor_power(decoded.omegas[0], code.n))
     # distance to the incoherent classical-codebook average, as a diagnostic
-    classical = op.mean_word_product(code.words.reshape(-1, code.n), np.stack([omega0, omega1]))
+    classical = op.mean_word_product(code.words.reshape(-1, code.n), decoded.omegas)
     diagnostics = {**phase_diag, **dec_diag}
     diagnostics["willieClassicalGap"] = op.trace_norm(tau_w - classical)
     # every Fourier branch has the same fidelity (see eliminate_assistance)
     diagnostics["branchFidelities"] = [fidelity] * code.T
     diagnostics["meanBranchFidelity"] = fidelity
-    return EGReport(
-        fidelity=fidelity,
-        covertDivergence=float(covert_div),
-        traceDistanceGHZ=dec_diag["traceDistanceGHZ"],
-        bestJ=0,
-        perStepDiagnostics=diagnostics,
-    )
+    return EGReport(fidelity=fidelity, covertDivergence=float(covert_div), traceDistanceGHZ=dec_diag["traceDistanceGHZ"],
+                    bestJ=0, perStepDiagnostics=diagnostics)

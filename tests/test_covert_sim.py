@@ -38,10 +38,11 @@ def test_sample_codebook_degenerate():
 def test_otp_encode():
     cfg = cs.SimConfig(n=4, gamma=0.5, m_size=2, l_size=4, seed=1)
     cb = cs.sample_codebook(cfg)
-    assert np.array_equal(cs.otp_encode(1, 2, 0, cb), cb.word(1, 2))
-    assert np.array_equal(cs.otp_encode(1, 3, 2, cb), cb.word(1, 1))  # wraps mod 4
-    with pytest.raises(IndexOutOfRangeError):
-        cs.otp_encode(0, 0, 4, cb)
+    assert np.array_equal(cs.otp_encode(1, 2, 0, cb), cb.words[1, 2])
+    assert np.array_equal(cs.otp_encode(1, 3, 2, cb), cb.words[1, 1])  # wraps mod 4
+    for m, m2, k in ((0, 0, 4), (0, 0, -1), (2, 0, 0), (-1, 0, 0), (0, 4, 0)):
+        with pytest.raises(IndexOutOfRangeError):
+            cs.otp_encode(m, m2, k, cb)
 
 
 def test_otp_uniform_key_average():
@@ -61,12 +62,12 @@ def test_otp_uniform_key_average():
 
 def test_willie_average_trivial_cases():
     quad = excitation_quadruple()
-    cb = cs.Codebook(3, 1, 1, np.zeros((1, 1, 3), dtype=np.uint8))
+    cb = cs.Codebook(np.zeros((1, 1, 3), dtype=np.uint8))
     np.testing.assert_allclose(
         cs.willie_average_state(cb, quad), op.tensor_power(quad.omega0, 3), atol=1e-12
     )
     words = np.array([[[0, 0]], [[1, 1]]], dtype=np.uint8)
-    cb2 = cs.Codebook(2, 2, 1, words)
+    cb2 = cs.Codebook(words)
     expected = 0.5 * (
         np.kron(quad.omega0, quad.omega0) + np.kron(quad.omega1, quad.omega1)
     )
@@ -75,18 +76,38 @@ def test_willie_average_trivial_cases():
 
 def test_willie_average_refuses_a_letter_outside_the_bits():
     # before, "03" was counted as the string "11"
-    cb = cs.Codebook(2, 1, 1, np.array([[[0, 3]]], dtype=np.uint8))
+    cb = cs.Codebook(np.array([[[0, 3]]], dtype=np.uint8))
     with pytest.raises(InvalidParameterError, match=r"outside \[0, 2\)"):
         cs.willie_average_state(cb, excitation_quadruple())
 
 
 def test_codebook_shape_fields_must_match_words():
-    with pytest.raises(DimMismatchError, match="shape"):
-        cs.Codebook(4, 1, 1, np.zeros((2, 2, 4), dtype=np.uint8))
-    with pytest.raises(DimMismatchError, match="shape"):
-        cs.Codebook(4, 2, 2, np.zeros((2, 2, 3), dtype=np.uint8))
+    # the sizes are read off the words, so they cannot disagree with them
     cfg = cs.SimConfig(n=5, gamma=0.6, m_size=3, l_size=2, seed=1)
-    assert cs.sample_codebook(cfg).words.shape == (3, 2, 5)
+    cb = cs.sample_codebook(cfg)
+    assert cb.words.shape == (cb.m_size, cb.l_size, cb.n) == (3, 2, 5)
+    with pytest.raises(AttributeError):
+        cb.n = 4
+    for words in (np.zeros((4, 4), dtype=np.uint8), np.zeros((1, 2, 2, 4), dtype=np.uint8)):
+        with pytest.raises(DimMismatchError, match="shape"):
+            cs.Codebook(words)
+        with pytest.raises(DimMismatchError, match="shape"):
+            replace(cb, words=words)  # replace builds through the same check
+    listed = cs.Codebook([[[0, 1, 1]], [[1, 0, 0]]])
+    assert isinstance(listed.words, np.ndarray) and (listed.m_size, listed.l_size, listed.n) == (2, 1, 3)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 4), (4, 1, 8), (1, 4, 8), (2, 2, 9)], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("stage", [cs.covertness_report, cs.secrecy_report, cs.sqrt_measurement_decoder], ids=lambda f: f.__name__)
+def test_stages_refuse_a_codebook_that_does_not_fit_the_config(stage, shape):
+    # unchecked, a codebook of n = 4 with an n = 8 config reported dReference 0.0316 for 0.0632
+    quad = excitation_quadruple()
+    cfg = cs.SimConfig(n=8, gamma=0.6, m_size=2, l_size=2)
+    m_size, l_size, n = shape
+    drawn = cs.sample_codebook(replace(cfg, n=n, m_size=m_size, l_size=l_size, alpha=None))
+    with pytest.raises(DimMismatchError, match="config"):
+        stage(drawn, quad, cfg)
+    stage(cs.sample_codebook(cfg), quad, cfg)
 
 
 def test_willie_average_full_population():
@@ -94,7 +115,7 @@ def test_willie_average_full_population():
     quad = excitation_quadruple()
     n = 3
     words = np.array([[list(w)] for w in itertools.product([0, 1], repeat=n)], dtype=np.uint8)
-    cb = cs.Codebook(n, 2**n, 1, words)
+    cb = cs.Codebook(words)
     mixed = chn.mixed_output(quad, 0.5)
     np.testing.assert_allclose(
         cs.willie_average_state(cb, quad), op.tensor_power(mixed, n), atol=1e-12
@@ -122,7 +143,7 @@ def test_willie_average_is_density():
 def test_willie_bin_state():
     quad = excitation_quadruple()
     words = np.array([[[0, 1], [1, 0]]], dtype=np.uint8)
-    cb = cs.Codebook(2, 1, 2, words)
+    cb = cs.Codebook(words)
     expected = 0.5 * (
         np.kron(quad.omega0, quad.omega1) + np.kron(quad.omega1, quad.omega0)
     )
@@ -133,7 +154,7 @@ def test_willie_bin_state():
 
 def test_budget():
     quad = excitation_quadruple()
-    cb = cs.Codebook(40, 1, 1, np.zeros((1, 1, 40), dtype=np.uint8))
+    cb = cs.Codebook(np.zeros((1, 1, 40), dtype=np.uint8))
     with pytest.raises(BudgetExceededError):
         cs.willie_average_state(cb, quad)
 
@@ -158,7 +179,7 @@ def test_resolvability_budget(monkeypatch):
 def test_covertness_report_all_zero():
     quad = excitation_quadruple()
     cfg = cs.SimConfig(n=4, gamma=0.5, m_size=2, l_size=2, seed=0, alpha=0.25)
-    cb = cs.Codebook(4, 2, 2, np.zeros((2, 2, 4), dtype=np.uint8))
+    cb = cs.Codebook(np.zeros((2, 2, 4), dtype=np.uint8))
     rep = cs.covertness_report(cb, quad, cfg)
     assert rep.dCovert == pytest.approx(0.0, abs=1e-9)
     assert rep.helstromError == pytest.approx(0.5, abs=1e-9)
@@ -186,7 +207,7 @@ def test_covertness_report_identities():
 def test_secrecy_report():
     quad = excitation_quadruple()
     cfg = cs.SimConfig(n=4, gamma=0.5, m_size=2, l_size=1, seed=0, alpha=0.25)
-    cb = cs.Codebook(4, 2, 1, np.zeros((2, 1, 4), dtype=np.uint8))
+    cb = cs.Codebook(np.zeros((2, 1, 4), dtype=np.uint8))
     rep = cs.secrecy_report(cb, quad, cfg)
     mixed = op.tensor_power(chn.mixed_output(quad, 0.25), 4)
     expected = op.trace_norm(op.tensor_power(quad.omega0, 4) - mixed)
@@ -214,7 +235,7 @@ def test_resolvability_bound_holds():
 def test_sqrt_decoder_single_codeword():
     quad = excitation_quadruple()
     cfg = cs.SimConfig(n=4, gamma=0.5, m_size=1, l_size=1, seed=0, a_threshold=0.1)
-    cb = cs.Codebook(4, 1, 1, np.array([[[0, 1, 0, 1]]], dtype=np.uint8))
+    cb = cs.Codebook(np.array([[[0, 1, 0, 1]]], dtype=np.uint8))
     rep = cs.sqrt_measurement_decoder(cb, quad, cfg)
     # with one codeword S = Pi so Upsilon = Pi
     elements, _ = cs.square_root_povm([cb.words[0, 0]], quad.sigma0, quad.sigma1, 0.1)
@@ -914,7 +935,7 @@ def test_dense_rule_keeps_eigenvectors_outside_the_reference_support(n, a):
     np.testing.assert_allclose(errors, dense_decoder_errors(want, words, route.table), rtol=0, atol=1e-10)
     # the decoder, which sums over the blocks and lifts nothing, reads the oracle's errors too
     exc = excitation_quadruple()
-    cb, cfg = cs.Codebook(n, len(words), 1, np.array(words)[:, None]), cs.SimConfig(n, 0.0, len(words), 1, a_threshold=a)
+    cb, cfg = cs.Codebook(np.array(words)[:, None]), cs.SimConfig(n, 0.0, len(words), 1, a_threshold=a)
     decoded = cs.sqrt_measurement_decoder(cb, chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1), cfg)
     np.testing.assert_allclose(list(decoded.perMessageError.values()), errors, rtol=0, atol=1e-10)
     vals, vecs = np.linalg.eigh(sigma0)

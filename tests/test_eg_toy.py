@@ -1,6 +1,6 @@
 import math
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -57,11 +57,53 @@ def test_build_quantum_codewords():
 
 
 def test_duplicate_word():
-    code = eg.EGToyCode.from_words(np.array([[[0, 1], [0, 1]]], dtype=np.uint8))
-    with pytest.raises(DuplicateWordError):
-        eg.build_quantum_codewords(code)
+    # a code refuses a word repeated within a message however it is built; across messages one may repeat
+    words = np.array([[[0, 1], [0, 1]]], dtype=np.uint8)
+    for build in (eg.EGToyCode, eg.EGToyCode.from_words, lambda w: replace(eg.EGToyCode([[[0, 1], [1, 1]]]), words=w)):
+        with pytest.raises(DuplicateWordError, match="within message 0"):
+            build(words)
+    assert eg.EGToyCode(np.array([[[0, 1]], [[0, 1]]])).T == 2
     with pytest.raises(DuplicateWordError):
         eg.exact_string_povm([[0, 1], [0, 1]])
+
+
+EG_ENTRY_POINTS = (eg.eg_report, eg.protocol_state, eg.align_phases, eg.decoupling_decoder, eg.eliminate_assistance, eg.willie_marginal)
+
+
+@pytest.mark.parametrize("build", [eg.EGToyCode, eg.EGToyCode.from_words], ids=["constructor", "from_words"])
+@pytest.mark.parametrize("entry", EG_ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_entry_points_refuse_a_repeated_word(build, entry):
+    # unchecked, the demo code with its last word repeated gave fidelity 1.37, traceDistanceGHZ 0.0
+    # and a protocol state of norm 1.22; such a code is now refused before any entry point sees it
+    words = eg.default_demo_code().words.copy()
+    words[1, 1] = words[1, 0]
+    _, V, povm, abstain, _ = demo_setup()
+    with pytest.raises(DuplicateWordError):
+        entry(build(words), V, povm, abstain)
+
+
+def mismatched_povms():
+    """The demo code on excitation 0.1 with POVMs that do not fit it: every element halved
+    and listed twice, and pairs merged (both still summing to I), one built for n = 3, and
+    an abstain remainder of the wrong dimension."""
+    code, V, povm, abstain, _ = demo_setup()
+    three = eg.decoding_povm(eg.EGToyCode(code.words[..., :3]), V)[:2]
+    return code, V, {
+        "split": ([e / 2 for e in povm] * 2, abstain),
+        "merged": ([povm[0] + povm[1], povm[2] + povm[3]], abstain),
+        "n=3": three,
+        "abstain": (povm, abstain[:8, :8]),
+    }
+
+
+@pytest.mark.parametrize("case", ["split", "merged", "n=3", "abstain"])
+@pytest.mark.parametrize("entry", EG_ENTRY_POINTS, ids=lambda f: f.__name__)
+def test_entry_points_refuse_a_povm_that_does_not_fit_the_code(case, entry):
+    # unchecked, the split POVM gave align_phases an alignedOverlapSum of 1.03 for 3.85 and the
+    # others numpy broadcast errors
+    code, V, povms = mismatched_povms()
+    with pytest.raises(DimMismatchError, match="POVM elements for 4 words"):
+        entry(code, V, *povms[case])
 
 
 def test_letters_outside_the_bits_raise():
@@ -81,14 +123,21 @@ def test_from_words_refuses_letters_a_uint8_would_wrap(words):
 
 
 def test_code_shape_fields_must_match_words():
-    # six words of shape (2, 3, 4) are two messages of three, never three of two
-    words = np.arange(24).reshape(2, 3, 4) % 2
-    with pytest.raises(DimMismatchError, match="shapes"):
-        eg.EGToyCode(T=3, l_size=2, n=4, words=words, encode_phases=np.zeros((3, 2)), decode_phases=np.zeros((3, 2)))
-    with pytest.raises(DimMismatchError, match="shapes"):
-        eg.EGToyCode(T=2, l_size=3, n=4, words=words, encode_phases=np.zeros((2, 3)), decode_phases=np.zeros((3, 2)))
-    code = eg.EGToyCode.from_words(words)
-    assert (code.T, code.l_size, code.n) == (2, 3, 4)
+    # the sizes are read off the words, so six words of shape (2, 3, 4) are two messages of three
+    words = distinct_words(np.random.default_rng(0), 2, 3, 4).astype(float).tolist()
+    code = eg.EGToyCode(words)
+    assert (code.T, code.l_size, code.n) == (2, 3, 4) and code.words.dtype == np.uint8
+    assert np.array_equal(code.words, words) and not code.encode_phases.any() and not code.decode_phases.any()
+    assert code.encode_phases.shape == code.decode_phases.shape == (2, 3)
+    with pytest.raises(AttributeError):
+        code.T = 3
+    for bad in ({"words": code.words[0]}, {"words": code.words[None]}, {"decode_phases": np.zeros((3, 2))}, {"encode_phases": np.zeros(6)}):
+        with pytest.raises(DimMismatchError, match="shape"):
+            eg.EGToyCode(**{"words": words, **bad})
+        with pytest.raises(DimMismatchError, match="shape"):
+            replace(code, **bad)  # replace builds through the same checks
+    fewer = replace(code, words=code.words[:, :2], encode_phases=None, decode_phases=None)
+    assert (fewer.T, fewer.l_size, fewer.n) == (2, 2, 4)
 
 
 @pytest.mark.parametrize("alpha", [1.5, -0.5, math.nan])
