@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -28,6 +30,8 @@ from . import channels as chn
 from . import covert_sim as cs
 from . import eg_toy as eg
 from .errors import AssumptionViolationError, BudgetExceededError, ToolkitError, TrivialTestError
+
+_SWEEP_CHUNK = 4096  #: the most steps whose rate columns ``covertq sweep`` computes and writes at once; fixed
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -94,21 +98,40 @@ def cmd_capacity(args) -> int:
     return EXIT_OK
 
 
+def _sweep_rows(gammas, start: int) -> str:
+    """The CSV rows of the excitation parameters ``gammas``, steps ``start`` on of the sweep;
+    a failing step is named by its index in the whole sweep."""
+    try:
+        rates = cap._rate_columns(chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(gammas))))
+    except ToolkitError as exc:
+        where = re.match(r"stack element (\d+): ", str(exc))
+        raise type(exc)(f"stack element {int(where[1]) + start}: {str(exc)[where.end():]}" if where else str(exc)) from None
+    fields = ("dBob", "dWillie", "chi2Willie", "cSKey", "cS", "cEG", "lKeyMin")
+    columns = [gammas.tolist()] + [rates[f].tolist() for f in fields]
+    columns.append([cap.excitation_capacity_closed_form(g) for g in columns[0]])
+    return "".join(",".join(map(repr, row)) + "\n" for row in zip(*columns))
+
+
 def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise SystemExit2(f"--steps must be at least 1, got {args.steps}")
     if not 0.0 < args.gamma_from < args.gamma_to < 1.0:
         raise SystemExit2("need 0 < gamma-from < gamma-to < 1")
-    # tracemalloc peaks of a first sweep in a process: 0.44 MB at 200 steps, 2.20 MB at 2,000, 18.9 MB at 20,000
-    budget.check(2**18 + 1100 * args.steps, f"sweep of {args.steps} steps")
+    # the parameters and one chunk's rate pipeline and rows: tracemalloc peaks of a first sweep in a process
+    # of 2.21 MB at 2,000 steps, 4.04 MB at 20,000 and 5.57 MB at 200,000
+    budget.check(2**18 + 8 * args.steps + 1100 * min(args.steps, _SWEEP_CHUNK), f"sweep of {args.steps} steps")
     gammas = np.linspace(args.gamma_from, args.gamma_to, args.steps)
-    rates = cap._rate_columns(chn.build_covert_channel(chn.stinespring_from_kraus(chn.excitation_channel(gammas))))
-    fields = ("dBob", "dWillie", "chi2Willie", "cSKey", "cS", "cEG", "lKeyMin")
-    columns = [gammas.tolist()] + [rates[f].tolist() for f in fields]
-    columns.append([cap.excitation_capacity_closed_form(g) for g in columns[0]])
+    parts = -(-args.steps // _SWEEP_CHUNK)  # equal chunks of at most _SWEEP_CHUNK steps: one of one step is the sweep
     with open(args.out, "w", newline="\n") as fh:
-        fh.write("gamma,d_bob,d_willie,chi2,c_s_key,c_s,c_eg,l_key_min,c_eg_closed_form\n")
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in zip(*columns)))
+        try:
+            fh.write("gamma,d_bob,d_willie,chi2,c_s_key,c_s,c_eg,l_key_min,c_eg_closed_form\n")
+            for i in range(parts):
+                start, stop = i * args.steps // parts, (i + 1) * args.steps // parts
+                fh.write(_sweep_rows(gammas[start:stop], start))
+        except BaseException:  # a failed sweep leaves no CSV, whole or in part
+            fh.close()
+            os.remove(args.out)
+            raise
     _write_manifest(
         "sweep", {"kind": "excitation"},
         {"gammaFrom": args.gamma_from, "gammaTo": args.gamma_to, "steps": args.steps},

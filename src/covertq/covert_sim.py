@@ -11,10 +11,12 @@ read off their shape; a stage checks the letters where it reads them and the
 shape against its ``SimConfig``.
 
 ``pair_route`` makes that choice; its ``Route`` holds the single-letter
-table (eigenvalue vectors or matrices) with the matching distance and
-divergence.  A channel object builds each pair's route once and keeps it, as
-``resolvability_rhs`` keeps the bound's K-free terms.  ``simulate`` checks
-every stage's charge, then runs the public stages themselves.  Every n-fold
+table (eigenvalue vectors or matrices) with the matching distance, and
+``divergences.qre_to_power`` reads the covert divergence on either route off
+table[0], with a single-letter support test.  A channel object builds each
+pair's route once and keeps it, as ``resolvability_rhs`` keeps the bound's
+K-free terms.  ``simulate`` checks every stage's charge, then runs the public
+stages themselves.  Every n-fold
 reference is a ``operators.word_products`` kron chain of a table letter, and
 every codebook average (the warden state, covertness, the secrecy bins and
 the resolvability samples) goes through ``operators.mean_word_product``: the
@@ -226,14 +228,12 @@ def _l1(diff) -> np.ndarray:
 class Route:
     """How the n-letter quantities of one pair of single-copy outputs are computed:
     ``"commuting"`` on (2, d) eigenvalue vectors in the shared eigenbasis ``basis``
-    with the l1 norm and the classical relative entropy, or ``"dense"`` on the
-    (2, d, d) matrices themselves with the trace norm and Umegaki's divergence."""
+    with the l1 norm, or ``"dense"`` on the (2, d, d) matrices themselves with the trace norm."""
 
     name: str
     table: np.ndarray
     basis: np.ndarray | None
     distance: Callable
-    divergence: Callable
 
 
 def pair_route(state0, state1) -> Route:
@@ -241,9 +241,9 @@ def pair_route(state0, state1) -> Route:
     basis = shared_eigenbasis(state0, state1)
     if basis is None:
         table = np.stack([state0, state1]).astype(complex)
-        return Route("dense", table, None, op.trace_norm, dv.qre)
+        return Route("dense", table, None, op.trace_norm)
     U, p0, p1 = basis
-    return Route("commuting", np.stack([p0, p1]), U, _l1, dv.qre_commuting)
+    return Route("commuting", np.stack([p0, p1]), U, _l1)
 
 
 def _warden_route(ch: BinaryCovertChannel) -> Route:
@@ -401,7 +401,7 @@ def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> 
     avg = op.mean_word_product(cb.words.reshape(-1, cb.n), table)
     ref0 = _power(table[0], cb.n)
     mixed = _mixed_reference(table, cfg.alpha, cb.n)
-    d_covert = route.divergence(avg, ref0)
+    d_covert = dv.qre_to_power(avg, table[0], cb.n)
     trace_dist = float(route.distance(avg - mixed))
     helstrom = 0.5 * (1.0 - 0.5 * float(route.distance(avg - ref0)))
     d_reference = cb.n * dv.qre(mixed_output(ch, cfg.alpha), ch.omega0)

@@ -1,6 +1,8 @@
 """Information measures between quantum states.
 
-Implements the Umegaki relative entropy, the chi-square divergence evaluated
+Implements the Umegaki relative entropy (and, in ``qre_to_power``, its
+value against an n-fold power from the spectrum and one-site marginals of the
+state and the single letter), the chi-square divergence evaluated
 from the spectral decomposition of the reference state, the hockey-stick
 divergence, Petz-Renyi relative entropies, the cumulant-like functional phi
 over classical-quantum ensembles, and the Helstrom error of binary
@@ -15,7 +17,8 @@ array of shape ``(...)``.  Every kernel that applies an eigenbasis (``qre``,
 ``chi_square``, and through ``operators._overlap`` ``petz_renyi`` and ``phi``)
 gathers by one that ``operators.eigh`` read off a diagonal input, the matrix
 product bit for bit.  ``phi`` takes a scalar or an array of orders ``s`` and
-answers in kind.  The remaining functions take single states.
+answers in kind.  ``qre_to_power`` takes one state or probability vector.
+The remaining functions take single states.
 """
 
 from __future__ import annotations
@@ -128,29 +131,39 @@ def chi_square_commuting(p, q) -> float:
     return float(np.sum((pa - qa) ** 2 / qa))
 
 
-def qre_commuting(p, q) -> float:
-    """Classical relative entropy sum p log(p / q) of eigenvalue vectors
-    paired in a shared eigenbasis.
+def qre_to_power(rho, letter, n: int) -> float:
+    """Relative entropy D(rho || letter^(x)n) in nats, read from the letter:
 
-    Applies the rules of :func:`qre`: entries of ``p`` at or below the support
-    tolerance are dropped, and ``inf`` is returned when a remaining entry
-    meets an entry of ``q`` at or below it.
+        sum_j lam_j log lam_j - sum_i tr(rho_i log letter),     0 log 0 = 0,
+
+    with lam the spectrum of ``rho`` and rho_i its i-th one-site marginal.
+    ``rho`` is a d**n x d**n density matrix and ``letter`` a d x d one, or
+    ``rho`` is a d**n probability vector in the product eigenbasis of the
+    letter, given as its d eigenvalues.  The support test is single-letter,
+    as supp rho lies in supp letter^(x)n exactly when every supp rho_i lies in
+    supp letter: ``inf`` when some rho_i puts more than the support tolerance
+    of weight on the letter's eigenvalues at or below it.  No n-fold
+    eigenvalue meets a tolerance, so the value holds at any n.
     """
-    pa = np.asarray(p, dtype=float).ravel()
-    qa = np.asarray(q, dtype=float).ravel()
-    if pa.shape != qa.shape:
-        raise DimMismatchError(f"lengths {pa.size} vs {qa.size}")
-    keep = pa > DEFAULT_TOL.support  # kept entries are positive, so p needs no clip at 0
-    log_q = qa[keep]
-    if np.any(log_q <= DEFAULT_TOL.support):
+    r, d = np.asarray(rho), len(letter)
+    if r.ndim not in (1, 2) or r.ndim != np.ndim(letter) or r.shape != (d**n,) * r.ndim:
+        raise DimMismatchError(f"state of shape {r.shape} against a letter of shape {np.shape(letter)} at n = {n}")
+    if r.ndim == 1:  # each marginal from the joint weights of the first n // 2 positions or of the rest: two passes over r
+        lam, values, joint = r, np.asarray(letter, dtype=float), r.reshape(d ** (n // 2), -1)
+        weights = np.array([w.reshape(d**i, d, -1).sum(axis=(0, 2))
+                            for w, m in ((joint.sum(axis=1), n // 2), (joint.sum(axis=0), n - n // 2)) for i in range(m)])
+    else:  # each marginal's weights on the letter's eigenvectors
+        r = op.check_hermitian(r)
+        lam, (values, vecs) = op.eigvalsh(r), op.eigh(op.check_hermitian(letter))
+        marginals = [np.einsum("aibajb->ij", r.reshape((d**i, d, d ** (n - 1 - i)) * 2)) for i in range(n)]
+        weights = np.einsum("ki,nkl,li->ni", vecs.conj(), np.reshape(marginals, (n, d, d)), vecs).real
+    weights, logs = weights.reshape(n, d), op._log_sums(values, 1)
+    on = logs > -np.inf
+    if not on.all() and np.any(np.sum(weights[:, ~on], axis=1) > DEFAULT_TOL.support):
         return math.inf
-    # p (log p - log q) in place on one masked copy, holding two masked copies at most
-    terms = pa[keep]
-    np.log(terms, out=terms)
-    terms -= np.log(log_q, out=log_q)
-    del log_q
-    terms *= pa[keep]
-    return max(float(np.sum(terms)), 0.0)
+    entropy = np.log(lam, out=np.zeros(lam.shape), where=lam > 0.0)
+    entropy *= lam  # in place, summed pairwise
+    return max(float(np.sum(entropy)) - float(np.sum(weights, axis=0)[on] @ logs[on]), 0.0)
 
 
 def hockey_stick(rho, sigma, gamma: float):
@@ -252,7 +265,7 @@ def distinct_eigenvalue_count(omega, n: int) -> int:
     (n + 1)^dim.
     """
     letters = op.eigvalsh(op.check_hermitian(omega))
-    logs = np.log(letters, out=np.full(len(letters), -np.inf), where=letters > DEFAULT_TOL.support)
+    logs = op._log_sums(letters, 1)
     sums = np.array([sum(combo, 0.0) for combo in combinations_with_replacement(logs, n)])
     support = sums[sums > -np.inf]
     return len(op.eigenvalue_clusters(support)) + int(support.size < sums.size)

@@ -29,7 +29,10 @@ forms only what it reads.  The decoupler acts on the Mhat = R slices alone,
 which give both the EPR fidelity and the GHZ overlap; every Fourier branch
 of step 6 has that fidelity, as its phases are 1 on the entries read.  The
 warden's state comes from the codeword outputs and G = sum_k Lam^k, the
-completed POVM's sum, on the B^n rows the outputs reach.  The public
+completed POVM's sum, on the B^n rows the outputs reach, and
+``covertDivergence`` is D(tau_W || omega_0^(x)n) from ``divergences.qre_to_power``:
+tau_W's spectrum and its n one-site marginals against the letter omega_0, the
+support tested letter by letter, with no n-fold reference formed.  The public
 per-step functions are thin wrappers over the same construction;
 ``protocol_state`` and ``decoupling_decoder`` form the full block because
 they return it.
@@ -517,7 +520,7 @@ def eg_report(code: EGToyCode, V: StinespringIsometry, povm, abstain=None, alpha
     aligned = replace(unphased, decode_phases=h)
     fidelity, dec_diag, _ = _decouple(aligned, V, decoded, alpha, mode)
     tau_w = decoded.warden_state()
-    covert_div = dv.qre(tau_w, op.tensor_power(decoded.omegas[0], code.n))
+    covert_div = dv.qre_to_power(tau_w, decoded.omegas[0], code.n)
     # distance to the incoherent classical-codebook average, as a diagnostic
     classical = op.mean_word_product(code.words.reshape(-1, code.n), decoded.omegas)
     diagnostics = {**phase_diag, **dec_diag}

@@ -253,8 +253,11 @@ def tensor_power(op, n: int) -> np.ndarray:
 
 
 def _letters(words, rows: int) -> np.ndarray:
-    """``words`` as an array; a letter outside [0, rows) would alias another word (numpy reads -1 as the last row), so it raises."""
+    """``words`` as an array; a letter that is not an integer would be read as its integer part, and one outside [0, rows)
+    would alias another word (numpy reads -1 as the last row), so either raises.  Only a float array is tested for integers."""
     words = np.asarray(words)
+    if words.dtype.kind not in "biu" and not (words.dtype.kind == "f" and np.all(words == np.trunc(words))):
+        raise InvalidParameterError("a letter is not an integer")
     if words.size and not 0 <= words.min() <= words.max() < rows:
         raise InvalidParameterError(f"a letter lies outside [0, {rows})")
     return words
@@ -420,12 +423,20 @@ def _threshold_scale(a: float) -> float:
     return scale
 
 
+def _log_sums(letters, n: int) -> np.ndarray:
+    """The kron-sum of the letters' logs: sum_i log letters[s_i] for every string s of n letters, in word_index
+    order, -inf where a letter is at or below the support tolerance; n = 1 gives the letters' own logs."""
+    logs, single = np.zeros(1), np.log(letters, out=np.full(len(letters), -np.inf), where=letters > DEFAULT_TOL.support)
+    for _ in range(n):
+        logs = np.add.outer(logs, single).ravel()
+    return logs
+
+
 def _pinching_blocks(letters, n: int) -> list:
     """sigma0^(x)n's pinching from sigma0's single-letter eigenvalues ``letters``: the sorted strings whose n-fold eigenvalues'
-    logs fall in one :func:`eigenvalue_clusters` cluster, block by block, then those with a letter at or below the support tolerance."""
-    logs = np.zeros(1)
-    for _ in range(n):
-        logs = np.add.outer(logs, np.log(letters, out=np.full(len(letters), -np.inf), where=letters > DEFAULT_TOL.support)).ravel()
+    logs (:func:`_log_sums`) fall in one :func:`eigenvalue_clusters` cluster, block by block, then those with a letter at or
+    below the support tolerance."""
+    logs = _log_sums(letters, n)
     support, outside = np.flatnonzero(logs > -np.inf), np.flatnonzero(logs == -np.inf)
     return [np.sort(support[idx]) for _, idx in eigenvalue_clusters(logs[support])] + [outside] * bool(outside.size)
 

@@ -10,6 +10,7 @@ from covertq import channels as chn
 from covertq import covert_sim as cs
 from covertq import eg_toy as eg
 from covertq import operators as op
+from covertq import cli
 from covertq.cli import main
 from covertq.errors import BudgetExceededError
 
@@ -193,8 +194,19 @@ def test_sweep_charge_bounds_its_peak(monkeypatch, tmp_path, steps):
     assert peak <= charge, f"{steps} steps: peak {peak} above charge {charge}"
 
 
+def test_sweep_peak_past_one_chunk_grows_by_its_parameters_alone(tmp_path):
+    # the rate columns are computed and written one chunk at a time; the whole sweep held about 930 bytes a step
+    steps = (2 * cli._SWEEP_CHUNK, 10 * cli._SWEEP_CHUNK)
+    peaks = []
+    for n in steps:
+        with traced() as trace:
+            assert main(sweep_argv(n, tmp_path / "sweep.csv")) == 0
+        peaks.append(trace.peak)
+    assert peaks[1] - peaks[0] <= 8 * (steps[1] - steps[0]) + 2**18, peaks
+
+
 def test_oversize_sweep_exits_before_writing(monkeypatch, tmp_path, capsys):
-    # unchecked, the sweep ran at any size: about 940 bytes a step, so 2.3 million steps exceeded the default budget
+    # a budget below the charge of the parameters and one chunk refuses the sweep before it writes
     monkeypatch.setenv("COVERTQ_MAX_BYTES", str(2**20))
     assert main(sweep_argv(2000, tmp_path / "sweep.csv")) == 3
     assert "budget error: sweep of 2000 steps needs" in capsys.readouterr().err

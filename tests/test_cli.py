@@ -10,7 +10,9 @@ from covertq import capacities as cap
 from covertq import channels as chn
 from covertq import covert_sim as cs
 from covertq import operators as op
+from covertq import cli
 from covertq.cli import build_parser, main
+from covertq.errors import InvalidParameterError
 
 
 @pytest.fixture
@@ -152,6 +154,37 @@ def test_sweep_csv_is_the_capacity_reports_formatted(tmp_path):
             for g, r in zip(gammas.tolist(), reports)]
     header = "gamma,d_bob,d_willie,chi2,c_s_key,c_s,c_eg,l_key_min,c_eg_closed_form\n"
     assert out.read_bytes() == (header + "".join(",".join(map(repr, row)) + "\n" for row in rows)).encode()
+
+
+def sweep_over(steps, out):
+    return ["sweep", "--gamma-from", "0.01", "--gamma-to", "0.99", "--steps", str(steps), "--out", str(out)]
+
+
+def test_sweep_chunks_change_no_byte(tmp_path, monkeypatch):
+    # the rows are computed and written a chunk at a time; 15 chunks of 6 or 7 steps give the bytes of one
+    assert main(sweep_over(100, tmp_path / "whole.csv")) == 0
+    monkeypatch.setattr(cli, "_SWEEP_CHUNK", 7)
+    assert main(sweep_over(100, tmp_path / "chunked.csv")) == 0
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_sweep_names_a_failing_step_by_its_index_in_the_sweep(tmp_path, monkeypatch, capsys):
+    # a chunk's stacked checks count from the chunk's first step; the error counts from the sweep's
+    excitation = chn.excitation_channel
+
+    def refusing(gamma):  # a check that fails above gamma = 0.5 and names the lowest failing element
+        failed = op.first_failure(np.asarray(gamma) > 0.5)
+        if failed:
+            raise InvalidParameterError(f"{failed[1]}refused")
+        return excitation(gamma)
+
+    monkeypatch.setattr(chn, "excitation_channel", refusing)
+    monkeypatch.setattr(cli, "_SWEEP_CHUNK", 7)
+    out = tmp_path / "sweep.csv"
+    assert main(sweep_over(100, out)) == 2
+    first = int(np.argmax(np.linspace(0.01, 0.99, 100) > 0.5))
+    assert f"error: stack element {first}: refused" in capsys.readouterr().err
+    assert first % 7 != 0 and not out.exists()  # inside a chunk; and no CSV, whole or in part
 
 
 def test_sweep_bad_range(tmp_path, capsys):

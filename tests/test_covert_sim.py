@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
-    dense_decoder_errors, dense_square_root_povm, dense_trace_norm, exact_classes, exact_eigenprojectors,
+    dense_decoder_errors, dense_square_root_povm, dense_trace_norm, eigen_log_qre, exact_classes, exact_eigenprojectors,
     excitation_quadruple, kron_chain, kron_chain_mean, random_density, random_unitary, rank_two_qutrit_pair,
     rotated, rotated_damping_quadruple, traced,
 )
@@ -183,6 +183,63 @@ def test_covertness_report_all_zero():
     rep = cs.covertness_report(cb, quad, cfg)
     assert rep.dCovert == pytest.approx(0.0, abs=1e-9)
     assert rep.helstromError == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_dcovert_on_a_dense_pair_equals_the_eigen_log_oracle(n):
+    # omega0's smallest eigenvalue is 0.0029, so omega0^(x)n's falls below 1e-10 from n = 4 on: the n-fold
+    # support test read dCovert as inf there, for 2.1514801991 at n = 4 and 1.4530452847 at n = 10
+    quad = rotated_damping_quadruple()
+    size = 2 if n <= 5 else 4
+    cfg = cs.SimConfig(n=n, gamma=0.6, m_size=size, l_size=size, seed=n)
+    cb = cs.sample_codebook(cfg)
+    want = eigen_log_qre(cs.willie_average_state(cb, quad), quad.omega0, n)
+    assert cs.covertness_report(cb, quad, cfg).dCovert == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [20, 21, 22])
+def test_commuting_dcovert_at_large_n_equals_the_vector_oracle(n):
+    # dropping the n-fold entries at or below 1e-10 biased dCovert upward: 5.0e-4 relative at n = 22
+    quad = excitation_quadruple(0.25)
+    cfg = cs.SimConfig(n=n, gamma=0.6, m_size=4, l_size=4, seed=n)
+    cb = cs.sample_codebook(cfg)
+    table = cs.pair_route(quad.omega0, quad.omega1).table
+    want = eigen_log_qre(op.mean_word_product(cb.words.reshape(-1, n), table), table[0], n)
+    assert cs.covertness_report(cb, quad, cfg).dCovert == pytest.approx(want, rel=1e-12)
+
+
+@st.composite
+def validated_campaigns(draw):
+    """A validated quadruple of d <= 3 whose warden pair is random (dense) or shares a random eigenbasis
+    (commuting), and a codebook config of n <= 5."""
+    d = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        omega0, omega1 = random_density(rng, d), random_density(rng, d, full_rank=draw(st.booleans()))
+    else:
+        unitary = random_unitary(rng, d)
+        omega0, omega1 = (rotated(unitary, rng.dirichlet(np.ones(d))) for _ in range(2))
+    cfg = cs.SimConfig(n=draw(st.integers(1, 5)), gamma=0.0, alpha=draw(st.floats(0.05, 0.95)),
+                       m_size=draw(st.integers(1, 3)), l_size=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)))
+    return chn.BinaryCovertChannel(omega0, omega1, omega0, omega1), cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(validated_campaigns())
+def test_dcovert_equals_qre_against_the_dense_power(campaign):
+    # where omega0^(x)n is well inside the n-fold support tolerance, both forms agree
+    quad, cfg = campaign
+    ref = op.tensor_power(quad.omega0, cfg.n)
+    assume(np.min(np.linalg.eigvalsh(ref)) > 1e-6)
+    cb = cs.sample_codebook(cfg)
+    want = dv.qre(cs.willie_average_state(cb, quad), ref)
+    assert cs.covertness_report(cb, quad, cfg).dCovert == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_codebook_refuses_non_integral_letters():
+    # read as its integer part, the word (0.7, 1) had the warden state of 01
+    with pytest.raises(InvalidParameterError, match="not an integer"):
+        cs.willie_average_state(cs.Codebook(np.array([[[0.7, 1.0]]])), excitation_quadruple())
 
 
 def test_covertness_report_identities():

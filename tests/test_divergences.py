@@ -10,7 +10,7 @@ from covertq import channels as chn
 from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
-from covertq.errors import InvalidGammaError, NotHermitianError, SingularReferenceError
+from covertq.errors import DimMismatchError, InvalidGammaError, NotHermitianError, SingularReferenceError
 from covertq.operators import DEFAULT_TOL
 
 
@@ -42,7 +42,48 @@ def test_qre_support_violation():
     ([0.6, 0.0, 0.4], [0.6, 0.4, 0.0]),    # support violation: inf
 ])
 def test_qre_commuting_matches_qre(p, q):
-    assert dv.qre_commuting(p, q) == pytest.approx(dv.qre(np.diag(p), np.diag(q)), abs=1e-12)
+    # a probability vector against a letter's eigenvalues, one letter long
+    assert dv.qre_to_power(p, q, 1) == pytest.approx(dv.qre(np.diag(p), np.diag(q)), abs=1e-12)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 3), (3, 2), (2, 5)])
+def test_qre_to_power_matches_qre_against_the_dense_power(d, n):
+    # any state, not only a product or a codebook average: its marginals carry the cross term
+    rng = np.random.default_rng(10 * d + n)
+    rho, letter = random_density(rng, d**n), random_density(rng, d)
+    want = dv.qre(rho, op.tensor_power(letter, n))
+    assert dv.qre_to_power(rho, letter, n) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # on the vector route: rho's diagonal in the letter's (diagonal) product eigenbasis
+    diag, letters = np.diag(rho).real, np.diag(letter).real
+    want = dv.qre(np.diag(diag), np.diag(kron_chain([0] * n, [letters])))
+    assert dv.qre_to_power(diag, letters, n) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_qre_to_power_support_test_is_single_letter():
+    letter = np.diag([0.7, 0.3, 0.0])
+    inside = np.kron(np.diag([0.5, 0.5, 0.0]), np.diag([0.1, 0.9, 0.0]))
+    assert dv.qre_to_power(inside, letter, 2) == pytest.approx(dv.qre(inside, np.kron(letter, letter)), abs=1e-12)
+    # weight 1e-6 of the second marginal off supp(letter): inf, on either route
+    outside = np.kron(np.diag([0.5, 0.5, 0.0]), np.diag([0.1, 0.9 - 1e-6, 1e-6]))
+    assert dv.qre_to_power(outside, letter, 2) == math.inf
+    assert dv.qre_to_power(np.diag(outside).real, np.diag(letter), 2) == math.inf
+    # and an eigenvalue of letter^(x)n far below any fixed tolerance is still inside: (1e-3)^6 = 1e-18
+    letter = np.diag([1.0 - 1e-3, 1e-3])
+    p = kron_chain([0] * 6, [np.array([0.5, 0.5])])
+    want = float(np.sum(p * np.log(p / kron_chain([0] * 6, [np.diag(letter)]))))
+    assert dv.qre_to_power(p, np.diag(letter), 6) == pytest.approx(want, rel=1e-12)
+    assert dv.qre_to_power(np.diag(p), letter, 6) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho, letter, n", [
+    (np.ones(8) / 8, np.ones(2) / 2, 2),           # a vector of the wrong length
+    (np.eye(4) / 4, np.ones(2) / 2, 2),            # a matrix against eigenvalues
+    (np.ones(4) / 4, np.eye(2) / 2, 2),            # a vector against a matrix
+    (np.ones((2, 2, 2)) / 8, np.eye(2) / 2, 1),    # a stack
+])
+def test_qre_to_power_refuses_mismatched_shapes(rho, letter, n):
+    with pytest.raises(DimMismatchError):
+        dv.qre_to_power(rho, letter, n)
 
 
 def test_qre_additivity():
@@ -297,9 +338,9 @@ _LOG_BELOW, _LOG_ABOVE = (0.3 * math.exp(-f * _TOL) for f in (0.99, 1.01))
     # but 0.3 (0.3 - 2 tol) and (0.3 - 0.99 tol)^2 are 0.02 tolerance apart in log, and merge
     pytest.param([0.3, 0.3 - 0.99 * _TOL, 0.3 - 2.0 * _TOL, 0.1 + 2.99 * _TOL], 2, 9, id="below-and-above-n2"),
     pytest.param([0.99, 0.99 - 1.03 * _TOL, 0.01 + 1.03 * _TOL], 2, 6, id="above-n2"),
-    # a log step of one tolerance to within rounding: omega's computed eigenvalues put it 5e-6 tolerance
-    # below, so the two merge (on the exact diagonal the count is 6)
-    pytest.param([0.99, 0.99 - 0.99 * _TOL, 0.01 + 0.99 * _TOL], 2, 3, id="below-n2"),
+    # a log step of 0.91 tolerance, far below one tolerance for any eigensolver: the three products of
+    # 0.99 and its neighbour chain into one class, as do their two products with the third letter
+    pytest.param([0.99, 0.99 - 0.9 * _TOL, 0.01 + 0.9 * _TOL], 2, 3, id="below-n2"),
     pytest.param([0.6, 0.3 - 0.99 * _TOL, 0.1 + 0.99 * _TOL], 3, 10, id="below-n3"),
     pytest.param([0.6, 0.3 - 0.99 * _TOL, 0.1 + 0.99 * _TOL], 4, 15, id="below-n4"),
     pytest.param([0.5, 0.5 - 1.01 * _TOL, 0.0 + 1.01 * _TOL], 2, 6, id="above-near-zero-n2"),

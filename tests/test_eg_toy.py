@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
-    distinct_words, excitation_isometry, kron_chain, random_density, random_unitary, rotated_damping_isometry, traced,
+    distinct_words, eigen_log_qre, excitation_isometry, kron_chain, random_density, random_unitary, rotated_damping_isometry, traced,
 )
 
 from covertq import channels as chn
@@ -65,6 +65,14 @@ def test_duplicate_word():
     assert eg.EGToyCode(np.array([[[0, 1]], [[0, 1]]])).T == 2
     with pytest.raises(DuplicateWordError):
         eg.exact_string_povm([[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("build", [eg.EGToyCode, eg.EGToyCode.from_words], ids=["constructor", "from_words"])
+def test_code_refuses_non_integral_letters(build):
+    # read as their integer parts, these words were [[[0, 1], [1, 0]]]
+    with pytest.raises(InvalidParameterError, match="not an integer"):
+        build([[[0.5, 1.9], [1.2, 0.0]]])
+    assert build([[[0.0, 1.0], [1.0, 0.0]]]).words.tolist() == [[[0, 1], [1, 0]]]
 
 
 EG_ENTRY_POINTS = (eg.eg_report, eg.protocol_state, eg.align_phases, eg.decoupling_decoder, eg.eliminate_assistance, eg.willie_marginal)
@@ -755,7 +763,23 @@ def test_eg_report_slices_match_full_block(name, mode):
     assert rep.perStepDiagnostics["targetOverlap"] == pytest.approx(overlap, abs=1e-12)
     omega0 = chn.marginal_outputs(V, 0)[1]
     tau_w = ref_warden_state(aligned, V, povm, abstain)
-    assert rep.covertDivergence == pytest.approx(dv.qre(tau_w, op.tensor_power(omega0, code.n)), abs=1e-12)
+    assert rep.covertDivergence == pytest.approx(eigen_log_qre(tau_w, omega0, code.n), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_covert_divergence_on_rotated_damping_equals_the_eigen_log_oracle(n):
+    # omega0^(x)n has eigenvalues below 1e-10 from n = 4 on, where the n-fold support test read inf
+    code = eg.EGToyCode(distinct_words(np.random.default_rng(1), 2, 2, n))
+    code, V, povm, abstain, alpha = decoded_setup(code, rotated_damping_isometry())
+    want = eigen_log_qre(ref_warden_state(code, V, povm, abstain), chn.marginal_outputs(V, 0)[1], n)
+    assert eg.eg_report(code, V, povm, abstain).covertDivergence == pytest.approx(want, rel=1e-9)
+
+
+def test_covert_divergence_stays_infinite_off_the_warden_support():
+    # unrotated amplitude damping: omega0 is pure, and the codewords' ones put weight off its support
+    code = eg.EGToyCode(distinct_words(np.random.default_rng(1), 2, 2, 4))
+    code, V, povm, abstain, alpha = decoded_setup(code, rotated_damping_isometry(0.3, 0.0, 0.0))
+    assert eg.eg_report(code, V, povm, abstain).covertDivergence == math.inf
 
 
 def test_warden_state_keeps_povm_completion_defect():
@@ -946,7 +970,7 @@ def test_eg_report_on_the_support_matches_dense_products(seed, mode):
     assert diag["zeroPhaseOverlapSum"] == pytest.approx(np.sum(overlaps).real, abs=1e-12)
     np.testing.assert_allclose(eg.willie_marginal(code, V, povm, abstain), tau, rtol=0, atol=1e-12)
     omega0, omega1 = chn.marginal_outputs(V, 0)[1], chn.marginal_outputs(V, 1)[1]
-    assert rep.covertDivergence == pytest.approx(dv.qre(tau, op.tensor_power(omega0, code.n)), abs=1e-12)
+    assert rep.covertDivergence == pytest.approx(eigen_log_qre(tau, omega0, code.n), abs=1e-12)
     classical = op.mean_word_product(code.words.reshape(-1, code.n), np.stack([omega0, omega1]))
     assert diag["willieClassicalGap"] == pytest.approx(op.trace_norm(tau - classical), abs=1e-12)
 

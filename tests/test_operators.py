@@ -269,6 +269,17 @@ def test_word_products_refuse_letters_outside_the_table(words, rows):
     assert np.array_equal(op.word_products([[0, rows - 1]], table)[0], np.kron(table[0], table[rows - 1]))
 
 
+@pytest.mark.parametrize("words", [[[0.5, 1.0]], [[0.0, 1.9]], np.array([[1.0, 1e-9]]), [[math.nan, 1.0]], [[1j, 1.0]]])
+def test_words_refuse_non_integral_letters(words):
+    # read as its integer part, [[0.5, 1.0]] had the index of "01"
+    with pytest.raises(InvalidParameterError, match="not an integer"):
+        op.word_index(words)
+    with pytest.raises(InvalidParameterError, match="not an integer"):
+        op.word_products(words, np.eye(2))
+    # integral letters of any dtype are read as they are
+    assert op.word_index([[0.0, 1.0]]).tolist() == op.word_index(np.array([[False, True]])).tolist() == [1]
+
+
 def kron_loop_purification(rho):
     """canonical_purification as one np.kron per eigenvector."""
     vals, vecs = np.linalg.eigh(rho)
