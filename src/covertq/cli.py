@@ -29,7 +29,7 @@ from . import capacities as cap
 from . import channels as chn
 from . import covert_sim as cs
 from . import eg_toy as eg
-from .errors import AssumptionViolationError, BudgetExceededError, ToolkitError, TrivialTestError
+from .errors import AssumptionViolationError, BudgetExceededError, InvalidParameterError, ToolkitError, TrivialTestError
 
 _SWEEP_CHUNK = 4096  #: the most steps whose rate columns ``covertq sweep`` computes and writes at once; fixed
 
@@ -44,14 +44,10 @@ def _load_channel_spec(path: str) -> dict:
         with open(path) as fh:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit2(f"cannot read channel spec {path!r}: {exc}")
+        raise InvalidParameterError(f"cannot read channel spec {path!r}: {exc}")
     if not isinstance(spec, dict):
-        raise SystemExit2(f"channel spec {path!r} must be a JSON object, got {type(spec).__name__}")
+        raise InvalidParameterError(f"channel spec {path!r} must be a JSON object, got {type(spec).__name__}")
     return spec
-
-
-class SystemExit2(Exception):
-    """Input-level failure mapped to exit code 2."""
 
 
 def _write_manifest(command: str, spec, parameters: dict, seed, out_path: str) -> None:
@@ -114,9 +110,9 @@ def _sweep_rows(gammas, start: int) -> str:
 
 def cmd_sweep(args) -> int:
     if args.steps < 1:
-        raise SystemExit2(f"--steps must be at least 1, got {args.steps}")
+        raise InvalidParameterError(f"--steps must be at least 1, got {args.steps}")
     if not 0.0 < args.gamma_from < args.gamma_to < 1.0:
-        raise SystemExit2("need 0 < gamma-from < gamma-to < 1")
+        raise InvalidParameterError("need 0 < gamma-from < gamma-to < 1")
     # the parameters and one chunk's rate pipeline and rows: tracemalloc peaks of a first sweep in a process
     # of 2.21 MB at 2,000 steps, 4.04 MB at 20,000 and 5.57 MB at 200,000
     budget.check(2**18 + 8 * args.steps + 1100 * min(args.steps, _SWEEP_CHUNK), f"sweep of {args.steps} steps")
@@ -242,16 +238,13 @@ def main(argv=None) -> int:
     args = _parser(named or _COMMANDS).parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (AssumptionViolationError, TrivialTestError) as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except (ToolkitError, KeyError, ValueError) as exc:
+    except (ToolkitError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

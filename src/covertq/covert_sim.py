@@ -405,7 +405,7 @@ def covertness_report(cb: Codebook, ch: BinaryCovertChannel, cfg: SimConfig) -> 
     trace_dist = float(route.distance(avg - mixed))
     helstrom = 0.5 * (1.0 - 0.5 * float(route.distance(avg - ref0)))
     d_reference = cb.n * dv.qre(mixed_output(ch, cfg.alpha), ch.omega0)
-    pinsker_lb = 0.5 * (1.0 - math.sqrt(0.5 * d_covert)) if math.isfinite(d_covert) else 0.0
+    pinsker_lb = max(0.0, 0.5 * (1.0 - math.sqrt(0.5 * d_covert)))  # 0 for every vacuous bound, d_covert = inf too
     return CovertnessReport(
         dCovert=d_covert,
         dReference=d_reference,

@@ -7,7 +7,11 @@ from the spectral decomposition of the reference state, the hockey-stick
 divergence, Petz-Renyi relative entropies, the cumulant-like functional phi
 over classical-quantum ensembles, and the Helstrom error of binary
 discrimination.  All logarithms are natural; values are in
-nats.  Support violations yield ``math.inf`` rather than a sentinel number.
+nats.  Support violations yield ``math.inf`` rather than a sentinel number,
+by the one rule of ``operators._outside``: rho leaves sigma's support when its
+weights <v_j|rho|v_j> on sigma's eigenvectors with eigenvalues at or below
+the support tolerance sum to more than it (in ``qre_to_power``, the weights
+of each one-site marginal on the letter's).
 
 Stack contract: ``qre``, ``chi_square``, ``hockey_stick``, ``petz_renyi``
 and ``helstrom_error`` take a pair of density operators or two equal-shape
@@ -53,7 +57,7 @@ def qre(rho, sigma):
     """Umegaki relative entropy tr[rho(log rho - log sigma)] in nats.
 
     Returns ``inf`` when the support of ``rho`` is not contained in the
-    support of ``sigma``.
+    support of ``sigma`` by the rule of ``operators._outside``.
 
     Parameters
     ----------
@@ -67,19 +71,19 @@ def qre(rho, sigma):
     """
     r, s = _checked_pair(rho, sigma)
     rvals, svals, overlap = op._overlap(op._eigh(r), op._eigh(s))
-    # eigenvalues of rho at or below the support tolerance drop out
+    # eigenvalues of rho at or below the support tolerance drop out of the value
     on_r = rvals > DEFAULT_TOL.support
-    on_s = svals > DEFAULT_TOL.support
     lam = np.where(on_r, rvals, 0.0)
     # weight[i, j] = lam_i |<u_i|v_j>|^2 between eigenvectors of rho and sigma
     weight = lam[..., :, None] * overlap
-    escapes = np.any((weight > DEFAULT_TOL.support) & ~on_s[..., None, :], axis=(-2, -1))
     # each rho eigenvalue's entropy term beside its cross terms
     terms = np.concatenate([
         (lam * _log_where(on_r, rvals))[..., :, None],
-        -weight * _log_where(on_s, svals)[..., None, :],
+        -weight * _log_where(svals > DEFAULT_TOL.support, svals)[..., None, :],
     ], axis=-1)
     total = np.sum(terms, axis=(-2, -1))
+    # the support test reads every eigenvalue: rho's weights <v_j|rho|v_j> on sigma's eigenvectors
+    escapes = op._outside(np.einsum("...i,...ij->...j", rvals, overlap), svals)
     return op.scalar_or_stack(np.where(escapes, math.inf, np.maximum(total, 0.0)))
 
 
@@ -121,12 +125,12 @@ def chi_square(rho, sigma):
 
 
 def chi_square_commuting(p, q) -> float:
-    """Classical chi-square divergence sum (p - q)^2 / q for vectors."""
+    """Classical chi-square divergence sum (p - q)^2 / q for vectors, each q above the support tolerance."""
     pa = np.asarray(p, dtype=float).ravel()
     qa = np.asarray(q, dtype=float).ravel()
     if pa.shape != qa.shape:
         raise DimMismatchError(f"lengths {pa.size} vs {qa.size}")
-    if np.any(qa <= 0.0):
+    if np.any(qa <= DEFAULT_TOL.support):
         raise SingularReferenceError("reference distribution must be strictly positive")
     return float(np.sum((pa - qa) ** 2 / qa))
 
@@ -141,9 +145,9 @@ def qre_to_power(rho, letter, n: int) -> float:
     ``rho`` is a d**n probability vector in the product eigenbasis of the
     letter, given as its d eigenvalues.  The support test is single-letter,
     as supp rho lies in supp letter^(x)n exactly when every supp rho_i lies in
-    supp letter: ``inf`` when some rho_i puts more than the support tolerance
-    of weight on the letter's eigenvalues at or below it.  No n-fold
-    eigenvalue meets a tolerance, so the value holds at any n.
+    supp letter: ``inf`` when some rho_i leaves it by the rule of
+    ``operators._outside``.  No n-fold eigenvalue meets a tolerance, so the
+    value holds at any n.
     """
     r, d = np.asarray(rho), len(letter)
     if r.ndim not in (1, 2) or r.ndim != np.ndim(letter) or r.shape != (d**n,) * r.ndim:
@@ -159,7 +163,7 @@ def qre_to_power(rho, letter, n: int) -> float:
         weights = np.einsum("ki,nkl,li->ni", vecs.conj(), np.reshape(marginals, (n, d, d)), vecs).real
     weights, logs = weights.reshape(n, d), op._log_sums(values, 1)
     on = logs > -np.inf
-    if not on.all() and np.any(np.sum(weights[:, ~on], axis=1) > DEFAULT_TOL.support):
+    if op._outside(weights, values).any():
         return math.inf
     entropy = np.log(lam, out=np.zeros(lam.shape), where=lam > 0.0)
     entropy *= lam  # in place, summed pairwise
@@ -193,17 +197,17 @@ def petz_renyi(rho, sigma, s: float):
 
     Powers are taken spectrally on the respective supports, so order 0 gives
     -log tr[Pi_rho sigma], its s -> 0+ limit.  For s > 1 a support violation
-    of rho against sigma yields ``inf``.
+    of rho against sigma, by the rule of ``operators._outside``, yields ``inf``.
     """
     if not (math.isfinite(s) and s >= 0.0):
         raise ValueError(f"order s must be finite and >= 0, got {s}")
     if s == 1.0:
         raise ValueError("order s = 1 is the qre limit; call qre instead")
-    overlap = op._overlap(*map(op._eigh, _checked_pair(rho, sigma)))
+    a, b, weight = overlap = op._overlap(*map(op._eigh, _checked_pair(rho, sigma)))
     trace = _trace_powers(overlap, s, 1.0 - s)
     infinite = trace <= 0.0
-    if s > 1.0:
-        infinite = infinite | ~op._contained(*overlap)
+    if s > 1.0:  # rho's weights on sigma's eigenvectors, formed as qre and support_contained form them
+        infinite |= op._outside(np.einsum("...i,...ij->...j", a, weight), b)
     value = _log_where(~infinite, trace) / (s - 1.0)
     return op.scalar_or_stack(np.where(infinite, math.inf, value))
 

@@ -469,15 +469,16 @@ def pinching(q, p) -> np.ndarray:
 
 
 def support_contained(inner, outer):
-    """Test supp(inner) subseteq supp(outer) numerically, by the rule of :func:`_contained`."""
-    return scalar_or_stack(_contained(*_overlap(_eigh(check_hermitian(inner)), _eigh(check_hermitian(outer)))), bool)
+    """Test supp(inner) subseteq supp(outer) by the rule of :func:`_outside`, on inner's weights
+    <v_j|inner|v_j> = sum_i lam_i |<u_i|v_j>|^2 on outer's eigenvectors v_j, from inner's eigenpairs lam_i, u_i."""
+    vals, outer_vals, weight = _overlap(_eigh(check_hermitian(inner)), _eigh(check_hermitian(outer)))
+    return scalar_or_stack(~_outside(np.einsum("...i,...ij->...j", vals, weight), outer_vals), bool)
 
 
-def _contained(vals, outer_vals, weight) -> np.ndarray:
-    """:func:`support_contained` per stack element from :func:`_overlap`'s spectra and weights: every eigenvector
-    of inner above the support tolerance puts less than that tolerance of squared norm on outer's at or below it."""
-    residual = np.sum(np.where(outer_vals[..., None, :] > DEFAULT_TOL.support, 0.0, weight), axis=-1)
-    return ~np.any((vals > DEFAULT_TOL.support) & (residual >= DEFAULT_TOL.support), axis=-1)
+def _outside(weights, values) -> np.ndarray:
+    """The package's one support rule: a state leaves a reference's support when its ``weights`` <v_j|rho|v_j>
+    on the reference's eigenvectors v_j whose eigenvalues ``values`` are at or below the support tolerance sum to more than it."""
+    return np.sum(np.where(values > DEFAULT_TOL.support, 0.0, weights), axis=-1) > DEFAULT_TOL.support
 
 
 def matrix_to_json(a) -> list:

@@ -10,6 +10,8 @@ module defines a top-level function of the same name again):
 - channels: :func:`excitation_isometry` and :func:`excitation_quadruple`, and
   :func:`rotated_damping_isometry` and :func:`rotated_damping_quadruple`,
   whose output pairs do not commute; :func:`rank_two_qutrit_pair`;
+- pairs at the edge of the support rule: the hypothesis strategy
+  :func:`near_edge_pairs`;
 - dense oracles: the kron chains :func:`kron_chain` and
   :func:`kron_chain_mean`, the SVD trace norm :func:`dense_trace_norm`, the
   eigen-log relative entropy to an n-fold power :func:`eigen_log_qre`, and
@@ -33,6 +35,7 @@ from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from covertq import channels as chn
 from covertq import operators as op
@@ -199,3 +202,27 @@ def rank_two_qutrit_pair():
     block = np.zeros((3, 3), dtype=complex)
     block[:2, :2] = [[0.5, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]
     return tuple(unitary @ m @ unitary.conj().T for m in (np.diag([0.6, 0.4, 0.0]).astype(complex), block))
+
+
+@st.composite
+def near_edge_pairs(draw):
+    """(rho, sigma) of side d <= 4 with sigma of rank below d and rho's weight off supp sigma drawn log-uniformly
+    from [1e-11, 1e-9], around the support tolerance 1e-10, and spread over one to three of rho's eigenvectors.
+
+    rho's eigenvectors start orthonormal in supp sigma; each of the first ``spread`` gets a kernel component
+    that carries its share of the weight, and QR makes them orthonormal again (which moves each weight by a
+    relative 1e-10 or so).  Every eigenvalue of rho and every nonzero one of sigma is at least 1/(2d)."""
+    d = draw(st.integers(2, 4))
+    rank = draw(st.integers(1, d - 1))
+    spread = draw(st.integers(1, min(3, rank)))
+    size = draw(st.integers(spread, rank))  # rho's rank
+    outside = 10.0 ** draw(st.floats(-11.0, -9.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = random_unitary(rng, d)
+    sigma = rotated(v, np.r_[0.5 / rank + 0.5 * rng.dirichlet(np.ones(rank)), np.zeros(d - rank)])
+    lam = 0.5 / size + 0.5 * rng.dirichlet(np.ones(size))
+    share = rng.dirichlet(np.ones(spread)) * outside / lam[:spread]  # off-support share of each tilted vector's norm
+    kernel = v[:, rank:] @ (rng.normal(size=(d - rank, spread)) + 1j * rng.normal(size=(d - rank, spread)))
+    vecs = v[:, :rank] @ random_unitary(rng, rank)[:, :size]
+    vecs[:, :spread] += kernel / np.linalg.norm(kernel, axis=0) * np.sqrt(share / (1.0 - share))
+    return rotated(np.linalg.qr(vecs)[0], lam), sigma

@@ -10,6 +10,7 @@ from covertq.errors import (
     AssumptionViolationError,
     DimMismatchError,
     InvalidParameterError,
+    SingularReferenceError,
     TrivialTestError,
 )
 
@@ -167,6 +168,13 @@ def test_capacity_reports_raise_at_lowest_failing_element():
         cap.capacity_report(excitation_isometry(1.0))
     with pytest.raises(TrivialTestError, match=r"^warden outputs coincide"):
         chn.build_covert_channel(coinciding_warden_isometry())
+
+
+def test_rates_refuse_a_vanishing_chi_square():
+    # a quadruple built directly skips the covert setting's check: with omega1 = omega0 every rate divides by chi2 = 0
+    quad = excitation_quadruple(0.25)
+    with pytest.raises(SingularReferenceError, match="^chi-square of warden outputs vanished"):
+        cap.capacity_report_from_quadruple(chn.BinaryCovertChannel(quad.sigma0, quad.sigma1, quad.omega0, quad.omega0))
 
 
 def test_rate_functions_are_report_fields():

@@ -53,6 +53,16 @@ def test_not_trace_preserving():
         chn.KrausChannel((np.eye(2) * 0.5,))
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: chn.KrausChannel(()), InvalidParameterError, "at least one"),
+    (lambda: chn.KrausChannel((np.eye(2), np.eye(3))), DimMismatchError, "one shape"),
+    (lambda: chn.build_covert_channel(chn.StinespringIsometry(np.eye(2)[:, :1], 2, 1)), DimMismatchError, "two input symbols"),
+], ids=["no-kraus", "kraus-shapes", "one-input-symbol"])
+def test_channel_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def loop_stinespring(kraus):
     """V = sum_k K_k (x) |k>_W, row by row (B before W)."""
     dw = len(kraus)

@@ -46,8 +46,25 @@ def test_capacity_file_and_manifest(exc_spec, tmp_path):
     assert manifest["outputPath"] == str(out_path)
 
 
-def test_capacity_missing_file(tmp_path, capsys):
-    assert main(["capacity", str(tmp_path / "nope.json")]) == 2
+@pytest.mark.parametrize("command, missing", [
+    ("capacity", "spec"), ("simulate", "spec"), ("egdemo", "spec"),
+    ("capacity", "out"), ("sweep", "out"), ("simulate", "out"), ("egdemo", "out"),
+])
+def test_missing_file_is_an_input_error(exc_spec, tmp_path, capsys, command, missing):
+    # a channel spec that does not exist, or an output into a directory that does not; an OSError
+    # writing the output was a traceback and exit 1
+    spec = str(tmp_path / "absent.json") if missing == "spec" else exc_spec
+    out = tmp_path / "x.json" if missing == "spec" else tmp_path / "no" / "such" / "x.json"
+    argv = {
+        "capacity": ["capacity", spec, "-o", str(out)],
+        "sweep": ["sweep", "--gamma-from", "0.1", "--gamma-to", "0.9", "--steps", "3", "--out", str(out)],
+        "simulate": ["simulate", spec, "--n", "2", "--gamma", "0.5", "-o", str(out)],
+        "egdemo": ["egdemo", spec, "-o", str(out)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exc.json"]
 
 
 def test_capacity_malformed_json(tmp_path, capsys):
@@ -352,10 +369,6 @@ def test_egdemo_environment_wider_than_decoder(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 <= payload["fidelity"] <= 1.0
         assert payload["perStepDiagnostics"]["decouplerIsometryDefect"] <= 1e-9
-
-
-def test_egdemo_missing_file(tmp_path):
-    assert main(["egdemo", str(tmp_path / "absent.json")]) == 2
 
 
 def test_validate(exc_spec, capsys):

@@ -261,6 +261,19 @@ def test_covertness_report_identities():
     )
 
 
+def test_pinsker_lower_bound_reads_zero_when_vacuous(monkeypatch):
+    # 1/2 (1 - sqrt(dCovert / 2)) is negative from dCovert = 2 on; it read -0.0186 at dCovert = 2.15
+    cfg = cs.SimConfig(n=4, gamma=0.6, m_size=2, l_size=2, seed=4)
+    rep = cs.covertness_report(cs.sample_codebook(cfg), rotated_damping_quadruple(), cfg)
+    assert 2.0 < rep.dCovert < math.inf and rep.pinskerLowerBound == 0.0
+    # omega1 off supp omega0 makes dCovert inf; such a quadruple is outside the covert setting and has no
+    # resolvability bound, which the report therefore does not evaluate here
+    quad = excitation_quadruple()
+    monkeypatch.setattr(cs, "resolvability_rhs", lambda cfg, ch: math.nan)
+    rep = cs.covertness_report(cs.sample_codebook(cfg), chn.BinaryCovertChannel(quad.sigma0, quad.sigma1, quad.omega1, quad.omega0), cfg)
+    assert rep.dCovert == math.inf and rep.pinskerLowerBound == 0.0
+
+
 def test_secrecy_report():
     quad = excitation_quadruple()
     cfg = cs.SimConfig(n=4, gamma=0.5, m_size=2, l_size=1, seed=0, alpha=0.25)
@@ -542,6 +555,12 @@ def test_sim_config_rejects_nonpositive_samples():
     for samples in (0, -3):
         with pytest.raises(InvalidParameterError, match="samples"):
             cs.SimConfig(n=6, gamma=0.5, m_size=2, l_size=2, samples=samples)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
+def test_sim_config_rejects_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(InvalidParameterError, match="alpha"):
+        cs.SimConfig(n=6, gamma=0.5, m_size=2, l_size=2, alpha=alpha)
 
 
 def test_sim_config_rejects_seed_outside_uint64():

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from support import dense_trace_norm, excitation_quadruple, kron_chain, random_density, random_unitary, rotated
+from support import dense_trace_norm, excitation_quadruple, kron_chain, near_edge_pairs, random_density, random_unitary, rotated
 
 from covertq import channels as chn
 from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
-from covertq.errors import DimMismatchError, InvalidGammaError, NotHermitianError, SingularReferenceError
+from covertq.errors import (
+    AssumptionViolationError, DimMismatchError, InvalidGammaError, NotHermitianError, SingularReferenceError,
+)
 from covertq.operators import DEFAULT_TOL
 
 
@@ -125,6 +127,13 @@ def test_chi_square_commuting_oracle():
 def test_chi_square_singular_reference():
     with pytest.raises(SingularReferenceError):
         dv.chi_square(np.eye(2) / 2, np.diag([1.0, 0.0]))
+    # both forms refuse a reference eigenvalue at or below the support tolerance, and take one above it
+    for low in (DEFAULT_TOL.support, 0.5 * DEFAULT_TOL.support):
+        for chi2 in (lambda p, q: dv.chi_square(np.diag(p), np.diag(q)), dv.chi_square_commuting):
+            with pytest.raises(SingularReferenceError):
+                chi2([0.5, 0.5], [1.0 - low, low])
+    q = [1.0 - 2 * DEFAULT_TOL.support, 2 * DEFAULT_TOL.support]
+    assert dv.chi_square(np.diag([0.5, 0.5]), np.diag(q)) == pytest.approx(dv.chi_square_commuting([0.5, 0.5], q), rel=1e-12)
 
 
 def test_chi_square_finite_difference():
@@ -295,6 +304,19 @@ def test_non_finite_parameters_raise(call, error):
         call(rho, sigma, ens)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: dv.qre(np.eye(2) / 2, np.eye(3) / 3), DimMismatchError, "dims 2 vs 3"),
+    (lambda: dv.qre(np.eye(2) / 2, np.array([np.eye(2) / 2] * 2)), DimMismatchError, "stack shapes"),
+    (lambda: dv.chi_square_commuting([0.5, 0.5], [1.0]), DimMismatchError, "lengths"),
+    (lambda: dv.petz_renyi(np.eye(2) / 2, np.eye(2) / 2, 1.0), ValueError, "qre limit"),
+    (lambda: dv.CqEnsemble(np.array([0.5, 0.6]), (np.eye(2) / 2,) * 2), ValueError, "sum to 1"),
+    (lambda: dv.CqEnsemble(np.array([0.5, 0.5]), (np.eye(2) / 2,)), DimMismatchError, "one state per"),
+], ids=["pair-dims", "pair-stack-shapes", "commuting-lengths", "petz-order-one", "ensemble-probs", "ensemble-states"])
+def test_malformed_divergence_inputs_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_helstrom_error():
     rng = np.random.default_rng(10)
     rho = random_density(rng, 2)
@@ -389,9 +411,12 @@ def test_distinct_eigenvalue_count_is_scale_free(n):
 
 
 def loop_qre(rho, sigma, tol=DEFAULT_TOL):
+    """The per-element relative entropy over rho's eigenvalues above the support tolerance; inf unless
+    :func:`loop_support_contained`."""
+    if not loop_support_contained(rho, sigma, tol):
+        return math.inf
     rvals, rvecs = np.linalg.eigh(rho)
     svals, svecs = np.linalg.eigh(sigma)
-    rvals = np.clip(rvals, 0.0, None)
     overlap = np.abs(rvecs.conj().T @ svecs) ** 2
     total = 0.0
     for i, lam in enumerate(rvals):
@@ -399,14 +424,8 @@ def loop_qre(rho, sigma, tol=DEFAULT_TOL):
             continue
         total += lam * math.log(lam)
         for j, mu in enumerate(svals):
-            w = overlap[i, j]
-            if w <= 0.0:
-                continue
-            if mu <= tol.support:
-                if lam * w > tol.support:
-                    return math.inf
-                continue
-            total -= lam * w * math.log(mu)
+            if mu > tol.support:
+                total -= lam * overlap[i, j] * math.log(mu)
     return max(total, 0.0)
 
 
@@ -438,15 +457,16 @@ def loop_chi_square(rho, sigma, tol=DEFAULT_TOL):
     return max(total, 0.0)
 
 
-def loop_support_contained(inner, outer, tol=DEFAULT_TOL):
+def loop_weight_outside(inner, outer, tol=DEFAULT_TOL):
+    """tr[P inner P], P the projector on outer's eigenvectors whose eigenvalues are at or below the support tolerance."""
     vals, vecs = np.linalg.eigh(outer)
-    cols = vecs[:, vals > tol.support]
-    proj = cols @ cols.conj().T
-    vals, vecs = np.linalg.eigh(inner)
-    for lam, vec in zip(vals, vecs.T):
-        if lam > tol.support and np.linalg.norm(vec - proj @ vec) >= np.sqrt(tol.support):
-            return False
-    return True
+    kernel = vecs[:, vals <= tol.support]
+    return np.trace(kernel.conj().T @ inner @ kernel).real
+
+
+def loop_support_contained(inner, outer, tol=DEFAULT_TOL):
+    """The support rule: inner's weight off supp(outer) is at most the support tolerance."""
+    return loop_weight_outside(inner, outer, tol) <= tol.support
 
 
 @st.composite
@@ -561,3 +581,47 @@ def test_read_off_eigenbases_are_gathered_exactly(monkeypatch):
     monkeypatch.setattr(op, "_eigh", lambda h: (*eigh(h)[:2], None))
     for g, w in zip(got, kernels(), strict=True):
         assert np.array_equal(g, w)
+
+
+# ---- one support rule at its edge
+
+
+def edge_state(p, tilt1, tilt2):
+    """p |u1><u1| + (1 - p) |u2><u2|, u1 proportional to (1, 0, sqrt(tilt1)) and u2 the unit part of (0, 1, sqrt(tilt2))
+    orthogonal to u1: a state whose weight off the support of diag(1, 1, 0) is about p tilt1 + (1 - p) tilt2."""
+    u1 = np.array([1.0, 0.0, math.sqrt(tilt1)])
+    u1 /= np.linalg.norm(u1)
+    u2 = np.array([0.0, 1.0, math.sqrt(tilt2)])
+    u2 -= (u1 @ u2) * u1
+    u2 /= np.linalg.norm(u2)
+    return p * np.outer(u1, u1) + (1.0 - p) * np.outer(u2, u2)
+
+
+EDGE_SIGMA = np.diag([0.5, 0.5, 0.0])
+WARDEN_PAIR = (np.diag([0.7, 0.3]), np.diag([0.5, 0.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_edge_pairs(), near_edge_pairs())
+# 1.25e-10 off the support, 0.6 of it on each eigenvector: qre read 0.0201 where qre_to_power and petz_renyi read inf
+@example((edge_state(0.6, 1.25e-10, 1.25e-10), EDGE_SIGMA), WARDEN_PAIR)
+# 6.75e-11 off it, all on one eigenvector: qre(sigma1, sigma0) read 0.0050 and the quadruple check refused
+@example((edge_state(0.45, 1.5e-10, 0.0), EDGE_SIGMA), WARDEN_PAIR)
+def test_support_decisions_follow_one_rule_at_the_edge(pair, warden_pair):
+    # each pair's weight off the support lies around the support tolerance, so every decision turns on the rule.
+    # qre, petz_renyi and support_contained read the same weights bit for bit.  qre_to_power forms <v_j|rho|v_j>
+    # from rho itself, which parts from them by up to 4e-5 of the weight (3,000 draws), so it and the oracle are
+    # held to the rule only where the weight lies farther than 1e-3 of the tolerance from it
+    for rho, sigma in (pair, warden_pair):
+        outside = not op.support_contained(rho, sigma)
+        assert math.isinf(dv.qre(rho, sigma)) == math.isinf(dv.petz_renyi(rho, sigma, 2.0)) == outside
+        weight = loop_weight_outside(rho, sigma)
+        if abs(weight / DEFAULT_TOL.support - 1.0) > 1e-3:
+            assert math.isinf(dv.qre_to_power(rho, sigma, 1)) == (weight > DEFAULT_TOL.support) == outside
+    quad = chn.BinaryCovertChannel(pair[1], pair[0], warden_pair[1], warden_pair[0])
+    assume(op.trace_norm(quad.omega1 - quad.omega0) > 1e-6)
+    if math.isinf(dv.qre(*pair)) or math.isinf(dv.qre(*warden_pair)):
+        with pytest.raises(AssumptionViolationError):
+            chn._validate_quadruple(quad)
+    else:
+        assert chn._validate_quadruple(quad) is quad

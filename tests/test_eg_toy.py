@@ -92,8 +92,8 @@ def test_entry_points_refuse_a_repeated_word(build, entry):
 
 def mismatched_povms():
     """The demo code on excitation 0.1 with POVMs that do not fit it: every element halved
-    and listed twice, and pairs merged (both still summing to I), one built for n = 3, and
-    an abstain remainder of the wrong dimension."""
+    and listed twice, and pairs merged (both still summing to I), one built for n = 3, an
+    abstain remainder of the wrong dimension, and none where one is needed to sum to I."""
     code, V, povm, abstain, _ = demo_setup()
     three = eg.decoding_povm(eg.EGToyCode(code.words[..., :3]), V)[:2]
     return code, V, {
@@ -101,17 +101,25 @@ def mismatched_povms():
         "merged": ([povm[0] + povm[1], povm[2] + povm[3]], abstain),
         "n=3": three,
         "abstain": (povm, abstain[:8, :8]),
+        "no-abstain": (povm, None),
     }
 
 
-@pytest.mark.parametrize("case", ["split", "merged", "n=3", "abstain"])
+@pytest.mark.parametrize("case", ["split", "merged", "n=3", "abstain", "no-abstain"])
 @pytest.mark.parametrize("entry", EG_ENTRY_POINTS, ids=lambda f: f.__name__)
 def test_entry_points_refuse_a_povm_that_does_not_fit_the_code(case, entry):
     # unchecked, the split POVM gave align_phases an alignedOverlapSum of 1.03 for 3.85 and the
     # others numpy broadcast errors
     code, V, povms = mismatched_povms()
-    with pytest.raises(DimMismatchError, match="POVM elements for 4 words"):
+    with pytest.raises(DimMismatchError, match="POVM completion defect" if case == "no-abstain" else "POVM elements for 4 words"):
         entry(code, V, *povms[case])
+
+
+@pytest.mark.parametrize("entry", [eg.eg_report, eg.decoupling_decoder, eg.eliminate_assistance], ids=lambda f: f.__name__)
+def test_unknown_decoupling_mode_raises(entry):
+    code, V, povm, abstain, _ = demo_setup()
+    with pytest.raises(ValueError, match="unknown decoupling mode 'other'"):
+        entry(code, V, povm, abstain, mode="other")
 
 
 def test_letters_outside_the_bits_raise():
@@ -328,6 +336,21 @@ def test_ghz_to_epr_perturbed():
         out = eg.ghz_to_epr(rho, T, j)
         total += prob * np.vdot(phi, out @ phi).real
     assert total >= ghz_fid - 1e-9
+
+
+def _ghz_input(register):
+    """|0>_R |register>_M |0>_Mhat for a two-level M register."""
+    return np.kron(np.kron([1.0, 0.0], register), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("rho, match", [
+    (np.eye(4) / 4, "expected dim 8, got 4"),
+    # M in |-> is orthogonal to the Fourier vector of outcome 0
+    (np.outer(_ghz_input([1.0, -1.0]), _ghz_input([1.0, -1.0])) / 2, "outcome 0 has zero probability"),
+], ids=["dimension", "zero-probability"])
+def test_ghz_to_epr_refusals(rho, match):
+    with pytest.raises(DimMismatchError, match=match):
+        eg.ghz_to_epr(rho, 2, 0)
 
 
 def test_eliminate_assistance_noiseless():

@@ -183,6 +183,26 @@ def test_single_matrix_functions_reject_stacks():
     assert op.support_contained(stack, stack).tolist() == [True, True]
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: op.as_operator(np.ones((2, 3))), "square"),
+    (lambda: op.as_operator([[1.0, math.nan], [0.0, 1.0]]), "non-finite"),
+    (lambda: op.check_density(np.diag([0.6, 0.6])), "trace"),
+    (lambda: op.check_density(np.diag([1.1, -0.1])), "negative eigenvalue"),
+    (lambda: op.eigenvalue_clusters(np.eye(2)), "one matrix"),
+    (lambda: op.pinching(np.eye(3), np.eye(2) / 2), "dim"),
+    (lambda: op.matrix_from_json([[1.0, 0.0]]), "pairs"),
+], ids=["non-square", "non-finite", "trace", "negative", "clusters-of-a-matrix", "pinching-dims", "json-shape"])
+def test_malformed_operators_raise(call, match):
+    with pytest.raises(DimMismatchError, match=match):
+        call()
+
+
+def test_check_density_clamps_a_roundoff_negative_eigenvalue():
+    # -1e-12 lies within the psd tolerance: it is clipped to 0 and the trace renormalized
+    rho = op.check_density(np.diag([1.0 + 1e-12, -1e-12]))
+    np.testing.assert_array_equal(rho, np.diag([1.0, 0.0]))
+
+
 def test_support_contained_rejects_mismatched_dims():
     # a read-off basis is gathered by index, which must not run past the other state's side
     for inner, outer in ((np.diag([1.0, 0.0]), np.eye(3) / 3), (np.diag([1.0, 0.0, 0.0]), np.eye(2) / 2)):

@@ -23,7 +23,7 @@ def top_level_functions(path):
 def test_no_unit_test_module_redefines_a_support_helper():
     shared = top_level_functions(TESTS / "support.py")
     modules = {p.name: top_level_functions(p) for p in TESTS.glob("test_*.py") if p.name != "test_acceptance.py"}
-    assert {"kron_chain", "dense_trace_norm", "excitation_isometry", "distinct_words"} <= shared
+    assert {"kron_chain", "dense_trace_norm", "excitation_isometry", "distinct_words", "near_edge_pairs"} <= shared
     assert {"test_covert_sim.py", "test_eg_toy.py", "test_support.py"} <= set(modules)
     assert {name: sorted(names & shared) for name, names in modules.items() if names & shared} == {}
 
