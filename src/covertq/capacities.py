@@ -23,7 +23,7 @@ import numpy as np
 
 from . import divergences as dv
 from . import operators as op
-from .channels import BinaryCovertChannel, StinespringIsometry, _covert_quadruple
+from .channels import BinaryCovertChannel, StinespringIsometry, build_covert_channel
 from .errors import DimMismatchError, InvalidParameterError, SingularReferenceError
 
 
@@ -83,9 +83,9 @@ def capacity_reports(isometries) -> list[CapacityReport]:
     """Capacity reports for many channels of one shape, evaluated as one stack.
 
     Each isometry is one channel or a stack of channels; their leading axes
-    are concatenated in order, giving one report per channel.  Each channel's
-    quadruple is validated as :func:`capacity_report` does; the lowest
-    failing channel raises, with its index in the message.
+    are concatenated in order into one stack, giving one report per channel.
+    The stack's quadruple is checked as every :class:`BinaryCovertChannel`
+    is, and the lowest failing channel raises with its index in the message.
     """
     matrices, shapes = [], set()
     for V in isometries:
@@ -97,7 +97,7 @@ def capacity_reports(isometries) -> list[CapacityReport]:
     if len(shapes) > 1:
         raise DimMismatchError("stacked isometries must share one shape")
     ((*_, db, dw),) = shapes
-    return _reports(_covert_quadruple(np.concatenate(matrices), db, dw))
+    return _reports(build_covert_channel(StinespringIsometry(np.concatenate(matrices), db, dw)))
 
 
 def covert_secrecy_capacity_keyed(ch: BinaryCovertChannel) -> float:

@@ -10,6 +10,8 @@ Kraus operators are then ``(..., dB, dA)`` arrays and the isometry matrix is
 ``(..., dB*dW, dA)``; the trace-preservation and isometry checks run on every
 element at once and a failure names the lowest failing element.
 :func:`excitation_channel` builds such a stack from a 1-D array of gammas.
+A :class:`BinaryCovertChannel` checks the covert setting in its constructor,
+so every quadruple, however made, is checked once, on every stack element.
 """
 
 from __future__ import annotations
@@ -101,14 +103,18 @@ class StinespringIsometry:
 @dataclass(frozen=True)
 class BinaryCovertChannel:
     """The quadruple (sigma0, sigma1, omega0, omega1) of receiver and warden
-    outputs for the two input symbols, with the support assumptions of the
-    covert setting already validated.  Inside the package the four fields may
+    outputs for the two input symbols.  Inside the package the four fields may
     also be equal-shape stacks (..., d, d) of many channels' quadruples.
+    The constructor checks the covert setting, so every quadruple lies in it:
+    the warden's outputs differ (trace norm above the support tolerance, else
+    ``TrivialTestError``), and supp(sigma1) in supp(sigma0) and supp(omega1)
+    in supp(omega0) (else ``AssumptionViolationError``).  On a stack the
+    lowest failing element raises with its first failing check.
 
     The fields are read-only copies of the arrays passed in, so what
     :meth:`cached` keeps (the pairs' routes and the bound's K-free terms)
     cannot be made stale by writing to either; ``dataclasses.replace`` gives
-    a new channel with an empty cache."""
+    a new channel, checked again, with an empty cache."""
 
     sigma0: np.ndarray
     sigma1: np.ndarray
@@ -121,6 +127,21 @@ class BinaryCovertChannel:
             own = np.array(getattr(self, name))
             own.flags.writeable = False
             object.__setattr__(self, name, own)
+        checks = (
+            (TrivialTestError, "warden outputs coincide; detection test is vacuous"),
+            (AssumptionViolationError, "supp(sigma1) not contained in supp(sigma0)"),
+            (AssumptionViolationError, "supp(omega1) not contained in supp(omega0)"),
+        )
+        failing = np.stack([
+            op.trace_norm(self.omega1 - self.omega0) <= DEFAULT_TOL.support,
+            np.logical_not(op.support_contained(self.sigma1, self.sigma0)),
+            np.logical_not(op.support_contained(self.omega1, self.omega0)),
+        ])
+        failed = op.first_failure(failing.any(axis=0))
+        if failed:
+            index, where = failed
+            error, message = checks[int(np.argmax(failing[(slice(None),) + index]))]
+            raise error(where + message)
 
     def cached(self, key, make: Callable):
         """``make()``, computed on the first call with ``key`` and kept on this channel."""
@@ -184,48 +205,13 @@ def marginal_outputs(V: StinespringIsometry, x: int):
     return sigma[0], omega[0]
 
 
-def _validate_quadruple(quad: BinaryCovertChannel) -> BinaryCovertChannel:
-    """Check the covert setting on a quadruple or on a stack of quadruples.
-
-    The warden's outputs must differ (trace norm above the support tolerance),
-    and supp(sigma1) in supp(sigma0), supp(omega1) in supp(omega0) must hold.
-    On a stack the lowest failing element raises with its first failing check.
-    """
-    checks = (
-        (TrivialTestError, "warden outputs coincide; detection test is vacuous"),
-        (AssumptionViolationError, "supp(sigma1) not contained in supp(sigma0)"),
-        (AssumptionViolationError, "supp(omega1) not contained in supp(omega0)"),
-    )
-    failing = np.stack([
-        op.trace_norm(quad.omega1 - quad.omega0) <= DEFAULT_TOL.support,
-        np.logical_not(op.support_contained(quad.sigma1, quad.sigma0)),
-        np.logical_not(op.support_contained(quad.omega1, quad.omega0)),
-    ])
-    failed = op.first_failure(failing.any(axis=0))
-    if failed:
-        index, where = failed
-        error, message = checks[int(np.argmax(failing[(slice(None),) + index]))]
-        raise error(where + message)
-    return quad
-
-
-def _covert_quadruple(v: np.ndarray, db: int, dw: int) -> BinaryCovertChannel:
-    """Validated quadruple of inputs 0 and 1 for one isometry matrix or a
-    stack of them, shape (..., db*dw, da); the fields are stacked alike."""
-    if v.shape[-1] < 2:
-        raise DimMismatchError("covert setting needs at least two input symbols")
-    sigma, omega = _marginals(v, db, dw, (0, 1))
-    quad = BinaryCovertChannel(sigma[..., 0, :, :], sigma[..., 1, :, :], omega[..., 0, :, :], omega[..., 1, :, :])
-    return _validate_quadruple(quad)
-
-
 def build_covert_channel(V: StinespringIsometry) -> BinaryCovertChannel:
-    """Form the binary covert quadruple from input symbols 0 and 1.
-
-    Validates the two support inclusions supp(sigma1) in supp(sigma0) and
-    supp(omega1) in supp(omega0), and that the warden's two outputs differ.
-    """
-    return _covert_quadruple(V.V, V.out_dim_b, V.out_dim_w)
+    """The binary covert quadruple of input symbols 0 and 1, checked as every
+    :class:`BinaryCovertChannel` is; a stacked isometry gives stacked fields."""
+    if V.in_dim < 2:
+        raise DimMismatchError("covert setting needs at least two input symbols")
+    sigma, omega = _marginals(V.V, V.out_dim_b, V.out_dim_w, (0, 1))
+    return BinaryCovertChannel(sigma[..., 0, :, :], sigma[..., 1, :, :], omega[..., 0, :, :], omega[..., 1, :, :])
 
 
 def mixed_output(ch: BinaryCovertChannel, alpha: float) -> np.ndarray:
@@ -263,8 +249,8 @@ def channel_spec_to_quadruple(spec: dict) -> BinaryCovertChannel:
     """Build a BinaryCovertChannel from a channel-spec dictionary."""
     kind = spec.get("kind")
     if kind == "cq-pair":
-        return _validate_quadruple(BinaryCovertChannel(*(
+        return BinaryCovertChannel(*(
             op.check_density(op.matrix_from_json(_spec_field(spec, name, "list")))
             for name in ("sigma0", "sigma1", "omega0", "omega1")
-        )))
+        ))
     return build_covert_channel(channel_spec_to_stinespring(spec))

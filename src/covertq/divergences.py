@@ -156,11 +156,13 @@ def qre_to_power(rho, letter, n: int) -> float:
         lam, values, joint = r, np.asarray(letter, dtype=float), r.reshape(d ** (n // 2), -1)
         weights = np.array([w.reshape(d**i, d, -1).sum(axis=(0, 2))
                             for w, m in ((joint.sum(axis=1), n // 2), (joint.sum(axis=0), n - n // 2)) for i in range(m)])
-    else:  # each marginal's weights on the letter's eigenvectors
+    else:  # each marginal's weights on the letter's eigenvectors, from its eigenpairs as qre forms them
         r = op.check_hermitian(r)
-        lam, (values, vecs) = op.eigvalsh(r), op.eigh(op.check_hermitian(letter))
         marginals = [np.einsum("aibajb->ij", r.reshape((d**i, d, d ** (n - 1 - i)) * 2)) for i in range(n)]
-        weights = np.einsum("ki,nkl,li->ni", vecs.conj(), np.reshape(marginals, (n, d, d)), vecs).real
+        basis = op._eigh(op.check_hermitian(letter))  # the letter's, once, broadcast to the n marginals
+        letters = [None if x is None else np.broadcast_to(x, (n,) + x.shape) for x in basis]
+        mvals, _, overlap = op._overlap(op._eigh(np.reshape(marginals, (n, d, d))), letters)
+        lam, values, weights = op.eigvalsh(r), basis[0], np.einsum("...i,...ij->...j", mvals, overlap)
     weights, logs = weights.reshape(n, d), op._log_sums(values, 1)
     on = logs > -np.inf
     if op._outside(weights, values).any():

@@ -75,7 +75,7 @@ class SpectralDecomposition:
 
 def as_operator(a) -> np.ndarray:
     """Coerce to a complex square matrix or a stack of them, shape (..., d, d)."""
-    m = np.asarray(a, dtype=complex)
+    m = np.asarray(a, dtype=complex, order="C")  # C order: a transposed view has no float view of its last axis
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimMismatchError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
@@ -165,8 +165,8 @@ def _overlap(a, b):
     """Ascending spectra of two :func:`_eigh` results ``a``, ``b`` and the weights |<u_i|v_j>|^2 of their
     eigenvectors, a read-off basis gathered: the package's one product of two eigenbases."""
     (avals, avecs, aorder), (bvals, bvecs, border) = a, b
-    if avals.shape[-1] != bvals.shape[-1]:
-        raise DimMismatchError(f"dims {avals.shape[-1]} vs {bvals.shape[-1]}")
+    if avals.shape != bvals.shape:  # a 1-D read-off order gathers a 2-D operand only, never a stack
+        raise DimMismatchError(f"dims {avals.shape} vs {bvals.shape}")
     product = (_basis_product(dagger(avecs), bvecs, border, -1) if aorder is None
                else _basis_product(bvecs, avecs, aorder, -2))
     # C order, as a product returns it: einsum's summation order follows the layout
@@ -469,7 +469,7 @@ def pinching(q, p) -> np.ndarray:
 
 
 def support_contained(inner, outer):
-    """Test supp(inner) subseteq supp(outer) by the rule of :func:`_outside`, on inner's weights
+    """Test supp(inner) subseteq supp(outer), of one shape, by the rule of :func:`_outside`, on inner's weights
     <v_j|inner|v_j> = sum_i lam_i |<u_i|v_j>|^2 on outer's eigenvectors v_j, from inner's eigenpairs lam_i, u_i."""
     vals, outer_vals, weight = _overlap(_eigh(check_hermitian(inner)), _eigh(check_hermitian(outer)))
     return scalar_or_stack(~_outside(np.einsum("...i,...ij->...j", vals, weight), outer_vals), bool)

@@ -10,6 +10,7 @@ module defines a top-level function of the same name again):
 - channels: :func:`excitation_isometry` and :func:`excitation_quadruple`, and
   :func:`rotated_damping_isometry` and :func:`rotated_damping_quadruple`,
   whose output pairs do not commute; :func:`rank_two_qutrit_pair`;
+  :func:`past_the_check`, a quadruple altered past its constructor's check;
 - pairs at the edge of the support rule: the hypothesis strategy
   :func:`near_edge_pairs`;
 - dense oracles: the kron chains :func:`kron_chain` and
@@ -101,6 +102,15 @@ def rotated_damping_isometry(gamma=0.3, theta=0.7, phi=0.4):
 
 def rotated_damping_quadruple(gamma=0.3, theta=0.7, phi=0.4):
     return chn.build_covert_channel(rotated_damping_isometry(gamma, theta, phi))
+
+
+def past_the_check(quad, **fields):
+    """A copy of ``quad`` with ``fields`` set past the constructor's covert-setting check, so that a
+    stage's own guard against a quadruple outside the setting can be reached."""
+    out = chn.BinaryCovertChannel(quad.sigma0, quad.sigma1, quad.omega0, quad.omega1)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def kron_chain(word, table):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from support import excitation_isometry, excitation_quadruple, random_unitary
+from support import excitation_isometry, excitation_quadruple, past_the_check, random_unitary
 
 from covertq import capacities as cap
 from covertq import channels as chn
@@ -171,10 +171,13 @@ def test_capacity_reports_raise_at_lowest_failing_element():
 
 
 def test_rates_refuse_a_vanishing_chi_square():
-    # a quadruple built directly skips the covert setting's check: with omega1 = omega0 every rate divides by chi2 = 0
+    # with omega1 = omega0 every rate divides by chi2 = 0: the constructor refuses such a quadruple, and the
+    # rates still refuse one altered past it
     quad = excitation_quadruple(0.25)
+    with pytest.raises(TrivialTestError, match="^warden outputs coincide"):
+        chn.BinaryCovertChannel(quad.sigma0, quad.sigma1, quad.omega0, quad.omega0)
     with pytest.raises(SingularReferenceError, match="^chi-square of warden outputs vanished"):
-        cap.capacity_report_from_quadruple(chn.BinaryCovertChannel(quad.sigma0, quad.sigma1, quad.omega0, quad.omega0))
+        cap.capacity_report_from_quadruple(past_the_check(quad, omega1=quad.omega0))
 
 
 def test_rate_functions_are_report_fields():

@@ -1,13 +1,17 @@
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from support import excitation_isometry, excitation_quadruple, random_density, random_unitary
 
+from covertq import capacities as cap
 from covertq import channels as chn
 from covertq import divergences as dv
 from covertq import operators as op
+from covertq.cli import main
 from covertq.errors import (
     AssumptionViolationError,
     DimMismatchError,
@@ -268,3 +272,38 @@ def test_quadruple_fields_read_only_and_replace_starts_empty():
     assert quad.cached("key", lambda: 3) == 1
     assert "_cache" not in repr(other)
 
+
+# isometries outside the covert setting, one per check, each with qubits B and W; |x>_B |0>_W and |x>_B |x>_W
+# also break supp(sigma1) in supp(sigma0), and the first failing check in the constructor's order is the one named
+OUTSIDE_THE_SETTING = {
+    "trivial-warden": (np.eye(4)[:, [0, 2]], TrivialTestError, "warden outputs coincide; detection test is vacuous"),
+    "sigma-support": (np.eye(4)[:, [0, 3]], AssumptionViolationError, "supp(sigma1) not contained in supp(sigma0)"),
+    "omega-support": (excitation_isometry(1.0).V, AssumptionViolationError, "supp(omega1) not contained in supp(omega0)"),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIDE_THE_SETTING)
+def test_every_construction_path_checks_the_covert_setting(case, tmp_path, capsys):
+    matrix, error, message = OUTSIDE_THE_SETTING[case]
+    V = chn.StinespringIsometry(matrix, 2, 2)
+    sigma, omega = chn._marginals(V.V, 2, 2, (0, 1))
+    states = dict(sigma0=sigma[0], sigma1=sigma[1], omega0=omega[0], omega1=omega[1])
+    spec = {"kind": "cq-pair", **{name: op.matrix_to_json(m) for name, m in states.items()}}
+    for make in (
+        lambda: chn.BinaryCovertChannel(**states),
+        lambda: replace(excitation_quadruple(0.25), **states),
+        lambda: chn.build_covert_channel(V),
+        lambda: chn.channel_spec_to_quadruple(spec),
+        lambda: cap.capacity_report(V),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+    # stacked rates name the lowest failing channel
+    with pytest.raises(error, match=f"^stack element 1: {re.escape(message)}$"):
+        cap.capacity_reports([excitation_isometry(0.2), V, V, excitation_isometry(0.3)])
+    # the command line reads a spec through the same check: exit 4 and the check's text
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["validate", str(path)], ["capacity", str(path)], ["simulate", str(path), "--n", "2", "--gamma", "0.5"]):
+        assert main(argv) == 4
+        assert capsys.readouterr() == ("", f"assumption violation: {message}\n")

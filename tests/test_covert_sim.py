@@ -8,15 +8,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
     dense_decoder_errors, dense_square_root_povm, dense_trace_norm, eigen_log_qre, exact_classes, exact_eigenprojectors,
-    excitation_quadruple, kron_chain, kron_chain_mean, random_density, random_unitary, rank_two_qutrit_pair,
-    rotated, rotated_damping_quadruple, traced,
+    excitation_quadruple, kron_chain, kron_chain_mean, past_the_check, random_density, random_unitary,
+    rank_two_qutrit_pair, rotated, rotated_damping_quadruple, traced,
 )
 
 from covertq import channels as chn
 from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
-from covertq.errors import BudgetExceededError, DimMismatchError, IndexOutOfRangeError, InvalidParameterError, NotHermitianError
+from covertq.errors import (
+    AssumptionViolationError, BudgetExceededError, DimMismatchError, IndexOutOfRangeError, InvalidParameterError,
+    NotHermitianError, TrivialTestError,
+)
 
 
 def test_sample_codebook_determinism():
@@ -266,11 +269,14 @@ def test_pinsker_lower_bound_reads_zero_when_vacuous(monkeypatch):
     cfg = cs.SimConfig(n=4, gamma=0.6, m_size=2, l_size=2, seed=4)
     rep = cs.covertness_report(cs.sample_codebook(cfg), rotated_damping_quadruple(), cfg)
     assert 2.0 < rep.dCovert < math.inf and rep.pinskerLowerBound == 0.0
-    # omega1 off supp omega0 makes dCovert inf; such a quadruple is outside the covert setting and has no
-    # resolvability bound, which the report therefore does not evaluate here
+    # omega1 off supp omega0 makes dCovert inf; the constructor refuses such a quadruple, which is outside the
+    # covert setting and has no resolvability bound, so the report reaches it past the check without one
     quad = excitation_quadruple()
+    with pytest.raises(AssumptionViolationError, match=r"^supp\(omega1\) not contained in supp\(omega0\)$"):
+        chn.BinaryCovertChannel(quad.sigma0, quad.sigma1, quad.omega1, quad.omega0)
     monkeypatch.setattr(cs, "resolvability_rhs", lambda cfg, ch: math.nan)
-    rep = cs.covertness_report(cs.sample_codebook(cfg), chn.BinaryCovertChannel(quad.sigma0, quad.sigma1, quad.omega1, quad.omega0), cfg)
+    swapped = past_the_check(quad, omega0=quad.omega1, omega1=quad.omega0)
+    rep = cs.covertness_report(cs.sample_codebook(cfg), swapped, cfg)
     assert rep.dCovert == math.inf and rep.pinskerLowerBound == 0.0
 
 
@@ -423,6 +429,7 @@ def degenerate_commuting_pairs(draw, d):
 def degenerate_campaigns(draw):
     d = draw(st.sampled_from([2, 3]))
     omega0, omega1 = draw(degenerate_commuting_pairs(d))
+    assume(op.trace_norm(omega1 - omega0) > op.DEFAULT_TOL.support)  # omega1 = omega0 is outside the covert setting
     sigma0, sigma1 = draw(degenerate_commuting_pairs(d))
     cfg = cs.SimConfig(
         n=draw(st.integers(1, 3)), gamma=0.0,
@@ -522,10 +529,14 @@ def test_commuting_route_rejects_non_hermitian_sigma1():
         assert np.allclose(sigma0 @ sigma1, sigma1 @ sigma0)
         with pytest.raises(NotHermitianError):
             cs.square_root_povm([np.array([0, 1], dtype=np.uint8)], sigma0, sigma1, 0.1)
+        # the constructor refuses the pair as either party's outputs, and each stage still refuses it past the check
         with pytest.raises(NotHermitianError):
-            cs.sqrt_measurement_decoder(cb, chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1), cfg)
-        # the same pair as the warden's outputs
-        warden = chn.BinaryCovertChannel(exc.sigma0, exc.sigma1, sigma0, sigma1)
+            chn.BinaryCovertChannel(sigma0, sigma1, exc.omega0, exc.omega1)
+        with pytest.raises(NotHermitianError):
+            chn.BinaryCovertChannel(exc.sigma0, exc.sigma1, sigma0, sigma1)
+        with pytest.raises(NotHermitianError):
+            cs.sqrt_measurement_decoder(cb, past_the_check(exc, sigma0=sigma0, sigma1=sigma1), cfg)
+        warden = past_the_check(exc, omega0=sigma0, omega1=sigma1)
         for report in (
             lambda: cs.secrecy_report(cb, warden, cfg),
             lambda: cs.resolvability_samples(cfg, warden),
@@ -643,12 +654,16 @@ def test_resolvability_memory_independent_of_codebook_size(monkeypatch):
 
 
 def test_average_budget_counts_words_for_one_dimensional_warden():
+    # a one-dimensional warden's outputs coincide, so the covert setting excludes it; a one-dimensional
+    # receiver's pair is allowed, and max(d, 2)**n still charges its decoder the 2**n word counts
     exc = excitation_quadruple()
     trivial = np.ones((1, 1))
-    quad = chn.BinaryCovertChannel(exc.sigma0, exc.sigma1, trivial, trivial)
+    with pytest.raises(TrivialTestError, match="^warden outputs coincide"):
+        chn.BinaryCovertChannel(exc.sigma0, exc.sigma1, trivial, trivial)
+    quad = chn.BinaryCovertChannel(trivial, trivial, exc.omega0, exc.omega1)
     cfg = cs.SimConfig(n=40, gamma=0.5, m_size=2, l_size=2)
     with pytest.raises(BudgetExceededError):
-        cs.resolvability_samples(cfg, quad)
+        cs.sqrt_measurement_decoder(cs.Codebook(np.zeros((2, 2, 40), dtype=np.uint8)), quad, cfg)
 
 
 def test_resolvability_rhs_matches_grid_loop():

@@ -609,19 +609,20 @@ WARDEN_PAIR = (np.diag([0.7, 0.3]), np.diag([0.5, 0.5]))
 @example((edge_state(0.45, 1.5e-10, 0.0), EDGE_SIGMA), WARDEN_PAIR)
 def test_support_decisions_follow_one_rule_at_the_edge(pair, warden_pair):
     # each pair's weight off the support lies around the support tolerance, so every decision turns on the rule.
-    # qre, petz_renyi and support_contained read the same weights bit for bit.  qre_to_power forms <v_j|rho|v_j>
-    # from rho itself, which parts from them by up to 4e-5 of the weight (3,000 draws), so it and the oracle are
-    # held to the rule only where the weight lies farther than 1e-3 of the tolerance from it
+    # qre, qre_to_power at n = 1, petz_renyi and support_contained read the weights from rho's eigenpairs alike.
+    # The oracle forms <v_j|rho|v_j> from rho itself, which parts from them by up to 4e-5 of the weight (3,000
+    # draws), so it is held to the rule only where the weight lies farther than 1e-3 of the tolerance from it
     for rho, sigma in (pair, warden_pair):
         outside = not op.support_contained(rho, sigma)
         assert math.isinf(dv.qre(rho, sigma)) == math.isinf(dv.petz_renyi(rho, sigma, 2.0)) == outside
+        assert math.isinf(dv.qre_to_power(rho, sigma, 1)) == outside
         weight = loop_weight_outside(rho, sigma)
         if abs(weight / DEFAULT_TOL.support - 1.0) > 1e-3:
-            assert math.isinf(dv.qre_to_power(rho, sigma, 1)) == (weight > DEFAULT_TOL.support) == outside
-    quad = chn.BinaryCovertChannel(pair[1], pair[0], warden_pair[1], warden_pair[0])
-    assume(op.trace_norm(quad.omega1 - quad.omega0) > 1e-6)
+            assert (weight > DEFAULT_TOL.support) == outside
+    assume(op.trace_norm(warden_pair[0] - warden_pair[1]) > 1e-6)
+    fields = (pair[1], pair[0], warden_pair[1], warden_pair[0])
     if math.isinf(dv.qre(*pair)) or math.isinf(dv.qre(*warden_pair)):
         with pytest.raises(AssumptionViolationError):
-            chn._validate_quadruple(quad)
+            chn.BinaryCovertChannel(*fields)
     else:
-        assert chn._validate_quadruple(quad) is quad
+        chn.BinaryCovertChannel(*fields)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from support import kron_chain, kron_chain_mean, random_density
 
 import covertq
+from covertq import divergences as dv
 from covertq import operators as op
 from covertq.errors import DimMismatchError, InvalidParameterError, NotHermitianError
 
@@ -201,6 +202,32 @@ def test_check_density_clamps_a_roundoff_negative_eigenvalue():
     # -1e-12 lies within the psd tolerance: it is clipped to 0 and the trace renormalized
     rho = op.check_density(np.diag([1.0 + 1e-12, -1e-12]))
     np.testing.assert_array_equal(rho, np.diag([1.0, 0.0]))
+
+
+def test_support_contained_refuses_a_stack_against_a_single_state():
+    # a single read-off reference's 1-D order gathered the stack's first axis, not each matrix's rows: against
+    # diag(0.5, 0.5, 0) the answer was wrong for 99 of 200 random (2, 3, 3) stacks
+    rng = np.random.default_rng(21)
+    stack = np.array([random_density(rng, 3, full_rank=False) for _ in range(2)])
+    diagonal = np.array([np.diag([0.5, 0.5, 0.0]), np.diag([0.2, 0.0, 0.8])])
+    for inner, outer in ((stack, np.diag([0.5, 0.5, 0.0])), (diagonal, random_density(rng, 3)), (stack[:1], stack)):
+        with pytest.raises(DimMismatchError, match="dims"):
+            op.support_contained(inner, outer)
+
+
+def test_non_contiguous_views_equal_their_contiguous_copies():
+    # a complex view whose last axis is not contiguous has no float view: op.trace_norm(rho.T) raised
+    # numpy's "last axis must be contiguous" on a valid state
+    rng = np.random.default_rng(22)
+    rho = random_density(rng, 3)
+    stack = np.array([random_density(rng, 3) for _ in range(4)])
+    for view in (rho.T, rho.conj().T, stack[..., ::-1, ::-1]):
+        copy = np.ascontiguousarray(view)
+        reference = np.broadcast_to(np.eye(3) / 3, view.shape)
+        assert not view.flags.c_contiguous
+        assert np.array_equal(op.check_hermitian(view), copy)
+        assert np.array_equal(op.trace_norm(view), op.trace_norm(copy))
+        assert np.array_equal(dv.qre(view, reference), dv.qre(copy, reference))
 
 
 def test_support_contained_rejects_mismatched_dims():

@@ -5,7 +5,7 @@ benchmark compiles every module in every process.  Tokens are counted as
 ``tokenize`` yields them, less comments, NL and ENCODING tokens.
 
 ``python tests/test_source_size.py`` prints each module's lines, parser
-tokens and headroom under the step.
+tokens and headroom under the step, and the package's total lines and tokens.
 """
 
 import tokenize
@@ -34,6 +34,7 @@ def test_module_stays_under_the_parser_token_step(path):
 
 if __name__ == "__main__":
     print(f"{'module':<16}{'lines':>7}{'tokens':>8}{'headroom':>10}")
-    for path in MODULES:
-        tokens = parser_tokens(path)
-        print(f"{path.name:<16}{len(path.read_text().splitlines()):>7}{tokens:>8}{STEP - tokens:>10}")
+    rows = [(path.name, len(path.read_text().splitlines()), parser_tokens(path)) for path in MODULES]
+    for name, lines, tokens in rows:
+        print(f"{name:<16}{lines:>7}{tokens:>8}{STEP - tokens:>10}")
+    print(f"{'total':<16}{sum(row[1] for row in rows):>7}{sum(row[2] for row in rows):>8}")
