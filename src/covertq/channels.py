@@ -105,6 +105,8 @@ class BinaryCovertChannel:
     """The quadruple (sigma0, sigma1, omega0, omega1) of receiver and warden
     outputs for the two input symbols.  Inside the package the four fields may
     also be equal-shape stacks (..., d, d) of many channels' quadruples.
+    Each pair passes the one rule for a pair, ``operators._checked_pair``, and
+    the receiver's and warden's stacks share one shape, else ``DimMismatchError``.
     The constructor checks the covert setting, so every quadruple lies in it:
     the warden's outputs differ (trace norm above the support tolerance, else
     ``TrivialTestError``), and supp(sigma1) in supp(sigma0) and supp(omega1)
@@ -132,11 +134,11 @@ class BinaryCovertChannel:
             (AssumptionViolationError, "supp(sigma1) not contained in supp(sigma0)"),
             (AssumptionViolationError, "supp(omega1) not contained in supp(omega0)"),
         )
-        failing = np.stack([
-            op.trace_norm(self.omega1 - self.omega0) <= DEFAULT_TOL.support,
-            np.logical_not(op.support_contained(self.sigma1, self.sigma0)),
-            np.logical_not(op.support_contained(self.omega1, self.omega0)),
-        ])
+        # support_contained checks each pair by the one rule before any arithmetic on it
+        inside = [op.support_contained(self.sigma1, self.sigma0), op.support_contained(self.omega1, self.omega0)]
+        if self.sigma0.shape[:-2] != self.omega0.shape[:-2]:
+            raise DimMismatchError(f"stack shapes {self.sigma0.shape[:-2]} vs {self.omega0.shape[:-2]}")
+        failing = np.stack([op.trace_norm(self.omega1 - self.omega0) <= DEFAULT_TOL.support, *np.logical_not(inside)])
         failed = op.first_failure(failing.any(axis=0))
         if failed:
             index, where = failed

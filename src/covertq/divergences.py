@@ -15,9 +15,10 @@ of each one-site marginal on the letter's).
 
 Stack contract: ``qre``, ``chi_square``, ``hockey_stick``, ``petz_renyi``
 and ``helstrom_error`` take a pair of density operators or two equal-shape
-stacks of them, shape ``(..., d, d)``, and evaluate every pair at once with
-batched eigendecompositions.  A 2-D pair gives a ``float``, stacks give an
-array of shape ``(...)``.  Every kernel that applies an eigenbasis (``qre``,
+stacks of them, shape ``(..., d, d)``, checked by the one rule for a pair,
+``operators._checked_pair`` (as a ``CqEnsemble``'s states are), and evaluate
+every pair at once with batched eigendecompositions.  A 2-D pair gives a
+``float``, stacks give an array of shape ``(...)``.  Every kernel that applies an eigenbasis (``qre``,
 ``chi_square``, and through ``operators._overlap`` ``petz_renyi`` and ``phi``)
 gathers by one that ``operators.eigh`` read off a diagonal input, the matrix
 product bit for bit.  ``phi`` takes a scalar or an array of orders ``s`` and
@@ -36,16 +37,6 @@ import numpy as np
 from . import operators as op
 from .errors import DimMismatchError, InvalidGammaError, SingularReferenceError
 from .operators import DEFAULT_TOL
-
-
-def _checked_pair(rho, sigma):
-    """``rho`` and ``sigma`` as Hermitian arrays of one dimension and stack shape."""
-    a, b = op.check_hermitian(rho), op.check_hermitian(sigma)
-    if a.shape[-1] != b.shape[-1]:
-        raise DimMismatchError(f"dims {a.shape[-1]} vs {b.shape[-1]}")
-    if a.shape != b.shape:
-        raise DimMismatchError(f"stack shapes {a.shape[:-2]} vs {b.shape[:-2]}")
-    return a, b
 
 
 def _log_where(mask, x):
@@ -69,7 +60,7 @@ def qre(rho, sigma):
     float or ndarray
         Nonnegative divergence value, possibly ``inf``; one per stack element.
     """
-    r, s = _checked_pair(rho, sigma)
+    r, s = op._checked_pair(rho, sigma)
     rvals, svals, overlap = op._overlap(op._eigh(r), op._eigh(s))
     # eigenvalues of rho at or below the support tolerance drop out of the value
     on_r = rvals > DEFAULT_TOL.support
@@ -106,7 +97,7 @@ def chi_square(rho, sigma):
         If ``sigma`` (the lowest such stack element) is not full rank within
         the support tolerance.
     """
-    r, s = _checked_pair(rho, sigma)
+    r, s = op._checked_pair(rho, sigma)
     vals, vecs, order = op._eigh(s)
     # each ascending eigenvalue at the mean of its cluster, labelled by the package's one rule
     label = np.cumsum(op._cluster_starts(vals), axis=-1)
@@ -179,7 +170,7 @@ def hockey_stick(rho, sigma, gamma: float):
     """
     if not (math.isfinite(gamma) and gamma >= 1.0):
         raise InvalidGammaError(f"gamma must be finite and >= 1, got {gamma}")
-    r, s = _checked_pair(rho, sigma)
+    r, s = op._checked_pair(rho, sigma)
     vals = op.eigvalsh(r - gamma * s)
     return op.scalar_or_stack(np.sum(np.where(vals > 0.0, vals, 0.0), axis=-1))
 
@@ -205,7 +196,7 @@ def petz_renyi(rho, sigma, s: float):
         raise ValueError(f"order s must be finite and >= 0, got {s}")
     if s == 1.0:
         raise ValueError("order s = 1 is the qre limit; call qre instead")
-    a, b, weight = overlap = op._overlap(*map(op._eigh, _checked_pair(rho, sigma)))
+    a, b, weight = overlap = op._overlap(*map(op._eigh, op._checked_pair(rho, sigma)))
     trace = _trace_powers(overlap, s, 1.0 - s)
     infinite = trace <= 0.0
     if s > 1.0:  # rho's weights on sigma's eigenvectors, formed as qre and support_contained form them
@@ -216,7 +207,8 @@ def petz_renyi(rho, sigma, s: float):
 
 @dataclass(frozen=True)
 class CqEnsemble:
-    """A finite classical-quantum ensemble: probabilities and matching states."""
+    """A finite classical-quantum ensemble: probabilities and matching states, each kept
+    as checked against the first by the one rule for a pair, ``operators._checked_pair``."""
 
     probs: np.ndarray
     states: tuple[np.ndarray, ...]
@@ -228,9 +220,10 @@ class CqEnsemble:
         if len(self.states) != p.size:
             raise DimMismatchError("one state per probability required")
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "states", tuple(op._checked_pair(w, self.states[0])[0] for w in self.states))
 
     def average_state(self) -> np.ndarray:
-        return sum(p * np.asarray(w, dtype=complex) for p, w in zip(self.probs, self.states))
+        return sum(p * w for p, w in zip(self.probs, self.states))
 
 
 def phi(s, ensemble: CqEnsemble):
@@ -245,18 +238,18 @@ def phi(s, ensemble: CqEnsemble):
     s_arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s_arr) & (s_arr <= 0.0)):
         raise ValueError(f"phi is defined for finite s <= 0, got s = {s}")
-    w_p = op._eigh(op.check_hermitian(ensemble.average_state()))
+    w_p = op._eigh(ensemble.average_state())
     total = np.zeros(s_arr.shape)
     for p, w in zip(ensemble.probs, ensemble.states):
         if p == 0.0:
             continue
-        total = total + p * _trace_powers(op._overlap(op._eigh(op.check_hermitian(w)), w_p), 1.0 - s_arr, s_arr)
+        total = total + p * _trace_powers(op._overlap(op._eigh(w), w_p), 1.0 - s_arr, s_arr)
     return op.scalar_or_stack(np.where(s_arr == 0.0, 0.0, np.log(total)))
 
 
 def helstrom_error(rho, sigma):
     """Minimal binary-discrimination error (1/2)(1 - ||rho - sigma||_1 / 2)."""
-    r, s = _checked_pair(rho, sigma)
+    r, s = op._checked_pair(rho, sigma)
     return 0.5 * (1.0 - 0.5 * op.trace_norm(r - s))
 
 

@@ -251,7 +251,7 @@ def _decode(code: EGToyCode, V: StinespringIsometry, povm, abstain, what: str, h
     per POVM element and, one message at a time, that message's L channel
     words (``_words``), dropped once its overlaps and output are read.  The
     completed elements must sum to I and be PSD within ``DEFAULT_TOL`` (the
-    roots clip the roundoff, as ``check_density`` does).  The charge, as
+    roots clip the roundoff, as ``sqrtm_psd``'s do).  The charge, as
     measured on ``eg_report``, covers the roots, the T message outputs, three
     arrays the size of one message's words (the words, the decoupler's branch
     psi_m and the decoded slice X_m), the decoupler's K (dC x dB^n L) and its

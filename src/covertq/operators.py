@@ -1,8 +1,8 @@
 """Dense complex-matrix primitives for finite-dimensional states and operators.
 
 All operators are plain ``numpy`` arrays of dtype complex128.  Density
-operators are Hermitian, positive semidefinite (up to a small clamp) and have
-unit trace.  Everything here is a pure function; no shared mutable state.
+operators are Hermitian, positive semidefinite up to roundoff, and have unit
+trace.  Everything here is a pure function; no shared mutable state.
 
 Eigensolver: :func:`eigh` and :func:`eigvalsh` are the package's one entry
 point to LAPACK's Hermitian eigensolver; no other module calls
@@ -25,7 +25,10 @@ at once.  :func:`trace_norm` takes Hermitian input only (the trace
 distance of two states): it sums the absolute eigenvalues from ``eigvalsh``
 and raises ``NotHermitianError`` on anything else.  A 2-D input gives a ``float`` (``bool`` for
 ``support_contained``), a stacked input an array of shape ``(...)``.  A check
-that fails on a stack names the lowest failing element.
+that fails on a stack names the lowest failing element.  Every pair of
+states (:func:`support_contained`, :func:`fidelity`, the divergences, the
+quadruple and the ensemble) passes one rule, :func:`_checked_pair`: two
+Hermitian arrays of one dimension and one stack shape, else ``DimMismatchError``.
 :func:`word_products` and :func:`word_index` take ``(..., n)`` stacks of
 words and :func:`mean_word_product` ``(..., K, n)`` stacks.  Every other
 function here takes single matrices only.
@@ -127,6 +130,14 @@ def check_hermitian(h) -> np.ndarray:
     return m
 
 
+def _checked_pair(a, b):
+    """The package's one rule for a pair of states: ``a`` and ``b`` as Hermitian arrays of one dimension and one stack shape."""
+    a, b = check_hermitian(a), check_hermitian(b)
+    if a.shape != b.shape:
+        raise DimMismatchError(f"dims {a.shape[-1]} vs {b.shape[-1]}, stack shapes {a.shape[:-2]} vs {b.shape[:-2]}")
+    return a, b
+
+
 def _real_diagonal(m: np.ndarray):
     """The real diagonal of a ``(..., d, d)`` stack whose off-diagonal entries are all
     exactly zero, or None for any other input (LAPACK raises its own errors)."""
@@ -162,11 +173,9 @@ def _basis_product(a, vecs, order, axis: int):
 
 
 def _overlap(a, b):
-    """Ascending spectra of two :func:`_eigh` results ``a``, ``b`` and the weights |<u_i|v_j>|^2 of their
-    eigenvectors, a read-off basis gathered: the package's one product of two eigenbases."""
+    """Ascending spectra of two :func:`_eigh` results ``a``, ``b`` of one shape (a 1-D read-off order gathers a 2-D operand
+    only) and the weights |<u_i|v_j>|^2 of their eigenvectors, a read-off basis gathered: the one product of two eigenbases."""
     (avals, avecs, aorder), (bvals, bvecs, border) = a, b
-    if avals.shape != bvals.shape:  # a 1-D read-off order gathers a 2-D operand only, never a stack
-        raise DimMismatchError(f"dims {avals.shape} vs {bvals.shape}")
     product = (_basis_product(dagger(avecs), bvecs, border, -1) if aorder is None
                else _basis_product(bvecs, avecs, aorder, -2))
     # C order, as a product returns it: einsum's summation order follows the layout
@@ -197,22 +206,15 @@ def eigvalsh(h):
 
 
 def check_density(rho) -> np.ndarray:
-    """Validate a density operator; clamp roundoff-negative eigenvalues to 0.
-
-    Eigenvalues in ``[-psd, 0)`` are treated as roundoff and clamped; anything
-    more negative raises.  The clamped operator is renormalized to unit trace.
-    """
+    """Validate a density operator, returned unchanged: unit trace within ``trace``, no eigenvalue below ``-psd``.
+    One in ``[-psd, 0)`` is roundoff and stays: every consumer reads one at or below the support tolerance as zero."""
     m = _single(check_hermitian(rho))
     tr = np.trace(m).real
     if abs(tr - 1.0) > DEFAULT_TOL.trace:
         raise DimMismatchError(f"trace {tr} differs from 1 beyond tolerance")
-    vals, vecs = eigh(m)
-    if vals[0] < -DEFAULT_TOL.psd:
-        raise DimMismatchError(f"negative eigenvalue {vals[0]:.3e} beyond tolerance")
-    if vals[0] < 0.0:
-        vals = np.clip(vals, 0.0, None)
-        m = (vecs * vals) @ vecs.conj().T
-        m = m / np.trace(m).real
+    low = eigvalsh(m)[0]
+    if low < -DEFAULT_TOL.psd:
+        raise DimMismatchError(f"negative eigenvalue {low:.3e} beyond tolerance")
     return m
 
 
@@ -377,10 +379,7 @@ def sqrtm_psd(a) -> np.ndarray:
 
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity ||sqrt(rho) sqrt(sigma)||_1^2, clipped to [0, 1]."""
-    r = _single(as_operator(rho))
-    s = _single(as_operator(sigma))
-    if r.shape != s.shape:
-        raise DimMismatchError(f"dims {r.shape[0]} vs {s.shape[0]}")
+    r, s = map(_single, _checked_pair(rho, sigma))
     # sqrt(rho) sqrt(sigma) is not Hermitian, so its singular values are summed
     val = float(np.sum(np.linalg.svd(sqrtm_psd(r) @ sqrtm_psd(s), compute_uv=False))) ** 2
     return float(min(max(val, 0.0), 1.0))
@@ -471,7 +470,7 @@ def pinching(q, p) -> np.ndarray:
 def support_contained(inner, outer):
     """Test supp(inner) subseteq supp(outer), of one shape, by the rule of :func:`_outside`, on inner's weights
     <v_j|inner|v_j> = sum_i lam_i |<u_i|v_j>|^2 on outer's eigenvectors v_j, from inner's eigenpairs lam_i, u_i."""
-    vals, outer_vals, weight = _overlap(_eigh(check_hermitian(inner)), _eigh(check_hermitian(outer)))
+    vals, outer_vals, weight = _overlap(*map(_eigh, _checked_pair(inner, outer)))
     return scalar_or_stack(~_outside(np.einsum("...i,...ij->...j", vals, weight), outer_vals), bool)
 
 

@@ -81,6 +81,24 @@ def test_capacity_assumption_violation(tmp_path, capsys):
     assert "supp(omega1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["sigma1", "omega1"])
+def test_capacity_of_a_roundoff_negative_state_matches_its_clamped_twin(name, tmp_path, capsys):
+    # check_density keeps the -1e-12 eigenvalue, and every consumer reads it as zero: the rates move by a few
+    # times the 1e-12 perturbation (at most 3.2e-12 here), as the trace of the state's support is 1 + 1e-12
+    states = dict(sigma0=np.diag([0.75, 0.25]), sigma1=np.diag([0.4, 0.6]), omega0=np.diag([0.75, 0.25]),
+                  omega1=np.diag([0.5, 0.5]))
+    reports = []
+    for state in (np.diag([1.0 + 1e-12, -1e-12]), np.diag([1.0, 0.0])):
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps({"kind": "cq-pair", **{k: op.matrix_to_json(v) for k, v in dict(states, **{name: state}).items()}}))
+        assert main(["capacity", str(spec)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    rough, clamped = reports
+    assert rough.keys() == clamped.keys()
+    for key, value in clamped.items():
+        assert rough[key] == (pytest.approx(value, rel=0, abs=1e-11) if isinstance(value, float) else value), key
+
+
 def test_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--gamma-from", "0.05", "--gamma-to", "0.95",

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from covertq import channels as chn
 from covertq import covert_sim as cs
 from covertq import divergences as dv
 from covertq import operators as op
+from covertq.cli import main
 from covertq.errors import (
     AssumptionViolationError, DimMismatchError, InvalidGammaError, NotHermitianError, SingularReferenceError,
 )
@@ -315,6 +317,48 @@ def test_non_finite_parameters_raise(call, error):
 def test_malformed_divergence_inputs_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+_QUADRUPLE = dict(sigma0=np.diag([0.75, 0.25]), sigma1=np.diag([0.4, 0.6]), omega0=np.diag([0.75, 0.25]), omega1=np.diag([0.5, 0.5]))
+_HALF, _THIRD = np.eye(2) / 2, np.eye(3) / 3
+
+# every entry point that takes a pair of states refuses two of different dimension or stack shape, by the one rule
+# operators._checked_pair; the warden-dims, stacked-warden and ensemble cases raised numpy's ValueError before it
+PAIR_REFUSALS = {
+    "qre": (lambda: dv.qre(_HALF, _THIRD), "dims 2 vs 3"),
+    "chi_square": (lambda: dv.chi_square(_HALF, _THIRD), "dims 2 vs 3"),
+    "hockey_stick": (lambda: dv.hockey_stick(_HALF, _THIRD, 1.5), "dims 2 vs 3"),
+    "petz_renyi": (lambda: dv.petz_renyi(_HALF, _THIRD, 0.5), "dims 2 vs 3"),
+    "helstrom_error": (lambda: dv.helstrom_error(_HALF, _THIRD), "dims 2 vs 3"),
+    "support_contained": (lambda: op.support_contained(_HALF, _THIRD), "dims 2 vs 3"),
+    "fidelity": (lambda: op.fidelity(_HALF, _THIRD), "dims 2 vs 3"),
+    "quadruple-warden-dims": (lambda: chn.BinaryCovertChannel(**dict(_QUADRUPLE, omega0=np.diag([0.5, 0.25, 0.25]))),
+                              "dims 2 vs 3"),
+    "quadruple-receiver-dims": (lambda: chn.BinaryCovertChannel(**dict(_QUADRUPLE, sigma0=_THIRD)), "dims 2 vs 3"),
+    "quadruple-2d-beside-stack": (lambda: chn.BinaryCovertChannel(
+        _QUADRUPLE["sigma0"], _QUADRUPLE["sigma1"], *(np.array([_QUADRUPLE[name]] * 2) for name in ("omega0", "omega1"))),
+        r"stack shapes \(\) vs \(2,\)"),
+    "quadruple-3-beside-2": (lambda: chn.BinaryCovertChannel(
+        *(np.array([_QUADRUPLE[name]] * (3 if name[0] == "s" else 2)) for name in _QUADRUPLE)),
+        r"stack shapes \(3,\) vs \(2,\)"),
+    "ensemble": (lambda: dv.phi(-0.5, dv.CqEnsemble(np.array([0.5, 0.5]), (_HALF, _THIRD))), "dims 3 vs 2"),
+    "validate": (None, "dims 2 vs 3"),
+}
+
+
+@pytest.mark.parametrize("case", PAIR_REFUSALS)
+def test_every_pair_entry_point_refuses_mismatched_states(case, tmp_path, capsys):
+    call, match = PAIR_REFUSALS[case]
+    if call is not None:
+        with pytest.raises(DimMismatchError, match=match):
+            call()
+        return
+    # a cq-pair spec whose warden states differ in dimension: exit 2 with the rule's message
+    spec = tmp_path / "pair.json"
+    states = dict(_QUADRUPLE, omega0=np.diag([0.5, 0.25, 0.25]))
+    spec.write_text(json.dumps({"kind": "cq-pair", **{name: op.matrix_to_json(m) for name, m in states.items()}}))
+    assert main(["validate", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {match}")
 
 
 def test_helstrom_error():

@@ -198,10 +198,10 @@ def test_malformed_operators_raise(call, match):
         call()
 
 
-def test_check_density_clamps_a_roundoff_negative_eigenvalue():
-    # -1e-12 lies within the psd tolerance: it is clipped to 0 and the trace renormalized
-    rho = op.check_density(np.diag([1.0 + 1e-12, -1e-12]))
-    np.testing.assert_array_equal(rho, np.diag([1.0, 0.0]))
+def test_check_density_returns_a_roundoff_negative_eigenvalue_unchanged():
+    # -1e-12 lies within the psd tolerance: it is accepted and kept, not clipped to 0 and renormalized
+    state = np.diag([1.0 + 1e-12, -1e-12])
+    np.testing.assert_array_equal(op.check_density(state), state)
 
 
 def test_support_contained_refuses_a_stack_against_a_single_state():
